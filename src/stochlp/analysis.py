@@ -86,7 +86,6 @@ def evaluate_decision(p: TwoStageProblem, x, kcfg=None, on_infeasible="inf"):
     """
     x = np.asarray(x, dtype=float)
     first = p.first
-    from .lshaped import scenario_lp  # noqa: F401  (shared LP builder)
     from .model import LPInstance
     probe = LPInstance(c=np.zeros(first.n), A=first.A, rhs=first.b,
                        row_senses=first.row_senses, lb=first.lb, ub=first.ub)
@@ -195,16 +194,15 @@ def all_measures(p: TwoStageProblem, kcfg=None) -> dict:
 
 
 def sampled_measures(model: StochasticModel, sampler, cfg: SaaConfig = None,
-                     seed=0, n=None, kcfg=None) -> dict:
+                     seed=0, kcfg=None) -> dict:
     """Interval estimates of VRP, EVPI and VSS from independent SAA batches.
 
     Each measure uses its own independent batches; difference intervals add
     widths conservatively.  A VSS interval that straddles zero is flagged as
-    statistically insignificant.
+    statistically insignificant.  The EWS and EEV batches use the sample
+    size the SAA run settles on, which starts from ``cfg.n0``.
     """
     cfg = cfg or SaaConfig()
-    n = n or cfg.n0
-
     saa = saa_solve(model, sampler, cfg, seed=seed, kcfg=kcfg)
     vrp_iv = saa.report
 

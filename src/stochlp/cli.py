@@ -27,7 +27,7 @@ from .errors import (
     StochLPError,
     UnboundedSubproblem,
 )
-from .execution import ExecConfig, resolve_workers
+from .execution import ExecConfig
 from .lshaped import LShapedConfig, solve_lshaped
 from .model import build_deterministic_equivalent
 from .phedging import PhConfig, solve_ph
@@ -67,9 +67,8 @@ def _load_problem(args):
 
 
 def _exec_config(args):
-    cfg = ExecConfig.parse(getattr(args, "exec_mode", None) or "serial",
-                           workers=resolve_workers(args.workers))
-    return cfg
+    return ExecConfig.parse(getattr(args, "exec_mode", None) or "serial",
+                            workers=args.workers)
 
 
 def _emit(args, report: SolveReport):

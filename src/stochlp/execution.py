@@ -1,14 +1,25 @@
-"""Execution engines: serial, synchronous waves, and asynchronous k-threshold.
+"""Execution: driving a coordinator by waves or by the asynchronous kappa protocol.
 
-The asynchronous protocol mirrors a master/worker channel design with
-in-memory bounded queues: the coordinator publishes immutable versioned
-decisions, workers pull (version, item) work and push result envelopes back,
-and the coordinator publishes version v+1 as soon as ceil(kappa * n) results
-for version v have arrived.  Every published version's full item set is
-still processed (late results are incorporated), and convergence is only
-checked on versions whose n results are all in.  Workers are handed items of
-the newest version only; intermediate versions a stale worker never saw are
-not revisited.
+Each algorithm has one coordinator, a state machine over versioned decisions:
+``initial_decision`` publishes version 0, ``worker_payload`` solves one work
+item of a version, ``incorporate`` folds one result in, ``complete`` runs once
+all n results of a version are in, and ``advance`` re-solves and publishes
+the next version, or sets ``finished`` and returns None when the run stops.
+There are two ways of driving it:
+
+- waves (serial and sync): each algorithm module's wave loop hands all n
+  items of the newest version to ``run_wave``, incorporates the results in
+  index order, completes the version and advances.  This is the kappa
+  protocol with kappa = 1, run without queues.
+- the kappa protocol (async): ``run_async`` mirrors a master/worker channel
+  design with in-memory bounded queues.  Workers pull (version, item) work
+  and push result envelopes back, and the coordinator publishes version v+1
+  as soon as ceil(kappa * n) results for version v have arrived.  Every
+  published version's full item set is still processed (late results are
+  incorporated), and the coordinators run their stopping tests only at an
+  advance that follows the completion of some version.  Workers are handed
+  items of the newest version only; intermediate versions a stale worker
+  never saw are not revisited.
 """
 
 from __future__ import annotations
@@ -31,7 +42,6 @@ class ExecConfig:
     mode: str = "serial"           # serial | sync | async
     workers: int = 1
     kappa: float = 0.5
-    queue_capacity: int = None     # default 2 * n items
     watchdog: float = 60.0
 
     def __post_init__(self):
@@ -61,6 +71,11 @@ class ExecConfig:
             workers = int(os.environ.get(ENV_WORKERS, "1") or 1)
         cfg.workers = max(1, workers)
         return cfg
+
+    @property
+    def label(self):
+        """This configuration in --exec syntax, as echoed in reports."""
+        return f"async:{self.kappa}" if self.mode == "async" else self.mode
 
 
 @dataclass(frozen=True)
@@ -139,6 +154,13 @@ class AsyncStats:
     def max_pair_multiplicity(self):
         return max(self.pair_counts.values(), default=0)
 
+    def summary(self):
+        """The ``async`` block of a solve report."""
+        return {"issued": self.issued, "received": self.received,
+                "versions": self.versions_published,
+                "max_pair_multiplicity": self.max_pair_multiplicity,
+                "version_log": [list(rec) for rec in self.version_log]}
+
 
 def run_async(coordinator, worker_fn, cfg: ExecConfig):
     """Drive the k-threshold asynchronous protocol until the coordinator is done.
@@ -148,18 +170,18 @@ def run_async(coordinator, worker_fn, cfg: ExecConfig):
     - ``n_items``: number of work items per published decision
     - ``initial_decision() -> VersionedDecision``
     - ``incorporate(envelope) -> None``: fold one result into master state
+    - ``complete(version, decision) -> None``: called when all results of one
+      version are in
     - ``advance() -> VersionedDecision | None``: re-solve and publish the next
       decision, or None when no further decision should be issued
-    - ``complete(version, decision) -> bool``: called when all results of one
-      version are in; True means converged
-    - ``finished`` property: stop flag
+    - ``finished`` property: stop flag; no decision is published once it is set
 
     Returns AsyncStats; all issued items are drained before returning so no
     result is ever lost.
     """
     n = coordinator.n_items
     kappa_count = max(1, math.ceil(cfg.kappa * n))
-    capacity = cfg.queue_capacity or max(2 * n, 2)
+    capacity = max(2 * n, 2)
     work_q = queue.Queue(maxsize=capacity + cfg.workers)
     result_q = queue.Queue()
     decisions = {}
@@ -195,7 +217,6 @@ def run_async(coordinator, worker_fn, cfg: ExecConfig):
 
     counts = {}
     newest = None
-    converged = False
     failure = None
     t_start = time.perf_counter()
     try:
@@ -222,10 +243,8 @@ def run_async(coordinator, worker_fn, cfg: ExecConfig):
             coordinator.incorporate(env)
             counts[env.version] = counts.get(env.version, 0) + 1
             if counts[env.version] == n:
-                if coordinator.complete(env.version, decisions[env.version]):
-                    converged = True
-            if (not converged and not coordinator.finished
-                    and counts.get(newest, 0) >= kappa_count):
+                coordinator.complete(env.version, decisions[env.version])
+            if not coordinator.finished and counts.get(newest, 0) >= kappa_count:
                 nxt = coordinator.advance()
                 if nxt is not None:
                     stats.version_log.append(
@@ -241,13 +260,3 @@ def run_async(coordinator, worker_fn, cfg: ExecConfig):
     if failure is not None:
         raise failure
     return stats
-
-
-def resolve_workers(flag_value=None):
-    """Worker count: --workers flag wins over the STOCHLP_WORKERS env var."""
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        return max(1, int(env))
-    return 1

@@ -515,7 +515,7 @@ def solve_qp_diagonal(lp: LPInstance, cfg: KernelConfig = None,
         if best is None or err < best[0]:
             best = (err, x.copy(), y.copy(), lam.copy(), s.copy())
         if err <= tol:
-            return _qp_solution(lp, x, y, lam, AE, G, D, z0, OPTIMAL, it)
+            return _qp_solution(lp, x, y, lam, D, z0, OPTIMAL, it)
         if not np.isfinite(err) or np.abs(x).max(initial=0.0) > 1e13:
             return LPSolution(status=UNBOUNDED, x=x, iterations=it)
 
@@ -593,11 +593,11 @@ def solve_qp_diagonal(lp: LPInstance, cfg: KernelConfig = None,
         y = y + ad * dy
         lam = lam + ad * dlam
 
-    return _qp_solution(lp, best[1], best[2], best[3], AE, G, D, z0, ITERATION_LIMIT,
+    return _qp_solution(lp, best[1], best[2], best[3], D, z0, ITERATION_LIMIT,
                         cfg.ipm_max_iterations)
 
 
-def _qp_solution(lp, x, y, lam, AE, G, D, z0, status, iters):
+def _qp_solution(lp, x, y, lam, D, z0, status, iters):
     obj = float(lp.c @ x + lp.c0 + 0.5 * np.sum(D * (x - z0) ** 2))
     # fold the IPM multipliers back into the package's row-dual convention
     duals = np.zeros(lp.nrows)
@@ -619,13 +619,7 @@ def _qp_solution(lp, x, y, lam, AE, G, D, z0, status, iters):
     sol = LPSolution(status=status, x=x, objective=obj, duals=duals,
                      reduced_costs=red, iterations=iters)
     sol.extras["ipm_state"] = {"x": x.copy(), "lam": lam.copy(), "y": y.copy()}
-    sol.extras["kkt_residual"] = _kkt_residual(lp, x, duals, AE, G, D, z0)
     return sol
-
-
-def _kkt_residual(lp, x, duals, AE, G, D, z0):
-    stat = primal_violation(lp, x)
-    return float(stat)
 
 
 def linearize_penalty(lp: LPInstance, norm: str = "one") -> LPInstance:

@@ -11,14 +11,15 @@ Bounds on second-stage variables are supported directly: each cut's rhs
 absorbs the constant dual bound contribution, so the cut is tight at the
 generating candidate and remains a valid global under-estimator.
 
-Under asynchronous execution the work item is one aggregation bundle, so
-single-cut mode degenerates to one item per version; cut violation is
-checked against the (x, theta) pair of the version that generated the cut.
+In every execution mode the work item is one aggregation bundle, so
+single-cut mode has one item per version; cut violation is checked against
+the (x, theta) pair of the version that generated the cut.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,8 @@ class LShapedConfig:
             raise ConfigError(f"unknown regularization {self.regularization!r}")
         if not 0.0 < self.level_lambda < 1.0:
             raise ConfigError("level parameter must lie in (0, 1)")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -177,30 +180,36 @@ def _scenario_h(outcome):
     return outcome._h
 
 
+def _bundle_width(nscen, policy, bundle_size):
+    if policy == "single":
+        return nscen
+    if policy == "multi":
+        return 1
+    return min(bundle_size, nscen)
+
+
 def make_bundles(nscen, policy, bundle_size):
     """Fixed contiguous aggregation groups, stable across iterations."""
-    if policy == "single":
-        b = nscen
-    elif policy == "multi":
-        b = 1
-    else:
-        b = min(bundle_size, nscen)
+    b = _bundle_width(nscen, policy, bundle_size)
     return [list(range(i, min(i + b, nscen))) for i in range(0, nscen, b)]
 
 
 def aggregate_cuts(outcomes, probabilities, policy, bundle_size=1, nscen=None,
                    iteration=0):
-    """One cut per aggregation group from per-scenario feasible outcomes."""
+    """One cut per aggregation group from per-scenario feasible outcomes.
+
+    Only groups with at least one outcome get a cut, so the cost grows with
+    the outcomes given, not with the number of groups.
+    """
     nscen = nscen if nscen is not None else len(outcomes)
+    b = _bundle_width(nscen, policy, bundle_size)
     by_scen = {o.scenario: o for o in outcomes}
-    cuts = []
-    for agg, group in enumerate(make_bundles(nscen, policy, bundle_size)):
-        outs = [by_scen[s] for s in group if s in by_scen]
-        if not outs:
-            continue
-        probs = [probabilities[o.scenario] for o in outs]
-        cuts.append(make_optimality_cut(outs, probs, aggregate=agg, iteration=iteration))
-    return cuts
+    groups = {}
+    for s in sorted(by_scen):
+        groups.setdefault(s // b, []).append(by_scen[s])
+    return [make_optimality_cut(outs, [probabilities[o.scenario] for o in outs],
+                                aggregate=agg, iteration=iteration)
+            for agg, outs in groups.items()]
 
 
 class MasterState:
@@ -347,23 +356,6 @@ class MasterState:
         return removed
 
 
-def solve_master(state: MasterState, regularization="none", **kw):
-    """Solve the current master under the given policy; returns (x, theta, value)."""
-    if regularization == "none":
-        return state.solve_plain()
-    if regularization == "tr":
-        return state.solve_plain(tr_center=kw["center"], tr_delta=kw["delta"])
-    if regularization == "rd":
-        return state.solve_rd(kw["center"], kw["sigma"])
-    if regularization == "level":
-        return state.solve_level(kw["center"], kw["level"])
-    raise ConfigError(f"unknown regularization {regularization!r}")
-
-
-def consolidate(state: MasterState, threshold, period=None):
-    return state.consolidate(threshold)
-
-
 class _Run:
     """Shared state of one L-shaped run, used by every execution mode."""
 
@@ -399,30 +391,6 @@ class _Run:
                 self.warm[s] = basis
             outs.append(_attach_scenario_data(out, self.p.scenarios[s]))
         return outs
-
-    def add_wave_cuts(self, outcomes, x, theta):
-        """Fold one full wave of outcomes into the master. Returns (U or None, added)."""
-        added = 0
-        infeasible = [o for o in outcomes if not o.feasible]
-        if infeasible:
-            for o in infeasible:
-                cut = make_feasibility_cut(o, iteration=self.iteration)
-                if cut.rhs - cut.gradient @ x > self.cfg.kernel.feas_tol:
-                    self.state.add_cut(cut)
-                    added += 1
-            self.cuts_added += added
-            return None, added
-        cuts = aggregate_cuts(outcomes, self.probs, self.cfg.cuts,
-                              self.cfg.bundle_size, self.p.nscen, self.iteration)
-        for cut in cuts:
-            if theta is None or cut.value_at(x) > theta[cut.aggregate] \
-                    + 1e-9 * (1.0 + abs(cut.value_at(x))):
-                self.state.add_cut(cut)
-                added += 1
-        self.cuts_added += added
-        U = float(self.p.first.c @ x
-                  + sum(self.probs[o.scenario] * o.value for o in outcomes))
-        return U, added
 
     def note_upper(self, U, x, outcomes):
         if U is not None and U < self.U_best - 1e-12:
@@ -522,73 +490,72 @@ def solve_lshaped(problem: TwoStageProblem, cfg: LShapedConfig = None,
     """Run the L-shaped algorithm until (U - L) / (1 + |U|) <= gap_tol."""
     cfg = cfg or LShapedConfig()
     engine = engine or cfg.execution
-    if engine.mode == "async":
-        return _solve_async(problem, cfg, engine, seed)
-    return _solve_iterative(problem, cfg, engine, seed)
-
-
-def _solve_iterative(problem, cfg, engine, seed):
-    run = _Run(problem, cfg)
     t0 = time.perf_counter()
-    x_k, theta_k, _ = run.state.solve_plain()   # cold start: theta at theta_min
-    pool = None
-    if engine.mode == "sync" and engine.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=engine.workers)
-    status = "iteration_limit"
-    try:
-        for it in range(1, cfg.max_iterations + 1):
-            run.iteration = it
-            t_it = time.perf_counter()
-            items = [WorkItem(version=it, index=b) for b in range(len(run.bundles))]
-            envs = run_wave(items,
-                            lambda item: run.solve_bundle(run.bundles[item.index], x_k),
-                            workers=engine.workers, pool=pool)
-            outcomes = [o for e in envs for o in e.payload]
-            U_k, added = run.add_wave_cuts(outcomes, x_k, theta_k)
-            improved = run.note_upper(U_k, x_k, outcomes)
-            x_next, theta_next, L_plain = run.next_candidate(x_k, U_k)
-            if run.lower_valid():
-                run.L = L_plain
-            run.record(time.perf_counter() - t_it, added)
-            if run.lower_valid() and run.gap() <= cfg.gap_tol:
-                status = "optimal"
-                break
-            if added == 0 and U_k is not None and cfg.regularization == "none" \
-                    and run.lower_valid():
-                status = "optimal"   # model exact at the candidate
-                break
-            if cfg.consolidation and it % cfg.consolidation_period == 0:
-                run.state.consolidate(cfg.consolidation_threshold)
-            x_k, theta_k = x_next, theta_next
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    rep = run.report(status, time.perf_counter() - t0, seed)
+    run = _Run(problem, cfg)
+    coord = _Coordinator(run, cfg)
+    stats = _drive(coord, engine)
+    rep = run.report(coord.status, time.perf_counter() - t0, seed)
     rep.config = {"cuts": cfg.cuts, "bundle_size": cfg.bundle_size,
                   "regularization": cfg.regularization, "gap_tol": cfg.gap_tol,
-                  "execution": engine.mode, "workers": engine.workers}
+                  "execution": engine.label, "workers": engine.workers}
+    if stats is not None:
+        rep.extras["async"] = stats.summary()
     return rep
 
 
-class _AsyncCoordinator:
-    """Master-side state machine for the k-threshold protocol."""
+def _drive(coord, engine):
+    """Run ``coord`` to its stop; returns the protocol stats under async, else None.
+
+    Serial and sync run one wave per version and feed its results in index
+    order, which is the kappa protocol at kappa = 1.
+    """
+    if engine.mode == "async":
+        return run_async(coord, coord.worker_payload, engine)
+    pool = ThreadPoolExecutor(max_workers=engine.workers) \
+        if engine.mode == "sync" and engine.workers > 1 else None
+    try:
+        dec = coord.initial_decision()
+        while dec is not None:
+            items = [WorkItem(version=dec.version, index=i) for i in range(coord.n_items)]
+            for env in run_wave(items, lambda item, d=dec: coord.worker_payload(d, item.index),
+                                workers=engine.workers, pool=pool):
+                coord.incorporate(env)
+            coord.complete(dec.version, dec)
+            dec = coord.advance()
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=False)
+    return None
+
+
+class _Coordinator:
+    """Master-side state machine of the kappa protocol, for every execution mode.
+
+    A version is one candidate (x, theta) and its work items are the
+    aggregation bundles.  Cuts are built as each bundle's results arrive and
+    tested against the (x, theta) of the version that generated them.  The
+    upper bound comes only from versions whose results are all in, and the
+    stopping tests run right after the master re-solve that follows such a
+    version, so a converged run issues no further wave.
+    """
 
     def __init__(self, run: _Run, cfg):
         self.run = run
         self.cfg = cfg
         self.n_items = len(run.bundles)
-        self.version = 0
         self.finished = False
         self.status = "iteration_limit"
-        self.partial = {}      # version -> outcomes received so far
-        self.payloads = {}     # version -> (x, theta)
-        self.pending_eval = None   # last fully evaluated (x, U), consumed by advance
-        self.t0 = time.perf_counter()
+        self.partial = {}          # version -> outcomes received so far
+        self.added = {}            # version -> cuts its results added
+        self.payloads = {}         # version (= iteration that produced it) -> (x, theta)
+        self.pending_eval = None   # last fully evaluated (x, U, added), consumed by advance
+        self.unrecorded = 0        # cuts added since the last trace record
+        self.t_mark = None
 
     def initial_decision(self):
-        x, theta, _ = self.run.state.solve_plain()
+        x, theta, _ = self.run.state.solve_plain()   # cold start: theta at theta_min
         self.payloads[0] = (x, theta)
+        self.t_mark = time.perf_counter()
         return VersionedDecision(version=0, payload=(x, theta), iteration=0)
 
     def worker_payload(self, decision, index):
@@ -596,75 +563,65 @@ class _AsyncCoordinator:
         return self.run.solve_bundle(self.run.bundles[index], x)
 
     def incorporate(self, env):
+        if self.finished:
+            return      # results drained after the stop leave the run as reported
         run = self.run
         outcomes = env.payload
+        x, theta = self.payloads[env.version]
         self.partial.setdefault(env.version, []).extend(outcomes)
-        added = 0
         infeasible = [o for o in outcomes if not o.feasible]
         if infeasible:
-            for o in infeasible:
-                run.state.add_cut(make_feasibility_cut(o, iteration=env.version))
-                added += 1
+            cuts = [make_feasibility_cut(o, iteration=env.version) for o in infeasible]
+            cuts = [c for c in cuts if c.rhs - c.gradient @ x > self.cfg.kernel.feas_tol]
         else:
-            probs = [run.probs[o.scenario] for o in outcomes]
-            cut = make_optimality_cut(outcomes, probs, aggregate=env.index,
-                                      iteration=env.version)
-            dec_x, dec_theta = self.payloads[env.version]
-            if cut.value_at(dec_x) > dec_theta[env.index] \
-                    + 1e-9 * (1 + abs(cut.value_at(dec_x))):
-                run.state.add_cut(cut)
-                added += 1
-        run.cuts_added += added
-
-    def advance(self):
-        run = self.run
-        if run.iteration >= self.cfg.max_iterations:
-            return None
-        run.iteration += 1
-        self.version += 1
-        eval_x, eval_U = self.pending_eval or (self.payloads[self.version - 1][0], None)
-        self.pending_eval = None
-        x, theta, L_plain = run.next_candidate(eval_x, eval_U)
-        if run.lower_valid():
-            run.L = L_plain
-        run.record(time.perf_counter() - self.t0, 0)
-        if run.lower_valid() and run.gap() <= self.cfg.gap_tol:
-            self.finished = True
-            self.status = "optimal"
-            return None
-        self.payloads[self.version] = (x, theta)
-        return VersionedDecision(version=self.version, payload=(x, theta),
-                                 iteration=run.iteration)
+            cuts = aggregate_cuts(outcomes, run.probs, self.cfg.cuts, self.cfg.bundle_size,
+                                  run.p.nscen, env.version)
+            cuts = [c for c in cuts if c.value_at(x) > theta[c.aggregate]
+                    + 1e-9 * (1.0 + abs(c.value_at(x)))]
+        for cut in cuts:
+            run.state.add_cut(cut)
+        self.added[env.version] = self.added.get(env.version, 0) + len(cuts)
+        self.unrecorded += len(cuts)
+        run.cuts_added += len(cuts)
 
     def complete(self, version, decision):
+        if self.finished:
+            return
         run = self.run
-        outcomes = self.partial.pop(version, [])
-        if any(not o.feasible for o in outcomes):
-            return False
+        outcomes = self.partial.pop(version)
         x, _ = decision.payload
-        U_v = float(run.p.first.c @ x
-                    + sum(run.probs[o.scenario] * o.value for o in outcomes))
-        run.note_upper(U_v, x, outcomes)
+        U = None
+        if all(o.feasible for o in outcomes):
+            U = float(run.p.first.c @ x
+                      + sum(run.probs[o.scenario] * o.value for o in outcomes))
+        run.note_upper(U, x, outcomes)
         # regularization centers move only on fully evaluated candidates
-        self.pending_eval = (x, U_v)
-        if run.lower_valid() and run.gap() <= self.cfg.gap_tol:
-            self.finished = True
+        self.pending_eval = (x, U, self.added.pop(version))
+
+    def advance(self):
+        run, cfg = self.run, self.cfg
+        run.iteration += 1
+        evaluated = self.pending_eval
+        self.pending_eval = None
+        x_eval, U, added = evaluated or (self.payloads[run.iteration - 1][0], None, None)
+        x, theta, L_plain = run.next_candidate(x_eval, U)
+        if run.lower_valid():
+            run.L = L_plain
+        run.record(time.perf_counter() - self.t_mark, self.unrecorded)
+        self.unrecorded = 0
+        # no cut added at a fully evaluated candidate: the model is exact there
+        exact = added == 0 and U is not None and cfg.regularization == "none"
+        if evaluated is not None and run.lower_valid() \
+                and (run.gap() <= cfg.gap_tol or exact):
             self.status = "optimal"
-            return True
-        return False
-
-
-def _solve_async(problem, cfg, engine, seed):
-    run = _Run(problem, cfg)
-    t0 = time.perf_counter()
-    coord = _AsyncCoordinator(run, cfg)
-    stats = run_async(coord, coord.worker_payload, engine)
-    rep = run.report(coord.status, time.perf_counter() - t0, seed)
-    rep.config = {"cuts": cfg.cuts, "bundle_size": cfg.bundle_size,
-                  "regularization": cfg.regularization, "gap_tol": cfg.gap_tol,
-                  "execution": f"async:{engine.kappa}", "workers": engine.workers}
-    rep.extras["async"] = {"issued": stats.issued, "received": stats.received,
-                           "versions": stats.versions_published,
-                           "max_pair_multiplicity": stats.max_pair_multiplicity,
-                           "version_log": [list(rec) for rec in stats.version_log]}
-    return rep
+            self.finished = True
+            return None
+        if cfg.consolidation and run.iteration % cfg.consolidation_period == 0:
+            run.state.consolidate(cfg.consolidation_threshold)
+        if run.iteration >= cfg.max_iterations:
+            self.finished = True
+            return None
+        self.payloads[run.iteration] = (x, theta)
+        self.t_mark = time.perf_counter()
+        return VersionedDecision(version=run.iteration, payload=(x, theta),
+                                 iteration=run.iteration)

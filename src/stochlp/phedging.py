@@ -14,6 +14,7 @@ consensus); when xi is feasible its expected value is reported alongside.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,8 @@ class PhConfig:
             raise ConfigError("penalty parameter r must be > 0")
         if not (self.theta_inc > 1.0 > self.theta_dec > 0.0):
             raise ConfigError("adaptive factors need theta_inc > 1 > theta_dec > 0")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -163,31 +166,40 @@ def solve_ph(problem: TwoStageProblem, cfg: PhConfig = None,
     """Run progressive hedging until both squared gaps fall below tolerance."""
     cfg = cfg or PhConfig()
     engine = engine or cfg.execution
+    t0 = time.perf_counter()
+    state = _initial_state(problem, cfg)
+    coord = _PhCoordinator(problem, cfg, state)
+    stats = _drive(coord, engine)
+    rep = _report(problem, cfg, engine, state, coord.trace, coord.status,
+                  time.perf_counter() - t0, seed)
+    if stats is not None:
+        rep.extras["async"] = stats.summary()
+    return rep
+
+
+def _drive(coord, engine):
+    """Run ``coord`` to its stop; returns the protocol stats under async, else None.
+
+    Serial and sync run one wave per version and feed its results in index
+    order, which is the kappa protocol at kappa = 1.
+    """
     if engine.mode == "async":
-        return _solve_async(problem, cfg, engine, seed)
-    return _solve_iterative(problem, cfg, engine, seed)
-
-
-def _wave_results(problem, cfg, state, warm, engine, pool):
-    """One synchronized round of proximal subproblem solves."""
-    S = problem.nscen
-    items = [WorkItem(version=state.iteration, index=s) for s in range(S)]
-
-    def work(item):
-        s = item.index
-        return solve_ph_subproblem(problem.first, problem.shape, problem.scenarios[s],
-                                   state.xi, state.rho[s], state.r, cfg.kernel,
-                                   warm=warm[s], linearize=cfg.linearize,
-                                   scenario_index=s)
-
-    envs = run_wave(items, work, workers=engine.workers, pool=pool)
-    for e in envs:
-        s = e.index
-        x_s, y_s, _, ipm = e.payload
-        state.xs[s] = x_s
-        state.ys[s] = y_s
-        warm[s] = ipm
-    return envs
+        return run_async(coord, coord.worker_payload, engine)
+    pool = ThreadPoolExecutor(max_workers=engine.workers) \
+        if engine.mode == "sync" and engine.workers > 1 else None
+    try:
+        dec = coord.initial_decision()
+        while dec is not None:
+            items = [WorkItem(version=dec.version, index=i) for i in range(coord.n_items)]
+            for env in run_wave(items, lambda item, d=dec: coord.worker_payload(d, item.index),
+                                workers=engine.workers, pool=pool):
+                coord.incorporate(env)
+            coord.complete(dec.version, dec)
+            dec = coord.advance()
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=False)
+    return None
 
 
 def _objective(problem, state):
@@ -195,43 +207,6 @@ def _objective(problem, state):
     vals = [problem.first.c @ state.xs[s] + problem.scenarios[s].q @ state.ys[s]
             for s in range(problem.nscen)]
     return float(probs @ np.asarray(vals))
-
-
-def _solve_iterative(problem, cfg, engine, seed):
-    t0 = time.perf_counter()
-    state = _initial_state(problem, cfg)
-    probs = problem.probabilities
-    warm = [None] * problem.nscen
-    trace = []
-    pool = None
-    if engine.mode == "sync" and engine.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=engine.workers)
-    status = "iteration_limit"
-    try:
-        for it in range(1, cfg.max_iterations + 1):
-            state.iteration = it
-            _wave_results(problem, cfg, state, warm, engine, pool)
-            xi_new = aggregate_implementable(state.xs, probs)
-            state.primal_gap = float(np.sum((xi_new - state.xi) ** 2))
-            state.xi = xi_new
-            diffs = state.xs - xi_new
-            state.dual_gap = float(probs @ np.sum(diffs * diffs, axis=1))
-            state.rho = update_multipliers(state.rho, state.xs, xi_new, state.r)
-            if cfg.penalty == "adaptive":
-                _maybe_adapt(state, cfg)
-            trace.append({"iteration": it, "primal_gap": state.primal_gap,
-                          "dual_gap": state.dual_gap, "penalty": state.r,
-                          "objective": _objective(problem, state),
-                          "multiplier_drift": state.multiplier_drift(probs)})
-            if state.primal_gap <= cfg.primal_tol and state.dual_gap <= cfg.dual_tol:
-                status = "optimal"
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    return _report(problem, cfg, engine, state, trace, status,
-                   time.perf_counter() - t0, seed)
 
 
 def _report(problem, cfg, engine, state, trace, status, wall, seed):
@@ -261,17 +236,19 @@ def _report(problem, cfg, engine, state, trace, status, wall, seed):
     )
     rep.config = {"penalty": cfg.penalty, "r": cfg.r,
                   "primal_tol": cfg.primal_tol, "dual_tol": cfg.dual_tol,
-                  "execution": engine.mode, "workers": engine.workers}
+                  "execution": engine.label, "workers": engine.workers}
     return rep
 
 
-class _PhAsyncCoordinator:
-    """Incremental aggregation with per-scenario timestamps.
+class _PhCoordinator:
+    """Scenario-side state machine of the kappa protocol, for every execution mode.
 
-    Aggregation and the multiplier update touch every scenario at once using
-    each scenario's latest available solution, so multiplier conservation is
-    preserved; convergence is checked on versions whose full scenario set
-    has reported.
+    A version is one (xi, rho, r) snapshot and its work items are the
+    scenarios.  Aggregation and the multiplier update touch every scenario at
+    once using each scenario's latest available solution, so multiplier
+    conservation is preserved.  The convergence test runs right after an
+    aggregation that follows the completion of some version, so every
+    scenario's solution in it is at least as new as that version.
     """
 
     def __init__(self, problem, cfg, state: PhState):
@@ -280,11 +257,10 @@ class _PhAsyncCoordinator:
         self.state = state
         self.probs = problem.probabilities
         self.n_items = problem.nscen
-        self.version = 0
         self.finished = False
         self.status = "iteration_limit"
         self.stamp = np.zeros(problem.nscen, dtype=int)
-        self.count = {}
+        self.resolved = False      # some version completed since the last aggregation
         self.trace = []
         self.warm = [None] * problem.nscen
 
@@ -293,7 +269,7 @@ class _PhAsyncCoordinator:
 
     def _decision(self):
         snap = (self.state.xi.copy(), self.state.rho.copy(), self.state.r)
-        return VersionedDecision(version=self.version, payload=snap,
+        return VersionedDecision(version=self.state.iteration, payload=snap,
                                  iteration=self.state.iteration)
 
     def worker_payload(self, decision, index):
@@ -305,6 +281,8 @@ class _PhAsyncCoordinator:
                                    scenario_index=index)
 
     def incorporate(self, env):
+        if self.finished:
+            return      # results drained after the stop leave the run as reported
         s = env.index
         x_s, y_s, _, ipm = env.payload
         self.warm[s] = ipm
@@ -313,44 +291,30 @@ class _PhAsyncCoordinator:
             self.state.xs[s] = x_s
             self.state.ys[s] = y_s
 
+    def complete(self, version, decision):
+        self.resolved = True
+
     def advance(self):
-        st = self.state
-        if st.iteration >= self.cfg.max_iterations:
-            return None
+        st, cfg = self.state, self.cfg
         st.iteration += 1
-        self.version += 1
         xi_new = aggregate_implementable(st.xs, self.probs)
         st.primal_gap = float(np.sum((xi_new - st.xi) ** 2))
         st.xi = xi_new
         diffs = st.xs - xi_new
         st.dual_gap = float(self.probs @ np.sum(diffs * diffs, axis=1))
         st.rho = update_multipliers(st.rho, st.xs, xi_new, st.r)
-        if self.cfg.penalty == "adaptive":
-            _maybe_adapt(st, self.cfg)
+        if cfg.penalty == "adaptive":
+            _maybe_adapt(st, cfg)
         self.trace.append({"iteration": st.iteration, "primal_gap": st.primal_gap,
                            "dual_gap": st.dual_gap, "penalty": st.r,
+                           "objective": _objective(self.p, st),
                            "multiplier_drift": st.multiplier_drift(self.probs)})
-        return self._decision()
-
-    def complete(self, version, decision):
-        if self.state.primal_gap <= self.cfg.primal_tol \
-                and self.state.dual_gap <= self.cfg.dual_tol:
-            self.finished = True
+        resolved, self.resolved = self.resolved, False
+        if resolved and st.primal_gap <= cfg.primal_tol and st.dual_gap <= cfg.dual_tol:
             self.status = "optimal"
-            return True
-        return False
-
-
-def _solve_async(problem, cfg, engine, seed):
-    t0 = time.perf_counter()
-    state = _initial_state(problem, cfg)
-    coord = _PhAsyncCoordinator(problem, cfg, state)
-    stats = run_async(coord, coord.worker_payload, engine)
-    rep = _report(problem, cfg, engine, state, coord.trace, coord.status,
-                  time.perf_counter() - t0, seed)
-    rep.config["execution"] = f"async:{engine.kappa}"
-    rep.extras["async"] = {"issued": stats.issued, "received": stats.received,
-                           "versions": stats.versions_published,
-                           "max_pair_multiplicity": stats.max_pair_multiplicity,
-                           "version_log": [list(rec) for rec in stats.version_log]}
-    return rep
+            self.finished = True
+            return None
+        if st.iteration >= cfg.max_iterations:
+            self.finished = True
+            return None
+        return self._decision()

@@ -23,7 +23,7 @@ from stochlp.fixtures import (
 )
 from stochlp.lshaped import (
     LShapedConfig,
-    _AsyncCoordinator,
+    _Coordinator as _AsyncCoordinator,
     _Run,
     solve_lshaped,
     solve_subproblem,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochlp import analysis, kernel
-from stochlp.errors import MasterInfeasible, MixedOutcome, NotInfeasible
+from stochlp.errors import ConfigError, MasterInfeasible, MixedOutcome, NotInfeasible
 from stochlp.execution import ExecConfig
 from stochlp.fixtures import farmer_problem, norrc1_problem, simple_problem
 from stochlp.lshaped import (
@@ -235,6 +235,13 @@ class TestSolve:
                                ub=p.first.ub)
             assert kernel.primal_violation(probe, rep.decision) <= 1e-7
 
+    def test_iteration_limit_flagged(self):
+        rep = solve_lshaped(farmer_problem(), LShapedConfig(cuts="single", max_iterations=2))
+        assert rep.status == "iteration_limit"
+        assert rep.iterations == len(rep.trace) == 2
+        with pytest.raises(ConfigError):
+            LShapedConfig(max_iterations=0)
+
     def test_master_infeasible(self):
         first = FirstStage(c=[1.0], A=[[1.0], [1.0]], b=[1.0, 3.0],
                            row_senses=("<=", ">="), lb=[0.0], ub=[10.0])
@@ -323,14 +330,23 @@ class TestConsolidation:
         assert any(c.kind == "feasibility" for c in st.cuts)
 
     def test_consolidated_run_same_objective(self):
+        plain = LShapedConfig(cuts="multi", consolidation=False)
+        consolidated = LShapedConfig(cuts="multi", consolidation=True,
+                                     consolidation_threshold=2, consolidation_period=3)
         for seed in range(5):
             p = random_rcr_problem(seed)
-            a = solve_lshaped(p, LShapedConfig(cuts="multi", consolidation=False))
-            b = solve_lshaped(p, LShapedConfig(cuts="multi", consolidation=True,
-                                               consolidation_threshold=2,
-                                               consolidation_period=3))
+            a = solve_lshaped(p, plain)
+            b = solve_lshaped(p, consolidated)
             assert a.extras["internal_objective"] == pytest.approx(
                 b.extras["internal_objective"], rel=1e-5, abs=1e-6)
+        # async consolidates too; on seed 9 stale cuts are dropped
+        p = random_rcr_problem(9)
+        engine = ExecConfig(mode="async", workers=1, kappa=1.0)
+        a = solve_lshaped(p, plain, engine=engine)
+        b = solve_lshaped(p, consolidated, engine=engine)
+        assert a.extras["internal_objective"] == pytest.approx(
+            b.extras["internal_objective"], rel=1e-5, abs=1e-6)
+        assert b.cut_counts["optimality"] < a.cut_counts["optimality"]
 
 
 class TestExecutionModes:
@@ -367,3 +383,21 @@ class TestExecutionModes:
         st = rep.extras["async"]
         assert st["issued"] == st["received"]
         assert st["max_pair_multiplicity"] == 1
+
+    def test_async_kappa_one_single_worker_replays_serial(self):
+        p = random_rcr_problem(0)
+        a = solve_lshaped(p, LShapedConfig(cuts="multi"))
+        b = solve_lshaped(p, LShapedConfig(cuts="multi"),
+                          engine=ExecConfig(mode="async", workers=1, kappa=1.0))
+        assert (a.status, a.iterations, a.cut_counts, a.objective) == \
+            (b.status, b.iterations, b.cut_counts, b.objective)
+        np.testing.assert_array_equal(a.decision, b.decision)
+        drop_wall = [{k: v for k, v in t.items() if k != "wall"} for t in a.trace]
+        assert drop_wall == [{k: v for k, v in t.items() if k != "wall"} for t in b.trace]
+
+    def test_async_trace_counts_every_cut(self):
+        rep = solve_lshaped(random_rcr_problem(0), LShapedConfig(cuts="multi"),
+                            engine=ExecConfig(mode="async", workers=2, kappa=0.5))
+        added = rep.cut_counts["added_total"]
+        assert added > 0
+        assert sum(t["cuts_added"] for t in rep.trace) == added

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochlp import analysis
-from stochlp.errors import InfeasibleScenario
+from stochlp.errors import ConfigError, InfeasibleScenario
 from stochlp.execution import ExecConfig
 from stochlp.fixtures import farmer_problem, simple_problem
 from stochlp.model import FirstStage, RecourseShape, Scenario, build_problem
@@ -171,7 +171,10 @@ class TestSolve:
         rep = solve_ph(simple_problem(), PhConfig(penalty="fixed", r=1.0,
                                                   max_iterations=3))
         assert rep.status == "iteration_limit"
+        assert rep.iterations == len(rep.trace) == 3
         assert rep.decision is not None
+        with pytest.raises(ConfigError):
+            PhConfig(max_iterations=0)
 
 
 class TestExecutionModes:
@@ -194,3 +197,9 @@ class TestExecutionModes:
         st = rep.extras["async"]
         assert st["issued"] == st["received"]
         assert rep.extras["multiplier_drift"] <= 1e-6 * max(1, rep.iterations)
+
+    def test_async_trace_has_objective(self):
+        rep = solve_ph(simple_problem(), PhConfig(penalty="fixed", r=1.0, max_iterations=20),
+                       engine=ExecConfig(mode="async", workers=2, kappa=0.5))
+        assert rep.trace
+        assert all("objective" in t for t in rep.trace)

@@ -178,3 +178,9 @@ class TestSampledMeasures:
         out = sampled_measures(simple_model(), sampler, cfg, seed=5)
         assert out["evpi"].interval.hi == pytest.approx(0.0, abs=1e-6)
         assert abs(out["vss"].interval.point) <= 1e-6
+
+    def test_sample_size_comes_from_config(self):
+        from stochlp.analysis import sampled_measures
+        cfg = SaaConfig(rel_tol=0.9, n0=4, batches=3, eval_samples=40)
+        with pytest.raises(TypeError):
+            sampled_measures(simple_model(), simple_sampler(), cfg, seed=5, n=64)

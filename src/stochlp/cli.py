@@ -31,7 +31,7 @@ from .execution import ExecConfig
 from .lshaped import LShapedConfig, solve_lshaped
 from .model import build_deterministic_equivalent
 from .phedging import PhConfig, solve_ph
-from .report import SolveReport, _jsonable
+from .report import SolveReport, _jsonable, logger
 from .sampling import SaaConfig, saa_solve
 
 EXIT_OK = 0
@@ -50,7 +50,8 @@ def _add_common(p):
                    help="what to print on stdout")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (overrides STOCHLP_WORKERS)")
+                   help="worker threads of --exec async (overrides STOCHLP_WORKERS); "
+                        "serial and sync run every wave inline")
     p.add_argument("--verbose", "-v", action="count", default=0)
 
 
@@ -143,6 +144,7 @@ def cmd_solve(args):
             cfg.max_iterations = args.max_iterations
         rep = solve_ph(problem, cfg, engine, seed=args.seed)
     rep.config.update({"seed": args.seed, "method": args.method})
+    rep.log_trace()
     _emit(args, rep)
     if rep.status == "optimal":
         return EXIT_OK
@@ -275,8 +277,8 @@ def main(argv=None):
         return EXIT_CONFIG if e.code not in (0, None) else 0
     if getattr(args, "verbose", 0):
         import logging
-        logging.basicConfig(level=logging.DEBUG if args.verbose > 1 else logging.INFO,
-                            format="%(name)s %(levelname)s %(message)s")
+        logging.basicConfig(format="%(name)s %(levelname)s %(message)s")
+        logger.setLevel(logging.DEBUG if args.verbose > 1 else logging.INFO)
     try:
         return args.fn(args)
     except (ConfigError, KeyError) as e:

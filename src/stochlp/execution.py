@@ -5,21 +5,23 @@ Each algorithm has one coordinator, a state machine over versioned decisions:
 item of a version, ``incorporate`` folds one result in, ``complete`` runs once
 all n results of a version are in, and ``advance`` re-solves and publishes
 the next version, or sets ``finished`` and returns None when the run stops.
-There are two ways of driving it:
+``drive`` runs a coordinator to its stop in one of two ways:
 
-- waves (serial and sync): each algorithm module's wave loop hands all n
-  items of the newest version to ``run_wave``, incorporates the results in
-  index order, completes the version and advances.  This is the kappa
-  protocol with kappa = 1, run without queues.
+- waves (serial and sync): all n items of the newest version go to
+  ``run_wave``, which runs them in order on the calling thread; the results
+  are incorporated in index order, then the version is completed and
+  advanced.  This is the kappa protocol with kappa = 1, run without queues.
+  Serial and sync are the same run; threads would only contend for the
+  interpreter lock, so the worker count does not apply to waves.
 - the kappa protocol (async): ``run_async`` mirrors a master/worker channel
-  design with in-memory bounded queues.  Workers pull (version, item) work
-  and push result envelopes back, and the coordinator publishes version v+1
-  as soon as ceil(kappa * n) results for version v have arrived.  Every
-  published version's full item set is still processed (late results are
-  incorporated), and the coordinators run their stopping tests only at an
-  advance that follows the completion of some version.  Workers are handed
-  items of the newest version only; intermediate versions a stale worker
-  never saw are not revisited.
+  design with in-memory bounded queues and ``workers`` threads.  Workers
+  pull (version, item) work and push result envelopes back, and the
+  coordinator publishes version v+1 as soon as ceil(kappa * n) results for
+  version v have arrived.  Every published version's full item set is still
+  processed (late results are incorporated), and the coordinators run their
+  stopping tests only at an advance that follows the completion of some
+  version.  Workers are handed items of the newest version only;
+  intermediate versions a stale worker never saw are not revisited.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import os
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ConfigError, DeadlockError, StochLPError, WorkerPanic
@@ -54,28 +55,29 @@ class ExecConfig:
 
     @classmethod
     def parse(cls, text, workers=None):
-        """Parse a --exec flag value: serial, sync, or async:KAPPA."""
-        text = text.strip()
-        if text == "serial":
-            cfg = cls(mode="serial")
-        elif text == "sync":
-            cfg = cls(mode="sync")
-        elif text.startswith("async"):
-            kappa = 0.5
-            if ":" in text:
-                kappa = float(text.split(":", 1)[1])
-            cfg = cls(mode="async", kappa=kappa)
-        else:
+        """Parse a --exec flag value: serial, sync, or async[:KAPPA].
+
+        ``workers`` falls back to the STOCHLP_WORKERS environment variable.
+        """
+        mode, colon, kappa = text.strip().partition(":")
+        if mode not in ("serial", "sync", "async") or (colon and mode != "async"):
             raise ConfigError(f"unknown execution mode {text!r}")
         if workers is None:
-            workers = int(os.environ.get(ENV_WORKERS, "1") or 1)
-        cfg.workers = max(1, workers)
-        return cfg
+            workers = _number(int, os.environ.get(ENV_WORKERS) or 1, ENV_WORKERS)
+        kappa = _number(float, kappa, "kappa") if colon else cls.kappa
+        return cls(mode=mode, workers=workers, kappa=kappa)
 
     @property
     def label(self):
         """This configuration in --exec syntax, as echoed in reports."""
         return f"async:{self.kappa}" if self.mode == "async" else self.mode
+
+
+def _number(kind, value, what):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"invalid {what} {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,13 @@ class ResultEnvelope:
     error: BaseException = None
 
 
-def run_wave(items, worker_fn, workers=1, pool: ThreadPoolExecutor = None):
-    """Process every item once and return envelopes sorted by (version, index).
+def run_wave(items, worker_fn):
+    """Process every item once, in order on the calling thread.
 
-    ``worker_fn(item)`` must be pure given the item and the published
-    decision it references.  With one worker the wave runs inline.
+    Returns the envelopes sorted by (version, index).  ``worker_fn(item)``
+    must be pure given the item and the published decision it references.
+    A failed item is reported as a WorkerPanic carrying its identity once
+    the whole wave has run.
     """
     def call(item):
         t0 = time.perf_counter()
@@ -121,23 +125,31 @@ def run_wave(items, worker_fn, workers=1, pool: ThreadPoolExecutor = None):
                                   index=item.index, payload=None,
                                   wall=time.perf_counter() - t0, error=exc)
 
-    if workers <= 1 and pool is None:
-        envs = [call(it) for it in items]
-    else:
-        own_pool = None
-        if pool is None:
-            own_pool = ThreadPoolExecutor(max_workers=workers)
-            pool = own_pool
-        try:
-            envs = list(pool.map(call, items))
-        finally:
-            if own_pool is not None:
-                own_pool.shutdown(wait=True)
-    envs.sort(key=lambda e: (e.version, e.index))
+    envs = sorted((call(it) for it in items), key=lambda e: (e.version, e.index))
     for e in envs:
         if e.error is not None:
             raise WorkerPanic((e.version, e.index), e.error)
     return envs
+
+
+def drive(coord, engine: ExecConfig):
+    """Run ``coord`` to its stop; returns the protocol stats under async, else None.
+
+    Serial and sync run one wave per version and feed its results in index
+    order, which is the kappa protocol at kappa = 1.  The wave goes through
+    this module's ``run_wave`` name, so a wrapper installed on it sees
+    every wave.
+    """
+    if engine.mode == "async":
+        return run_async(coord, coord.worker_payload, engine)
+    dec = coord.initial_decision()
+    while dec is not None:
+        items = [WorkItem(version=dec.version, index=i) for i in range(coord.n_items)]
+        for env in run_wave(items, lambda item, d=dec: coord.worker_payload(d, item.index)):
+            coord.incorporate(env)
+        coord.complete(dec.version, dec)
+        dec = coord.advance()
+    return None
 
 
 class AsyncStats:

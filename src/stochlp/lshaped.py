@@ -19,7 +19,6 @@ the (x, theta) pair of the version that generated the cut.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,8 @@ from .errors import (
     NotInfeasible,
     UnboundedSubproblem,
 )
-from .execution import ExecConfig, VersionedDecision, WorkItem, run_async, run_wave
+from .execution import ExecConfig, VersionedDecision, drive
+from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
 from .kernel import KernelConfig
 from .model import LPInstance, TwoStageProblem
 from .report import SolveReport
@@ -94,11 +94,17 @@ class SubproblemOutcome:
     cut_const: float           # dual bound-term constant, folds into the cut rhs
     y: np.ndarray = None
     wall: float = 0.0
+    T: np.ndarray = None       # the scenario's dense T and h, which the cut builders read
+    h: np.ndarray = None
 
 
-def scenario_lp(shape, scenario, x) -> LPInstance:
-    """Second-stage LP of one scenario at a fixed first-stage point."""
-    T = scenario.T if isinstance(scenario.T, np.ndarray) else np.asarray(scenario.T.todense())
+def scenario_lp(shape, scenario, x, T=None) -> LPInstance:
+    """Second-stage LP of one scenario at a fixed first-stage point.
+
+    ``T`` is the scenario's technology matrix in dense form, when the caller
+    already has it.
+    """
+    T = kernel._dense(scenario.T) if T is None else T
     lo, hi = scenario.bounds(shape)
     return LPInstance(c=scenario.q, A=shape.W, rhs=scenario.h - T @ x,
                       row_senses=scenario.senses(shape), lb=lo, ub=hi)
@@ -114,24 +120,25 @@ def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
     support inequality for the infeasibility measure.
     """
     t0 = time.perf_counter()
-    lp = scenario_lp(shape, scenario, x)
+    T = kernel._dense(scenario.T)
+    lp = scenario_lp(shape, scenario, x, T)
     solver = solver or kernel.BUILTIN
     sol = solver.solve_lp(lp, cfg, warm_start=warm)
-    T = scenario.T
     hTx = lp.rhs
     if sol.status == kernel.OPTIMAL:
         lam = sol.duals
         const = sol.objective - float(lam @ hTx)
         return SubproblemOutcome(scenario=scenario_index, feasible=True,
                                  value=sol.objective, duals=lam, cut_const=const,
-                                 y=sol.x, wall=time.perf_counter() - t0), sol.basis
+                                 y=sol.x, wall=time.perf_counter() - t0,
+                                 T=T, h=scenario.h), sol.basis
     if sol.status == kernel.INFEASIBLE:
         sigma = sol.farkas
         w = sol.extras.get("infeasibility", float(np.nan))
         const = w - float(sigma @ hTx)
         return SubproblemOutcome(scenario=scenario_index, feasible=False,
                                  value=w, duals=sigma, cut_const=const,
-                                 wall=time.perf_counter() - t0), None
+                                 wall=time.perf_counter() - t0, T=T, h=scenario.h), None
     if sol.status == kernel.UNBOUNDED:
         raise UnboundedSubproblem(scenario_index)
     raise kernel.NumericalBreakdown(
@@ -146,9 +153,9 @@ def make_optimality_cut(outcomes, probabilities, aggregate=0, iteration=0) -> Cu
     for out, pi in zip(outcomes, probabilities):
         if not out.feasible:
             raise MixedOutcome(f"scenario {out.scenario} outcome is a feasibility outcome")
-        g = pi * (out.duals @ _scenario_T(out))
+        g = pi * (out.duals @ out.T)
         grad = g if grad is None else grad + g
-        rhs += pi * (float(out.duals @ _scenario_h(out)) + out.cut_const)
+        rhs += pi * (float(out.duals @ out.h) + out.cut_const)
         source.add(out.scenario)
     return Cut(kind="optimality", gradient=grad, rhs=rhs, source=frozenset(source),
                iteration=iteration, aggregate=aggregate)
@@ -158,26 +165,10 @@ def make_feasibility_cut(outcome, iteration=0) -> Cut:
     """Half-space sigma^T T x >= sigma^T h + const excluding the infeasible candidate."""
     if outcome.feasible:
         raise NotInfeasible(f"scenario {outcome.scenario} is feasible; no cut to build")
-    grad = outcome.duals @ _scenario_T(outcome)
-    rhs = float(outcome.duals @ _scenario_h(outcome)) + outcome.cut_const
+    grad = outcome.duals @ outcome.T
+    rhs = float(outcome.duals @ outcome.h) + outcome.cut_const
     return Cut(kind="feasibility", gradient=grad, rhs=rhs,
                source=frozenset({outcome.scenario}), iteration=iteration)
-
-
-# builders need (T, h) of the generating scenario; carried on the outcome
-def _attach_scenario_data(outcome, scenario):
-    outcome._T = scenario.T if isinstance(scenario.T, np.ndarray) \
-        else np.asarray(scenario.T.todense())
-    outcome._h = scenario.h
-    return outcome
-
-
-def _scenario_T(outcome):
-    return outcome._T
-
-
-def _scenario_h(outcome):
-    return outcome._h
 
 
 def _bundle_width(nscen, policy, bundle_size):
@@ -389,7 +380,7 @@ class _Run:
                                           scenario_index=s)
             if basis is not None:
                 self.warm[s] = basis
-            outs.append(_attach_scenario_data(out, self.p.scenarios[s]))
+            outs.append(out)
         return outs
 
     def note_upper(self, U, x, outcomes):
@@ -493,7 +484,7 @@ def solve_lshaped(problem: TwoStageProblem, cfg: LShapedConfig = None,
     t0 = time.perf_counter()
     run = _Run(problem, cfg)
     coord = _Coordinator(run, cfg)
-    stats = _drive(coord, engine)
+    stats = drive(coord, engine)
     rep = run.report(coord.status, time.perf_counter() - t0, seed)
     rep.config = {"cuts": cfg.cuts, "bundle_size": cfg.bundle_size,
                   "regularization": cfg.regularization, "gap_tol": cfg.gap_tol,
@@ -501,31 +492,6 @@ def solve_lshaped(problem: TwoStageProblem, cfg: LShapedConfig = None,
     if stats is not None:
         rep.extras["async"] = stats.summary()
     return rep
-
-
-def _drive(coord, engine):
-    """Run ``coord`` to its stop; returns the protocol stats under async, else None.
-
-    Serial and sync run one wave per version and feed its results in index
-    order, which is the kappa protocol at kappa = 1.
-    """
-    if engine.mode == "async":
-        return run_async(coord, coord.worker_payload, engine)
-    pool = ThreadPoolExecutor(max_workers=engine.workers) \
-        if engine.mode == "sync" and engine.workers > 1 else None
-    try:
-        dec = coord.initial_decision()
-        while dec is not None:
-            items = [WorkItem(version=dec.version, index=i) for i in range(coord.n_items)]
-            for env in run_wave(items, lambda item, d=dec: coord.worker_payload(d, item.index),
-                                workers=engine.workers, pool=pool):
-                coord.incorporate(env)
-            coord.complete(dec.version, dec)
-            dec = coord.advance()
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    return None
 
 
 class _Coordinator:

@@ -14,14 +14,14 @@ consensus); when xi is feasible its expected value is reported alongside.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernel
 from .errors import ConfigError, InfeasibleScenario, UnboundedSubproblem
-from .execution import ExecConfig, VersionedDecision, WorkItem, run_async, run_wave
+from .execution import ExecConfig, VersionedDecision, drive
+from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
 from .kernel import KernelConfig
 from .model import LPInstance, TwoStageProblem, _ws_instance
 from .report import SolveReport
@@ -169,37 +169,12 @@ def solve_ph(problem: TwoStageProblem, cfg: PhConfig = None,
     t0 = time.perf_counter()
     state = _initial_state(problem, cfg)
     coord = _PhCoordinator(problem, cfg, state)
-    stats = _drive(coord, engine)
+    stats = drive(coord, engine)
     rep = _report(problem, cfg, engine, state, coord.trace, coord.status,
                   time.perf_counter() - t0, seed)
     if stats is not None:
         rep.extras["async"] = stats.summary()
     return rep
-
-
-def _drive(coord, engine):
-    """Run ``coord`` to its stop; returns the protocol stats under async, else None.
-
-    Serial and sync run one wave per version and feed its results in index
-    order, which is the kappa protocol at kappa = 1.
-    """
-    if engine.mode == "async":
-        return run_async(coord, coord.worker_payload, engine)
-    pool = ThreadPoolExecutor(max_workers=engine.workers) \
-        if engine.mode == "sync" and engine.workers > 1 else None
-    try:
-        dec = coord.initial_decision()
-        while dec is not None:
-            items = [WorkItem(version=dec.version, index=i) for i in range(coord.n_items)]
-            for env in run_wave(items, lambda item, d=dec: coord.worker_payload(d, item.index),
-                                workers=engine.workers, pool=pool):
-                coord.incorporate(env)
-            coord.complete(dec.version, dec)
-            dec = coord.advance()
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    return None
 
 
 def _objective(problem, state):

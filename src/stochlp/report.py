@@ -88,5 +88,9 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
     def log_trace(self):
+        """One INFO line per trace record, then the resolved configuration at DEBUG."""
         for rec in self.trace:
-            logger.debug("trace %s", rec)
+            logger.info("%s %s", self.method, " ".join(
+                f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                for k, v in rec.items()))
+        logger.debug("%s config %s", self.method, self.config)

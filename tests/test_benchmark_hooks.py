@@ -39,4 +39,4 @@ def test_every_traced_name_exists_and_is_called():
     assert {"lshaped.solve", "lshaped.master", "lshaped.subproblem", "lshaped.cuts",
             "execution.run_wave", "phedging.solve", "phedging.subproblem"} <= names
     waves = [span for span in tracer.spans if span.name == "execution.run_wave"]
-    assert all(span.attrs["workers"] == 2 for span in waves)
+    assert all(span.attrs["workers"] == 1 for span in waves)

@@ -1,6 +1,8 @@
 """CLI: subcommands, exit codes, report files, config echo."""
 
 import json
+import logging
+import os
 import subprocess
 import sys
 
@@ -109,6 +111,18 @@ class TestSolve:
                     "--cuts", "partial")
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("flags, env", [
+        (("--exec", "async:abc"), {}),
+        (("--workers", "0"), {}),
+        ((), {"STOCHLP_WORKERS": "abc"}),
+    ], ids=["kappa", "workers", "env-workers"])
+    def test_exit_1_on_bad_exec_input(self, flags, env):
+        r = run_cli("solve", "--fixture", "simple", "--method", "lshaped", *flags,
+                    env={**os.environ, **env})
+        assert r.returncode == 1
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
+
     def test_rerun_reproduces_report(self, tmp_path):
         a = run_cli("solve", "--fixture", "farmer", "--method", "lshaped",
                     "--seed", "3", "--format", "machine")
@@ -117,6 +131,40 @@ class TestSolve:
         da, db = json.loads(a.stdout), json.loads(b.stdout)
         for key in ("objective", "decision", "gaps", "iterations", "config"):
             assert da[key] == db[key]
+
+
+class TestVerbose:
+    """-v logs one INFO line per trace record on the stochlp logger; -vv adds DEBUG."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_level(self):
+        log = logging.getLogger("stochlp")
+        level = log.level
+        yield
+        log.setLevel(level)
+
+    def _solve(self, capsys, caplog, *flags):
+        from stochlp import cli
+        code = cli.main(["solve", "--fixture", "simple", "--method", "lshaped",
+                         "--format", "machine", *flags])
+        assert code == 0
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        return trace, [r for r in caplog.records if r.name == "stochlp"]
+
+    def test_quiet_by_default(self, capsys, caplog):
+        _, records = self._solve(capsys, caplog)
+        assert records == []
+
+    def test_v_logs_each_trace_record(self, capsys, caplog):
+        trace, records = self._solve(capsys, caplog, "-v")
+        assert len(trace) > 1
+        assert [r.levelno for r in records] == [logging.INFO] * len(trace)
+        for rec, r in zip(trace, records):
+            assert r.getMessage().startswith(f"lshaped iteration={rec['iteration']} ")
+
+    def test_vv_adds_debug(self, capsys, caplog):
+        trace, records = self._solve(capsys, caplog, "-vv")
+        assert [r.levelno for r in records] == [logging.INFO] * len(trace) + [logging.DEBUG]
 
 
 class TestAnalyze:

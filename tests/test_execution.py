@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from stochlp import lshaped, phedging
 from stochlp.errors import ConfigError, DeadlockError, WorkerPanic
 from stochlp.execution import (
     ExecConfig,
@@ -14,6 +15,7 @@ from stochlp.execution import (
     run_async,
     run_wave,
 )
+from stochlp.fixtures import simple_problem
 
 
 class TestExecConfig:
@@ -27,11 +29,17 @@ class TestExecConfig:
         monkeypatch.setenv("STOCHLP_WORKERS", "6")
         assert ExecConfig.parse("sync").workers == 6
 
-    def test_invalid(self):
+    def test_invalid(self, monkeypatch):
         with pytest.raises(ConfigError):
             ExecConfig.parse("warp")
         with pytest.raises(ConfigError):
             ExecConfig(mode="async", kappa=0.0)
+        for text, workers in (("async:abc", None), ("serial:2", None), ("sync", 0)):
+            with pytest.raises(ConfigError):
+                ExecConfig.parse(text, workers=workers)
+        monkeypatch.setenv("STOCHLP_WORKERS", "abc")
+        with pytest.raises(ConfigError):
+            ExecConfig.parse("sync")
 
 
 class TestRunWave:
@@ -45,13 +53,13 @@ class TestRunWave:
                 counts[item.index] = counts.get(item.index, 0) + 1
             return item.index * 10
 
-        envs = run_wave(items, fn, workers=4)
+        envs = run_wave(items, fn)
         assert [e.index for e in envs] == list(range(8))
         assert [e.payload for e in envs] == [i * 10 for i in range(8)]
         assert all(v == 1 for v in counts.values())
 
     def test_single_worker_inline(self):
-        envs = run_wave([WorkItem(0, 0)], lambda it: "x", workers=1)
+        envs = run_wave([WorkItem(0, 0)], lambda it: "x")
         assert envs[0].payload == "x"
 
     def test_worker_panic_carries_item(self):
@@ -61,8 +69,24 @@ class TestRunWave:
             return 0
 
         with pytest.raises(WorkerPanic) as exc:
-            run_wave([WorkItem(0, i) for i in range(5)], fn, workers=2)
+            run_wave([WorkItem(0, i) for i in range(5)], fn)
         assert exc.value.item == (0, 3)
+
+
+class TestWavesRunInline:
+    @pytest.mark.parametrize("engine", [ExecConfig.parse("serial", workers=4),
+                                        ExecConfig(mode="sync", workers=2)],
+                             ids=["serial-4", "sync-2"])
+    def test_every_item_runs_on_the_calling_thread(self, monkeypatch, engine):
+        threads = []
+        for module, name in ((lshaped, "solve_subproblem"), (phedging, "solve_ph_subproblem")):
+            def record(*args, _solve=getattr(module, name), **kwargs):
+                threads.append(threading.get_ident())
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(module, name, record)
+        lshaped.solve_lshaped(simple_problem(), lshaped.LShapedConfig(), engine=engine)
+        phedging.solve_ph(simple_problem(), phedging.PhConfig(max_iterations=3), engine=engine)
+        assert threads and set(threads) == {threading.get_ident()}
 
 
 class _CountingCoordinator:

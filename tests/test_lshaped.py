@@ -15,7 +15,6 @@ from stochlp.lshaped import (
     make_optimality_cut,
     solve_lshaped,
     solve_subproblem,
-    _attach_scenario_data,
 )
 from stochlp.model import (
     FirstStage,
@@ -32,7 +31,7 @@ def _outcomes_at(problem, x):
     for s, sc in enumerate(problem.scenarios):
         out, _ = solve_subproblem(problem.shape, sc, np.asarray(x, float),
                                   scenario_index=s)
-        outs.append(_attach_scenario_data(out, sc))
+        outs.append(out)
     return outs
 
 
@@ -88,7 +87,6 @@ class TestCuts:
         shape = RecourseShape(W=[[1.0]], sense="min", row_senses=(">=",))
         sc = Scenario(probability=1.0, q=[1.0], T=[[0.0]], h=[2.0])
         out, _ = solve_subproblem(shape, sc, np.array([7.0]), scenario_index=0)
-        out = _attach_scenario_data(out, sc)
         cut = make_optimality_cut([out], [1.0])
         np.testing.assert_allclose(cut.gradient, [0.0])
         assert cut.rhs == pytest.approx(2.0, abs=1e-9)   # theta >= q * h = 2
@@ -110,7 +108,6 @@ class TestCuts:
         shape = RecourseShape(W=[[1.0]], sense="min", row_senses=("=",))
         sc = Scenario(probability=1.0, q=[1.0], T=[[1.0]], h=[2.0])
         bad, _ = solve_subproblem(shape, sc, np.array([5.0]), scenario_index=0)
-        bad = _attach_scenario_data(bad, sc)
         with pytest.raises(MixedOutcome):
             make_optimality_cut([bad], [1.0])
 
@@ -119,7 +116,6 @@ class TestCuts:
         sc = Scenario(probability=1.0, q=[1.0], T=[[1.0]], h=[2.0])
         x = np.array([5.0])
         out, _ = solve_subproblem(shape, sc, x, scenario_index=0)
-        out = _attach_scenario_data(out, sc)
         cut = make_feasibility_cut(out)
         assert cut.rhs - cut.gradient @ x > 1e-8        # violated at generator
         # the cut reduces to x <= 2 after normalization

@@ -18,6 +18,7 @@ from .errors import (
     FirstStageInfeasible,
     SecondStageInfeasible,
     StochLPError,
+    UnboundedSubproblem,
 )
 from .model import (
     StochasticModel,
@@ -65,15 +66,17 @@ class MeasureResult:
         return d
 
 
-def _recourse_value(shape, scenario, x, kcfg=None, scenario_index=0, warm=None):
+def _recourse_value(shape, scenario, x, kcfg=None, scenario_index=0):
     from .lshaped import scenario_lp
     lp = scenario_lp(shape, scenario, np.asarray(x, dtype=float))
-    sol = kernel.solve_lp(lp, kcfg, warm_start=warm)
+    sol = kernel.solve_lp(lp, kcfg)
     if sol.status == kernel.INFEASIBLE:
         raise SecondStageInfeasible(scenario_index)
     if sol.status == kernel.UNBOUNDED:
-        from .errors import UnboundedSubproblem
         raise UnboundedSubproblem(scenario_index)
+    if sol.status != kernel.OPTIMAL:
+        raise kernel.NumericalBreakdown(
+            f"recourse LP of scenario {scenario_index} ended {sol.status}")
     return sol.objective
 
 
@@ -209,9 +212,9 @@ def sampled_measures(model: StochasticModel, sampler, cfg: SaaConfig = None,
     ews_vals = np.empty(cfg.batches)
     eev_vals = np.empty(cfg.batches)
     for j in range(cfg.batches):
-        inst_e = _batch_instance(model, sampler, saa.n, derive_seed(seed, 7001, j), cfg.dedupe)
+        inst_e = _batch_instance(model, sampler, saa.n, derive_seed(seed, 7001, j))
         ews_vals[j] = ews(inst_e, kcfg)
-        inst_v = _batch_instance(model, sampler, saa.n, derive_seed(seed, 7002, j), cfg.dedupe)
+        inst_v = _batch_instance(model, sampler, saa.n, derive_seed(seed, 7002, j))
         x_bar = expected_value_decision(inst_v, kcfg)
         evals = evaluate_on_samples(model, sampler, x_bar, max(cfg.eval_samples // 4, 32),
                                     derive_seed(seed, 7003, j), kcfg)

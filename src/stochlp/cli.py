@@ -27,7 +27,7 @@ from .errors import (
     StochLPError,
     UnboundedSubproblem,
 )
-from .execution import ExecConfig
+from .execution import ExecConfig, _number
 from .lshaped import LShapedConfig, solve_lshaped
 from .model import build_deterministic_equivalent
 from .phedging import PhConfig, solve_ph
@@ -72,25 +72,19 @@ def _exec_config(args):
                             workers=args.workers)
 
 
-def _emit(args, report: SolveReport):
-    doc = report.to_json() if hasattr(report, "to_json") else json.dumps(_jsonable(report), indent=2)
+def _emit(args, doc, text):
+    """Write the JSON ``doc`` to --out, and print it or the ``text`` summary."""
     if args.out:
         with open(args.out, "w") as f:
-            f.write(doc)
-            f.write("\n")
-    if args.format == "machine":
-        print(doc)
-    elif hasattr(report, "to_text"):
-        print(report.to_text(), end="")
-    else:
-        print(doc)
+            f.write(doc + "\n")
+    sys.stdout.write(doc + "\n" if args.format == "machine" else text)
 
 
 def _parse_cuts(text):
     if text.startswith("partial"):
         if ":" not in text:
             raise ConfigError("partial aggregation needs a bundle size: partial:N")
-        return "partial", int(text.split(":", 1)[1])
+        return "partial", _number(int, text.split(":", 1)[1], "bundle size")
     if text in ("single", "multi"):
         return text, 1
     raise ConfigError(f"unknown cut mode {text!r}")
@@ -102,7 +96,7 @@ def _parse_penalty(text):
     if text.startswith("fixed"):
         r = 1.0
         if ":" in text:
-            r = float(text.split(":", 1)[1])
+            r = _number(float, text.split(":", 1)[1], "penalty")
         return "fixed", r
     raise ConfigError(f"unknown penalty {text!r}")
 
@@ -145,7 +139,7 @@ def cmd_solve(args):
         rep = solve_ph(problem, cfg, engine, seed=args.seed)
     rep.config.update({"seed": args.seed, "method": args.method})
     rep.log_trace()
-    _emit(args, rep)
+    _emit(args, rep.to_json(), rep.to_text())
     if rep.status == "optimal":
         return EXIT_OK
     if rep.status == "iteration_limit":
@@ -174,11 +168,7 @@ def cmd_analyze(args):
         out["measures"][name] = res.to_dict()
         text.append(f"{name.upper() + ':':<6} {res.value:.12g}"
                     + (f"   {res.flags}" if res.flags else ""))
-    doc = json.dumps(_jsonable(out), indent=2)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(doc + "\n")
-    print(doc if args.format == "machine" else "\n".join(text))
+    _emit(args, json.dumps(_jsonable(out), indent=2), "\n".join(text) + "\n")
     return EXIT_OK
 
 
@@ -200,18 +190,12 @@ def cmd_saa(args):
            "config": {"rel_tol": args.rel_tol, "confidence": args.confidence,
                       "n0": args.n0, "batches": args.batches,
                       "eval_samples": args.eval_samples, "sampler": args.sampler}}
-    doc = json.dumps(_jsonable(out), indent=2)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(doc + "\n")
-    if args.format == "machine":
-        print(doc)
-    else:
-        r = res.report
-        print(f"confidence interval (p = {int(r.level * 100)}%): [{r.lo:.6g}, {r.hi:.6g}]")
-        print(f"relative error: {r.relative_error:.6g}")
-        print(f"sample size:    {r.n}")
-        print(f"seed:           {args.seed}")
+    r = res.report
+    _emit(args, json.dumps(_jsonable(out), indent=2),
+          f"confidence interval (p = {int(r.level * 100)}%): [{r.lo:.6g}, {r.hi:.6g}]\n"
+          f"relative error: {r.relative_error:.6g}\n"
+          f"sample size:    {r.n}\n"
+          f"seed:           {args.seed}\n")
     return EXIT_LIMIT if res.budget_exceeded else EXIT_OK
 
 

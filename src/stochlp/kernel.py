@@ -676,7 +676,7 @@ def linearize_penalty(lp: LPInstance, norm: str = "one") -> LPInstance:
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and the external-solver hook
+# diagnostics
 
 
 def write_mps(lp: LPInstance, name: str = "STOCHLP") -> str:
@@ -714,16 +714,3 @@ def write_mps(lp: LPInstance, name: str = "STOCHLP") -> str:
             out.append(f" UP BND {cols[j]} {hi:.17g}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
-
-
-class SolverHook:
-    """Replaceable solver interface; the built-in kernel is the default."""
-
-    def solve_lp(self, lp, cfg=None, warm_start=None):
-        return solve_lp(lp, cfg, warm_start)
-
-    def solve_qp_diagonal(self, lp, cfg=None, warm_start=None):
-        return solve_qp_diagonal(lp, cfg, warm_start)
-
-
-BUILTIN = SolverHook()

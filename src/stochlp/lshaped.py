@@ -94,24 +94,19 @@ class SubproblemOutcome:
     cut_const: float           # dual bound-term constant, folds into the cut rhs
     y: np.ndarray = None
     wall: float = 0.0
-    T: np.ndarray = None       # the scenario's dense T and h, which the cut builders read
+    T: np.ndarray = None       # the scenario's T and h, which the cut builders read
     h: np.ndarray = None
 
 
-def scenario_lp(shape, scenario, x, T=None) -> LPInstance:
-    """Second-stage LP of one scenario at a fixed first-stage point.
-
-    ``T`` is the scenario's technology matrix in dense form, when the caller
-    already has it.
-    """
-    T = kernel._dense(scenario.T) if T is None else T
+def scenario_lp(shape, scenario, x) -> LPInstance:
+    """Second-stage LP of one scenario at a fixed first-stage point."""
     lo, hi = scenario.bounds(shape)
-    return LPInstance(c=scenario.q, A=shape.W, rhs=scenario.h - T @ x,
+    return LPInstance(c=scenario.q, A=shape.W, rhs=scenario.h - scenario.T @ x,
                       row_senses=scenario.senses(shape), lb=lo, ub=hi)
 
 
 def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
-                     scenario_index=0, solver=None) -> SubproblemOutcome:
+                     scenario_index=0) -> SubproblemOutcome:
     """Solve one scenario subproblem, returning duals for cut construction.
 
     Feasible: Q_s(x) with duals lambda such that
@@ -120,10 +115,8 @@ def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
     support inequality for the infeasibility measure.
     """
     t0 = time.perf_counter()
-    T = kernel._dense(scenario.T)
-    lp = scenario_lp(shape, scenario, x, T)
-    solver = solver or kernel.BUILTIN
-    sol = solver.solve_lp(lp, cfg, warm_start=warm)
+    lp = scenario_lp(shape, scenario, x)
+    sol = kernel.solve_lp(lp, cfg, warm_start=warm)
     hTx = lp.rhs
     if sol.status == kernel.OPTIMAL:
         lam = sol.duals
@@ -131,14 +124,15 @@ def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
         return SubproblemOutcome(scenario=scenario_index, feasible=True,
                                  value=sol.objective, duals=lam, cut_const=const,
                                  y=sol.x, wall=time.perf_counter() - t0,
-                                 T=T, h=scenario.h), sol.basis
+                                 T=scenario.T, h=scenario.h), sol.basis
     if sol.status == kernel.INFEASIBLE:
         sigma = sol.farkas
         w = sol.extras.get("infeasibility", float(np.nan))
         const = w - float(sigma @ hTx)
         return SubproblemOutcome(scenario=scenario_index, feasible=False,
                                  value=w, duals=sigma, cut_const=const,
-                                 wall=time.perf_counter() - t0, T=T, h=scenario.h), None
+                                 wall=time.perf_counter() - t0,
+                                 T=scenario.T, h=scenario.h), None
     if sol.status == kernel.UNBOUNDED:
         raise UnboundedSubproblem(scenario_index)
     raise kernel.NumericalBreakdown(
@@ -238,12 +232,10 @@ class MasterState:
                   extra_rows=None):
         n, K = self.n, self.K
         p = self.first.p
-        A1 = self.first.A if isinstance(self.first.A, np.ndarray) \
-            else np.asarray(self.first.A.todense())
         extra_rows = extra_rows or []
         m = p + len(self.cuts) + len(extra_rows)
         A = np.zeros((m, n + K))
-        A[:p, :n] = A1
+        A[:p, :n] = self.first.A
         rhs = np.empty(m)
         rhs[:p] = self.first.b
         senses = list(self.first.row_senses)
@@ -323,8 +315,7 @@ class MasterState:
         if sol.x is None:
             return
         p = self.first.p
-        A = lp.A if isinstance(lp.A, np.ndarray) else np.asarray(lp.A.todense())
-        res = A @ sol.x - lp.rhs
+        res = lp.A @ sol.x - lp.rhs
         for i, cut in enumerate(self.cuts):
             slack = res[p + i]          # >= rows: slack >= 0, 0 means binding
             if slack > 1e-7 * (1.0 + abs(lp.rhs[p + i])):

@@ -1,9 +1,12 @@
 """Two-stage stochastic LP data model and derived deterministic programs.
 
 A problem is a first-stage LP plus a finite list of weighted scenarios that
-share one recourse shape (fixed W).  All data is normalized to minimization
-at construction; reported objective values are un-negated for problems that
-were declared as maximization.
+share one recourse shape (fixed W).  This module alone decides how that data
+is held: matrices are stored dense (sparse input is converted once, at
+construction; only an LPInstance such as the DEP keeps a sparse matrix), and
+all data is normalized to minimization by :func:`minimization_form`;
+reported objective values are un-negated for problems that were declared as
+maximization.
 
 Row senses are the strings "<=", ">=", "=".
 """
@@ -39,15 +42,16 @@ def _as_vector(v, name, n=None):
     return a
 
 
-def _as_matrix(m, name, shape=None):
+def _as_matrix(m, name, keep_sparse=False):
+    """A 2-D float matrix.  Problem data is stored dense, so sparse input is
+    converted here, once; only an LPInstance (such as the DEP) keeps it sparse."""
     if sp.issparse(m):
-        a = m.tocsc()
-    else:
-        a = np.asarray(m, dtype=float)
-        if a.ndim != 2:
-            raise DimensionMismatch(name, shape or "(rows, cols)", a.shape)
-    if shape is not None and a.shape != shape:
-        raise DimensionMismatch(name, shape, a.shape)
+        if keep_sparse:
+            return m.tocsc()
+        m = m.toarray()
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise DimensionMismatch(name, "(rows, cols)", a.shape)
     return a
 
 
@@ -77,7 +81,7 @@ class FirstStage:
     """First-stage LP data: min/max c^T x s.t. A x (senses) b, lb <= x <= ub."""
 
     c: np.ndarray
-    A: object          # (p, n) dense or sparse
+    A: np.ndarray      # (p, n)
     b: np.ndarray
     row_senses: tuple = None
     lb: np.ndarray = None
@@ -117,7 +121,7 @@ class FirstStage:
 class RecourseShape:
     """Recourse matrix W shared by every scenario, plus second-stage defaults."""
 
-    W: object          # (r, m) dense or sparse
+    W: np.ndarray      # (r, m)
     sense: str = "min"
     row_senses: tuple = None
     lb: np.ndarray = None
@@ -156,7 +160,7 @@ class Scenario:
 
     probability: float
     q: np.ndarray
-    T: object          # (r, n)
+    T: np.ndarray      # (r, n)
     h: np.ndarray
     lb: np.ndarray = None
     ub: np.ndarray = None
@@ -253,7 +257,7 @@ class LPInstance:
     """
 
     c: np.ndarray
-    A: object
+    A: object          # dense ndarray or scipy.sparse (kept as CSC)
     rhs: np.ndarray
     row_senses: tuple
     lb: np.ndarray
@@ -268,7 +272,7 @@ class LPInstance:
     def __post_init__(self):
         c = _as_vector(self.c, "objective c")
         n = c.size
-        A = _as_matrix(self.A, "constraint matrix")
+        A = _as_matrix(self.A, "constraint matrix", keep_sparse=True)
         if A.shape[1] != n:
             raise DimensionMismatch("constraint matrix", (A.shape[0], n), A.shape)
         rhs = _as_vector(self.rhs, "rhs", A.shape[0])
@@ -329,16 +333,7 @@ def build_problem(first: FirstStage, shape: RecourseShape, scenarios) -> TwoStag
         warnings.warn(f"scenario probabilities sum to {total:.9g}; normalizing",
                       stacklevel=2)
     scenarios = [replace(s, probability=s.probability / total) for s in scenarios]
-
-    first_norm = first
-    if first.sense == "max":
-        first_norm = replace(first, c=-first.c, sense="min")
-    # a max second stage enters the fold as negated revenue: its optimal value
-    # contributes with opposite sign to the declared first-stage objective
-    shape_norm = replace(shape, sense="min")
-    if shape.sense == "max":
-        scenarios = [replace(s, q=-s.q) for s in scenarios]
-
+    first_norm, shape_norm, scenarios = minimization_form(first, shape, scenarios)
     return TwoStageProblem(
         first=first_norm,
         shape=shape_norm,
@@ -348,17 +343,27 @@ def build_problem(first: FirstStage, shape: RecourseShape, scenarios) -> TwoStag
     )
 
 
+def minimization_form(first: FirstStage, shape: RecourseShape, scenarios):
+    """Internal minimization data of a declared model: (first, shape, scenarios).
+
+    This is the one place where declared senses become minimization, for
+    built problems and for sampled evaluation alike.  A max first stage
+    negates c.  A max second stage negates every q: it enters the fold as
+    negated revenue, so its optimal value contributes with opposite sign to
+    the declared first-stage objective.
+    """
+    if first.sense == "max":
+        first = replace(first, c=-first.c, sense="min")
+    if shape.sense == "max":
+        scenarios = [replace(s, q=-s.q) for s in scenarios]
+    return first, replace(shape, sense="min"), list(scenarios)
+
+
 def _to_triplets(M, row_off, col_off, rows, cols, vals):
-    if sp.issparse(M):
-        coo = M.tocoo()
-        rows.append(coo.row + row_off)
-        cols.append(coo.col + col_off)
-        vals.append(coo.data)
-    else:
-        r, c = np.nonzero(M)
-        rows.append(r + row_off)
-        cols.append(c + col_off)
-        vals.append(M[r, c])
+    r, c = np.nonzero(M)
+    rows.append(r + row_off)
+    cols.append(c + col_off)
+    vals.append(M[r, c])
 
 
 def build_deterministic_equivalent(p: TwoStageProblem) -> LPInstance:
@@ -415,13 +420,10 @@ def build_wait_and_see(p: TwoStageProblem, s: int) -> LPInstance:
 
 def _ws_instance(first: FirstStage, shape: RecourseShape, sc: Scenario) -> LPInstance:
     n, m, r = first.n, shape.m, shape.r
-    A1 = first.A.toarray() if sp.issparse(first.A) else first.A
-    T = sc.T.toarray() if sp.issparse(sc.T) else sc.T
-    W = shape.W.toarray() if sp.issparse(shape.W) else shape.W
     A = np.zeros((first.p + r, n + m))
-    A[:first.p, :n] = A1
-    A[first.p:, :n] = T
-    A[first.p:, n:] = W
+    A[:first.p, :n] = first.A
+    A[first.p:, :n] = sc.T
+    A[first.p:, n:] = shape.W
     lo, hi = sc.bounds(shape)
     return LPInstance(
         c=np.concatenate([first.c, sc.q]),
@@ -442,7 +444,7 @@ def expected_scenario(scenarios) -> Scenario:
     total = sum(s.probability for s in scenarios)
     w = [s.probability / total for s in scenarios]
     q = sum(wi * s.q for wi, s in zip(w, scenarios))
-    T = sum(wi * (s.T.toarray() if sp.issparse(s.T) else s.T) for wi, s in zip(w, scenarios))
+    T = sum(wi * s.T for wi, s in zip(w, scenarios))
     h = sum(wi * s.h for wi, s in zip(w, scenarios))
     have_lb = [s for s in scenarios if s.lb is not None]
     have_ub = [s for s in scenarios if s.ub is not None]
@@ -470,7 +472,7 @@ def validate(p: TwoStageProblem) -> list:
     total = float(np.sum(p.probabilities))
     if abs(total - 1.0) > 1e-9:
         out.append(f"probabilities sum to {total:.12g}, drift {total - 1.0:+.3g} from 1")
-    W = p.shape.W.toarray() if sp.issparse(p.shape.W) else p.shape.W
+    W = p.shape.W
     zero_rows = np.where(~np.any(W != 0.0, axis=1))[0]
     for i in zero_rows:
         out.append(f"recourse matrix W has an all-zero row {int(i)}")

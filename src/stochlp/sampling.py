@@ -15,11 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.stats
 
 from .errors import TooFewBatches
-from .model import Scenario, StochasticModel, TwoStageProblem, build_problem
+from .model import (
+    Scenario,
+    StochasticModel,
+    TwoStageProblem,
+    build_problem,
+    minimization_form,
+)
 
 
 def scenario_rng(seed, index) -> np.random.Generator:
@@ -82,8 +87,7 @@ class NormalSampler:
         draw = rng.multivariate_normal(self.mean, self.cov, method="cholesky")
         q = self.template.q.copy()
         h = self.template.h.copy()
-        T = self.template.T
-        T = (T.toarray() if sp.issparse(T) else np.asarray(T, dtype=float)).copy()
+        T = self.template.T.copy()
         for value, target in zip(draw, self.targets):
             kind = target[0]
             if kind == "q":
@@ -106,13 +110,17 @@ def sample_instance(model: StochasticModel, sampler, n, seed) -> TwoStageProblem
     return build_problem(model.first, model.shape, scenarios)
 
 
+def _scenario_key(s):
+    """Bytes of a scenario's (q, T, h): equal keys mean identical data."""
+    return s.q.tobytes(), s.T.tobytes(), s.h.tobytes()
+
+
 def _collapse_duplicates(scenarios):
     """Merge identical sampled scenarios into weighted ones (exact for the DEP)."""
     merged = {}
     order = []
     for s in scenarios:
-        key = (s.q.tobytes(), np.ascontiguousarray(
-            s.T.toarray() if sp.issparse(s.T) else s.T).tobytes(), s.h.tobytes())
+        key = _scenario_key(s)
         if key in merged:
             merged[key] = replace(merged[key],
                                   probability=merged[key].probability + s.probability)
@@ -165,7 +173,6 @@ class SaaConfig:
     eval_samples: int = 1000
     growth: float = 2.0
     max_n: int = 8192
-    dedupe: bool = True
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -195,43 +202,31 @@ def _solve_dep_value(problem, kcfg=None):
     return sol.objective, sol.x[:problem.n]
 
 
-def _batch_instance(model, sampler, n, seed, dedupe):
+def _batch_instance(model, sampler, n, seed):
+    """Sampled instance of n scenarios, identical draws merged into one."""
     scenarios = [replace(sampler.sample(seed, i), probability=1.0 / n)
                  for i in range(n)]
-    if dedupe:
-        scenarios = _collapse_duplicates(scenarios)
-    return build_problem(model.first, model.shape, scenarios)
-
-
-def _normalize_model(model: StochasticModel):
-    """Internal minimization view of a declared model: (first, negate_q flag)."""
-    first = model.first
-    if first.sense == "max":
-        from dataclasses import replace as _rep
-        first = _rep(first, c=-first.c, sense="min")
-    negate_q = (model.shape.sense == "max") != (model.first.sense == "max")
-    return first, negate_q
+    return build_problem(model.first, model.shape, _collapse_duplicates(scenarios))
 
 
 def evaluate_on_samples(model, sampler, x, n_eval, seed, kcfg=None):
     """Per-sample value c^T x + Q_s(x) of a fixed decision, internal orientation.
 
+    The orientation is the one :func:`build_problem` gives the sampled
+    instances, so the estimates of an SAA run score the same objective.
     Identical sampled scenarios are solved once (exact for the returned
     sample statistics), which makes discrete samplers cheap to evaluate.
     """
     from .analysis import _recourse_value
-    first, negate_q = _normalize_model(model)
+    first, shape, scenarios = minimization_form(
+        model.first, model.shape, [sampler.sample(seed, i) for i in range(n_eval)])
     vals = np.empty(n_eval)
     base = float(first.c @ x)
     cache = {}
-    for i in range(n_eval):
-        sc = sampler.sample(seed, i)
-        if negate_q:
-            sc = replace(sc, q=-sc.q)
-        T = sc.T.toarray() if sp.issparse(sc.T) else np.asarray(sc.T)
-        key = (sc.q.tobytes(), np.ascontiguousarray(T).tobytes(), sc.h.tobytes())
+    for i, sc in enumerate(scenarios):
+        key = _scenario_key(sc)
         if key not in cache:
-            cache[key] = _recourse_value(model.shape, sc, x, kcfg, scenario_index=i)
+            cache[key] = _recourse_value(shape, sc, x, kcfg, scenario_index=i)
         vals[i] = base + cache[key]
     return vals
 
@@ -254,8 +249,7 @@ def saa_solve(model: StochasticModel, sampler, cfg: SaaConfig = None,
         vals = np.empty(cfg.batches)
         decisions = []
         for j in range(cfg.batches):
-            inst = _batch_instance(model, sampler, n,
-                                   derive_seed(seed, rounds, j), cfg.dedupe)
+            inst = _batch_instance(model, sampler, n, derive_seed(seed, rounds, j))
             v, x = _solve_dep_value(inst, kcfg)
             vals[j] = v
             decisions.append(x)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParseError
 from .model import FirstStage, RecourseShape, Scenario, TwoStageProblem
@@ -29,17 +28,12 @@ def _unvec(v, neg_inf=False):
 
 
 def _mat(M):
-    if sp.issparse(M):
-        coo = M.tocoo()
-        return {"shape": list(coo.shape), "rows": coo.row.tolist(),
-                "cols": coo.col.tolist(), "vals": coo.data.tolist()}
-    M = np.asarray(M, dtype=float)
     r, c = np.nonzero(M)
     return {"shape": list(M.shape), "rows": r.tolist(), "cols": c.tolist(),
             "vals": M[r, c].tolist()}
 
 
-def _unmat(d, dense=True):
+def _unmat(d):
     shape = tuple(d["shape"])
     M = np.zeros(shape)
     M[np.array(d["rows"], dtype=int), np.array(d["cols"], dtype=int)] = d["vals"]

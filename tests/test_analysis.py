@@ -23,6 +23,12 @@ class TestEvaluateDecision:
         val = analysis.evaluate_decision(farmer_problem(), [170.0, 80.0, 250.0])
         assert val == pytest.approx(-108390.0, abs=1e-3)
 
+    def test_iteration_limit_raises_naming_the_scenario(self):
+        # a recourse LP stopped by the iteration limit has no value to report
+        cfg = kernel.KernelConfig(max_iterations=1)
+        with pytest.raises(kernel.NumericalBreakdown, match="scenario 0 ended iteration_limit"):
+            analysis.evaluate_decision(farmer_problem(), [170.0, 80.0, 250.0], cfg)
+
     def test_single_scenario_dep_optimum(self):
         p = build_problem(
             FirstStage(c=[1.0], A=np.zeros((0, 1)), b=[], row_senses=(),

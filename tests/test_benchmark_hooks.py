@@ -8,9 +8,9 @@ that no longer goes through the traced name leaves its layer empty.
 import importlib.util
 from pathlib import Path
 
-from stochlp import lshaped, phedging
+from stochlp import analysis, lshaped, phedging, sampling
 from stochlp.execution import ExecConfig
-from stochlp.fixtures import simple_problem
+from stochlp.fixtures import simple_model, simple_problem, simple_sampler
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,6 +32,9 @@ def test_every_traced_name_exists_and_is_called():
                               engine=sync)
         phedging.solve_ph(simple_problem(), phedging.PhConfig(max_iterations=2),
                           engine=sync)
+        x = [40.0, 80.0]
+        analysis.evaluate_decision(simple_problem(), x)
+        sampling.evaluate_on_samples(simple_model(), simple_sampler(), x, 4, seed=0)
     finally:
         tracing.uninstall(saved)
     assert all(owner.__dict__[attr] is original for owner, attr, original in saved)
@@ -40,3 +43,7 @@ def test_every_traced_name_exists_and_is_called():
             "execution.run_wave", "phedging.solve", "phedging.subproblem"} <= names
     waves = [span for span in tracer.spans if span.name == "execution.run_wave"]
     assert all(span.attrs["workers"] == 1 for span in waves)
+    # the sampled evaluation's LP solves are spans of the sampling layer
+    assert "analysis.evaluate_decision" in names
+    assert any(span.name == "kernel.solve_lp" and span.parent is not None
+               and span.parent.name == "sampling.evaluate" for span in tracer.spans)

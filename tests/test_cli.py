@@ -115,7 +115,9 @@ class TestSolve:
         (("--exec", "async:abc"), {}),
         (("--workers", "0"), {}),
         ((), {"STOCHLP_WORKERS": "abc"}),
-    ], ids=["kappa", "workers", "env-workers"])
+        (("--cuts", "partial:abc"), {}),
+        (("--method", "ph", "--penalty", "fixed:abc"), {}),
+    ], ids=["kappa", "workers", "env-workers", "bundle-size", "penalty"])
     def test_exit_1_on_bad_exec_input(self, flags, env):
         r = run_cli("solve", "--fixture", "simple", "--method", "lshaped", *flags,
                     env={**os.environ, **env})

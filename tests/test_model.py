@@ -284,3 +284,53 @@ class TestSerialization:
             dep_a = kernel.solve_lp(build_deterministic_equivalent(p))
             dep_b = kernel.solve_lp(build_deterministic_equivalent(q))
             assert dep_a.objective == pytest.approx(dep_b.objective, abs=1e-12)
+
+
+class TestSparseInput:
+    """Sparse A, W and T are converted to dense once, at construction."""
+
+    @staticmethod
+    def _sparse_farmer():
+        import scipy.sparse as sp
+        from dataclasses import replace
+        dense = farmer_problem()
+        first = replace(dense.first, A=sp.csr_matrix(dense.first.A))
+        shape = replace(dense.shape, W=sp.coo_matrix(dense.shape.W))
+        scenarios = [replace(s, T=sp.csc_matrix(s.T)) for s in dense.scenarios]
+        return dense, build_problem(first, shape, scenarios)
+
+    def test_stores_ndarrays(self):
+        dense, p = self._sparse_farmer()
+        assert type(p.first.A) is np.ndarray
+        assert type(p.shape.W) is np.ndarray
+        assert all(type(s.T) is np.ndarray for s in p.scenarios)
+        np.testing.assert_array_equal(p.first.A, dense.first.A)
+        np.testing.assert_array_equal(p.shape.W, dense.shape.W)
+        for a, b in zip(p.scenarios, dense.scenarios):
+            np.testing.assert_array_equal(a.T, b.T)
+
+    def test_solvers_and_measures_match_dense(self):
+        from stochlp import analysis
+        from stochlp.lshaped import LShapedConfig, solve_lshaped
+        from stochlp.phedging import PhConfig, solve_ph
+        dense, p = self._sparse_farmer()
+        dep = [kernel.solve_lp(build_deterministic_equivalent(q)).objective for q in (dense, p)]
+        assert dep[0] == dep[1] == pytest.approx(-108390.0)
+        ls = [solve_lshaped(q, LShapedConfig(cuts="multi")) for q in (dense, p)]
+        assert ls[0].objective == ls[1].objective
+        np.testing.assert_array_equal(ls[0].decision, ls[1].decision)
+        ph = [solve_ph(q, PhConfig(penalty="adaptive")) for q in (dense, p)]
+        assert ph[0].objective == ph[1].objective
+        assert ph[0].iterations == ph[1].iterations
+        assert analysis.ews(dense) == analysis.ews(p)
+        x = [170.0, 80.0, 250.0]
+        assert analysis.evaluate_decision(dense, x) == analysis.evaluate_decision(p, x)
+
+    def test_round_trip_matches_dense(self, tmp_path):
+        dense, p = self._sparse_farmer()
+        serialize.save_problem(p, tmp_path / "sparse.json")
+        serialize.save_problem(dense, tmp_path / "dense.json")
+        assert (tmp_path / "sparse.json").read_text() == (tmp_path / "dense.json").read_text()
+        q = serialize.load_problem(tmp_path / "sparse.json")
+        for a, b in zip(q.scenarios, dense.scenarios):
+            np.testing.assert_array_equal(a.T, b.T)

@@ -11,10 +11,19 @@ from stochlp.fixtures import (
     simple_problem,
     simple_sampler,
 )
-from stochlp.model import build_deterministic_equivalent
+from stochlp.model import (
+    FirstStage,
+    RecourseShape,
+    Scenario,
+    StochasticModel,
+    build_deterministic_equivalent,
+    build_problem,
+)
 from stochlp.sampling import (
+    DiscreteSampler,
     SaaConfig,
     confidence_interval,
+    evaluate_on_samples,
     saa_solve,
     sample_instance,
 )
@@ -71,6 +80,28 @@ class TestSamplers:
         dep = kernel.solve_lp(build_deterministic_equivalent(inst))
         ws = kernel.solve_lp(build_wait_and_see(inst, 0))
         assert dep.objective == pytest.approx(ws.objective, abs=1e-9)
+
+
+class TestEvaluateOnSamples:
+    @pytest.mark.parametrize("first_sense, second_sense",
+                             [("min", "min"), ("min", "max"), ("max", "min"), ("max", "max")])
+    def test_scores_the_built_problem_objective(self, first_sense, second_sense):
+        # the upper estimate of an SAA run must score the objective that the
+        # lower-estimate instances (built by build_problem) optimize
+        first = FirstStage(c=[3.0], A=np.zeros((0, 1)), b=[], row_senses=(),
+                           ub=[2.0], sense=first_sense)
+        shape = RecourseShape(W=[[1.0]], sense=second_sense, row_senses=("<=",),
+                              lb=[1.0], ub=[5.0])
+        scenarios = (Scenario(probability=1.0, q=[-2.0], T=[[1.0]], h=[4.0]),
+                     Scenario(probability=1.0, q=[-1.0], T=[[0.5]], h=[3.0]))
+        sampler = DiscreteSampler(scenarios=scenarios, weights=(0.5, 0.5))
+        x = [1.0]
+        vals = evaluate_on_samples(StochasticModel(first, shape), sampler, x, 8, seed=3)
+        drawn = [sampler.sample(3, i) for i in range(8)]
+        assert {id(s) for s in drawn} == {id(s) for s in scenarios}
+        for v, sc in zip(vals, drawn):
+            expected = analysis.evaluate_decision(build_problem(first, shape, [sc]), x)
+            assert v == pytest.approx(expected, abs=1e-9)
 
 
 class TestConfidenceInterval:

@@ -125,15 +125,15 @@ def cmd_solve(args):
         cfg = LShapedConfig(cuts=cuts, bundle_size=bundle,
                             regularization=args.regularization,
                             consolidation=args.consolidate,
-                            gap_tol=args.gap, execution=engine)
+                            gap_tol=1e-6 if args.gap is None else args.gap,
+                            execution=engine)
         if args.max_iterations:
             cfg.max_iterations = args.max_iterations
         rep = solve_lshaped(problem, cfg, engine, seed=args.seed)
     else:
         pen, r = _parse_penalty(args.penalty)
-        cfg = PhConfig(penalty=pen, r=r, primal_tol=args.gap if args.gap != 1e-6 else 1e-5,
-                       dual_tol=args.gap if args.gap != 1e-6 else 1e-5,
-                       execution=engine)
+        tol = 1e-5 if args.gap is None else args.gap
+        cfg = PhConfig(penalty=pen, r=r, primal_tol=tol, dual_tol=tol, execution=engine)
         if args.max_iterations:
             cfg.max_iterations = args.max_iterations
         rep = solve_ph(problem, cfg, engine, seed=args.seed)
@@ -223,8 +223,9 @@ def build_parser():
     p.add_argument("--exec", dest="exec_mode", default="serial",
                    help="serial | sync | async:KAPPA")
     p.add_argument("--penalty", default="fixed:1", help="fixed:R | adaptive")
-    p.add_argument("--gap", type=float, default=1e-6,
-                   help="relative gap tolerance (PH: squared-gap tolerances)")
+    p.add_argument("--gap", type=float, default=None,
+                   help="relative gap tolerance, default 1e-6 (PH: squared-gap "
+                        "tolerances, default 1e-5)")
     p.add_argument("--max-iterations", type=int, default=None)
     p.set_defaults(fn=cmd_solve)
 

@@ -2,8 +2,16 @@
 
 The LP method is a bounded-variable revised simplex with a composite
 (infeasibility-minimizing) phase 1, an explicit basis inverse with periodic
-refactorization, and Bland's rule engaged after a degeneracy stall.  The QP
-method is a primal-dual interior point specialized to diagonal Hessians.
+refactorization, and Bland's rule engaged after a degeneracy stall.  A warm
+start whose basis is still dual feasible (an L-shaped subproblem whose rhs
+moved, a master with violated cuts appended) is re-solved by a bounded dual
+simplex with a two-pass Harris ratio test instead; it hands its basis to the
+primal method on a dual ray (so an infeasible LP still gets the phase-1
+Farkas certificate), a degeneracy stall or a tiny pivot.  Cold starts always
+use the primal method.  ``LPSolution.iterations`` is the total pivot count
+and ``extras["pivots"]`` splits it into dual, phase-1 and phase-2 pivots.
+The QP method is a primal-dual interior point specialized to diagonal
+Hessians.
 
 Dual sign convention, used unchanged by every consumer in this package:
 for a minimization instance the row multipliers ``y`` satisfy
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse as sp
 
 from .errors import NumericalBreakdown, UnsupportedQuadratic
@@ -113,9 +122,16 @@ class _Tableau:
             self.ub[n + i] = hi
         self.c = np.concatenate([lp.c, np.zeros(m)])
 
+    def row(self, v):
+        """``v @ self.A``, using that the slack block is the identity."""
+        return np.concatenate([v @ self.A[:, :self.n], v])
+
 
 def _initial_point(tab, warm):
-    """Pick a starting basis: the warm token when usable, else the slack basis."""
+    """Pick a starting basis: the warm token when usable, else the slack basis.
+
+    Returns ``(basic, vstat, Binv)`` and whether the warm token was used.
+    """
     N, m = tab.N, tab.m
     if warm is not None and isinstance(warm, Basis) and warm.basic.size == m \
             and warm.vstat.size == N:
@@ -123,7 +139,7 @@ def _initial_point(tab, warm):
         vstat = warm.vstat.astype(np.int8).copy()
         try:
             Binv = np.linalg.inv(tab.A[:, basic])
-            return basic, vstat, Binv
+            return (basic, vstat, Binv), True
         except np.linalg.LinAlgError:
             pass
     basic = np.arange(tab.n, tab.N)
@@ -139,7 +155,7 @@ def _initial_point(tab, warm):
         else:
             vstat[j] = _AT_LB if abs(lo) <= abs(hi) else _AT_UB
     vstat[tab.n:] = _BASIC
-    return basic, vstat, np.eye(m)
+    return (basic, vstat, np.eye(m)), False
 
 
 def _nonbasic_values(tab, vstat):
@@ -151,10 +167,15 @@ def _nonbasic_values(tab, vstat):
     return xv
 
 
-def _simplex(tab, cfg, warm=None):
-    """Core bounded simplex.  Returns dict with status and final state."""
+def _simplex(tab, cfg, start, dual_pivots=0):
+    """Core bounded primal simplex from ``start = (basic, vstat, Binv)``.
+
+    ``dual_pivots`` are pivots already spent by the dual simplex on this
+    solve; they count toward ``cfg.max_iterations`` and the reported total.
+    Returns dict with status and final state.
+    """
     feas, dtol = cfg.feas_tol, cfg.opt_tol
-    basic, vstat, Binv = _initial_point(tab, warm)
+    basic, vstat, Binv = start
     A, b, lb, ub, c = tab.A, tab.b, tab.lb, tab.ub, tab.c
     N, m = tab.N, tab.m
 
@@ -167,6 +188,11 @@ def _simplex(tab, cfg, warm=None):
     stall = 0
     last_obj = np.inf
     since_refactor = 0
+    phase1_pivots = 0
+
+    def pivots(it):
+        return {"dual": dual_pivots, "phase1": phase1_pivots,
+                "phase2": it - phase1_pivots}
 
     def refactor():
         nonlocal Binv, x_B, since_refactor
@@ -178,7 +204,7 @@ def _simplex(tab, cfg, warm=None):
         x_B = Binv @ (b - A[:, nb] @ xv[nb])
         since_refactor = 0
 
-    for it in range(cfg.max_iterations):
+    for it in range(cfg.max_iterations - dual_pivots):
         lo_B, hi_B = lb[basic], ub[basic]
         below = x_B < lo_B - feas
         above = x_B > hi_B + feas
@@ -208,10 +234,10 @@ def _simplex(tab, cfg, warm=None):
         if not viol.any():
             if phase1:
                 return {"status": INFEASIBLE, "farkas": y.copy(), "basic": basic,
-                        "vstat": vstat, "x_B": x_B, "xv": xv, "iterations": it,
+                        "vstat": vstat, "x_B": x_B, "xv": xv, "pivots": pivots(it),
                         "infeasibility": obj}
             return {"status": OPTIMAL, "basic": basic, "vstat": vstat, "x_B": x_B,
-                    "xv": xv, "y": y, "z": z, "iterations": it}
+                    "xv": xv, "y": y, "z": z, "pivots": pivots(it)}
 
         if bland:
             j = int(np.flatnonzero(viol)[0])
@@ -272,7 +298,8 @@ def _simplex(tab, cfg, warm=None):
             if phase1:
                 raise NumericalBreakdown("phase-1 reported an unbounded improving ray")
             return {"status": UNBOUNDED, "basic": basic, "vstat": vstat, "x_B": x_B,
-                    "xv": xv, "iterations": it, "ray_col": j, "ray_dir": direction}
+                    "xv": xv, "pivots": pivots(it), "ray_col": j, "ray_dir": direction}
+        phase1_pivots += phase1
 
         # stall / anti-cycling bookkeeping
         if obj >= last_obj - 1e-12 * (1.0 + abs(last_obj)):
@@ -310,7 +337,131 @@ def _simplex(tab, cfg, warm=None):
             refactor()
 
     return {"status": ITERATION_LIMIT, "basic": basic, "vstat": vstat, "x_B": x_B,
-            "xv": xv, "iterations": cfg.max_iterations}
+            "xv": xv, "pivots": pivots(cfg.max_iterations - dual_pivots)}
+
+
+def _dual_simplex(tab, cfg, start):
+    """Bounded dual simplex from a warm ``start = (basic, vstat, Binv)``.
+
+    Runs when the start basis is dual feasible, which is what an rhs change
+    or appended rows with basic slacks leave behind; a boxed column counts as
+    feasible and moves to the bound its reduced cost asks for.  The leaving
+    row is the largest bound violation and leaves at the bound it violates;
+    the entering column comes from a two-pass Harris ratio test on the
+    reduced costs.  A start that is not dual feasible goes to the primal
+    ``_simplex`` unchanged; a dual ray (the LP is infeasible, and phase 1
+    then builds the Farkas certificate), a degeneracy stall past
+    ``cfg.stall_limit`` and a tiny pivot hand it the current basis.
+    """
+    basic, vstat, Binv = start
+    A, b, lb, ub, c = tab.A, tab.b, tab.lb, tab.ub, tab.c
+    feas, dtol = cfg.feas_tol, cfg.opt_tol
+    movable = lb < ub
+    boxed = movable & np.isfinite(lb) & np.isfinite(ub)
+
+    def prices():
+        y = c[basic] @ Binv
+        d = c - tab.row(y)
+        d[basic] = 0.0
+        return y, d
+
+    def wrong_sign(d):
+        """Nonbasic columns whose reduced cost has the wrong sign for their status."""
+        return movable & (((vstat == _AT_LB) & (d < -dtol)) | ((vstat == _AT_UB) & (d > dtol))
+                          | ((vstat == _FREE) & (np.abs(d) > dtol)))
+
+    y, d = prices()
+    flip = wrong_sign(d)
+    if (flip & ~boxed).any():
+        return _simplex(tab, cfg, start)
+    checked = True              # d is fresh and its signs are verified
+    pivots = stall = since_refactor = 0
+    x_B = None
+    while True:
+        if x_B is None or flip.any():
+            vstat[flip] = np.where(vstat[flip] == _AT_LB, _AT_UB, _AT_LB)
+            xv = _nonbasic_values(tab, vstat)
+            nb = vstat != _BASIC
+            x_B = Binv @ (b - A[:, nb] @ xv[nb])
+            flip[:] = False
+        lo_B, hi_B = lb[basic], ub[basic]
+        infeas = np.maximum(lo_B - x_B, 0.0) + np.maximum(x_B - hi_B, 0.0)
+        infeas[infeas <= feas] = 0.0
+        if not infeas.any():
+            if not checked:
+                y, d = prices()
+                checked = True
+                flip = wrong_sign(d)
+                if (flip & ~boxed).any():
+                    break
+                if flip.any():
+                    continue
+            return {"status": OPTIMAL, "basic": basic, "vstat": vstat, "x_B": x_B,
+                    "xv": xv, "y": y, "z": d,
+                    "pivots": {"dual": pivots, "phase1": 0, "phase2": 0}}
+        if pivots >= cfg.max_iterations:
+            return {"status": ITERATION_LIMIT, "basic": basic, "vstat": vstat,
+                    "x_B": x_B, "xv": xv,
+                    "pivots": {"dual": pivots, "phase1": 0, "phase2": 0}}
+
+        r = int(np.argmax(infeas))
+        to_lower = x_B[r] < lo_B[r]
+        alpha = tab.row(Binv[r])
+        a = alpha if to_lower else -alpha
+        # entering candidates: columns whose reduced cost d_j + t a_j runs
+        # toward the wrong sign for their status as the dual step t grows
+        cand = np.flatnonzero(movable & (((vstat == _AT_LB) & (a < -1e-9))
+                                         | ((vstat == _AT_UB) & (a > 1e-9))
+                                         | ((vstat == _FREE) & (np.abs(a) > 1e-9))))
+        if cand.size == 0:
+            break               # dual ray
+        abs_a = np.abs(a[cand])
+        room = -d[cand] * np.sign(a[cand])     # >= -dtol on a dual feasible basis
+        t_max = np.min((room + dtol) / abs_a)
+        near = np.flatnonzero(room / abs_a <= t_max)
+        k = near[int(np.argmax(abs_a[near]))]
+        q = int(cand[k])
+        t = max(room[k], 0.0) / abs_a[k]
+
+        col = Binv @ A[:, q]
+        pivot = col[r]
+        if abs(pivot) < 1e-7 * max(1.0, np.abs(col).max()):
+            break               # tiny pivot
+        if t * infeas[r] <= 1e-12:
+            stall += 1
+            if stall > cfg.stall_limit:
+                break
+        else:
+            stall = 0
+
+        d += t * a
+        out_col = basic[r]
+        bound = lo_B[r] if to_lower else hi_B[r]
+        step = (x_B[r] - bound) / pivot
+        entering = xv[q] + step             # a free nonbasic column sits at 0
+        x_B = x_B - step * col
+        x_B[r] = entering
+        vstat[out_col] = _AT_LB if to_lower else _AT_UB
+        xv[out_col] = bound
+        basic[r] = q
+        vstat[q] = _BASIC
+        d[basic] = 0.0
+        row = Binv[r] / pivot
+        # Binv -= outer(col, row), in place through BLAS ger on the transpose
+        Binv = scipy.linalg.blas.dger(-1.0, row, col, a=Binv.T, overwrite_a=True).T
+        Binv[r] = row
+        pivots += 1
+        checked = False
+        since_refactor += 1
+        if since_refactor >= cfg.refactor_every:
+            try:
+                Binv = np.linalg.inv(A[:, basic])
+            except np.linalg.LinAlgError:
+                raise NumericalBreakdown("singular basis during refactorization") from None
+            x_B = None
+            y, d = prices()
+            since_refactor = 0
+    return _simplex(tab, cfg, (basic, vstat, Binv), dual_pivots=pivots)
 
 
 def _assemble(tab, res, lp, cfg, flip):
@@ -321,7 +472,8 @@ def _assemble(tab, res, lp, cfg, flip):
     x = x_full[:tab.n]
     sol = LPSolution(status=res["status"], x=x,
                      basis=Basis(basic.copy(), vstat.copy()),
-                     iterations=res["iterations"])
+                     iterations=sum(res["pivots"].values()))
+    sol.extras["pivots"] = res["pivots"]
     sgn = -1.0 if flip else 1.0
     if res["status"] == OPTIMAL:
         y = res["y"]
@@ -347,7 +499,8 @@ def solve_lp(lp: LPInstance, cfg: KernelConfig = None, warm_start: Basis = None)
         c=-lp.c, A=lp.A, rhs=lp.rhs, row_senses=lp.row_senses, lb=lp.lb, ub=lp.ub,
         c0=0.0, sense="min")
     tab = _Tableau(work)
-    res = _simplex(tab, cfg, warm=warm_start)
+    start, warm = _initial_point(tab, warm_start)
+    res = _dual_simplex(tab, cfg, start) if warm else _simplex(tab, cfg, start)
     return _assemble(tab, res, lp, cfg, flip)
 
 

@@ -325,17 +325,34 @@ class MasterState:
 
     def consolidate(self, threshold):
         """Drop optimality cuts that stayed slack for >= threshold master solves."""
-        keep, removed = [], 0
-        for cut in self.cuts:
+        keep, dropped = [], []
+        for i, cut in enumerate(self.cuts):
             if cut.kind == "optimality" and self.inactive.get(id(cut), 0) >= threshold:
-                removed += 1
+                dropped.append(i)
                 self.inactive.pop(id(cut), None)
             else:
                 keep.append(cut)
-        if removed:
+        if dropped:
             self.cuts = keep
-            self._warm = None
-        return removed
+            self._warm = self._drop_rows(self._warm, dropped)
+        return len(dropped)
+
+    def _drop_rows(self, warm, dropped):
+        """The warm basis without the given cut rows, or None if it cannot shrink.
+
+        A dropped row leaves with its slack column, which must be basic; the
+        later slack columns shift down to their rows' new indices.
+        """
+        if warm is None:
+            return None
+        slack0 = self.n + self.K + self.first.p
+        cols = slack0 + np.asarray(dropped)
+        cols = cols[cols < warm.vstat.size]       # cuts appended after the basis was taken
+        if (warm.vstat[cols] != 2).any():          # a dropped slack is nonbasic
+            return None
+        basic = warm.basic[~np.isin(warm.basic, cols)]
+        basic = basic - np.searchsorted(cols, basic)
+        return kernel.Basis(basic, np.delete(warm.vstat, cols))
 
 
 class _Run:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .errors import ConfigError, InfeasibleScenario, UnboundedSubproblem
+from .errors import ConfigError, InfeasibleScenario, NumericalBreakdown, UnboundedSubproblem
 from .execution import ExecConfig, VersionedDecision, drive
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
 from .kernel import KernelConfig
@@ -111,14 +111,22 @@ def solve_ph_subproblem(first, shape, scenario, xi, rho_s, r,
         sol = kernel.solve_lp(lin, cfg)
     else:
         sol = kernel.solve_qp_diagonal(qp, cfg, warm_start=warm)
-    if sol.status == kernel.INFEASIBLE:
-        raise InfeasibleScenario(scenario_index)
-    if sol.status == kernel.UNBOUNDED:
-        raise UnboundedSubproblem(scenario_index)
+    _check_status(sol, scenario_index, "proximal subproblem")
     x_s = sol.x[:n]
     y_s = sol.x[n:n + shape.m]
     obj = float(first.c @ x_s + scenario.q @ y_s)
     return x_s, y_s, obj, sol.extras.get("ipm_state")
+
+
+def _check_status(sol, scenario_index, what):
+    """Raise unless ``sol`` is optimal: a non-converged iterate is no solution."""
+    if sol.status == kernel.INFEASIBLE:
+        raise InfeasibleScenario(scenario_index)
+    if sol.status == kernel.UNBOUNDED:
+        raise UnboundedSubproblem(scenario_index)
+    if sol.status != kernel.OPTIMAL:
+        raise NumericalBreakdown(
+            f"{what} of scenario {scenario_index} ended {sol.status}")
 
 
 def aggregate_implementable(xs, probs):
@@ -150,10 +158,7 @@ def _initial_state(problem: TwoStageProblem, cfg: PhConfig) -> PhState:
     for s, sc in enumerate(problem.scenarios):
         ws = _ws_instance(problem.first, problem.shape, sc)
         sol = kernel.solve_lp(ws, cfg.kernel)
-        if sol.status == kernel.INFEASIBLE:
-            raise InfeasibleScenario(s)
-        if sol.status == kernel.UNBOUNDED:
-            raise UnboundedSubproblem(s)
+        _check_status(sol, s, "wait-and-see LP")
         xs[s] = sol.x[:n]
         ys[s] = sol.x[n:n + m]
     probs = problem.probabilities

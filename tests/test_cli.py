@@ -134,6 +134,19 @@ class TestSolve:
         for key in ("objective", "decision", "gaps", "iterations", "config"):
             assert da[key] == db[key]
 
+    @pytest.mark.parametrize("method, flags, key, value", [
+        ("lshaped", (), "gap_tol", 1e-6),
+        ("lshaped", ("--gap", "1e-4"), "gap_tol", 1e-4),
+        ("ph", (), "primal_tol", 1e-5),
+        ("ph", ("--gap", "1e-6"), "primal_tol", 1e-6),
+        ("ph", ("--gap", "1e-6"), "dual_tol", 1e-6),
+    ])
+    def test_gap_reaches_the_config(self, capsys, method, flags, key, value):
+        from stochlp import cli
+        cli.main(["solve", "--fixture", "simple", "--method", method,
+                  "--max-iterations", "2", "--format", "machine", *flags])
+        assert json.loads(capsys.readouterr().out)["config"][key] == value
+
 
 class TestVerbose:
     """-v logs one INFO line per trace record on the stochlp logger; -vv adds DEBUG."""

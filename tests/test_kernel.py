@@ -239,6 +239,155 @@ class TestSolveLP:
                               kernel.INFEASIBLE, kernel.UNBOUNDED)
 
 
+def _with_rhs(lp, rhs):
+    return LPInstance(c=lp.c, A=lp.A, rhs=rhs, row_senses=lp.row_senses,
+                      lb=lp.lb, ub=lp.ub)
+
+
+def _with_cuts(lp, basis, G, g):
+    """``lp`` plus rows ``G x >= g``, and ``basis`` extended by their basic slacks."""
+    k = G.shape[0]
+    A = np.vstack([np.asarray(lp.A).reshape(lp.nrows, lp.nvars), G])
+    grown = LPInstance(c=lp.c, A=A, rhs=np.concatenate([lp.rhs, g]),
+                       row_senses=tuple(lp.row_senses) + (">=",) * k,
+                       lb=lp.lb, ub=lp.ub)
+    N = lp.nvars + lp.nrows
+    warm = kernel.Basis(np.concatenate([basis.basic, np.arange(N, N + k)]),
+                        np.concatenate([basis.vstat, np.full(k, 2, np.int8)]))
+    return grown, warm
+
+
+def warm_cases(seed, count):
+    """``count`` (kind, lp, warm basis) triples of each kind, from optimal random LPs.
+
+    ``rhs``: the rhs moved with c held, as in an L-shaped subproblem.
+    ``rows``: ``>=`` rows violated at the optimum appended with basic
+    slacks, as in a master after cuts.  Both leave the basis dual feasible.
+    """
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        lp = random_bounded_lp(rng)
+        base = solve_lp(lp)
+        if base.status != kernel.OPTIMAL:
+            continue
+        made += 1
+        yield "rhs", _with_rhs(lp, lp.rhs + np.round(rng.normal(0, 2, lp.nrows), 3)), \
+            base.basis
+        k = int(rng.integers(1, 4))
+        G = np.round(rng.normal(0, 2, (k, lp.nvars)), 3)
+        g = G @ base.x + np.round(rng.uniform(0.01, 3.0, k), 3)
+        yield ("rows",) + _with_cuts(lp, base.basis, G, g)
+
+
+def assert_dual_certificate(lp, sol, tol=1e-7):
+    """Sign convention, z = c - A^T y, and complementary slackness of an optimum."""
+    A = np.asarray(lp.A).reshape(lp.nrows, lp.nvars)
+    np.testing.assert_allclose(sol.reduced_costs, lp.c - A.T @ sol.duals, atol=1e-7)
+    res = A @ sol.x - lp.rhs
+    for i, s in enumerate(lp.row_senses):
+        if s == ">=":
+            assert sol.duals[i] >= -tol
+        elif s == "<=":
+            assert sol.duals[i] <= tol
+        if s != "=" and abs(sol.duals[i]) > tol:
+            assert abs(res[i]) <= 1e-6 * (1 + abs(lp.rhs[i]))
+    for j, z in enumerate(sol.reduced_costs):
+        if z > tol:
+            assert sol.x[j] == pytest.approx(lp.lb[j], abs=1e-7)
+        elif z < -tol:
+            assert sol.x[j] == pytest.approx(lp.ub[j], abs=1e-7)
+
+
+class TestDualSimplex:
+    """Warm re-solves from a dual feasible basis take the dual simplex path."""
+
+    def test_pivot_counters_sum_to_iterations(self):
+        for kind, lp, basis in warm_cases(20, 50):
+            for warm in (None, basis):
+                sol = solve_lp(lp, warm_start=warm)
+                assert set(sol.extras["pivots"]) == {"dual", "phase1", "phase2"}
+                assert sum(sol.extras["pivots"].values()) == sol.iterations
+                if warm is None:
+                    assert sol.extras["pivots"]["dual"] == 0
+
+    @pytest.mark.parametrize("kind", ["rhs", "rows"])
+    def test_warm_matches_cold(self, kind):
+        statuses = {}
+        dual_optima = 0
+        for k, lp, basis in warm_cases(21, 200):
+            if k != kind:
+                continue
+            cold = solve_lp(lp)
+            warm = solve_lp(lp, warm_start=basis)
+            assert warm.status == cold.status
+            statuses[warm.status] = statuses.get(warm.status, 0) + 1
+            pivots = warm.extras["pivots"]
+            if warm.status == kernel.OPTIMAL:
+                assert warm.objective == pytest.approx(cold.objective, rel=1e-8, abs=1e-8)
+                assert primal_violation(lp, warm.x) <= 1e-7
+                assert_dual_certificate(lp, warm)
+                if pivots["phase1"] == pivots["phase2"] == 0:
+                    dual_optima += 1
+            else:
+                assert warm.status == kernel.INFEASIBLE
+                assert certificate_gap(lp, warm.farkas) > 1e-9
+                assert warm.extras["infeasibility"] > 0
+        assert statuses.get(kernel.OPTIMAL, 0) >= 50
+        # the optimum is reached by dual pivots alone
+        assert dual_optima == statuses[kernel.OPTIMAL]
+        if kind == "rows":
+            assert statuses.get(kernel.INFEASIBLE, 0) >= 20
+
+    def test_violated_rows_take_dual_pivots(self):
+        for kind, lp, basis in warm_cases(22, 50):
+            if kind != "rows":
+                continue
+            sol = solve_lp(lp, warm_start=basis)
+            if sol.status == kernel.OPTIMAL:
+                assert sol.extras["pivots"]["dual"] >= 1
+                assert sol.extras["pivots"]["phase1"] == 0
+
+    def test_not_dual_feasible_warm_start_uses_primal(self):
+        lp = LPInstance(c=[1.0, 2.0], A=[[1.0, 1.0]], rhs=[4.0], row_senses=(">=",),
+                        lb=[0.0, 0.0], ub=[np.inf, np.inf])
+        basis = solve_lp(lp).basis
+        flipped = LPInstance(c=[2.0, 1.0], A=lp.A, rhs=lp.rhs, row_senses=lp.row_senses,
+                             lb=lp.lb, ub=lp.ub)
+        sol = solve_lp(flipped, warm_start=basis)
+        assert sol.status == kernel.OPTIMAL
+        assert sol.objective == pytest.approx(4.0)
+        assert sol.extras["pivots"]["dual"] == 0
+        assert sol.extras["pivots"]["phase2"] >= 1
+
+    def test_iteration_limit_counts_dual_pivots(self):
+        for kind, lp, basis in warm_cases(23, 400):
+            full = solve_lp(lp, warm_start=basis)
+            if full.status == kernel.OPTIMAL and full.extras["pivots"]["dual"] >= 2:
+                break
+        else:
+            pytest.fail("no warm case needed two dual pivots")
+        sol = solve_lp(lp, KernelConfig(max_iterations=1), warm_start=basis)
+        assert sol.status == kernel.ITERATION_LIMIT
+        assert sol.iterations == 1
+        assert sol.extras["pivots"] == {"dual": 1, "phase1": 0, "phase2": 0}
+
+    def test_maximization_duals_are_shadow_prices(self):
+        # max x1 + x2 s.t. x1 + 2 x2 <= 4, 3 x1 + x2 <= 6; then tighten the second rhs
+        # until x1 leaves the optimal basis
+        lp = LPInstance(c=[1.0, 1.0], A=[[1.0, 2.0], [3.0, 1.0]], rhs=[4.0, 6.0],
+                        row_senses=("<=", "<="), lb=[0.0, 0.0], ub=[np.inf, np.inf],
+                        sense="max")
+        basis = solve_lp(lp).basis
+        moved = LPInstance(c=lp.c, A=lp.A, rhs=[4.0, 1.0], row_senses=lp.row_senses,
+                           lb=lp.lb, ub=lp.ub, sense="max")
+        warm = solve_lp(moved, warm_start=basis)
+        cold = solve_lp(moved)
+        assert warm.extras["pivots"]["dual"] >= 1
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+        np.testing.assert_allclose(warm.duals, cold.duals, atol=1e-12)
+
+
 def grid_qp_oracle(lp, span, resolution):
     """Grid search over the quadratic coordinates with an inner LP for the rest."""
     idx = np.flatnonzero(lp.qdiag > 0)

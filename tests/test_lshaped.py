@@ -288,6 +288,33 @@ class TestFeasibilityCuts:
                 assert out.feasible
 
 
+@pytest.fixture
+def lp_solves(monkeypatch):
+    """Every LPSolution that kernel.solve_lp returns while the test runs."""
+    solves = []
+    solve_lp = kernel.solve_lp
+    monkeypatch.setattr(kernel, "solve_lp",
+                        lambda *a, **kw: solves.append(solve_lp(*a, **kw)) or solves[-1])
+    return solves
+
+
+class TestMaster:
+    def test_master_resolve_after_violated_cuts_takes_dual_pivots(self, lp_solves):
+        from stochlp.lshaped import MasterState
+        p = farmer_problem()
+        st = MasterState(p, p.nscen, -1e10)
+        x, theta, _ = st.solve_plain()
+        for cut in aggregate_cuts(_outcomes_at(p, x), p.probabilities, "multi"):
+            assert cut.value_at(x) > theta[cut.aggregate]
+            st.add_cut(cut)
+        lp_solves.clear()
+        _, _, value = st.solve_plain()
+        (sol,) = lp_solves
+        assert sol.extras["pivots"]["dual"] >= 1
+        assert sol.extras["pivots"]["phase1"] == sol.extras["pivots"]["phase2"] == 0
+        assert value == pytest.approx(kernel.solve_lp(st._instance()).objective, rel=1e-9)
+
+
 class TestConsolidation:
     def test_all_active_none_removed(self):
         from stochlp.lshaped import MasterState
@@ -309,6 +336,35 @@ class TestConsolidation:
         st.solve_plain()
         assert st.consolidate(1) == 1               # the slack cut goes
         assert len(st.cuts) == 1
+
+    def test_consolidation_keeps_the_warm_basis(self, lp_solves):
+        from stochlp.lshaped import MasterState
+        p = farmer_problem()
+        rep = solve_lshaped(p, LShapedConfig(cuts="multi"))
+        st = MasterState(p, p.nscen, -1e10)
+        for cut in rep.extras["_cuts"]:
+            st.add_cut(cut)
+        st.solve_plain()
+        st.solve_plain()
+        assert st.consolidate(1) > 0
+        lp_solves.clear()
+        _, _, value = st.solve_plain()
+        (warm,) = lp_solves
+        cold = kernel.solve_lp(st._instance())
+        assert value == pytest.approx(cold.objective, rel=1e-9)
+        assert warm.iterations < cold.iterations
+
+    def test_consolidation_drops_a_warm_basis_with_nonbasic_dropped_slack(self):
+        from stochlp.lshaped import Cut, MasterState
+        p = simple_problem()
+        st = MasterState(p, 1, -1e10)
+        cut = Cut(kind="optimality", gradient=np.array([1.0, 1.0]), rhs=100.0,
+                  source=frozenset({0, 1}), aggregate=0)
+        st.add_cut(cut)
+        st.solve_plain()                             # binding: its slack is nonbasic
+        st.inactive[id(cut)] = 1
+        assert st.consolidate(1) == 1
+        assert st._warm is None
 
     def test_feasibility_cuts_never_removed(self):
         from stochlp.lshaped import Cut, MasterState

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from stochlp import analysis
-from stochlp.errors import ConfigError, InfeasibleScenario
+from stochlp.errors import ConfigError, InfeasibleScenario, NumericalBreakdown
 from stochlp.execution import ExecConfig
 from stochlp.fixtures import farmer_problem, simple_problem
+from stochlp.kernel import KernelConfig
 from stochlp.model import FirstStage, RecourseShape, Scenario, build_problem
 from stochlp.phedging import (
     PhConfig,
@@ -79,6 +80,17 @@ class TestSubproblem:
         p = build_problem(first, shape, [sc])
         with pytest.raises(InfeasibleScenario):
             solve_ph(p, PhConfig())
+
+    def test_unconverged_qp_raises_naming_the_scenario(self):
+        p = simple_problem()
+        with pytest.raises(NumericalBreakdown, match="scenario 1 ended iteration_limit"):
+            solve_ph_subproblem(p.first, p.shape, p.scenarios[1], np.array([50.0, 30.0]),
+                                np.zeros(2), 1.0, KernelConfig(ipm_max_iterations=2),
+                                scenario_index=1)
+
+    def test_unconverged_wait_and_see_raises(self):
+        with pytest.raises(NumericalBreakdown, match="wait-and-see LP of scenario 0"):
+            solve_ph(farmer_problem(), PhConfig(kernel=KernelConfig(max_iterations=1)))
 
     def test_linearized_penalty_path(self):
         # the l1 surrogate lacks strong convexity, so no optimality claim;
@@ -175,6 +187,12 @@ class TestSolve:
         assert rep.decision is not None
         with pytest.raises(ConfigError):
             PhConfig(max_iterations=0)
+
+    def test_ipm_stall_is_not_reported_as_optimal(self):
+        # two IPM steps are far from converged: the iterate must not be used
+        with pytest.raises(NumericalBreakdown, match="ended iteration_limit"):
+            solve_ph(farmer_problem(), PhConfig(max_iterations=30,
+                                                kernel=KernelConfig(ipm_max_iterations=2)))
 
 
 class TestExecutionModes:

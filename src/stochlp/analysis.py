@@ -139,13 +139,16 @@ def _clamp(name, value, scale):
     return max(value, 0.0), value
 
 
-def evpi(p: TwoStageProblem, kcfg=None) -> MeasureResult:
-    """Expected value of perfect information: VRP - EWS >= 0 (minimization)."""
-    v, _ = vrp(p, kcfg)
-    w = ews(p, kcfg)
+def _evpi_result(v, w):
     val, raw = _clamp("EVPI", v - w, v)
     return MeasureResult(measure="evpi", mode="exact", value=val,
                          components={"ews": w, "vrp": v, "raw": raw})
+
+
+def evpi(p: TwoStageProblem, kcfg=None) -> MeasureResult:
+    """Expected value of perfect information: VRP - EWS >= 0 (minimization)."""
+    v, _ = vrp(p, kcfg)
+    return _evpi_result(v, ews(p, kcfg))
 
 
 def expected_value_decision(p: TwoStageProblem, kcfg=None):
@@ -162,10 +165,7 @@ def eev(p: TwoStageProblem, kcfg=None):
     return evaluate_decision(p, x_bar, kcfg), x_bar
 
 
-def vss(p: TwoStageProblem, kcfg=None) -> MeasureResult:
-    """Value of the stochastic solution: EEV - VRP >= 0 (minimization)."""
-    v, _ = vrp(p, kcfg)
-    e, x_bar = eev(p, kcfg)
+def _vss_result(v, e, x_bar):
     if np.isinf(e):
         return MeasureResult(measure="vss", mode="exact", value=np.inf,
                              components={"eev": np.inf, "vrp": v, "x_bar": x_bar},
@@ -175,25 +175,23 @@ def vss(p: TwoStageProblem, kcfg=None) -> MeasureResult:
                          components={"eev": e, "vrp": v, "raw": raw, "x_bar": x_bar})
 
 
+def vss(p: TwoStageProblem, kcfg=None) -> MeasureResult:
+    """Value of the stochastic solution: EEV - VRP >= 0 (minimization)."""
+    v, _ = vrp(p, kcfg)
+    return _vss_result(v, *eev(p, kcfg))
+
+
 def all_measures(p: TwoStageProblem, kcfg=None) -> dict:
     v, x = vrp(p, kcfg)
     w = ews(p, kcfg)
     e, x_bar = eev(p, kcfg)
-    out = {
+    return {
         "vrp": MeasureResult("vrp", "exact", value=v, components={"x": x}),
         "ews": MeasureResult("ews", "exact", value=w),
         "eev": MeasureResult("eev", "exact", value=e, components={"x_bar": x_bar}),
-        "evpi": MeasureResult("evpi", "exact", value=_clamp("EVPI", v - w, v)[0],
-                              components={"ews": w, "vrp": v}),
+        "evpi": _evpi_result(v, w),
+        "vss": _vss_result(v, e, x_bar),
     }
-    if np.isinf(e):
-        out["vss"] = MeasureResult("vss", "exact", value=np.inf,
-                                   components={"eev": e, "vrp": v},
-                                   flags=["eev_infinite"])
-    else:
-        out["vss"] = MeasureResult("vss", "exact", value=_clamp("VSS", e - v, v)[0],
-                                   components={"eev": e, "vrp": v})
-    return out
 
 
 def sampled_measures(model: StochasticModel, sampler, cfg: SaaConfig = None,

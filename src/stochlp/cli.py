@@ -108,11 +108,8 @@ def cmd_solve(args):
     if args.method == "dep":
         lp = build_deterministic_equivalent(problem)
         sol = kernel.solve_lp(lp)
-        status_map = {kernel.OPTIMAL: "optimal", kernel.INFEASIBLE: "infeasible",
-                      kernel.UNBOUNDED: "unbounded",
-                      kernel.ITERATION_LIMIT: "iteration_limit"}
         rep = SolveReport(
-            method="dep", status=status_map[sol.status],
+            method="dep", status=sol.status,
             objective=problem.report_value(sol.objective) if sol.x is not None else np.nan,
             decision=sol.x[:problem.n] if sol.x is not None else None,
             recourse=[sol.x[problem.n + s * problem.m:problem.n + (s + 1) * problem.m]

@@ -1,15 +1,19 @@
 """Self-contained LP and diagonal-QP solver.
 
 The LP method is a bounded-variable revised simplex with a composite
-(infeasibility-minimizing) phase 1, an explicit basis inverse with periodic
-refactorization, and Bland's rule engaged after a degeneracy stall.  A warm
-start whose basis is still dual feasible (an L-shaped subproblem whose rhs
-moved, a master with violated cuts appended) is re-solved by a bounded dual
-simplex with a two-pass Harris ratio test instead; it hands its basis to the
-primal method on a dual ray (so an infeasible LP still gets the phase-1
-Farkas certificate), a degeneracy stall or a tiny pivot.  Cold starts always
-use the primal method.  ``LPSolution.iterations`` is the total pivot count
-and ``extras["pivots"]`` splits it into dual, phase-1 and phase-2 pivots.
+(infeasibility-minimizing) phase 1 and Bland's rule engaged after a
+degeneracy stall.  A warm start whose basis is still dual feasible (an
+L-shaped subproblem whose rhs moved, a master with violated cuts appended)
+is re-solved by a bounded dual simplex with a two-pass Harris ratio test
+instead; it hands its basis to the primal method on a dual ray (so an
+infeasible LP still gets the phase-1 Farkas certificate), a degeneracy stall
+or a tiny pivot.  Cold starts, and warm tokens that are not a valid basis of
+the instance, use the primal method from the slack basis.  Both methods keep
+their own pricing and ratio test and pivot one ``_WorkingBasis``: an explicit
+basis inverse updated in place by BLAS ``dger`` and refactorized every
+``_REFACTOR_EVERY`` pivots.  ``LPSolution.iterations`` is the total pivot
+count and ``extras["pivots"]`` splits it into dual, phase-1 and phase-2
+pivots.
 The QP method is a primal-dual interior point specialized to diagonal
 Hessians.
 
@@ -45,22 +49,21 @@ ITERATION_LIMIT = "iteration_limit"
 # nonbasic-at-lower, nonbasic-at-upper, basic, nonbasic-free-at-zero
 _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 
+_REFACTOR_EVERY = 60    # pivots between refactorizations of the basis inverse
+_STALL_LIMIT = 50       # degenerate pivots before the primal method takes Bland's
+                        # rule and the dual method hands its basis to the primal
+
 
 @dataclass
 class KernelConfig:
     feas_tol: float = 1e-8
     opt_tol: float = 1e-8
     max_iterations: int = 50000
-    pivot_rule: str = "dantzig"    # dantzig (Bland after a stall) | bland
-    stall_limit: int = 50          # degenerate pivots before Bland's rule engages
-    refactor_every: int = 60
     ipm_max_iterations: int = 100
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.opt_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.pivot_rule not in ("dantzig", "bland"):
-            raise ValueError(f"unknown pivot rule {self.pivot_rule!r}")
 
 
 DEFAULT_CONFIG = KernelConfig()
@@ -127,84 +130,132 @@ class _Tableau:
         return np.concatenate([v @ self.A[:, :self.n], v])
 
 
-def _initial_point(tab, warm):
-    """Pick a starting basis: the warm token when usable, else the slack basis.
+class _WorkingBasis:
+    """The basis that both simplex methods pivot.
 
-    Returns ``(basic, vstat, Binv)`` and whether the warm token was used.
+    It holds the basic columns ``basic``, the statuses ``vstat``, the
+    nonbasic values ``xv``, the explicit inverse ``Binv``, the basic values
+    ``x_B`` and the pivot counters.  It starts from the warm token when that
+    is a valid nonsingular basis of ``tab`` (``warm`` is then True), else
+    from the slack basis with each structural column at its bound nearest
+    zero.
     """
-    N, m = tab.N, tab.m
-    if warm is not None and isinstance(warm, Basis) and warm.basic.size == m \
-            and warm.vstat.size == N:
-        basic = warm.basic.astype(int).copy()
-        vstat = warm.vstat.astype(np.int8).copy()
+
+    def __init__(self, tab, token):
+        self.tab = tab
+        self.pivots = {"dual": 0, "phase1": 0, "phase2": 0}
+        self.since_refactor = 0
+        self.warm = self._adopt(token)
+        if not self.warm:
+            lo, hi = tab.lb[:tab.n], tab.ub[:tab.n]
+            self.basic = np.arange(tab.n, tab.N)
+            self.vstat = np.full(tab.N, _BASIC, dtype=np.int8)
+            self.vstat[:tab.n] = np.where(np.abs(lo) <= np.abs(hi), _AT_LB, _AT_UB)
+            self.vstat[:tab.n][np.isinf(lo) & np.isinf(hi)] = _FREE
+            self.Binv = np.eye(tab.m)
+        self.recompute()
+
+    def _adopt(self, token):
+        """Start from ``token`` if it is a usable basis; report whether it was.
+
+        Usable: ``vstat`` holds valid codes, is basic on exactly the distinct
+        in-range ``basic`` columns and puts each nonbasic column at a finite
+        bound (a free column at zero), and the basis matrix is nonsingular.
+        """
+        tab = self.tab
+        if not isinstance(token, Basis) or token.basic.size != tab.m \
+                or token.vstat.size != tab.N:
+            return False
+        vstat = np.asarray(token.vstat)
         try:
-            Binv = np.linalg.inv(tab.A[:, basic])
-            return (basic, vstat, Binv), True
+            counts = np.bincount(vstat, minlength=4)     # raises on a negative code
+        except (TypeError, ValueError):
+            return False
+        if counts.size > 4 or counts[_BASIC] != tab.m \
+                or (np.sort(token.basic) != np.flatnonzero(vstat == _BASIC)).any() \
+                or np.isinf(np.where(vstat == _AT_UB, tab.ub, tab.lb)[vstat < _BASIC]).any():
+            return False
+        if counts[_FREE]:
+            free = vstat == _FREE
+            if np.isfinite(tab.lb[free]).any() or np.isfinite(tab.ub[free]).any():
+                return False
+        basic = token.basic.astype(int)
+        try:
+            self.Binv = np.linalg.inv(tab.A[:, basic])
         except np.linalg.LinAlgError:
-            pass
-    basic = np.arange(tab.n, tab.N)
-    vstat = np.empty(N, dtype=np.int8)
-    for j in range(tab.n):
-        lo, hi = tab.lb[j], tab.ub[j]
-        if np.isinf(lo) and np.isinf(hi):
-            vstat[j] = _FREE
-        elif np.isinf(lo):
-            vstat[j] = _AT_UB
-        elif np.isinf(hi):
-            vstat[j] = _AT_LB
-        else:
-            vstat[j] = _AT_LB if abs(lo) <= abs(hi) else _AT_UB
-    vstat[tab.n:] = _BASIC
-    return (basic, vstat, np.eye(m)), False
+            return False
+        self.basic, self.vstat = basic, vstat.astype(np.int8)
+        return True
 
+    @property
+    def count(self):
+        return sum(self.pivots.values())
 
-def _nonbasic_values(tab, vstat):
-    xv = np.zeros(tab.N)
-    at_lb = vstat == _AT_LB
-    at_ub = vstat == _AT_UB
-    xv[at_lb] = tab.lb[at_lb]
-    xv[at_ub] = tab.ub[at_ub]
-    return xv
+    def recompute(self):
+        """Put the nonbasic columns at their bounds and solve for ``x_B``."""
+        tab, vstat = self.tab, self.vstat
+        self.xv = np.zeros(tab.N)
+        at_lb = vstat == _AT_LB
+        at_ub = vstat == _AT_UB
+        self.xv[at_lb] = tab.lb[at_lb]
+        self.xv[at_ub] = tab.ub[at_ub]
+        self.x_B = self.Binv @ (tab.b - tab.A @ self.xv)     # xv is zero on basic columns
 
-
-def _simplex(tab, cfg, start, dual_pivots=0):
-    """Core bounded primal simplex from ``start = (basic, vstat, Binv)``.
-
-    ``dual_pivots`` are pivots already spent by the dual simplex on this
-    solve; they count toward ``cfg.max_iterations`` and the reported total.
-    Returns dict with status and final state.
-    """
-    feas, dtol = cfg.feas_tol, cfg.opt_tol
-    basic, vstat, Binv = start
-    A, b, lb, ub, c = tab.A, tab.b, tab.lb, tab.ub, tab.c
-    N, m = tab.N, tab.m
-
-    xv = _nonbasic_values(tab, vstat)
-    nonbasic_mask = vstat != _BASIC
-    x_B = Binv @ (b - A[:, nonbasic_mask] @ xv[nonbasic_mask])
-
-    fixed = lb == ub
-    bland = cfg.pivot_rule == "bland"
-    stall = 0
-    last_obj = np.inf
-    since_refactor = 0
-    phase1_pivots = 0
-
-    def pivots(it):
-        return {"dual": dual_pivots, "phase1": phase1_pivots,
-                "phase2": it - phase1_pivots}
-
-    def refactor():
-        nonlocal Binv, x_B, since_refactor
+    def refactor(self):
         try:
-            Binv = np.linalg.inv(A[:, basic])
+            self.Binv = np.linalg.inv(self.tab.A[:, self.basic])
         except np.linalg.LinAlgError:
             raise NumericalBreakdown("singular basis during refactorization") from None
-        nb = vstat != _BASIC
-        x_B = Binv @ (b - A[:, nb] @ xv[nb])
-        since_refactor = 0
+        self.since_refactor = 0
+        self.recompute()
 
-    for it in range(cfg.max_iterations - dual_pivots):
+    def pivot(self, r, q, col, leave_to, value):
+        """Column ``q`` enters at row ``r`` with basic value ``value``.
+
+        ``col`` is ``Binv @ A[:, q]``; the leaving column goes to the bound
+        ``leave_to``.  Refactorizes every ``_REFACTOR_EVERY`` pivots and
+        returns whether it did.
+        """
+        tab = self.tab
+        out = self.basic[r]
+        self.vstat[out] = leave_to
+        self.xv[out] = tab.lb[out] if leave_to == _AT_LB else tab.ub[out]
+        self.basic[r] = q
+        self.vstat[q] = _BASIC
+        self.x_B[r] = value
+        row = self.Binv[r] / col[r]
+        # Binv -= outer(col, row), in place through BLAS ger on the transpose
+        self.Binv = scipy.linalg.blas.dger(-1.0, row, col, a=self.Binv.T, overwrite_a=True).T
+        self.Binv[r] = row
+        self.since_refactor += 1
+        if self.since_refactor < _REFACTOR_EVERY:
+            return False
+        self.refactor()
+        return True
+
+    def result(self, status, **extra):
+        """The end state that ``_assemble`` reads."""
+        return {"status": status, "basic": self.basic, "vstat": self.vstat,
+                "x_B": self.x_B, "xv": self.xv, "pivots": self.pivots, **extra}
+
+
+def _simplex(wb, cfg):
+    """Bounded primal simplex on the working basis ``wb``, whose ``x_B`` is current.
+
+    Pivots already counted on ``wb`` (by the dual simplex on this solve)
+    count toward ``cfg.max_iterations``.  Returns ``wb.result``.
+    """
+    feas, dtol = cfg.feas_tol, cfg.opt_tol
+    tab = wb.tab
+    A, lb, ub, c = tab.A, tab.lb, tab.ub, tab.c
+    N = tab.N
+    fixed = lb == ub
+    bland = False
+    stall = 0
+    last_obj = np.inf
+
+    while wb.count < cfg.max_iterations:
+        basic, vstat, xv, x_B, Binv = wb.basic, wb.vstat, wb.xv, wb.x_B, wb.Binv
         lo_B, hi_B = lb[basic], ub[basic]
         below = x_B < lo_B - feas
         above = x_B > hi_B + feas
@@ -233,11 +284,8 @@ def _simplex(tab, cfg, start, dual_pivots=0):
 
         if not viol.any():
             if phase1:
-                return {"status": INFEASIBLE, "farkas": y.copy(), "basic": basic,
-                        "vstat": vstat, "x_B": x_B, "xv": xv, "pivots": pivots(it),
-                        "infeasibility": obj}
-            return {"status": OPTIMAL, "basic": basic, "vstat": vstat, "x_B": x_B,
-                    "xv": xv, "y": y, "z": z, "pivots": pivots(it)}
+                return wb.result(INFEASIBLE, farkas=y.copy(), infeasibility=obj)
+            return wb.result(OPTIMAL, y=y, z=z)
 
         if bland:
             j = int(np.flatnonzero(viol)[0])
@@ -251,97 +299,60 @@ def _simplex(tab, cfg, start, dual_pivots=0):
         d = Binv @ A[:, j]
         rate = -direction * d
 
-        # ratio test: blocking step for each basic variable
+        # ratio test: each basic variable blocks where it reaches the bound it
+        # moves toward; one already past the bound it moves away from never
+        # does, and an infinite bound gives an infinite step
         t_best = np.inf
         if vstat[j] != _FREE and np.isfinite(lb[j]) and np.isfinite(ub[j]):
             t_best = ub[j] - lb[j]
         leave = -1
-        leave_to = _AT_LB
-        piv_tol = 1e-11
-        up = rate > piv_tol
-        dn = rate < -piv_tol
-        cand = np.flatnonzero(up | dn)
-        t_cand = np.full(cand.size, np.inf)
-        bound_cand = np.zeros(cand.size, dtype=np.int8)
-        for k, i in enumerate(cand):
-            if rate[i] > 0:
-                if x_B[i] < lo_B[i] - feas:
-                    tgt, bound_cand[k] = lo_B[i], _AT_LB       # rises back to its lower bound
-                elif x_B[i] > hi_B[i] + feas:
-                    continue                                    # already above, moving away
-                else:
-                    tgt, bound_cand[k] = hi_B[i], _AT_UB
+        rising, falling = rate > 1e-11, rate < -1e-11
+        blocks = (rising & ~above) | (falling & ~below)
+        to_upper = np.where(rising, ~below, above)
+        t_row = np.divide(np.where(to_upper, hi_B, lo_B) - x_B, rate,
+                          out=np.full(tab.m, np.inf), where=blocks)
+        np.maximum(t_row, 0.0, out=t_row)
+        t_min = t_row.min(initial=np.inf)
+        if t_min < t_best - 1e-12:
+            near = np.flatnonzero(t_row <= t_min + 1e-10)
+            if bland:
+                leave = int(near[np.argmin(basic[near])])
             else:
-                if x_B[i] > hi_B[i] + feas:
-                    tgt, bound_cand[k] = hi_B[i], _AT_UB        # falls back to its upper bound
-                elif x_B[i] < lo_B[i] - feas:
-                    continue                                    # already below, moving away
-                else:
-                    tgt, bound_cand[k] = lo_B[i], _AT_LB
-            if np.isfinite(tgt):
-                t_cand[k] = max(0.0, (tgt - x_B[i]) / rate[i])
-
-        if cand.size:
-            kmin = int(np.argmin(t_cand))
-            t_row = t_cand[kmin]
-            if t_row < t_best - 1e-12:
-                near = np.flatnonzero(t_cand <= t_row + 1e-10)
-                if bland:
-                    kpick = near[int(np.argmin(basic[cand[near]]))]
-                else:
-                    kpick = near[int(np.argmax(np.abs(d[cand[near]])))]
-                leave = int(cand[kpick])
-                leave_to = bound_cand[kpick]
-                t_best = t_cand[kpick]
+                leave = int(near[np.argmax(np.abs(d[near]))])
+            leave_to = _AT_UB if to_upper[leave] else _AT_LB
+            t_best = t_row[leave]
 
         if not np.isfinite(t_best):
             if phase1:
                 raise NumericalBreakdown("phase-1 reported an unbounded improving ray")
-            return {"status": UNBOUNDED, "basic": basic, "vstat": vstat, "x_B": x_B,
-                    "xv": xv, "pivots": pivots(it), "ray_col": j, "ray_dir": direction}
-        phase1_pivots += phase1
+            return wb.result(UNBOUNDED)
+        wb.pivots["phase1" if phase1 else "phase2"] += 1
 
         # stall / anti-cycling bookkeeping
         if obj >= last_obj - 1e-12 * (1.0 + abs(last_obj)):
             stall += 1
-            if stall > cfg.stall_limit:
+            if stall > _STALL_LIMIT:
                 bland = True
         else:
             stall = 0
-            bland = cfg.pivot_rule == "bland"
+            bland = False
         last_obj = obj
 
-        start = xv[j] if vstat[j] != _FREE else 0.0
-        x_B = x_B + t_best * rate
+        wb.x_B = x_B + t_best * rate
         if leave < 0:
             # bound flip, basis unchanged
             vstat[j] = _AT_UB if vstat[j] == _AT_LB else _AT_LB
             xv[j] = ub[j] if vstat[j] == _AT_UB else lb[j]
-            continue
+        elif abs(d[leave]) < 1e-11:
+            wb.refactor()
+        else:
+            wb.pivot(leave, j, d, leave_to, xv[j] + direction * t_best)
 
-        pivot = d[leave]
-        if abs(pivot) < 1e-11:
-            refactor()
-            continue
-        out_col = basic[leave]
-        vstat[out_col] = leave_to
-        xv[out_col] = lb[out_col] if leave_to == _AT_LB else ub[out_col]
-        basic[leave] = j
-        vstat[j] = _BASIC
-        x_B[leave] = start + direction * t_best
-        row = Binv[leave] / pivot
-        Binv -= np.outer(d, row)
-        Binv[leave] = row
-        since_refactor += 1
-        if since_refactor >= cfg.refactor_every:
-            refactor()
-
-    return {"status": ITERATION_LIMIT, "basic": basic, "vstat": vstat, "x_B": x_B,
-            "xv": xv, "pivots": pivots(cfg.max_iterations - dual_pivots)}
+    return wb.result(ITERATION_LIMIT)
 
 
-def _dual_simplex(tab, cfg, start):
-    """Bounded dual simplex from a warm ``start = (basic, vstat, Binv)``.
+def _dual_simplex(wb, cfg):
+    """Bounded dual simplex from the warm working basis ``wb``.
 
     Runs when the start basis is dual feasible, which is what an rhs change
     or appended rows with basic slacks leave behind; a boxed column counts as
@@ -351,39 +362,44 @@ def _dual_simplex(tab, cfg, start):
     reduced costs.  A start that is not dual feasible goes to the primal
     ``_simplex`` unchanged; a dual ray (the LP is infeasible, and phase 1
     then builds the Farkas certificate), a degeneracy stall past
-    ``cfg.stall_limit`` and a tiny pivot hand it the current basis.
+    ``_STALL_LIMIT`` and a tiny pivot hand it the current basis.
     """
-    basic, vstat, Binv = start
-    A, b, lb, ub, c = tab.A, tab.b, tab.lb, tab.ub, tab.c
+    tab = wb.tab
+    A, lb, ub, c = tab.A, tab.lb, tab.ub, tab.c
     feas, dtol = cfg.feas_tol, cfg.opt_tol
     movable = lb < ub
     boxed = movable & np.isfinite(lb) & np.isfinite(ub)
 
     def prices():
-        y = c[basic] @ Binv
+        y = c[wb.basic] @ wb.Binv
         d = c - tab.row(y)
-        d[basic] = 0.0
+        d[wb.basic] = 0.0
         return y, d
 
     def wrong_sign(d):
-        """Nonbasic columns whose reduced cost has the wrong sign for their status."""
-        return movable & (((vstat == _AT_LB) & (d < -dtol)) | ((vstat == _AT_UB) & (d > dtol))
-                          | ((vstat == _FREE) & (np.abs(d) > dtol)))
+        """Nonbasic columns whose reduced cost has the wrong sign for their status.
+
+        ``d`` is zero on basic columns, so only a column at its lower bound or
+        free can be wrong below zero, and only one at its upper bound or free
+        above zero.
+        """
+        vstat = wb.vstat
+        return movable & (((d < -dtol) & (vstat != _AT_UB)) | ((d > dtol) & (vstat != _AT_LB)))
+
+    def flip_to_sign(flip):
+        wb.vstat[flip] = np.where(wb.vstat[flip] == _AT_LB, _AT_UB, _AT_LB)
+        wb.recompute()
 
     y, d = prices()
     flip = wrong_sign(d)
-    if (flip & ~boxed).any():
-        return _simplex(tab, cfg, start)
+    if flip.any():
+        if (flip & ~boxed).any():
+            return _simplex(wb, cfg)
+        flip_to_sign(flip)
     checked = True              # d is fresh and its signs are verified
-    pivots = stall = since_refactor = 0
-    x_B = None
+    stall = 0
     while True:
-        if x_B is None or flip.any():
-            vstat[flip] = np.where(vstat[flip] == _AT_LB, _AT_UB, _AT_LB)
-            xv = _nonbasic_values(tab, vstat)
-            nb = vstat != _BASIC
-            x_B = Binv @ (b - A[:, nb] @ xv[nb])
-            flip[:] = False
+        basic, vstat, x_B = wb.basic, wb.vstat, wb.x_B
         lo_B, hi_B = lb[basic], ub[basic]
         infeas = np.maximum(lo_B - x_B, 0.0) + np.maximum(x_B - hi_B, 0.0)
         infeas[infeas <= feas] = 0.0
@@ -392,21 +408,18 @@ def _dual_simplex(tab, cfg, start):
                 y, d = prices()
                 checked = True
                 flip = wrong_sign(d)
-                if (flip & ~boxed).any():
-                    break
                 if flip.any():
+                    if (flip & ~boxed).any():
+                        break
+                    flip_to_sign(flip)
                     continue
-            return {"status": OPTIMAL, "basic": basic, "vstat": vstat, "x_B": x_B,
-                    "xv": xv, "y": y, "z": d,
-                    "pivots": {"dual": pivots, "phase1": 0, "phase2": 0}}
-        if pivots >= cfg.max_iterations:
-            return {"status": ITERATION_LIMIT, "basic": basic, "vstat": vstat,
-                    "x_B": x_B, "xv": xv,
-                    "pivots": {"dual": pivots, "phase1": 0, "phase2": 0}}
+            return wb.result(OPTIMAL, y=y, z=d)
+        if wb.count >= cfg.max_iterations:
+            return wb.result(ITERATION_LIMIT)
 
         r = int(np.argmax(infeas))
         to_lower = x_B[r] < lo_B[r]
-        alpha = tab.row(Binv[r])
+        alpha = tab.row(wb.Binv[r])
         a = alpha if to_lower else -alpha
         # entering candidates: columns whose reduced cost d_j + t a_j runs
         # toward the wrong sign for their status as the dual step t grows
@@ -423,48 +436,31 @@ def _dual_simplex(tab, cfg, start):
         q = int(cand[k])
         t = max(room[k], 0.0) / abs_a[k]
 
-        col = Binv @ A[:, q]
+        col = wb.Binv @ A[:, q]
         pivot = col[r]
         if abs(pivot) < 1e-7 * max(1.0, np.abs(col).max()):
             break               # tiny pivot
         if t * infeas[r] <= 1e-12:
             stall += 1
-            if stall > cfg.stall_limit:
+            if stall > _STALL_LIMIT:
                 break
         else:
             stall = 0
 
         d += t * a
-        out_col = basic[r]
-        bound = lo_B[r] if to_lower else hi_B[r]
-        step = (x_B[r] - bound) / pivot
-        entering = xv[q] + step             # a free nonbasic column sits at 0
-        x_B = x_B - step * col
-        x_B[r] = entering
-        vstat[out_col] = _AT_LB if to_lower else _AT_UB
-        xv[out_col] = bound
-        basic[r] = q
-        vstat[q] = _BASIC
-        d[basic] = 0.0
-        row = Binv[r] / pivot
-        # Binv -= outer(col, row), in place through BLAS ger on the transpose
-        Binv = scipy.linalg.blas.dger(-1.0, row, col, a=Binv.T, overwrite_a=True).T
-        Binv[r] = row
-        pivots += 1
+        step = (x_B[r] - (lo_B[r] if to_lower else hi_B[r])) / pivot
+        wb.x_B = x_B - step * col
+        wb.pivots["dual"] += 1
         checked = False
-        since_refactor += 1
-        if since_refactor >= cfg.refactor_every:
-            try:
-                Binv = np.linalg.inv(A[:, basic])
-            except np.linalg.LinAlgError:
-                raise NumericalBreakdown("singular basis during refactorization") from None
-            x_B = None
+        if wb.pivot(r, q, col, _AT_LB if to_lower else _AT_UB, wb.xv[q] + step):
             y, d = prices()
-            since_refactor = 0
-    return _simplex(tab, cfg, (basic, vstat, Binv), dual_pivots=pivots)
+        else:
+            d[wb.basic] = 0.0
+    wb.recompute()
+    return _simplex(wb, cfg)
 
 
-def _assemble(tab, res, lp, cfg, flip):
+def _assemble(tab, res, lp, flip):
     """Build the user-facing solution from the simplex end state."""
     basic, vstat, x_B, xv = res["basic"], res["vstat"], res["x_B"], res["xv"]
     x_full = xv.copy()
@@ -499,9 +495,9 @@ def solve_lp(lp: LPInstance, cfg: KernelConfig = None, warm_start: Basis = None)
         c=-lp.c, A=lp.A, rhs=lp.rhs, row_senses=lp.row_senses, lb=lp.lb, ub=lp.ub,
         c0=0.0, sense="min")
     tab = _Tableau(work)
-    start, warm = _initial_point(tab, warm_start)
-    res = _dual_simplex(tab, cfg, start) if warm else _simplex(tab, cfg, start)
-    return _assemble(tab, res, lp, cfg, flip)
+    wb = _WorkingBasis(tab, warm_start)
+    res = _dual_simplex(wb, cfg) if wb.warm else _simplex(wb, cfg)
+    return _assemble(tab, res, lp, flip)
 
 
 def certificate_gap(lp: LPInstance, y: np.ndarray, tol: float = 1e-7) -> float:

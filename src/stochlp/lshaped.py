@@ -93,7 +93,6 @@ class SubproblemOutcome:
     duals: np.ndarray          # lambda_s or sigma_s (row multipliers)
     cut_const: float           # dual bound-term constant, folds into the cut rhs
     y: np.ndarray = None
-    wall: float = 0.0
     T: np.ndarray = None       # the scenario's T and h, which the cut builders read
     h: np.ndarray = None
 
@@ -114,7 +113,6 @@ def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
     the phase-1 value w_s > 0 with certificate sigma satisfying the same
     support inequality for the infeasibility measure.
     """
-    t0 = time.perf_counter()
     lp = scenario_lp(shape, scenario, x)
     sol = kernel.solve_lp(lp, cfg, warm_start=warm)
     hTx = lp.rhs
@@ -123,15 +121,13 @@ def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
         const = sol.objective - float(lam @ hTx)
         return SubproblemOutcome(scenario=scenario_index, feasible=True,
                                  value=sol.objective, duals=lam, cut_const=const,
-                                 y=sol.x, wall=time.perf_counter() - t0,
-                                 T=scenario.T, h=scenario.h), sol.basis
+                                 y=sol.x, T=scenario.T, h=scenario.h), sol.basis
     if sol.status == kernel.INFEASIBLE:
         sigma = sol.farkas
         w = sol.extras.get("infeasibility", float(np.nan))
         const = w - float(sigma @ hTx)
         return SubproblemOutcome(scenario=scenario_index, feasible=False,
                                  value=w, duals=sigma, cut_const=const,
-                                 wall=time.perf_counter() - t0,
                                  T=scenario.T, h=scenario.h), None
     if sol.status == kernel.UNBOUNDED:
         raise UnboundedSubproblem(scenario_index)

@@ -14,7 +14,7 @@ Row senses are the strings "<=", ">=", "=".
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -217,7 +217,6 @@ class TwoStageProblem:
     scenarios: tuple
     declared_first_sense: str = "min"
     declared_second_sense: str = "min"
-    names: dict = field(default_factory=dict)
 
     @property
     def n(self):

@@ -115,6 +115,16 @@ class TestMeasures:
         res = analysis.evpi(p)
         assert "raw" in res.components
 
+    def test_all_measures_match_evpi_and_vss(self):
+        p = farmer_problem()
+        measures = analysis.all_measures(p)
+        for single in (analysis.evpi(p), analysis.vss(p)):
+            res = measures[single.measure]
+            assert (res.value, res.flags) == (single.value, single.flags)
+            assert res.components.keys() == single.components.keys()
+            for key, val in single.components.items():
+                np.testing.assert_array_equal(res.components[key], val)
+
     def test_consistency_error_for_bad_values(self):
         from stochlp.analysis import _clamp
         with pytest.raises(InternalConsistencyError):

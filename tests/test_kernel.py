@@ -231,6 +231,23 @@ class TestSolveLP:
                                                        rel=1e-8)
                 basis = warm.basis
 
+    @pytest.mark.parametrize("basic, vstat", [
+        ([0, 7], [2, 0, 0, 2]),     # a basic index out of range
+        ([2, 3], [7, 7, 2, 2]),     # not a status code
+        ([2, 3], [-1, 0, 2, 2]),    # nor is a negative one
+        ([2, 3], [1, 1, 2, 2]),     # nonbasic at an infinite upper bound
+        ([2, 3], [2, 0, 0, 0]),     # vstat basic on other columns than basic
+        ([1, 2], [0, 2, 2, 3]),     # a bounded slack marked free
+    ])
+    def test_invalid_warm_token_solves_cold(self, basic, vstat):
+        lp = LPInstance(c=[-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]], rhs=[4.0, 6.0],
+                        row_senses=("<=", "<="), lb=[0.0, 0.0], ub=[np.inf, np.inf])
+        token = kernel.Basis(np.array(basic), np.array(vstat, dtype=np.int8))
+        sol = solve_lp(lp, warm_start=token)
+        assert sol.status == kernel.OPTIMAL
+        assert sol.objective == pytest.approx(-2.8, rel=1e-12)
+        np.testing.assert_allclose(sol.x, [1.6, 1.2], rtol=1e-12)
+
     def test_iteration_limit_flagged(self):
         rng = np.random.default_rng(9)
         lp = random_bounded_lp(rng)
@@ -386,6 +403,66 @@ class TestDualSimplex:
         assert warm.extras["pivots"]["dual"] >= 1
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
         np.testing.assert_allclose(warm.duals, cold.duals, atol=1e-12)
+
+
+def degenerate_cases(seed, count):
+    """``count`` (lp, grown, warm basis) triples of medium degenerate LPs.
+
+    All rows of ``lp`` pass through one point ``x0`` with about half its
+    coordinates at their lower bound, so ``x0`` is a degenerate vertex and
+    cold solves take more than 60 pivots.  ``grown`` appends 80 ``>=`` rows
+    that ``x0`` satisfies and the optimum of ``lp`` violates unless it is
+    ``x0``, with ``warm`` that optimum's basis plus their basic slacks.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = 40, 50
+    for _ in range(count):
+        A = np.round(rng.normal(0, 1, (m, n)), 2)
+        x0 = np.where(rng.random(n) < 0.5, 0.0, np.round(rng.uniform(0, 3, n), 2))
+        lp = LPInstance(c=np.round(rng.normal(0, 1, n), 2), A=A, rhs=A @ x0,
+                        row_senses=("<=",) * m, lb=np.zeros(n), ub=np.full(n, 5.0))
+        base = solve_lp(lp)
+        G = np.round(rng.normal(0, 1, (80, n)), 2)
+        G *= np.sign(G @ (x0 - base.x))[:, None]
+        yield (lp,) + _with_cuts(lp, base.basis, G, G @ (base.x + 3 * x0) / 4)
+
+
+def assert_matches_highs(lp, sol):
+    ref = scipy_reference(lp)
+    assert sol.status == kernel.OPTIMAL and ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-8, abs=1e-8)
+    assert primal_violation(lp, sol.x) <= 1e-7
+    assert_dual_certificate(lp, sol)
+
+
+class TestLongSolves:
+    """Solves long enough to refactorize the inverse and to meet degeneracy."""
+
+    def test_cold(self):
+        for lp, _, _ in degenerate_cases(30, 6):
+            sol = solve_lp(lp)
+            assert sol.iterations > kernel._REFACTOR_EVERY
+            assert_matches_highs(lp, sol)
+
+    def test_warm(self):
+        long = 0
+        for _, grown, warm in degenerate_cases(31, 6):
+            sol = solve_lp(grown, warm_start=warm)
+            assert_matches_highs(grown, sol)
+            long += sol.extras["pivots"]["dual"] > kernel._REFACTOR_EVERY
+        assert long >= 2
+
+    def test_bland_from_the_first_degenerate_pivot(self, monkeypatch):
+        cases = list(degenerate_cases(32, 4))
+        dantzig = [solve_lp(lp).extras["pivots"] for lp, _, _ in cases]
+        monkeypatch.setattr(kernel, "_STALL_LIMIT", 0)
+        bland = []
+        for lp, grown, warm in cases:
+            sol = solve_lp(lp)
+            assert_matches_highs(lp, sol)
+            bland.append(sol.extras["pivots"])
+            assert_matches_highs(grown, solve_lp(grown, warm_start=warm))
+        assert bland != dantzig     # Bland's rule did choose other pivots
 
 
 def grid_qp_oracle(lp, span, resolution):

@@ -14,19 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .errors import (
-    FirstStageInfeasible,
-    SecondStageInfeasible,
-    StochLPError,
-    UnboundedSubproblem,
-)
+from .errors import FirstStageInfeasible, SecondStageInfeasible, StochLPError
+from .lshaped import LShapedConfig, recourse_values, solve_lshaped
 from .model import (
+    LPInstance,
     StochasticModel,
     TwoStageProblem,
     build_deterministic_equivalent,
     build_expected_value_problem,
     build_wait_and_see,
-    expected_scenario,
 )
 from .sampling import (
     ConfidenceReport,
@@ -66,20 +62,6 @@ class MeasureResult:
         return d
 
 
-def _recourse_value(shape, scenario, x, kcfg=None, scenario_index=0):
-    from .lshaped import scenario_lp
-    lp = scenario_lp(shape, scenario, np.asarray(x, dtype=float))
-    sol = kernel.solve_lp(lp, kcfg)
-    if sol.status == kernel.INFEASIBLE:
-        raise SecondStageInfeasible(scenario_index)
-    if sol.status == kernel.UNBOUNDED:
-        raise UnboundedSubproblem(scenario_index)
-    if sol.status != kernel.OPTIMAL:
-        raise kernel.NumericalBreakdown(
-            f"recourse LP of scenario {scenario_index} ended {sol.status}")
-    return sol.objective
-
-
 def evaluate_decision(p: TwoStageProblem, x, kcfg=None, on_infeasible="inf"):
     """Expected result c^T x + sum_s pi_s Q_s(x) of a first-stage decision.
 
@@ -89,20 +71,20 @@ def evaluate_decision(p: TwoStageProblem, x, kcfg=None, on_infeasible="inf"):
     """
     x = np.asarray(x, dtype=float)
     first = p.first
-    from .model import LPInstance
     probe = LPInstance(c=np.zeros(first.n), A=first.A, rhs=first.b,
                        row_senses=first.row_senses, lb=first.lb, ub=first.ub)
     viol = kernel.primal_violation(probe, x)
     if viol > 1e-6:
         raise FirstStageInfeasible(f"candidate violates the first stage by {viol:.3g}")
+    try:
+        values = recourse_values(p.shape, p.scenarios, x, kcfg)
+    except SecondStageInfeasible:
+        if on_infeasible == "raise":
+            raise
+        return np.inf
     total = float(first.c @ x)
-    for s, sc in enumerate(p.scenarios):
-        try:
-            total += sc.probability * _recourse_value(p.shape, sc, x, kcfg, s)
-        except SecondStageInfeasible:
-            if on_infeasible == "raise":
-                raise
-            return np.inf
+    for sc, v in zip(p.scenarios, values):
+        total += sc.probability * v
     return total
 
 
@@ -114,7 +96,6 @@ def vrp(p: TwoStageProblem, kcfg=None):
         if sol.status != kernel.OPTIMAL:
             raise kernel.NumericalBreakdown(f"DEP solve ended {sol.status}")
         return sol.objective, sol.x[:p.n]
-    from .lshaped import LShapedConfig, solve_lshaped
     rep = solve_lshaped(p, LShapedConfig())
     return rep.extras["internal_objective"], rep.decision
 

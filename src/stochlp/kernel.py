@@ -89,10 +89,6 @@ class LPSolution:
     iterations: int = 0
     extras: dict = field(default_factory=dict)
 
-    @property
-    def is_optimal(self):
-        return self.status == OPTIMAL
-
 
 def _dense(A):
     return A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)

@@ -7,9 +7,11 @@ yield feasibility cuts from the phase-1 certificate.  Cut aggregation
 regularized-decomposition / level-set master policies are all composable
 with serial, synchronous, and asynchronous execution.
 
-Bounds on second-stage variables are supported directly: each cut's rhs
-absorbs the constant dual bound contribution, so the cut is tight at the
-generating candidate and remains a valid global under-estimator.
+Bounds on second-stage variables are supported directly: each cut's rhs is
+the subproblem value plus gradient . x at the generating candidate, which
+absorbs the dual bound terms, so the cut is tight there and remains a valid
+global under-estimator.  ``recourse_values`` scores a decision through the
+same subproblem solve and status mapping.
 
 In every execution mode the work item is one aggregation bundle, so
 single-cut mode has one item per version; cut violation is checked against
@@ -29,12 +31,13 @@ from .errors import (
     MasterInfeasible,
     MixedOutcome,
     NotInfeasible,
+    SecondStageInfeasible,
     UnboundedSubproblem,
 )
 from .execution import ExecConfig, VersionedDecision, drive
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
 from .kernel import KernelConfig
-from .model import LPInstance, TwoStageProblem
+from .model import LPInstance, TwoStageProblem, scenario_key
 from .report import SolveReport
 
 
@@ -87,14 +90,20 @@ class Cut:
 
 @dataclass
 class SubproblemOutcome:
+    """Q_s(x) at one candidate x and the cut it yields.
+
+    The cut is theta >= rhs - gradient . x' for every x', with
+    gradient = lambda^T T_s and rhs = value + gradient . x, so it is tight at
+    x.  When the subproblem is infeasible, the phase-1 certificate sigma and
+    the infeasibility measure w_s > 0 take the places of lambda and Q_s(x).
+    """
+
     scenario: int
     feasible: bool
     value: float               # Q_s(x) when feasible, w_s > 0 otherwise
-    duals: np.ndarray          # lambda_s or sigma_s (row multipliers)
-    cut_const: float           # dual bound-term constant, folds into the cut rhs
+    gradient: np.ndarray       # lambda^T T_s, or sigma^T T_s when infeasible
+    rhs: float                 # value + gradient . x
     y: np.ndarray = None
-    T: np.ndarray = None       # the scenario's T and h, which the cut builders read
-    h: np.ndarray = None
 
 
 def scenario_lp(shape, scenario, x) -> LPInstance:
@@ -105,34 +114,51 @@ def scenario_lp(shape, scenario, x) -> LPInstance:
 
 
 def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
-                     scenario_index=0) -> SubproblemOutcome:
-    """Solve one scenario subproblem, returning duals for cut construction.
+                     scenario_index=0):
+    """The one solve of Q_s(x): (outcome, optimal basis or None when infeasible).
 
-    Feasible: Q_s(x) with duals lambda such that
-    Q_s(x') >= lambda^T (h - T x') + cut_const for every x'.  Infeasible:
-    the phase-1 value w_s > 0 with certificate sigma satisfying the same
-    support inequality for the infeasibility measure.
+    Every status other than optimal and infeasible raises, naming the scenario.
     """
-    lp = scenario_lp(shape, scenario, x)
-    sol = kernel.solve_lp(lp, cfg, warm_start=warm)
-    hTx = lp.rhs
+    s = scenario_index
+    sol = kernel.solve_lp(scenario_lp(shape, scenario, x), cfg, warm_start=warm)
     if sol.status == kernel.OPTIMAL:
-        lam = sol.duals
-        const = sol.objective - float(lam @ hTx)
-        return SubproblemOutcome(scenario=scenario_index, feasible=True,
-                                 value=sol.objective, duals=lam, cut_const=const,
-                                 y=sol.x, T=scenario.T, h=scenario.h), sol.basis
-    if sol.status == kernel.INFEASIBLE:
-        sigma = sol.farkas
-        w = sol.extras.get("infeasibility", float(np.nan))
-        const = w - float(sigma @ hTx)
-        return SubproblemOutcome(scenario=scenario_index, feasible=False,
-                                 value=w, duals=sigma, cut_const=const,
-                                 T=scenario.T, h=scenario.h), None
-    if sol.status == kernel.UNBOUNDED:
-        raise UnboundedSubproblem(scenario_index)
-    raise kernel.NumericalBreakdown(
-        f"subproblem {scenario_index} ended with status {sol.status}")
+        value, mult = sol.objective, sol.duals
+    elif sol.status == kernel.INFEASIBLE:
+        value, mult = sol.extras.get("infeasibility", float(np.nan)), sol.farkas
+    elif sol.status == kernel.UNBOUNDED:
+        raise UnboundedSubproblem(s)
+    else:
+        raise kernel.NumericalBreakdown(f"recourse LP of scenario {s} ended {sol.status}")
+    feasible = sol.status == kernel.OPTIMAL
+    gradient = mult @ scenario.T
+    out = SubproblemOutcome(scenario=s, feasible=feasible, value=value, gradient=gradient,
+                            rhs=value + float(gradient @ x), y=sol.x if feasible else None)
+    return out, sol.basis if feasible else None
+
+
+# Evaluation calls the function by this name: perfbench/tracing.py wraps the
+# module attribute solve_subproblem as the L-shaped subproblem layer only.
+_solve_scenario = solve_subproblem
+
+
+def recourse_values(shape, scenarios, x, cfg: KernelConfig = None):
+    """Q_s(x) of every scenario, solving each distinct recourse LP once.
+
+    Raises ``SecondStageInfeasible`` naming the first scenario with no
+    feasible recourse at x.
+    """
+    x = np.asarray(x, dtype=float)
+    vals = np.empty(len(scenarios))
+    cache = {}
+    for s, sc in enumerate(scenarios):
+        key = scenario_key(sc)
+        if key not in cache:
+            out, _ = _solve_scenario(shape, sc, x, cfg, scenario_index=s)
+            if not out.feasible:
+                raise SecondStageInfeasible(s)
+            cache[key] = out.value
+        vals[s] = cache[key]
+    return vals
 
 
 def make_optimality_cut(outcomes, probabilities, aggregate=0, iteration=0) -> Cut:
@@ -143,21 +169,19 @@ def make_optimality_cut(outcomes, probabilities, aggregate=0, iteration=0) -> Cu
     for out, pi in zip(outcomes, probabilities):
         if not out.feasible:
             raise MixedOutcome(f"scenario {out.scenario} outcome is a feasibility outcome")
-        g = pi * (out.duals @ out.T)
+        g = pi * out.gradient
         grad = g if grad is None else grad + g
-        rhs += pi * (float(out.duals @ out.h) + out.cut_const)
+        rhs += pi * out.rhs
         source.add(out.scenario)
     return Cut(kind="optimality", gradient=grad, rhs=rhs, source=frozenset(source),
                iteration=iteration, aggregate=aggregate)
 
 
 def make_feasibility_cut(outcome, iteration=0) -> Cut:
-    """Half-space sigma^T T x >= sigma^T h + const excluding the infeasible candidate."""
+    """Half-space sigma^T T x >= sigma^T T x_k + w_s excluding the infeasible candidate x_k."""
     if outcome.feasible:
         raise NotInfeasible(f"scenario {outcome.scenario} is feasible; no cut to build")
-    grad = outcome.duals @ outcome.T
-    rhs = float(outcome.duals @ outcome.h) + outcome.cut_const
-    return Cut(kind="feasibility", gradient=grad, rhs=rhs,
+    return Cut(kind="feasibility", gradient=outcome.gradient, rhs=outcome.rhs,
                source=frozenset({outcome.scenario}), iteration=iteration)
 
 
@@ -276,8 +300,8 @@ class MasterState:
         if sol.status == kernel.INFEASIBLE:
             raise MasterInfeasible(
                 "first stage plus feasibility cuts has no feasible point")
-        if sol.status == kernel.UNBOUNDED:
-            raise kernel.NumericalBreakdown("master is unbounded despite theta lower bounds")
+        if sol.status != kernel.OPTIMAL:     # theta_min bounds it, so never unbounded
+            raise kernel.NumericalBreakdown(f"master LP ended {sol.status}")
         if tr_center is None:
             self._warm = sol.basis
         self._record_activity(lp, sol)

@@ -192,6 +192,12 @@ class Scenario:
         return self.row_senses if self.row_senses is not None else shape.row_senses
 
 
+def scenario_key(s: Scenario):
+    """Hashable image of a scenario's data: equal keys mean identical recourse LPs."""
+    arrays = (s.q, s.T, s.h, s.lb, s.ub)
+    return tuple(None if a is None else a.tobytes() for a in arrays) + (s.row_senses,)
+
+
 @dataclass(frozen=True)
 class StochasticModel:
     """A first stage plus a recourse shape, without any scenario set yet.
@@ -435,8 +441,12 @@ def _ws_instance(first: FirstStage, shape: RecourseShape, sc: Scenario) -> LPIns
     )
 
 
-def expected_scenario(scenarios) -> Scenario:
-    """Probability-weighted componentwise mean of (q, T, h) and bounds."""
+def expected_scenario(scenarios, shape: RecourseShape) -> Scenario:
+    """Probability-weighted componentwise mean of (q, T, h) and bounds.
+
+    A bound is averaged when some scenario overrides it; a scenario without
+    the override counts with ``shape``'s bound.
+    """
     scenarios = list(scenarios)
     if not scenarios:
         raise EmptyScenarioSet("cannot average an empty scenario set")
@@ -445,13 +455,10 @@ def expected_scenario(scenarios) -> Scenario:
     q = sum(wi * s.q for wi, s in zip(w, scenarios))
     T = sum(wi * s.T for wi, s in zip(w, scenarios))
     h = sum(wi * s.h for wi, s in zip(w, scenarios))
-    have_lb = [s for s in scenarios if s.lb is not None]
-    have_ub = [s for s in scenarios if s.ub is not None]
     kwargs = {}
-    if have_lb:
-        kwargs["lb"] = sum(wi * (s.lb if s.lb is not None else 0.0) for wi, s in zip(w, scenarios))
-    if have_ub:
-        kwargs["ub"] = sum(wi * (s.ub if s.ub is not None else 0.0) for wi, s in zip(w, scenarios))
+    for k, name in enumerate(("lb", "ub")):
+        if any(getattr(s, name) is not None for s in scenarios):
+            kwargs[name] = sum(wi * s.bounds(shape)[k] for wi, s in zip(w, scenarios))
     senses = scenarios[0].row_senses
     if any(s.row_senses != senses for s in scenarios):
         raise ValueError("scenarios disagree on row senses; the mean scenario is undefined")
@@ -462,7 +469,7 @@ def expected_scenario(scenarios) -> Scenario:
 
 def build_expected_value_problem(p: TwoStageProblem) -> LPInstance:
     """Wait-and-see LP on the expected scenario."""
-    return _ws_instance(p.first, p.shape, expected_scenario(p.scenarios))
+    return _ws_instance(p.first, p.shape, expected_scenario(p.scenarios, p.shape))
 
 
 def validate(p: TwoStageProblem) -> list:

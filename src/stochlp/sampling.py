@@ -17,13 +17,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.stats
 
+from . import kernel, model as _model
 from .errors import TooFewBatches
+from .lshaped import recourse_values
 from .model import (
     Scenario,
     StochasticModel,
     TwoStageProblem,
     build_problem,
     minimization_form,
+    scenario_key,
 )
 
 
@@ -110,17 +113,12 @@ def sample_instance(model: StochasticModel, sampler, n, seed) -> TwoStageProblem
     return build_problem(model.first, model.shape, scenarios)
 
 
-def _scenario_key(s):
-    """Bytes of a scenario's (q, T, h): equal keys mean identical data."""
-    return s.q.tobytes(), s.T.tobytes(), s.h.tobytes()
-
-
 def _collapse_duplicates(scenarios):
     """Merge identical sampled scenarios into weighted ones (exact for the DEP)."""
     merged = {}
     order = []
     for s in scenarios:
-        key = _scenario_key(s)
+        key = scenario_key(s)
         if key in merged:
             merged[key] = replace(merged[key],
                                   probability=merged[key].probability + s.probability)
@@ -193,9 +191,7 @@ class SaaResult:
 
 
 def _solve_dep_value(problem, kcfg=None):
-    from . import kernel
-    from .model import build_deterministic_equivalent
-    lp = build_deterministic_equivalent(problem)
+    lp = _model.build_deterministic_equivalent(problem)   # looked up per call, so wrappers see it
     sol = kernel.solve_lp(lp, kcfg)
     if sol.status != kernel.OPTIMAL:
         raise kernel.NumericalBreakdown(f"sampled instance ended {sol.status}")
@@ -217,18 +213,9 @@ def evaluate_on_samples(model, sampler, x, n_eval, seed, kcfg=None):
     Identical sampled scenarios are solved once (exact for the returned
     sample statistics), which makes discrete samplers cheap to evaluate.
     """
-    from .analysis import _recourse_value
     first, shape, scenarios = minimization_form(
         model.first, model.shape, [sampler.sample(seed, i) for i in range(n_eval)])
-    vals = np.empty(n_eval)
-    base = float(first.c @ x)
-    cache = {}
-    for i, sc in enumerate(scenarios):
-        key = _scenario_key(sc)
-        if key not in cache:
-            cache[key] = _recourse_value(shape, sc, x, kcfg, scenario_index=i)
-        vals[i] = base + cache[key]
-    return vals
+    return float(first.c @ x) + recourse_values(shape, scenarios, x, kcfg)
 
 
 def saa_solve(model: StochasticModel, sampler, cfg: SaaConfig = None,

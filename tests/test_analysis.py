@@ -29,6 +29,16 @@ class TestEvaluateDecision:
         with pytest.raises(kernel.NumericalBreakdown, match="scenario 0 ended iteration_limit"):
             analysis.evaluate_decision(farmer_problem(), [170.0, 80.0, 250.0], cfg)
 
+    def test_scenarios_differing_only_in_bounds_are_solved_apart(self):
+        # min x - 0.5 y1 - 0.5 y2 with y1 <= 2, y2 <= 10 at x = 0: -6
+        p = build_problem(
+            FirstStage(c=[1.0], A=np.zeros((0, 1)), b=[], row_senses=(),
+                       lb=[0.0], ub=[4.0]),
+            RecourseShape(W=[[1.0]], sense="min", row_senses=(">=",), ub=[10.0]),
+            [Scenario(probability=0.5, q=[-1.0], T=[[0.0]], h=[0.0], ub=[2.0]),
+             Scenario(probability=0.5, q=[-1.0], T=[[0.0]], h=[0.0])])
+        assert analysis.evaluate_decision(p, [0.0]) == -6.0
+
     def test_single_scenario_dep_optimum(self):
         p = build_problem(
             FirstStage(c=[1.0], A=np.zeros((0, 1)), b=[], row_senses=(),

@@ -72,6 +72,13 @@ class TestSubproblem:
         with pytest.raises(UnboundedSubproblem):
             solve_subproblem(shape, sc, np.array([0.0]), scenario_index=3)
 
+    def test_iteration_limit_raises_naming_the_scenario(self):
+        p = farmer_problem()
+        with pytest.raises(kernel.NumericalBreakdown,
+                           match="recourse LP of scenario 2 ended iteration_limit"):
+            solve_subproblem(p.shape, p.scenarios[2], np.array([170.0, 80.0, 250.0]),
+                             kernel.KernelConfig(max_iterations=1), scenario_index=2)
+
 
 class TestCuts:
     def test_optimality_cut_tight_at_generator(self):
@@ -313,6 +320,17 @@ class TestMaster:
         assert sol.extras["pivots"]["dual"] >= 1
         assert sol.extras["pivots"]["phase1"] == sol.extras["pivots"]["phase2"] == 0
         assert value == pytest.approx(kernel.solve_lp(st._instance()).objective, rel=1e-9)
+
+
+    def test_iteration_limit_raises_naming_the_master(self):
+        # an iterate stopped by the limit may break the first stage; it is no candidate
+        from stochlp.lshaped import MasterState
+        p = farmer_problem()
+        st = MasterState(p, 1, -1e10, kernel.KernelConfig(max_iterations=1))
+        st.add_cut(make_optimality_cut(_outcomes_at(p, [170.0, 80.0, 250.0]),
+                                       p.probabilities))
+        with pytest.raises(kernel.NumericalBreakdown, match="master LP ended iteration_limit"):
+            st.solve_plain()
 
 
 class TestConsolidation:

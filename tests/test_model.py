@@ -157,25 +157,41 @@ class TestWaitAndSee:
 class TestExpectedScenario:
     def test_farmer_mean_yields(self):
         p = farmer_problem()
-        mean = expected_scenario(p.scenarios)
+        mean = expected_scenario(p.scenarios, p.shape)
         np.testing.assert_allclose(np.diag(np.asarray(mean.T)[:3, :3]),
                                    [2.5, 3.0, 20.0])
         assert mean.probability == 1.0
 
     def test_single_scenario(self):
         p = simple_problem()
-        mean = expected_scenario([p.scenarios[0]])
+        mean = expected_scenario([p.scenarios[0]], p.shape)
         np.testing.assert_allclose(mean.q, p.scenarios[0].q)
 
     def test_weighted_mean_of_costs(self):
         p = simple_problem()
-        mean = expected_scenario(p.scenarios)
+        mean = expected_scenario(p.scenarios, p.shape)
         # internal q is negated (max second stage): 0.4*24 + 0.6*28 = 26.4
         assert abs(mean.q[0] - (-26.4)) <= 1e-12
 
     def test_empty(self):
         with pytest.raises(EmptyScenarioSet):
-            expected_scenario([])
+            expected_scenario([], simple_problem().shape)
+
+    def test_missing_bound_override_counts_the_shape_bound(self):
+        # shape ub 10, one of two equally likely scenarios overrides it with 2
+        first = FirstStage(c=[1.0], A=np.zeros((0, 1)), b=[], row_senses=(),
+                           lb=[0.0], ub=[4.0])
+        shape = RecourseShape(W=[[1.0]], sense="min", row_senses=(">=",),
+                              ub=[10.0])
+        scen = [Scenario(probability=0.5, q=[-1.0], T=[[0.0]], h=[0.0], ub=[2.0]),
+                Scenario(probability=0.5, q=[-1.0], T=[[0.0]], h=[0.0])]
+        p = build_problem(first, shape, scen)
+        mean = expected_scenario(p.scenarios, p.shape)
+        np.testing.assert_array_equal(mean.ub, [6.0])
+        np.testing.assert_array_equal(mean.bounds(p.shape)[0], [0.0])
+        ev = build_expected_value_problem(p)
+        np.testing.assert_array_equal(ev.ub[1:], [6.0])
+        assert kernel.solve_lp(ev).objective == pytest.approx(-6.0, abs=1e-9)
 
     def test_ev_problem_is_ws_on_mean(self):
         p = farmer_problem()
@@ -186,7 +202,7 @@ class TestExpectedScenario:
         from stochlp.model import TwoStageProblem
         p = simple_problem()
         ev = kernel.solve_lp(build_expected_value_problem(p))
-        mean = expected_scenario(p.scenarios)
+        mean = expected_scenario(p.scenarios, p.shape)
         singleton = TwoStageProblem(first=p.first, shape=p.shape,
                                     scenarios=(mean,),
                                     declared_first_sense=p.declared_first_sense,

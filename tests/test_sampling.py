@@ -22,6 +22,7 @@ from stochlp.model import (
 from stochlp.sampling import (
     DiscreteSampler,
     SaaConfig,
+    _batch_instance,
     confidence_interval,
     evaluate_on_samples,
     saa_solve,
@@ -102,6 +103,22 @@ class TestEvaluateOnSamples:
         for v, sc in zip(vals, drawn):
             expected = analysis.evaluate_decision(build_problem(first, shape, [sc]), x)
             assert v == pytest.approx(expected, abs=1e-9)
+
+    def test_scenarios_differing_only_in_bounds_are_kept_apart(self):
+        # same (q, T, h), different upper bound on y: two recourse LPs, two values
+        first = FirstStage(c=[1.0], A=np.zeros((0, 1)), b=[], row_senses=(),
+                           lb=[0.0], ub=[4.0])
+        shape = RecourseShape(W=[[1.0]], sense="min", row_senses=(">=",), ub=[10.0])
+        scenarios = (Scenario(probability=1.0, q=[-1.0], T=[[0.0]], h=[0.0], ub=[2.0]),
+                     Scenario(probability=1.0, q=[-1.0], T=[[0.0]], h=[0.0]))
+        model = StochasticModel(first, shape)
+        sampler = DiscreteSampler(scenarios=scenarios, weights=(0.5, 0.5))
+        vals = evaluate_on_samples(model, sampler, [0.0], 16, seed=0)
+        drawn = [sampler.sample(0, i) for i in range(16)]
+        assert {id(s) for s in drawn} == {id(s) for s in scenarios}
+        np.testing.assert_array_equal(vals, [-2.0 if s is scenarios[0] else -10.0
+                                             for s in drawn])
+        assert len(_batch_instance(model, sampler, 16, 0).scenarios) == 2
 
 
 class TestConfidenceInterval:

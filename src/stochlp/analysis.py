@@ -92,25 +92,23 @@ def vrp(p: TwoStageProblem, kcfg=None):
     """Optimal value of the recourse problem (internal minimization form)."""
     if p.nscen <= DEP_SCENARIO_LIMIT:
         lp = build_deterministic_equivalent(p)
-        sol = kernel.solve_lp(lp, kcfg)
-        if sol.status != kernel.OPTIMAL:
-            raise kernel.NumericalBreakdown(f"DEP solve ended {sol.status}")
+        sol = kernel.require_optimal(kernel.solve_lp(lp, kcfg), "DEP solve")
         return sol.objective, sol.x[:p.n]
     rep = solve_lshaped(p, LShapedConfig())
     return rep.extras["internal_objective"], rep.decision
 
 
+def wait_and_see_solutions(p: TwoStageProblem, kcfg=None):
+    """Optimal solution over (x, y) of each scenario's wait-and-see LP, in order."""
+    for s in range(p.nscen):
+        sol = kernel.solve_lp(build_wait_and_see(p, s), kcfg)
+        yield kernel.require_optimal(sol, "wait-and-see LP", s)
+
+
 def ews(p: TwoStageProblem, kcfg=None):
     """Probability-weighted sum of wait-and-see optima."""
-    total = 0.0
-    for s, sc in enumerate(p.scenarios):
-        lp = build_wait_and_see(p, s)
-        sol = kernel.solve_lp(lp, kcfg)
-        if sol.status != kernel.OPTIMAL:
-            raise kernel.NumericalBreakdown(
-                f"wait-and-see problem of scenario {s} ended {sol.status}")
-        total += sc.probability * sol.objective
-    return total
+    return sum(sc.probability * sol.objective
+               for sc, sol in zip(p.scenarios, wait_and_see_solutions(p, kcfg)))
 
 
 def _clamp(name, value, scale):
@@ -134,9 +132,7 @@ def evpi(p: TwoStageProblem, kcfg=None) -> MeasureResult:
 
 def expected_value_decision(p: TwoStageProblem, kcfg=None):
     lp = build_expected_value_problem(p)
-    sol = kernel.solve_lp(lp, kcfg)
-    if sol.status != kernel.OPTIMAL:
-        raise kernel.NumericalBreakdown(f"expected-value problem ended {sol.status}")
+    sol = kernel.require_optimal(kernel.solve_lp(lp, kcfg), "expected-value problem")
     return sol.x[:p.n]
 
 

@@ -20,13 +20,7 @@ import time
 import numpy as np
 
 from . import analysis, fixtures, kernel, serialize, smps
-from .errors import (
-    ConfigError,
-    MasterInfeasible,
-    InfeasibleScenario,
-    StochLPError,
-    UnboundedSubproblem,
-)
+from .errors import ConfigError, InfeasibleProblem, StochLPError, UnboundedProblem
 from .execution import ExecConfig, _number
 from .lshaped import LShapedConfig, solve_lshaped
 from .model import build_deterministic_equivalent
@@ -266,7 +260,7 @@ def main(argv=None):
     except (ConfigError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MasterInfeasible, InfeasibleScenario, UnboundedSubproblem) as e:
+    except (InfeasibleProblem, UnboundedProblem) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except StochLPError as e:

@@ -35,7 +35,15 @@ class NumericalBreakdown(StochLPError):
     pass
 
 
-class UnboundedSubproblem(StochLPError):
+class InfeasibleProblem(StochLPError):
+    """The program, or a relaxation of it, has no feasible point."""
+
+
+class UnboundedProblem(StochLPError):
+    """The program's objective is unbounded in its optimizing direction."""
+
+
+class UnboundedSubproblem(UnboundedProblem):
     def __init__(self, scenario, message=""):
         self.scenario = scenario
         super().__init__(message or f"second-stage problem of scenario {scenario} is unbounded")
@@ -81,16 +89,16 @@ class NotInfeasible(StochLPError):
     """A feasibility cut was requested from a feasible subproblem outcome."""
 
 
-class MasterInfeasible(StochLPError):
+class MasterInfeasible(InfeasibleProblem):
     """First stage plus feasibility cuts has no feasible point."""
 
 
-class InfeasibleScenario(StochLPError):
+class InfeasibleScenario(InfeasibleProblem):
     def __init__(self, scenario):
         self.scenario = scenario
         super().__init__(
-            f"scenario {scenario} has an infeasible wait-and-see problem; progressive hedging "
-            "has no feasibility-cut mechanism, use the L-shaped solver instead"
+            f"scenario {scenario} has an infeasible wait-and-see problem, so the whole "
+            "problem is infeasible"
         )
 
 

@@ -108,8 +108,8 @@ def run_wave(items, worker_fn):
 
     Returns the envelopes sorted by (version, index).  ``worker_fn(item)``
     must be pure given the item and the published decision it references.
-    A failed item is reported as a WorkerPanic carrying its identity once
-    the whole wave has run.
+    A package error (StochLPError) stops the wave and is raised as is; any
+    other failure is a WorkerPanic naming the item once the wave has run.
     """
     def call(item):
         t0 = time.perf_counter()
@@ -189,7 +189,8 @@ def run_async(coordinator, worker_fn, cfg: ExecConfig):
     - ``finished`` property: stop flag; no decision is published once it is set
 
     Returns AsyncStats; all issued items are drained before returning so no
-    result is ever lost.
+    result is ever lost.  As in ``run_wave``, a worker's ``StochLPError`` is
+    re-raised as is and any other exception becomes a WorkerPanic.
     """
     n = coordinator.n_items
     kappa_count = max(1, math.ceil(cfg.kappa * n))
@@ -248,7 +249,8 @@ def run_async(coordinator, worker_fn, cfg: ExecConfig):
             pair = (env.version, env.index)
             stats.pair_counts[pair] = stats.pair_counts.get(pair, 0) + 1
             if env.error is not None:
-                failure = WorkerPanic(pair, env.error)
+                failure = env.error if isinstance(env.error, StochLPError) \
+                    else WorkerPanic(pair, env.error)
                 break
             if env.version > newest:
                 raise StochLPError("protocol violation: envelope for an unpublished version")

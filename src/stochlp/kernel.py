@@ -17,6 +17,10 @@ pivots.
 The QP method is a primal-dual interior point specialized to diagonal
 Hessians.
 
+Both methods return a status; a caller that needs an optimum passes the
+solution through ``require_optimal``, so an infeasible, unbounded or
+unfinished solve fails the same way whichever layer ran it.
+
 Dual sign convention, used unchanged by every consumer in this package:
 for a minimization instance the row multipliers ``y`` satisfy
 
@@ -38,7 +42,14 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.sparse as sp
 
-from .errors import NumericalBreakdown, UnsupportedQuadratic
+from .errors import (
+    InfeasibleProblem,
+    InfeasibleScenario,
+    NumericalBreakdown,
+    UnboundedProblem,
+    UnboundedSubproblem,
+    UnsupportedQuadratic,
+)
 from .model import LPInstance
 
 OPTIMAL = "optimal"
@@ -88,6 +99,27 @@ class LPSolution:
     basis: Basis = None
     iterations: int = 0
     extras: dict = field(default_factory=dict)
+
+
+def require_optimal(sol: LPSolution, what: str, scenario: int = None) -> LPSolution:
+    """``sol`` itself when it is optimal; otherwise the error its status names.
+
+    An infeasible or unbounded program raises ``InfeasibleProblem`` or
+    ``UnboundedProblem``, and ``InfeasibleScenario`` or ``UnboundedSubproblem``
+    when ``scenario`` is given.  Any other status (an iteration limit) leaves
+    no solution to use and raises ``NumericalBreakdown``.  Messages read
+    "{what}[ of scenario s] ended {status}", except ``InfeasibleScenario``'s.
+    """
+    if sol.status == OPTIMAL:
+        return sol
+    where = what if scenario is None else f"{what} of scenario {scenario}"
+    if sol.status == INFEASIBLE:
+        raise InfeasibleProblem(f"{where} ended infeasible") if scenario is None \
+            else InfeasibleScenario(scenario)
+    if sol.status == UNBOUNDED:
+        raise UnboundedProblem(f"{where} ended unbounded") if scenario is None \
+            else UnboundedSubproblem(scenario, f"{where} ended unbounded")
+    raise NumericalBreakdown(f"{where} ended {sol.status}")
 
 
 def _dense(A):

@@ -32,7 +32,6 @@ from .errors import (
     MixedOutcome,
     NotInfeasible,
     SecondStageInfeasible,
-    UnboundedSubproblem,
 )
 from .execution import ExecConfig, VersionedDecision, drive
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
@@ -121,15 +120,11 @@ def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
     """
     s = scenario_index
     sol = kernel.solve_lp(scenario_lp(shape, scenario, x), cfg, warm_start=warm)
-    if sol.status == kernel.OPTIMAL:
-        value, mult = sol.objective, sol.duals
-    elif sol.status == kernel.INFEASIBLE:
-        value, mult = sol.extras.get("infeasibility", float(np.nan)), sol.farkas
-    elif sol.status == kernel.UNBOUNDED:
-        raise UnboundedSubproblem(s)
+    feasible = sol.status != kernel.INFEASIBLE
+    if feasible:
+        value, mult = kernel.require_optimal(sol, "recourse LP", s).objective, sol.duals
     else:
-        raise kernel.NumericalBreakdown(f"recourse LP of scenario {s} ended {sol.status}")
-    feasible = sol.status == kernel.OPTIMAL
+        value, mult = sol.extras.get("infeasibility", float(np.nan)), sol.farkas
     gradient = mult @ scenario.T
     out = SubproblemOutcome(scenario=s, feasible=feasible, value=value, gradient=gradient,
                             rhs=value + float(gradient @ x), y=sol.x if feasible else None)
@@ -300,8 +295,7 @@ class MasterState:
         if sol.status == kernel.INFEASIBLE:
             raise MasterInfeasible(
                 "first stage plus feasibility cuts has no feasible point")
-        if sol.status != kernel.OPTIMAL:     # theta_min bounds it, so never unbounded
-            raise kernel.NumericalBreakdown(f"master LP ended {sol.status}")
+        kernel.require_optimal(sol, "master LP")
         if tr_center is None:
             self._warm = sol.basis
         self._record_activity(lp, sol)

@@ -192,6 +192,25 @@ class Scenario:
         return self.row_senses if self.row_senses is not None else shape.row_senses
 
 
+def write_targets(q, T, h, assignments):
+    """Copies of (q, T, h) with each ``(target, value)`` written in, in order.
+
+    A target is ("q", j), ("h", i) or ("T", i, j).
+    """
+    q, T, h = q.copy(), T.copy(), h.copy()
+    for target, value in assignments:
+        kind = target[0]
+        if kind == "q":
+            q[target[1]] = value
+        elif kind == "h":
+            h[target[1]] = value
+        elif kind == "T":
+            T[target[1], target[2]] = value
+        else:
+            raise ValueError(f"unknown scenario data target {target!r}")
+    return q, T, h
+
+
 def scenario_key(s: Scenario):
     """Hashable image of a scenario's data: equal keys mean identical recourse LPs."""
     arrays = (s.q, s.T, s.h, s.lb, s.ub)

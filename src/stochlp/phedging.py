@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernel
-from .errors import ConfigError, InfeasibleScenario, NumericalBreakdown, UnboundedSubproblem
+from . import analysis, kernel
+from .errors import ConfigError, FirstStageInfeasible
 from .execution import ExecConfig, VersionedDecision, drive
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
 from .kernel import KernelConfig
@@ -111,22 +111,11 @@ def solve_ph_subproblem(first, shape, scenario, xi, rho_s, r,
         sol = kernel.solve_lp(lin, cfg)
     else:
         sol = kernel.solve_qp_diagonal(qp, cfg, warm_start=warm)
-    _check_status(sol, scenario_index, "proximal subproblem")
+    kernel.require_optimal(sol, "proximal subproblem", scenario_index)
     x_s = sol.x[:n]
     y_s = sol.x[n:n + shape.m]
     obj = float(first.c @ x_s + scenario.q @ y_s)
     return x_s, y_s, obj, sol.extras.get("ipm_state")
-
-
-def _check_status(sol, scenario_index, what):
-    """Raise unless ``sol`` is optimal: a non-converged iterate is no solution."""
-    if sol.status == kernel.INFEASIBLE:
-        raise InfeasibleScenario(scenario_index)
-    if sol.status == kernel.UNBOUNDED:
-        raise UnboundedSubproblem(scenario_index)
-    if sol.status != kernel.OPTIMAL:
-        raise NumericalBreakdown(
-            f"{what} of scenario {scenario_index} ended {sol.status}")
 
 
 def aggregate_implementable(xs, probs):
@@ -152,18 +141,10 @@ def update_penalty(primal_gap, dual_gap, cfg: PhConfig, r):
 
 def _initial_state(problem: TwoStageProblem, cfg: PhConfig) -> PhState:
     """Unpenalized wait-and-see solves seed the scenario copies."""
-    S, n, m = problem.nscen, problem.n, problem.m
-    xs = np.zeros((S, n))
-    ys = np.zeros((S, m))
-    for s, sc in enumerate(problem.scenarios):
-        ws = _ws_instance(problem.first, problem.shape, sc)
-        sol = kernel.solve_lp(ws, cfg.kernel)
-        _check_status(sol, s, "wait-and-see LP")
-        xs[s] = sol.x[:n]
-        ys[s] = sol.x[n:n + m]
-    probs = problem.probabilities
-    xi = aggregate_implementable(xs, probs)
-    return PhState(xs=xs, ys=ys, xi=xi, rho=np.zeros((S, n)), r=cfg.r)
+    ws = np.array([sol.x for sol in analysis.wait_and_see_solutions(problem, cfg.kernel)])
+    xs, ys = ws[:, :problem.n].copy(), ws[:, problem.n:].copy()
+    xi = aggregate_implementable(xs, problem.probabilities)
+    return PhState(xs=xs, ys=ys, xi=xi, rho=np.zeros_like(xs), r=cfg.r)
 
 
 def solve_ph(problem: TwoStageProblem, cfg: PhConfig = None,
@@ -192,11 +173,10 @@ def _objective(problem, state):
 def _report(problem, cfg, engine, state, trace, status, wall, seed):
     obj = _objective(problem, state)
     # expected value of the implementable point itself, when it is feasible
-    # (pre-consensus it may not be second-stage feasible)
-    from .analysis import evaluate_decision
-    from .errors import FirstStageInfeasible
+    # (pre-consensus it may not be second-stage feasible); looked up per
+    # call, so wrappers of analysis.evaluate_decision see it
     try:
-        xi_value = evaluate_decision(problem, state.xi, cfg.kernel)
+        xi_value = analysis.evaluate_decision(problem, state.xi, cfg.kernel)
     except FirstStageInfeasible:
         xi_value = np.inf
     rep = SolveReport(

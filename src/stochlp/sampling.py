@@ -27,6 +27,7 @@ from .model import (
     build_problem,
     minimization_form,
     scenario_key,
+    write_targets,
 )
 
 
@@ -66,8 +67,8 @@ class DiscreteSampler:
 class NormalSampler:
     """Multivariate normal over designated (q, T, h) entries of a template.
 
-    ``targets`` names where each sampled component lands: ("q", j),
-    ("h", i), or ("T", i, j).
+    ``targets`` names where each sampled component lands, in the format of
+    :func:`stochlp.model.write_targets`.
     """
 
     mean: np.ndarray
@@ -88,20 +89,9 @@ class NormalSampler:
     def sample(self, seed, index) -> Scenario:
         rng = scenario_rng(seed, index)
         draw = rng.multivariate_normal(self.mean, self.cov, method="cholesky")
-        q = self.template.q.copy()
-        h = self.template.h.copy()
-        T = self.template.T.copy()
-        for value, target in zip(draw, self.targets):
-            kind = target[0]
-            if kind == "q":
-                q[target[1]] = value
-            elif kind == "h":
-                h[target[1]] = value
-            elif kind == "T":
-                T[target[1], target[2]] = value
-            else:
-                raise ValueError(f"unknown sample target {target!r}")
-        return replace(self.template, q=q, T=T, h=h, probability=1.0)
+        t = self.template
+        q, T, h = write_targets(t.q, t.T, t.h, zip(self.targets, draw))
+        return replace(t, q=q, T=T, h=h, probability=1.0)
 
 
 def sample_instance(model: StochasticModel, sampler, n, seed) -> TwoStageProblem:
@@ -115,8 +105,7 @@ def sample_instance(model: StochasticModel, sampler, n, seed) -> TwoStageProblem
 
 def _collapse_duplicates(scenarios):
     """Merge identical sampled scenarios into weighted ones (exact for the DEP)."""
-    merged = {}
-    order = []
+    merged = {}     # insertion-ordered: first occurrences keep their place
     for s in scenarios:
         key = scenario_key(s)
         if key in merged:
@@ -124,8 +113,7 @@ def _collapse_duplicates(scenarios):
                                   probability=merged[key].probability + s.probability)
         else:
             merged[key] = s
-            order.append(key)
-    return [merged[k] for k in order]
+    return list(merged.values())
 
 
 @dataclass
@@ -192,9 +180,7 @@ class SaaResult:
 
 def _solve_dep_value(problem, kcfg=None):
     lp = _model.build_deterministic_equivalent(problem)   # looked up per call, so wrappers see it
-    sol = kernel.solve_lp(lp, kcfg)
-    if sol.status != kernel.OPTIMAL:
-        raise kernel.NumericalBreakdown(f"sampled instance ended {sol.status}")
+    sol = kernel.require_optimal(kernel.solve_lp(lp, kcfg), "sampled instance")
     return sol.objective, sol.x[:problem.n]
 
 
@@ -244,12 +230,7 @@ def saa_solve(model: StochasticModel, sampler, cfg: SaaConfig = None,
         x_hat = decisions[int(np.argsort(vals)[vals.size // 2])]
         evals = evaluate_on_samples(model, sampler, x_hat, cfg.eval_samples,
                                     derive_seed(seed, rounds, 10009), kcfg)
-        u_mean = float(evals.mean())
-        u_sd = float(evals.std(ddof=1))
-        t = float(scipy.stats.t.ppf(0.5 * (1.0 + cfg.confidence), evals.size - 1))
-        u_half = t * u_sd / np.sqrt(evals.size)
-        upper = ConfidenceReport(point=u_mean, lo=u_mean - u_half, hi=u_mean + u_half,
-                                 level=cfg.confidence, n=evals.size, batches=1)
+        upper = replace(confidence_interval(evals, cfg.confidence), n=evals.size, batches=1)
         # union of the two interval estimates: equals [lower.lo, upper.hi]
         # normally, and stays ordered when sampling noise crosses them
         lo = min(lower.lo, upper.lo)

@@ -21,7 +21,14 @@ from .errors import (
     TwoPeriodOnly,
     UnsupportedSection,
 )
-from .model import FirstStage, RecourseShape, Scenario, TwoStageProblem, build_problem
+from .model import (
+    FirstStage,
+    RecourseShape,
+    Scenario,
+    TwoStageProblem,
+    build_problem,
+    write_targets,
+)
 
 DEFAULT_SCENARIO_CAP = 100000
 
@@ -385,8 +392,6 @@ def read_smps(triplet: SmpsTriplet, cap=DEFAULT_SCENARIO_CAP) -> TwoStageProblem
 
 
 def _expand(positions, q0, T0, h0, cap):
-    if not positions:
-        return [Scenario(probability=1.0, q=q0, T=T0, h=h0)]
     total = 1
     for pos in positions:
         total *= len(pos.outcomes)
@@ -399,27 +404,15 @@ def _expand(positions, q0, T0, h0, cap):
                                  f"outcome probabilities of {pos.target} sum to {psum:.8g}")
     scenarios = []
     for combo in itertools.product(*(pos.outcomes for pos in positions)):
-        q, T, h = q0.copy(), T0.copy(), h0.copy()
         prob = 1.0
+        assignments = []
         for pos, (value, pr) in zip(positions, combo):
             prob *= pr
-            if pos.target[0] == "block":
-                for tgt, v in value.items():
-                    _apply(tgt, v, q, T, h)
-            else:
-                _apply(pos.target, value, q, T, h)
+            block = pos.target[0] == "block"
+            assignments.extend(value.items() if block else [(pos.target, value)])
+        q, T, h = write_targets(q0, T0, h0, assignments)
         scenarios.append(Scenario(probability=prob, q=q, T=T, h=h))
     return scenarios
-
-
-def _apply(target, value, q, T, h):
-    kind = target[0]
-    if kind == "q":
-        q[target[1]] = value
-    elif kind == "h":
-        h[target[1]] = value
-    else:
-        T[target[1], target[2]] = value
 
 
 def read_smps_files(core_path, time_path=None, stoch_path=None,

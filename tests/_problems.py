@@ -144,3 +144,20 @@ def first_stage_feasible_points(problem, count, seed):
         if sol.status == kernel.OPTIMAL:
             pts.append(sol.x[:n])
     return pts
+
+
+def infeasible_problem():
+    """One scenario of min x + y with y <= 4, y >= x + 5, x >= 0: nothing is feasible."""
+    first = FirstStage(c=[1.0], A=np.zeros((0, 1)), b=[], row_senses=(), lb=[0.0])
+    shape = RecourseShape(W=[[1.0], [1.0]], sense="min", row_senses=("<=", ">="))
+    sc = Scenario(probability=1.0, q=[1.0], T=[[0.0], [-1.0]], h=[4.0, 5.0])
+    return build_problem(first, shape, [sc])
+
+
+def unbounded_recourse_problem():
+    """Recourse min -y1 s.t. y1 - y2 >= 0, y >= 0: unbounded at every x in [0, 1]."""
+    first = FirstStage(c=[1.0], A=np.zeros((0, 1)), b=[], row_senses=(),
+                       lb=[0.0], ub=[1.0])
+    shape = RecourseShape(W=[[1.0, -1.0]], sense="min", row_senses=(">=",))
+    sc = Scenario(probability=1.0, q=[-1.0, 0.0], T=[[0.0]], h=[0.0])
+    return build_problem(first, shape, [sc])

@@ -5,7 +5,7 @@ import pytest
 
 from stochlp import analysis, kernel
 from stochlp.analysis import InternalConsistencyError
-from stochlp.errors import FirstStageInfeasible
+from stochlp.errors import FirstStageInfeasible, InfeasibleProblem, InfeasibleScenario
 from stochlp.fixtures import farmer_problem, simple_problem
 from stochlp.model import (
     FirstStage,
@@ -15,7 +15,7 @@ from stochlp.model import (
     build_problem,
 )
 
-from _problems import random_rcr_problem
+from _problems import infeasible_problem, random_rcr_problem
 
 
 class TestEvaluateDecision:
@@ -140,6 +140,21 @@ class TestMeasures:
         with pytest.raises(InternalConsistencyError):
             _clamp("EVPI", -1.0, 1.0)
         assert _clamp("EVPI", -1e-9, 1.0)[0] == 0.0
+
+
+class TestInfeasibleProgram:
+    """An infeasible program fails as infeasible in every measure, not as a breakdown."""
+
+    @pytest.mark.parametrize("measure", [analysis.vrp, analysis.expected_value_decision])
+    def test_raises_infeasible_problem(self, measure):
+        with pytest.raises(InfeasibleProblem, match="ended infeasible"):
+            measure(infeasible_problem())
+
+    def test_ews_names_the_scenario(self):
+        with pytest.raises(InfeasibleScenario) as exc:
+            analysis.ews(infeasible_problem())
+        assert exc.value.scenario == 0
+        assert "L-shaped" not in str(exc.value)
 
 
 class TestSolverAgnosticism:

@@ -47,3 +47,31 @@ def test_every_traced_name_exists_and_is_called():
     assert "analysis.evaluate_decision" in names
     assert any(span.name == "kernel.solve_lp" and span.parent is not None
                and span.parent.name == "sampling.evaluate" for span in tracer.spans)
+
+
+def _traced(run):
+    """Spans of ``run()`` under the installed tracer."""
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer)
+    try:
+        run()
+    finally:
+        tracing.uninstall(saved)
+    return tracer.spans, tracing
+
+
+def test_ph_final_evaluation_is_a_span_of_the_ph_solve():
+    spans, tracing = _traced(lambda: phedging.solve_ph(
+        simple_problem(), phedging.PhConfig(max_iterations=2)))
+    evals = [span for span in spans if span.name == "analysis.evaluate_decision"]
+    assert evals
+    assert all(tracing._has_ancestor(span, "phedging.solve") for span in evals)
+
+
+def test_sampled_measures_reach_the_ews_ev_and_dep_layers():
+    cfg = sampling.SaaConfig(n0=4, max_n=4, batches=2, eval_samples=16)
+    spans, _ = _traced(lambda: analysis.sampled_measures(
+        simple_model(), simple_sampler(), cfg, seed=0))
+    names = {span.name for span in spans}
+    assert {"analysis.ews", "analysis.ev", "model.build_dep"} <= names

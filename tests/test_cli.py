@@ -101,6 +101,28 @@ class TestSolve:
         r = run_cli("solve", "--input", str(path), "--method", "ph")
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("args", [
+        ("analyze",),
+        ("solve", "--method", "dep"),
+        ("solve", "--method", "lshaped"),
+        ("solve", "--method", "ph"),
+    ], ids=["analyze", "dep", "lshaped", "ph"])
+    def test_exit_3_on_infeasible_program(self, tmp_path, capsys, args):
+        from stochlp import cli, serialize
+        from _problems import infeasible_problem
+        path = tmp_path / "infeasible.json"
+        serialize.save_problem(infeasible_problem(), path)
+        assert cli.main([*args, "--input", str(path)]) == 3
+
+    def test_exit_3_on_unbounded_recourse_under_async(self, tmp_path, capsys):
+        from stochlp import cli, serialize
+        from _problems import unbounded_recourse_problem
+        path = tmp_path / "unbounded.json"
+        serialize.save_problem(unbounded_recourse_problem(), path)
+        assert cli.main(["solve", "--input", str(path), "--method", "lshaped",
+                         "--exec", "async:0.5"]) == 3
+        assert "unbounded" in capsys.readouterr().err
+
     def test_exit_2_on_iteration_limit(self, tmp_path):
         r = run_cli("solve", "--fixture", "simple", "--method", "ph",
                     "--penalty", "fixed:1", "--max-iterations", "3")

@@ -13,7 +13,15 @@ import pytest
 from scipy.optimize import linprog
 
 from stochlp import kernel
-from stochlp.errors import UnsupportedQuadratic
+from stochlp.errors import (
+    InfeasibleProblem,
+    InfeasibleScenario,
+    MasterInfeasible,
+    NumericalBreakdown,
+    UnboundedProblem,
+    UnboundedSubproblem,
+    UnsupportedQuadratic,
+)
 from stochlp.kernel import (
     KernelConfig,
     certificate_gap,
@@ -315,6 +323,34 @@ def assert_dual_certificate(lp, sol, tol=1e-7):
             assert sol.x[j] == pytest.approx(lp.lb[j], abs=1e-7)
         elif z < -tol:
             assert sol.x[j] == pytest.approx(lp.ub[j], abs=1e-7)
+
+
+class TestRequireOptimal:
+    """The one mapping from a solver status to the package's errors."""
+
+    def test_optimal_returns_the_solution(self):
+        sol = kernel.LPSolution(status=kernel.OPTIMAL)
+        assert kernel.require_optimal(sol, "LP") is sol
+
+    @pytest.mark.parametrize("status, scenario, error, message", [
+        (kernel.INFEASIBLE, None, InfeasibleProblem, "^LP ended infeasible$"),
+        (kernel.INFEASIBLE, 2, InfeasibleScenario, "^scenario 2 has an infeasible"),
+        (kernel.UNBOUNDED, None, UnboundedProblem, "^LP ended unbounded$"),
+        (kernel.UNBOUNDED, 2, UnboundedSubproblem, "^LP of scenario 2 ended unbounded$"),
+        (kernel.ITERATION_LIMIT, None, NumericalBreakdown, "^LP ended iteration_limit$"),
+        (kernel.ITERATION_LIMIT, 2, NumericalBreakdown,
+         "^LP of scenario 2 ended iteration_limit$"),
+    ])
+    def test_other_statuses_raise(self, status, scenario, error, message):
+        with pytest.raises(error, match=message) as exc:
+            kernel.require_optimal(kernel.LPSolution(status=status), "LP", scenario)
+        if scenario is not None and error is not NumericalBreakdown:
+            assert exc.value.scenario == scenario
+
+    def test_scenario_errors_are_the_problem_errors(self):
+        assert issubclass(InfeasibleScenario, InfeasibleProblem)
+        assert issubclass(MasterInfeasible, InfeasibleProblem)
+        assert issubclass(UnboundedSubproblem, UnboundedProblem)
 
 
 class TestDualSimplex:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from stochlp import analysis, kernel
-from stochlp.errors import ConfigError, MasterInfeasible, MixedOutcome, NotInfeasible
+from stochlp.errors import (
+    ConfigError,
+    MasterInfeasible,
+    MixedOutcome,
+    NotInfeasible,
+    UnboundedSubproblem,
+)
 from stochlp.execution import ExecConfig
 from stochlp.fixtures import farmer_problem, norrc1_problem, simple_problem
 from stochlp.lshaped import (
@@ -23,7 +29,11 @@ from stochlp.model import (
     build_problem,
 )
 
-from _problems import first_stage_feasible_points, random_rcr_problem
+from _problems import (
+    first_stage_feasible_points,
+    random_rcr_problem,
+    unbounded_recourse_problem,
+)
 
 
 def _outcomes_at(problem, x):
@@ -66,7 +76,6 @@ class TestSubproblem:
         np.testing.assert_allclose(out.y, [0, 0, 310, 48, 6000, 0], atol=1e-3)
 
     def test_unbounded_subproblem_raises(self):
-        from stochlp.errors import UnboundedSubproblem
         shape = RecourseShape(W=[[1.0]], sense="min", row_senses=(">=",))
         sc = Scenario(probability=1.0, q=[-1.0], T=[[0.0]], h=[0.0])
         with pytest.raises(UnboundedSubproblem):
@@ -471,3 +480,12 @@ class TestExecutionModes:
         added = rep.cut_counts["added_total"]
         assert added > 0
         assert sum(t["cuts_added"] for t in rep.trace) == added
+
+    @pytest.mark.parametrize("engine", [ExecConfig(mode="serial"),
+                                        ExecConfig(mode="async", workers=2, kappa=0.5)],
+                             ids=["serial", "async"])
+    def test_unbounded_recourse_raises_itself_in_every_mode(self, engine):
+        # a worker's package error is re-raised as is, not wrapped in WorkerPanic
+        with pytest.raises(UnboundedSubproblem) as exc:
+            solve_lshaped(unbounded_recourse_problem(), LShapedConfig(), engine=engine)
+        assert exc.value.scenario == 0

@@ -22,6 +22,7 @@ from stochlp.model import (
     build_wait_and_see,
     expected_scenario,
     validate,
+    write_targets,
 )
 from stochlp import serialize
 
@@ -209,6 +210,21 @@ class TestExpectedScenario:
                                     declared_second_sense=p.declared_second_sense)
         dep = kernel.solve_lp(build_deterministic_equivalent(singleton))
         assert ev.objective == pytest.approx(dep.objective, abs=1e-9)
+
+
+class TestWriteTargets:
+    def test_writes_copies_in_order(self):
+        q, T, h = np.zeros(2), np.zeros((1, 2)), np.zeros(1)
+        q2, T2, h2 = write_targets(q, T, h, [(("q", 1), 3.0), (("T", 0, 0), 4.0),
+                                             (("h", 0), 5.0), (("q", 1), 6.0)])
+        np.testing.assert_array_equal(q2, [0.0, 6.0])
+        np.testing.assert_array_equal(T2, [[4.0, 0.0]])
+        np.testing.assert_array_equal(h2, [5.0])
+        assert not q.any() and not T.any() and not h.any()
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown scenario data target"):
+            write_targets(np.zeros(1), np.zeros((1, 1)), np.zeros(1), [(("W", 0, 0), 1.0)])
 
 
 class TestSenses:

@@ -62,12 +62,13 @@ class MeasureResult:
         return d
 
 
-def evaluate_decision(p: TwoStageProblem, x, kcfg=None, on_infeasible="inf"):
+def evaluate_decision(p: TwoStageProblem, x, kcfg=None, on_infeasible="inf", counts=None):
     """Expected result c^T x + sum_s pi_s Q_s(x) of a first-stage decision.
 
     Returns +inf when some scenario is second-stage infeasible at x (or
     raises when on_infeasible='raise').  The candidate must satisfy the
-    first-stage constraints.
+    first-stage constraints.  ``counts`` (a ``lshaped.RecourseCounts``),
+    when given, adds up how many recourse values bunching resolved.
     """
     x = np.asarray(x, dtype=float)
     first = p.first
@@ -77,7 +78,7 @@ def evaluate_decision(p: TwoStageProblem, x, kcfg=None, on_infeasible="inf"):
     if viol > 1e-6:
         raise FirstStageInfeasible(f"candidate violates the first stage by {viol:.3g}")
     try:
-        values = recourse_values(p.shape, p.scenarios, x, kcfg)
+        values = recourse_values(p.batch, x, kcfg, counts)
     except SecondStageInfeasible:
         if on_infeasible == "raise":
             raise

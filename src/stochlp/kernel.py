@@ -135,6 +135,12 @@ def _slack_bounds(sense):
     return 0.0, 0.0
 
 
+def slack_bounds(senses):
+    """Lower and upper bounds of the slacks ``s`` in ``A x + s = rhs``, one per row sense."""
+    bounds = np.array([_slack_bounds(s) for s in senses], dtype=float).reshape(-1, 2)
+    return bounds[:, 0], bounds[:, 1]
+
+
 class _Tableau:
     """Equality-form working problem: [A | I] z = b with bounds on z."""
 
@@ -145,12 +151,9 @@ class _Tableau:
         self.N = n + m
         self.A = np.hstack([A, np.eye(m)])
         self.b = lp.rhs.astype(float).copy()
-        self.lb = np.concatenate([lp.lb, np.zeros(m)])
-        self.ub = np.concatenate([lp.ub, np.zeros(m)])
-        for i, s in enumerate(lp.row_senses):
-            lo, hi = _slack_bounds(s)
-            self.lb[n + i] = lo
-            self.ub[n + i] = hi
+        slack_lo, slack_hi = slack_bounds(lp.row_senses)
+        self.lb = np.concatenate([lp.lb, slack_lo])
+        self.ub = np.concatenate([lp.ub, slack_hi])
         self.c = np.concatenate([lp.c, np.zeros(m)])
 
     def row(self, v):
@@ -526,6 +529,16 @@ def solve_lp(lp: LPInstance, cfg: KernelConfig = None, warm_start: Basis = None)
     wb = _WorkingBasis(tab, warm_start)
     res = _dual_simplex(wb, cfg) if wb.warm else _simplex(wb, cfg)
     return _assemble(tab, res, lp, flip)
+
+
+def basis_inverse(lp: LPInstance, basis: Basis):
+    """The inverse of ``basis``'s columns of ``[A | I]``, or None.
+
+    None when ``basis`` is not a usable warm start of ``lp``, by the same
+    checks ``solve_lp`` applies to ``warm_start`` (``_WorkingBasis._adopt``).
+    """
+    wb = _WorkingBasis(_Tableau(lp), basis)
+    return wb.Binv if wb.warm else None
 
 
 def certificate_gap(lp: LPInstance, y: np.ndarray, tol: float = 1e-7) -> float:

@@ -10,8 +10,17 @@ with serial, synchronous, and asynchronous execution.
 Bounds on second-stage variables are supported directly: each cut's rhs is
 the subproblem value plus gradient . x at the generating candidate, which
 absorbs the dual bound terms, so the cut is tight there and remains a valid
-global under-estimator.  ``recourse_values`` scores a decision through the
-same subproblem solve and status mapping.
+global under-estimator.
+
+Recourse is fixed (W is shared), so a few optimal bases cover most
+scenarios.  ``solve_recourse`` bunches them: each basis of a small pool of
+recent optimal bases resolves, in one matmul over the problem's
+``ScenarioBatch``, every pending scenario for which it is primal and dual
+feasible, and only the rest (infeasible scenarios included) go through
+``solve_subproblem``, the one LP solve and status mapping, whose optimal
+bases then join the pool.  The L-shaped bundles and ``recourse_values``,
+which scores a decision, share it; trace records count the ``bunched`` and
+``lp_solved`` outcomes of each iteration.
 
 In every execution mode the work item is one aggregation bundle, so
 single-cut mode has one item per version; cut violation is checked against
@@ -20,6 +29,7 @@ the (x, theta) pair of the version that generated the cut.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -103,6 +113,7 @@ class SubproblemOutcome:
     gradient: np.ndarray       # lambda^T T_s, or sigma^T T_s when infeasible
     rhs: float                 # value + gradient . x
     y: np.ndarray = None
+    bunched: bool = False      # resolved from a pooled basis, not by an LP solve
 
 
 def scenario_lp(shape, scenario, x) -> LPInstance:
@@ -114,7 +125,7 @@ def scenario_lp(shape, scenario, x) -> LPInstance:
 
 def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
                      scenario_index=0):
-    """The one solve of Q_s(x): (outcome, optimal basis or None when infeasible).
+    """The one LP solve of Q_s(x): (outcome, optimal basis or None when infeasible).
 
     Every status other than optimal and infeasible raises, naming the scenario.
     """
@@ -136,24 +147,214 @@ def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
 _solve_scenario = solve_subproblem
 
 
-def recourse_values(shape, scenarios, x, cfg: KernelConfig = None):
-    """Q_s(x) of every scenario, solving each distinct recourse LP once.
+_POOL_SIZE = 8      # optimal recourse bases a BasisPool keeps for bunching
+
+
+class _PooledBasis:
+    """An optimal basis with the inverse of its columns and its status masks."""
+
+    def __init__(self, basis, Binv):
+        self.basis = basis
+        self.basic = basis.basic
+        self.Binv = Binv
+        vstat = basis.vstat
+        self.at_lb, self.at_ub = vstat == kernel._AT_LB, vstat == kernel._AT_UB
+        self.free = vstat == kernel._FREE
+        self.not_lb, self.not_ub = ~self.at_lb, ~self.at_ub
+
+    def same(self, basis):
+        return np.array_equal(self.basic, basis.basic) \
+            and np.array_equal(self.basis.vstat, basis.vstat)
+
+
+class BasisPool:
+    """Recent optimal bases for the scenarios of one batch, most recent first.
+
+    The scenarios that keep the shape's row senses share the equality form
+    ``[W | I]``, so a basis is one set of columns for all of them.  The pool
+    holds their bounds and costs in that form, stacked, and with each basis
+    the inverse of its columns.  Entries are replaced whole, so a reader
+    that takes ``entries`` once sees a consistent pool while other threads
+    add to it.
+    """
+
+    def __init__(self, batch):
+        S, r = batch.size, batch.shape.r
+        slack_lo, slack_hi = kernel.slack_bounds(batch.shape.row_senses)
+        self.batch = batch
+        self.A = np.hstack([batch.shape.W, np.eye(r)])
+        self.lo = np.hstack([batch.lb, np.broadcast_to(slack_lo, (S, r))])
+        self.hi = np.hstack([batch.ub, np.broadcast_to(slack_hi, (S, r))])
+        self.cost = np.hstack([batch.q, np.zeros((S, r))])
+        self.entries = ()
+        self._lock = threading.Lock()
+
+    def add(self, lp, basis):
+        """Put ``basis``, optimal for ``lp``, first; None unless it is a usable basis."""
+        Binv = kernel.basis_inverse(lp, basis)
+        if Binv is None:
+            return None
+        entry = _PooledBasis(basis, Binv)
+        with self._lock:
+            rest = tuple(e for e in self.entries if not e.same(basis))
+            self.entries = (entry,) + rest[:_POOL_SIZE - 1]
+        return entry
+
+    def touch(self, entry):
+        """Move ``entry`` to the front."""
+        with self._lock:
+            if self.entries and self.entries[0] is not entry:
+                self.entries = (entry,) + tuple(e for e in self.entries if e is not entry)
+
+
+class _Pending:
+    """The scenarios ``idx`` of a pool's batch at x, and which are still open."""
+
+    def __init__(self, pool, idx, x):
+        batch = pool.batch
+        self.pool = pool
+        self.idx = idx
+        self.x = x
+        self.T = batch.T[idx]
+        self.q = batch.q[idx]
+        self.rhs = batch.h[idx] - self.T @ x
+        self.lo, self.hi, self.cost = pool.lo[idx], pool.hi[idx], pool.cost[idx]
+        self.q_varies = bool((self.q != self.q[:1]).any())
+        self.open = ~batch.own_senses[idx]     # not yet resolved and bunchable
+
+    def bunch(self, entry, cfg):
+        """Outcomes of the open scenarios that ``entry``'s basis solves, by position.
+
+        A scenario is accepted when, with its nonbasic columns at finite
+        bounds (free ones at zero, with no finite bound), its basic values
+        lie within their bounds to ``feas_tol`` and every movable nonbasic
+        column's reduced cost has the sign its status needs to ``opt_tol``:
+        the tests at which the simplex stops.
+        """
+        A, basic, Binv = self.pool.A, entry.basic, entry.Binv
+        pos = np.flatnonzero(self.open)
+        lo, hi = self.lo[pos], self.hi[pos]
+        xv = np.where(entry.at_ub, hi, np.where(entry.at_lb, lo, 0.0))
+        ok = np.isfinite(xv).all(axis=1)
+        if entry.free.any():
+            ok &= (np.isinf(lo[:, entry.free]) & np.isinf(hi[:, entry.free])).all(axis=1)
+        xv[~ok] = 0.0
+        x_B = (self.rhs[pos] - xv @ A.T) @ Binv.T
+        ok &= ((x_B >= lo[:, basic] - cfg.feas_tol)
+               & (x_B <= hi[:, basic] + cfg.feas_tol)).all(axis=1)
+        if self.q_varies:
+            cost = self.cost[pos]
+            duals = cost[:, basic] @ Binv
+            d = cost - duals @ A
+        else:
+            duals = np.broadcast_to(self.cost[0, basic] @ Binv, (pos.size, basic.size))
+            d = self.cost[:1] - duals[:1] @ A
+        d[:, basic] = 0.0
+        wrong = ((d < -cfg.opt_tol) & entry.not_ub) | ((d > cfg.opt_tol) & entry.not_lb)
+        ok &= ~(wrong & (lo < hi)).any(axis=1)
+        if not ok.any():
+            return {}
+        pos, xv, x_B, duals = pos[ok], xv[ok], x_B[ok], duals[ok]
+        self.open[pos] = False
+        xv[:, basic] = x_B
+        y = xv[:, :self.q.shape[1]]
+        values = np.einsum("ij,ij->i", self.q[pos], y)
+        gradients = np.einsum("ir,irn->in", duals, self.T[pos])
+        rhs = values + gradients @ self.x
+        return {int(k): SubproblemOutcome(
+                    scenario=int(self.idx[k]), feasible=True, value=float(values[i]),
+                    gradient=gradients[i], rhs=float(rhs[i]), y=y[i], bunched=True)
+                for i, k in enumerate(pos)}
+
+
+def solve_recourse(pool: BasisPool, x, idx, cfg: KernelConfig = None, solve=None):
+    """Outcomes at x of the scenarios ``idx`` of ``pool.batch``, in the order of ``idx``.
+
+    Bunching: each basis of ``pool``, most recent first, resolves every
+    open scenario it is optimal for with one matmul for the basic values
+    (and one for the reduced costs when q varies); such an outcome has
+    ``bunched`` set, its duals are ``B^-T q_B`` and its cut gradient their
+    product with T_s.  The scenarios no basis accepts, which include every
+    infeasible one and every one with its own row senses, go in index order
+    to ``solve`` (``solve_subproblem`` unless given), warm from the most
+    recent pool basis; each optimal basis it returns joins the pool and is
+    tried on the scenarios still open.
+    """
+    cfg = cfg or kernel.DEFAULT_CONFIG
+    solve = solve or solve_subproblem
+    batch = pool.batch
+    x = np.asarray(x, dtype=float)
+    idx = np.asarray(idx, dtype=int)
+    pend = _Pending(pool, idx, x)
+    outs = {}
+    for entry in pool.entries:
+        if not pend.open.any():
+            break
+        got = pend.bunch(entry, cfg)
+        if got:
+            pool.touch(entry)
+            outs.update(got)
+    for k, s in enumerate(idx):
+        if k in outs:
+            continue
+        entries = pool.entries
+        sc = batch.scenarios[s]
+        outs[k], basis = solve(batch.shape, sc, x, cfg,
+                               warm=entries[0].basis if entries else None,
+                               scenario_index=int(s))
+        pend.open[k] = False
+        if basis is not None and not batch.own_senses[s]:
+            entry = pool.add(scenario_lp(batch.shape, sc, x), basis)
+            if entry is not None and pend.open.any():
+                outs.update(pend.bunch(entry, cfg))
+    return [outs[k] for k in range(idx.size)]
+
+
+@dataclass
+class RecourseCounts:
+    """How many second-stage outcomes bunching resolved and how many an LP did."""
+
+    bunched: int = 0
+    lp_solved: int = 0
+
+    def add(self, outcomes):
+        n = sum(o.bunched for o in outcomes)
+        self.bunched += n
+        self.lp_solved += len(outcomes) - n
+
+    @property
+    def bunched_share(self):
+        total = self.bunched + self.lp_solved
+        return self.bunched / total if total else 0.0
+
+    def as_dict(self):
+        return {"bunched": self.bunched, "lp_solved": self.lp_solved,
+                "bunched_share": self.bunched_share}
+
+
+def recourse_values(batch, x, cfg: KernelConfig = None, counts: RecourseCounts = None):
+    """Q_s(x) of every scenario of ``batch``, resolving each distinct recourse LP once.
 
     Raises ``SecondStageInfeasible`` naming the first scenario with no
-    feasible recourse at x.
+    feasible recourse at x.  ``counts``, when given, adds up the split
+    between bunched and LP-solved outcomes.
     """
-    x = np.asarray(x, dtype=float)
-    vals = np.empty(len(scenarios))
-    cache = {}
-    for s, sc in enumerate(scenarios):
-        key = scenario_key(sc)
-        if key not in cache:
-            out, _ = _solve_scenario(shape, sc, x, cfg, scenario_index=s)
-            if not out.feasible:
-                raise SecondStageInfeasible(s)
-            cache[key] = out.value
-        vals[s] = cache[key]
-    return vals
+    def solve(*args, **kwargs):
+        out, basis = _solve_scenario(*args, **kwargs)
+        if not out.feasible:
+            raise SecondStageInfeasible(out.scenario)
+        return out, basis
+
+    first = {}
+    owner = np.array([first.setdefault(scenario_key(sc), s)
+                      for s, sc in enumerate(batch.scenarios)], dtype=int)
+    idx = np.fromiter(first.values(), dtype=int, count=len(first))
+    outs = solve_recourse(BasisPool(batch), x, idx, cfg, solve=solve)
+    if counts is not None:
+        counts.add(outs)
+    vals = np.empty(batch.size)
+    vals[idx] = [o.value for o in outs]
+    return vals[owner]
 
 
 def make_optimality_cut(outcomes, probabilities, aggregate=0, iteration=0) -> Cut:
@@ -227,7 +428,8 @@ class MasterState:
         self.x = None
         self.theta = None
         self.value = None
-        self._warm = None
+        self._warm = None          # last optimal basis of the plain master
+        self._warm_tr = None       # and of the trust-region master
 
     def add_cut(self, cut: Cut):
         self.cuts.append(cut)
@@ -279,7 +481,7 @@ class MasterState:
 
     def solve_plain(self, tr_center=None, tr_delta=None):
         lp = self._instance(tr_center=tr_center, tr_delta=tr_delta)
-        warm = self._warm if tr_center is None else None
+        warm = self._warm if tr_center is None else self._warm_tr
         if warm is not None:
             need = lp.nvars + lp.nrows
             if warm.vstat.size != need:
@@ -298,6 +500,8 @@ class MasterState:
         kernel.require_optimal(sol, "master LP")
         if tr_center is None:
             self._warm = sol.basis
+        else:
+            self._warm_tr = sol.basis
         self._record_activity(lp, sol)
         return sol.x[:self.n], sol.x[self.n:], sol.objective
 
@@ -349,6 +553,7 @@ class MasterState:
         if dropped:
             self.cuts = keep
             self._warm = self._drop_rows(self._warm, dropped)
+            self._warm_tr = self._drop_rows(self._warm_tr, dropped)
         return len(dropped)
 
     def _drop_rows(self, warm, dropped):
@@ -378,7 +583,8 @@ class _Run:
         self.probs = problem.probabilities
         self.bundles = make_bundles(problem.nscen, cfg.cuts, cfg.bundle_size)
         self.state = MasterState(problem, len(self.bundles), cfg.theta_min, cfg.kernel)
-        self.warm = [None] * problem.nscen
+        self.pool = BasisPool(problem.batch)
+        self.counts = RecourseCounts()
         self.U_best = np.inf
         self.x_best = None
         self.ys_best = None
@@ -395,15 +601,7 @@ class _Run:
         self.prev_model_value = None
 
     def solve_bundle(self, bundle, x):
-        outs = []
-        for s in bundle:
-            out, basis = solve_subproblem(self.p.shape, self.p.scenarios[s], x,
-                                          self.cfg.kernel, warm=self.warm[s],
-                                          scenario_index=s)
-            if basis is not None:
-                self.warm[s] = basis
-            outs.append(out)
-        return outs
+        return solve_recourse(self.pool, x, bundle, self.cfg.kernel)
 
     def note_upper(self, U, x, outcomes):
         if U is not None and U < self.U_best - 1e-12:
@@ -468,11 +666,12 @@ class _Run:
             self.prev_model_value = val
         return x, theta, L_plain
 
-    def record(self, wall, added):
+    def record(self, wall, added, counts):
         gap = self.gap()
         self.trace.append({"iteration": self.iteration, "lower": self.L,
                            "upper": self.U_best, "gap": gap,
-                           "cuts_added": added, "wall": wall})
+                           "cuts_added": added, "bunched": counts.bunched,
+                           "lp_solved": counts.lp_solved, "wall": wall})
 
     def gap(self):
         if not np.isfinite(self.U_best) or not np.isfinite(self.L):
@@ -494,6 +693,7 @@ class _Run:
             iterations=self.iteration, cut_counts=counts, trace=self.trace,
             seed=seed, wall_time=wall,
             extras={"internal_objective": self.U_best,
+                    "recourse": self.counts.as_dict(),
                     "_cuts": list(self.state.cuts)},
         )
 
@@ -538,6 +738,7 @@ class _Coordinator:
         self.payloads = {}         # version (= iteration that produced it) -> (x, theta)
         self.pending_eval = None   # last fully evaluated (x, U, added), consumed by advance
         self.unrecorded = 0        # cuts added since the last trace record
+        self.solved = RecourseCounts()     # outcomes received since the last record
         self.t_mark = None
 
     def initial_decision(self):
@@ -555,6 +756,8 @@ class _Coordinator:
             return      # results drained after the stop leave the run as reported
         run = self.run
         outcomes = env.payload
+        run.counts.add(outcomes)
+        self.solved.add(outcomes)
         x, theta = self.payloads[env.version]
         self.partial.setdefault(env.version, []).extend(outcomes)
         infeasible = [o for o in outcomes if not o.feasible]
@@ -595,8 +798,9 @@ class _Coordinator:
         x, theta, L_plain = run.next_candidate(x_eval, U)
         if run.lower_valid():
             run.L = L_plain
-        run.record(time.perf_counter() - self.t_mark, self.unrecorded)
+        run.record(time.perf_counter() - self.t_mark, self.unrecorded, self.solved)
         self.unrecorded = 0
+        self.solved = RecourseCounts()
         # no cut added at a fully evaluated candidate: the model is exact there
         exact = added == 0 and U is not None and cfg.regularization == "none"
         if evaluated is not None and run.lower_valid() \

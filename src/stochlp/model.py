@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -218,6 +219,45 @@ def scenario_key(s: Scenario):
 
 
 @dataclass(frozen=True)
+class ScenarioBatch:
+    """Second-stage data of a scenario list, stacked along a leading scenario axis.
+
+    ``q`` is (S, m), ``T`` (S, r, n), ``h`` (S, r), and ``lb``/``ub`` (S, m)
+    are the effective bounds (a scenario's override, else the shape's).
+    ``own_senses`` (S,) marks the scenarios whose row senses differ from
+    the shape's.  ``shape`` and ``scenarios`` are the data it was built from.
+    """
+
+    shape: RecourseShape
+    scenarios: tuple
+    q: np.ndarray
+    T: np.ndarray
+    h: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    own_senses: np.ndarray
+
+    @property
+    def size(self):
+        return len(self.scenarios)
+
+
+def stack_scenarios(shape: RecourseShape, scenarios) -> ScenarioBatch:
+    """The :class:`ScenarioBatch` of ``scenarios`` under ``shape``."""
+    scenarios = tuple(scenarios)
+    bounds = [s.bounds(shape) for s in scenarios]
+    return ScenarioBatch(
+        shape=shape, scenarios=scenarios,
+        q=np.array([s.q for s in scenarios]),
+        T=np.array([s.T for s in scenarios]),
+        h=np.array([s.h for s in scenarios]),
+        lb=np.array([lo for lo, _ in bounds]),
+        ub=np.array([hi for _, hi in bounds]),
+        own_senses=np.array([s.senses(shape) != shape.row_senses for s in scenarios],
+                            dtype=bool))
+
+
+@dataclass(frozen=True)
 class StochasticModel:
     """A first stage plus a recourse shape, without any scenario set yet.
 
@@ -262,6 +302,11 @@ class TwoStageProblem:
     @property
     def probabilities(self):
         return np.array([s.probability for s in self.scenarios])
+
+    @cached_property
+    def batch(self) -> ScenarioBatch:
+        """The scenarios stacked, built on first use and then kept."""
+        return stack_scenarios(self.shape, self.scenarios)
 
     def report_value(self, internal_value):
         """Map an internal (minimization) objective back to the declared sense."""

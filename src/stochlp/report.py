@@ -82,6 +82,11 @@ class SolveReport:
         if self.cut_counts:
             total = sum(self.cut_counts.values())
             lines.append(f"cuts:        {total} ({self.cut_counts})")
+        rec = self.extras.get("recourse")
+        if rec:
+            total = rec["bunched"] + rec["lp_solved"]
+            lines.append(f"recourse:    {rec['bunched']} of {total} subproblems bunched "
+                         f"({100.0 * rec['bunched_share']:.1f}%), {rec['lp_solved']} by LP")
         if self.seed is not None:
             lines.append(f"seed:        {self.seed}")
         lines.append(f"wall time:   {self.wall_time:.3f} s")

@@ -27,6 +27,7 @@ from .model import (
     build_problem,
     minimization_form,
     scenario_key,
+    stack_scenarios,
     write_targets,
 )
 
@@ -68,13 +69,17 @@ class NormalSampler:
     """Multivariate normal over designated (q, T, h) entries of a template.
 
     ``targets`` names where each sampled component lands, in the format of
-    :func:`stochlp.model.write_targets`.
+    :func:`stochlp.model.write_targets`.  The covariance must be positive
+    definite: its Cholesky factor is taken once, here, and each draw is
+    ``mean + z @ factor.T`` for a standard normal ``z``, the same numbers as
+    ``Generator.multivariate_normal(mean, cov, method="cholesky")``.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     template: Scenario
     targets: tuple
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -83,12 +88,17 @@ class NormalSampler:
             raise ValueError("covariance shape must match the mean vector")
         if len(self.targets) != mean.size:
             raise ValueError("one target per sampled component required")
+        try:
+            factor = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ValueError("covariance must be positive definite") from None
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "factor", factor)
 
     def sample(self, seed, index) -> Scenario:
         rng = scenario_rng(seed, index)
-        draw = rng.multivariate_normal(self.mean, self.cov, method="cholesky")
+        draw = self.mean + rng.standard_normal(self.mean.size) @ self.factor.T
         t = self.template
         q, T, h = write_targets(t.q, t.T, t.h, zip(self.targets, draw))
         return replace(t, q=q, T=T, h=h, probability=1.0)
@@ -191,17 +201,20 @@ def _batch_instance(model, sampler, n, seed):
     return build_problem(model.first, model.shape, _collapse_duplicates(scenarios))
 
 
-def evaluate_on_samples(model, sampler, x, n_eval, seed, kcfg=None):
+def evaluate_on_samples(model, sampler, x, n_eval, seed, kcfg=None, counts=None):
     """Per-sample value c^T x + Q_s(x) of a fixed decision, internal orientation.
 
     The orientation is the one :func:`build_problem` gives the sampled
     instances, so the estimates of an SAA run score the same objective.
     Identical sampled scenarios are solved once (exact for the returned
-    sample statistics), which makes discrete samplers cheap to evaluate.
+    sample statistics), which makes discrete samplers cheap to evaluate,
+    and the recourse values are bunched (``lshaped.solve_recourse``);
+    ``counts``, when given, adds up how many were.
     """
     first, shape, scenarios = minimization_form(
         model.first, model.shape, [sampler.sample(seed, i) for i in range(n_eval)])
-    return float(first.c @ x) + recourse_values(shape, scenarios, x, kcfg)
+    return float(first.c @ x) + recourse_values(stack_scenarios(shape, scenarios), x,
+                                                kcfg, counts)
 
 
 def saa_solve(model: StochasticModel, sampler, cfg: SaaConfig = None,

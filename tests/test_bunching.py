@@ -1,0 +1,240 @@
+"""Bunched recourse: pooled optimal bases resolve scenarios as the LP would."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from stochlp import analysis, lshaped
+from stochlp.errors import SecondStageInfeasible
+from stochlp.fixtures import farmer_problem
+from stochlp.lshaped import BasisPool, RecourseCounts, solve_recourse, solve_subproblem
+from stochlp.model import FirstStage, RecourseShape, Scenario, build_problem, stack_scenarios
+
+SENSES = ("<=", ">=", "=")
+
+
+def random_fixed_recourse(seed, vary_q, overrides, degenerate):
+    """A shared W with bounded recourse, so every scenario is infeasible or bounded.
+
+    ``degenerate`` draws small integers (ties in costs, zero rhs entries);
+    ``overrides`` gives some scenarios their own bounds or row senses.
+    Large h entries make some scenarios infeasible at some points.
+    """
+    rng = np.random.default_rng(seed)
+    n, r = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    m = r + int(rng.integers(0, 4))
+    if degenerate:
+        W = rng.integers(-2, 3, (r, m)).astype(float)
+        q = rng.integers(-2, 3, m).astype(float)
+    else:
+        W = np.round(rng.normal(0.0, 1.0, (r, m)), 3)
+        q = np.round(rng.normal(0.0, 1.0, m), 3)
+    senses = tuple(rng.choice(SENSES, r))
+    ub = rng.uniform(1.0, 5.0, m)
+    lb = np.where(rng.random(m) < 0.3, -ub, 0.0)
+    shape = RecourseShape(W=W, row_senses=senses, lb=lb, ub=ub)
+    T0 = np.round(rng.normal(0.0, 1.0, (r, n)), 2)
+    scenarios = []
+    for _ in range(int(rng.integers(2, 9))):
+        qs = q + (np.round(rng.normal(0.0, 0.5, m), 2) if vary_q else 0.0)
+        T = T0 + np.round(rng.normal(0.0, 0.2, (r, n)), 2)
+        if degenerate:
+            h = rng.integers(-1, 2, r).astype(float)
+        else:
+            h = np.round(rng.normal(0.0, 2.0, r), 2)
+        kwargs = {}
+        if overrides and rng.random() < 0.3:
+            kwargs["ub"] = ub * rng.uniform(0.5, 1.5, m)
+        if overrides and rng.random() < 0.2:
+            kwargs["row_senses"] = tuple(rng.choice(SENSES, r))
+        scenarios.append(Scenario(probability=1.0, q=qs, T=T, h=h, **kwargs))
+    first = FirstStage(c=np.zeros(n), A=np.zeros((0, n)), b=[], row_senses=(),
+                       lb=np.full(n, -2.0), ub=np.full(n, 2.0))
+    return build_problem(first, shape, scenarios)
+
+
+def _lp(problem, s, x):
+    return solve_subproblem(problem.shape, problem.scenarios[s], x, scenario_index=s)[0]
+
+
+def _y_violation(shape, sc, x, y):
+    lo, hi = sc.bounds(shape)
+    ax = shape.W @ y - (sc.h - sc.T @ x)
+    rows = [max(a, 0.0) if s == "<=" else max(-a, 0.0) if s == ">=" else abs(a)
+            for a, s in zip(ax, sc.senses(shape))]
+    return max(np.max(lo - y, initial=0.0), np.max(y - hi, initial=0.0), max(rows, default=0.0))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), vary_q=st.booleans(), overrides=st.booleans(),
+       degenerate=st.booleans())
+def test_bunched_outcomes_match_the_lp(seed, vary_q, overrides, degenerate):
+    p = random_fixed_recourse(seed, vary_q, overrides, degenerate)
+    rng = np.random.default_rng(seed + 1)
+    points = rng.uniform(-2.0, 2.0, (6, p.n))
+    pool = BasisPool(p.batch)
+    idx = np.arange(p.nscen)
+    solve_recourse(pool, points[0], idx)      # fills the pool
+    x = points[1]
+    outs = solve_recourse(pool, x, idx)
+    for s, out in enumerate(outs):
+        ref = _lp(p, s, x)
+        assert out.scenario == s
+        assert out.feasible == ref.feasible
+        sc = p.scenarios[s]
+        if out.feasible:
+            assert abs(out.value - ref.value) <= 1e-9 * max(1.0, abs(ref.value))
+            assert _y_violation(p.shape, sc, x, out.y) <= 1e-7
+        for xp in points[2:]:
+            at = _lp(p, s, xp)
+            if not at.feasible:
+                continue
+            # optimality cut: Q_s(x') >= rhs - g.x'; feasibility cut: g.x' >= rhs
+            g = float(out.gradient @ xp)
+            slack = at.value - (out.rhs - g) if out.feasible else g - out.rhs
+            assert slack >= -1e-7 * (1.0 + abs(at.value))
+
+
+def test_farmer_outcomes_match_the_lp():
+    # two of the three yield scenarios share an optimal basis at the optimum
+    p = farmer_problem()
+    x = np.array([170.0, 80.0, 250.0])
+    outs = solve_recourse(BasisPool(p.batch), x, range(p.nscen))
+    assert [o.bunched for o in outs] == [False, True, False]
+    for s, out in enumerate(outs):
+        ref = _lp(p, s, x)
+        assert out.value == pytest.approx(ref.value, rel=1e-12)
+        np.testing.assert_allclose(out.gradient, ref.gradient, rtol=1e-12)
+        assert out.rhs == pytest.approx(ref.rhs, rel=1e-12)
+
+
+def _counting(monkeypatch):
+    solved = []
+    solve = lshaped.solve_subproblem
+
+    def counted(*args, **kwargs):
+        solved.append(kwargs["scenario_index"])
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(lshaped, "solve_subproblem", counted)
+    return solved
+
+
+def _one_row_problem(scenarios):
+    """min y1 + 2 y2 s.t. y1 + y2 >= h - x, 0 <= y1 <= 3, 0 <= y2 <= 4."""
+    first = FirstStage(c=[0.0], A=np.zeros((0, 1)), b=[], row_senses=(), lb=[0.0], ub=[1.0])
+    shape = RecourseShape(W=[[1.0, 1.0]], row_senses=(">=",), ub=[3.0, 4.0])
+    return build_problem(first, shape, scenarios)
+
+
+def _sc(h, **kw):
+    return Scenario(probability=1.0, q=[1.0, 2.0], T=[[1.0]], h=[h], **kw)
+
+
+class TestFallbackRoutes:
+    def test_a_scenario_with_its_own_senses_goes_to_the_lp(self, monkeypatch):
+        p = _one_row_problem([_sc(2.0), _sc(2.0, row_senses=("<=",)), _sc(2.5)])
+        solved = _counting(monkeypatch)
+        outs = solve_recourse(BasisPool(p.batch), np.zeros(1), range(3))
+        assert solved == [0, 1]
+        assert [o.bunched for o in outs] == [False, False, True]
+        assert outs[1].value == _lp(p, 1, np.zeros(1)).value == 0.0
+
+    def test_an_infeasible_scenario_goes_to_the_lp(self, monkeypatch):
+        p = _one_row_problem([_sc(1.0), _sc(9.0), _sc(1.5)])
+        solved = _counting(monkeypatch)
+        outs = solve_recourse(BasisPool(p.batch), np.zeros(1), range(3))
+        assert solved == [0, 1]
+        assert not outs[1].feasible and outs[1].value == pytest.approx(2.0)
+        assert outs[2].bunched and outs[2].value == pytest.approx(1.5)
+
+    def test_a_scenario_no_basis_accepts_goes_to_the_lp_and_its_basis_joins(self, monkeypatch):
+        # h = 1: y1 basic below its bound; h = 5: y1 at its bound 3, y2 basic
+        p = _one_row_problem([_sc(1.0), _sc(5.0), _sc(6.0), _sc(2.0)])
+        pool = BasisPool(p.batch)
+        solved = _counting(monkeypatch)
+        outs = solve_recourse(pool, np.zeros(1), range(4))
+        assert solved == [0, 1]
+        assert [o.bunched for o in outs] == [False, False, True, True]
+        assert [o.value for o in outs] == pytest.approx([1.0, 7.0, 9.0, 2.0])
+        assert len(pool.entries) == 2
+        assert pool.entries[0].basis.vstat.tolist() == [1, 2, 1]    # y1 at upper, y2 basic
+
+    def test_one_lp_per_distinct_scenario_in_evaluation(self, monkeypatch):
+        p = _one_row_problem([_sc(1.0), _sc(9.0), _sc(1.0)])
+        with pytest.raises(SecondStageInfeasible) as exc:
+            analysis.evaluate_decision(p, [0.0], on_infeasible="raise")
+        assert exc.value.scenario == 1
+        counts = RecourseCounts()
+        q = _one_row_problem([_sc(1.0), _sc(5.0), _sc(1.0), _sc(2.0)])
+        assert analysis.evaluate_decision(q, [0.0], counts=counts) == pytest.approx(11.0 / 4)
+        assert (counts.bunched, counts.lp_solved) == (1, 2)
+
+
+def test_one_basis_serves_most_simple_normal_samples():
+    from stochlp.fixtures import simple_model, simple_sampler
+    from stochlp.sampling import evaluate_on_samples
+    counts = RecourseCounts()
+    x = np.array([46.67, 36.25])
+    vals = evaluate_on_samples(simple_model(), simple_sampler(), x, 200, 3, counts=counts)
+    assert counts.bunched + counts.lp_solved == 200
+    assert counts.lp_solved <= 5
+    ref = [analysis.evaluate_decision(build_problem(simple_model().first, simple_model().shape,
+                                                    [simple_sampler().sample(3, i)]), x)
+           for i in (0, 57, 199)]
+    np.testing.assert_allclose(vals[[0, 57, 199]], ref, rtol=1e-9)
+
+
+def test_solve_recourse_keeps_the_order_of_idx():
+    p = farmer_problem()
+    x = np.array([100.0, 100.0, 300.0])
+    outs = solve_recourse(BasisPool(p.batch), x, [2, 0])
+    assert [o.scenario for o in outs] == [2, 0]
+
+
+def test_the_batch_is_built_once_per_problem():
+    p = farmer_problem()
+    assert p.batch is p.batch
+    b = stack_scenarios(p.shape, p.scenarios)
+    np.testing.assert_array_equal(b.T, p.batch.T)
+    assert b.q.shape == (3, 6) and b.T.shape == (3, 4, 3) and b.lb.shape == (3, 6)
+
+
+def test_threads_sharing_a_pool_get_the_lp_values():
+    # async L-shaped workers share one pool; every outcome must still be the LP's
+    import sys
+    import threading
+
+    p = random_fixed_recourse(11, vary_q=True, overrides=True, degenerate=False)
+    pool = BasisPool(p.batch)
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-2.0, 2.0, (6, 10, p.n))
+    errors = []
+
+    def work(xs):
+        try:
+            for x in xs:
+                for s, out in enumerate(solve_recourse(pool, x, range(p.nscen))):
+                    ref = _lp(p, s, x)
+                    if out.feasible != ref.feasible or (
+                            out.feasible and abs(out.value - ref.value)
+                            > 1e-9 * max(1.0, abs(ref.value))):
+                        errors.append((s, x))
+        except Exception as exc:      # reported below; a thread cannot raise into the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(xs,)) for xs in points]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert 0 < len(pool.entries) <= lshaped._POOL_SIZE
+    assert len({(e.basic.tobytes(), e.basis.vstat.tobytes()) for e in pool.entries}) \
+        == len(pool.entries)

@@ -331,6 +331,24 @@ class TestMaster:
         assert value == pytest.approx(kernel.solve_lp(st._instance()).objective, rel=1e-9)
 
 
+    def test_trust_region_resolve_after_violated_cuts_takes_dual_pivots(self, lp_solves):
+        from stochlp.lshaped import MasterState
+        p = farmer_problem()
+        st = MasterState(p, p.nscen, -1e10)
+        center = np.array([150.0, 100.0, 250.0])
+        x, theta, _ = st.solve_plain(tr_center=center, tr_delta=50.0)
+        for cut in aggregate_cuts(_outcomes_at(p, x), p.probabilities, "multi"):
+            assert cut.value_at(x) > theta[cut.aggregate]
+            st.add_cut(cut)
+        lp_solves.clear()
+        # the box moves to the new center and shrinks, as after a null step
+        _, _, value = st.solve_plain(tr_center=x, tr_delta=25.0)
+        (sol,) = lp_solves
+        assert sol.extras["pivots"]["dual"] >= 1
+        assert sol.extras["pivots"]["phase1"] == 0
+        cold = kernel.solve_lp(st._instance(tr_center=x, tr_delta=25.0))
+        assert value == pytest.approx(cold.objective, rel=1e-9)
+
     def test_iteration_limit_raises_naming_the_master(self):
         # an iterate stopped by the limit may break the first stage; it is no candidate
         from stochlp.lshaped import MasterState

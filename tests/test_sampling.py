@@ -52,6 +52,23 @@ class TestSamplers:
         assert 300 < sc.h[2] < 500          # d1 ~ N(400, 50)
         assert 15 < sc.q[0] < 35            # q1 ~ N(24, 2)
 
+    def test_normal_draws_equal_multivariate_normal_bit_for_bit(self):
+        from stochlp.sampling import scenario_rng
+        sampler = simple_sampler()
+        for seed in (0, 1, 7, 2**40 + 3):
+            for index in range(250):
+                ref = scenario_rng(seed, index).multivariate_normal(
+                    sampler.mean, sampler.cov, method="cholesky")
+                sc = sampler.sample(seed, index)
+                np.testing.assert_array_equal([sc.q[0], sc.q[1], sc.h[2], sc.h[3]], ref)
+
+    def test_covariance_not_positive_definite_fails_at_construction(self):
+        from stochlp.sampling import NormalSampler
+        template = simple_sampler().template
+        with pytest.raises(ValueError, match="positive definite"):
+            NormalSampler(mean=[0.0, 0.0], cov=[[1.0, 2.0], [2.0, 1.0]], template=template,
+                          targets=(("q", 0), ("q", 1)))
+
     def test_discrete_sampler_hits_both_atoms(self):
         sampler = simple_discrete_sampler()
         hs = {float(sampler.sample(0, i).h[2]) for i in range(64)}

@@ -14,8 +14,15 @@ basis inverse updated in place by BLAS ``dger`` and refactorized every
 ``_REFACTOR_EVERY`` pivots.  ``LPSolution.iterations`` is the total pivot
 count and ``extras["pivots"]`` splits it into dual, phase-1 and phase-2
 pivots.
-The QP method is a primal-dual interior point specialized to diagonal
-Hessians.
+The QP method is a Mehrotra predictor-corrector interior point for
+diagonal Hessians with one implementation, ``_mehrotra``: it runs a
+``QPStack`` of programs that share one row pattern (row senses and which
+bounds are finite) in one loop, with per-member step lengths, convergence,
+best iterate, regularization and status, and solves the members' KKT systems
+as one stacked ``np.linalg.solve``.  ``solve_qp_diagonal`` is its one entry
+point: progressive hedging passes the stacks it builds once per run, one per
+wave, and a single ``LPInstance`` (the regularized L-shaped masters) is
+solved as a stack of one and gets row duals and reduced costs.
 
 Both methods return a status; a caller that needs an optimum passes the
 solution through ``require_optimal``, so an infeasible, unbounded or
@@ -38,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.blas
 import scipy.sparse as sp
 
@@ -596,219 +602,328 @@ def primal_violation(lp: LPInstance, x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# diagonal QP: primal-dual interior point
+# diagonal QP: primal-dual interior point over a stack of programs
+
+_REG_START, _REG_MAX = 1e-10, 1e-4   # rungs of the KKT regularization ladder, x100 apart
 
 
-def _qp_parts(lp: LPInstance):
-    """Split into equality rows (A_E, b_E) and inequality rows (G x <= g)."""
-    A = _dense(lp.A)
-    n = lp.nvars
-    eq_rows, eq_rhs, g_rows, g_rhs = [], [], [], []
-    for i, s in enumerate(lp.row_senses):
-        if s == "=":
-            eq_rows.append(A[i])
-            eq_rhs.append(lp.rhs[i])
-        elif s == "<=":
-            g_rows.append((A[i], 1.0))
-            g_rhs.append(lp.rhs[i])
-        else:
-            g_rows.append((-A[i], -1.0))
-            g_rhs.append(-lp.rhs[i])
-    fixed = lp.lb == lp.ub
-    for j in np.flatnonzero(fixed):
-        e = np.zeros(n)
-        e[j] = 1.0
-        eq_rows.append(e)
-        eq_rhs.append(lp.lb[j])
-    for j in range(n):
-        if fixed[j]:
-            continue
-        if np.isfinite(lp.ub[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
-            g_rows.append((e, 1.0))
-            g_rhs.append(lp.ub[j])
-        if np.isfinite(lp.lb[j]):
-            e = np.zeros(n)
-            e[j] = -1.0
-            g_rows.append((e, 1.0))
-            g_rhs.append(-lp.lb[j])
-    AE = np.array(eq_rows) if eq_rows else np.zeros((0, n))
-    bE = np.array(eq_rhs) if eq_rhs else np.zeros(0)
-    G = np.array([r for r, _ in g_rows]) if g_rows else np.zeros((0, n))
-    g = np.array(g_rhs) if g_rhs else np.zeros(0)
-    return AE, bE, G, g
+@dataclass
+class QPStack:
+    """S diagonal QPs that share one row pattern, in the interior point's form.
+
+        minimize    c_s^T x + 1/2 sum_j D_sj (x_j - z_sj)^2
+        subject to  AE_s x = bE_s,   G_s x <= g_s
+
+    Every array has the member axis first: ``c``, ``D``, ``z``, ``lb`` and
+    ``ub`` are (S, n), ``AE`` (S, mE, n), ``bE`` (S, mE), ``G`` (S, mI, n)
+    and ``g`` (S, mI).  The equality rows and the fixed variables form
+    ``AE``; the other rows (a ``>=`` row negated) and the finite bounds
+    form ``G``.  ``rhs_scale`` (S,) is max(1, |rhs|, |bE|), the data part of
+    the convergence scale.  Row i of the source program has the dual
+    ``dual_sign[i] * concat(y, lam)[dual_pos[i]]`` in the package's sign
+    convention.
+    """
+
+    c: np.ndarray
+    D: np.ndarray
+    z: np.ndarray
+    AE: np.ndarray
+    bE: np.ndarray
+    G: np.ndarray
+    g: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    rhs_scale: np.ndarray
+    dual_pos: np.ndarray
+    dual_sign: np.ndarray
+
+    @property
+    def size(self):
+        return self.c.shape[0]
+
+    def take(self, pos):
+        """The members ``pos`` as a stack of their own."""
+        return QPStack(*(getattr(self, f)[pos] for f in _MEMBER_FIELDS),
+                       dual_pos=self.dual_pos, dual_sign=self.dual_sign)
 
 
-def _qp_start(lp, G, g):
-    n = lp.nvars
-    if lp.qcenter is not None:
-        x0 = lp.qcenter.copy()
-    else:
-        x0 = np.zeros(n)
-    lo, hi = lp.lb, lp.ub
-    both = np.isfinite(lo) & np.isfinite(hi)
-    x0[both] = np.clip(x0[both], lo[both], hi[both])
-    only_lo = np.isfinite(lo) & ~np.isfinite(hi)
-    x0[only_lo] = np.maximum(x0[only_lo], lo[only_lo] + 1.0)
-    only_hi = ~np.isfinite(lo) & np.isfinite(hi)
-    x0[only_hi] = np.minimum(x0[only_hi], hi[only_hi] - 1.0)
-    s0 = np.maximum(g - G @ x0, 1.0) if g.size else np.zeros(0)
-    lam0 = np.ones_like(s0)
-    return x0, s0, lam0
+_MEMBER_FIELDS = ("c", "D", "z", "AE", "bE", "G", "g", "lb", "ub", "rhs_scale")
 
 
-def solve_qp_diagonal(lp: LPInstance, cfg: KernelConfig = None,
-                      warm_start=None) -> LPSolution:
-    """Solve min c^T x + c0 + 1/2 sum qdiag (x - qcenter)^2 over the LP region.
+def qp_pattern(row_senses, lb, ub):
+    """Hashable image of what fixes a program's stack layout: its row senses
+    and which variables are fixed or have a finite lower or upper bound."""
+    lb, ub = np.asarray(lb), np.asarray(ub)
+    return (tuple(row_senses), (lb == ub).tobytes(), np.isfinite(lb).tobytes(),
+            np.isfinite(ub).tobytes())
 
-    Mehrotra predictor-corrector on the inequality form; equality rows and
-    fixed variables enter the KKT system directly.  Also accepts purely
-    linear instances (qdiag of zeros).
+
+def qp_stack(c, A, rhs, row_senses, lb, ub, D, z) -> QPStack:
+    """The :class:`QPStack` of S programs that share ``row_senses`` and one
+    ``qp_pattern``; every other argument is stacked on a leading axis."""
+    c, A, rhs, lb, ub, D, z = (np.asarray(a, dtype=float) for a in (c, A, rhs, lb, ub, D, z))
+    S, _, n = A.shape
+    if len({qp_pattern(row_senses, lo, hi) for lo, hi in zip(lb, ub)}) > 1:
+        raise ValueError("stacked programs must share their row senses and bound pattern")
+    senses = np.array(row_senses, dtype=object)
+    eq = senses == "="
+    fixed = lb[0] == ub[0]
+    eye = np.eye(n)
+    AE = np.concatenate([A[:, eq], np.broadcast_to(eye[fixed], (S, int(fixed.sum()), n))],
+                        axis=1)
+    bE = np.concatenate([rhs[:, eq], lb[:, fixed]], axis=1)
+    # inequality rows: the source rows in order, then each unfixed
+    # variable's finite upper bound followed by its finite lower bound
+    sign = np.where(senses[~eq] == ">=", -1.0, 1.0)
+    keep = (np.stack([np.isfinite(ub[0]), np.isfinite(lb[0])], axis=1) & ~fixed[:, None]).ravel()
+    bound_rows = np.stack([eye, -eye], axis=1).reshape(2 * n, n)[keep]
+    G = np.concatenate([A[:, ~eq] * sign[:, None],
+                        np.broadcast_to(bound_rows, (S,) + bound_rows.shape)], axis=1)
+    g = np.concatenate([rhs[:, ~eq] * sign, np.stack([ub, -lb], axis=2).reshape(S, 2 * n)[:, keep]],
+                       axis=1)
+    rhs_scale = np.maximum(1.0, np.abs(np.concatenate([rhs, bE], axis=1)).max(axis=1, initial=0.0))
+    dual_pos = np.where(eq, np.cumsum(eq) - 1, AE.shape[1] + np.cumsum(~eq) - 1)
+    dual_sign = np.where(senses == ">=", 1.0, -1.0)
+    return QPStack(c=c, D=D, z=z, AE=AE, bE=bE, G=G, g=g, lb=lb, ub=ub,
+                   rhs_scale=rhs_scale, dual_pos=dual_pos, dual_sign=dual_sign)
+
+
+@dataclass
+class QPIterate:
+    """Interior-point iterates of a stack: ``x`` (S, n), ``lam`` (S, mI) and
+    ``y`` (S, mE).  As a warm start, ``valid`` (S,) marks the members that
+    use it; the others start cold.  None means all of them."""
+
+    x: np.ndarray
+    lam: np.ndarray
+    y: np.ndarray
+    valid: np.ndarray = None
+
+
+@dataclass
+class QPStackResult:
+    """Per-member outcome of a stacked solve: status, interior-point
+    iterations, objective, and the iterate, which is the best one seen when
+    the member stopped short of optimal."""
+
+    status: np.ndarray
+    member_iterations: np.ndarray
+    objective: np.ndarray
+    iterate: QPIterate
+
+    @property
+    def iterations(self):
+        """Interior-point iterations of all members together."""
+        return int(self.member_iterations.sum())
+
+    def member(self, i) -> LPSolution:
+        """Member i as a solution."""
+        return LPSolution(status=self.status[i], x=self.iterate.x[i],
+                          objective=float(self.objective[i]),
+                          iterations=int(self.member_iterations[i]))
+
+
+def _mv(A, v):
+    """Stacked matrix-vector products ``A[i] @ v[i]``."""
+    return np.matmul(A, v[..., None])[..., 0]
+
+
+def _qp_start(qp: QPStack, warm: QPIterate = None):
+    """Starting (x, s, lam, y): the center moved into the bounds, or a warm
+    iterate with its slacks and multipliers kept off zero."""
+    lo, hi = qp.lb, qp.ub
+    flo, fhi = np.isfinite(lo), np.isfinite(hi)
+    x = np.where(flo & fhi, np.clip(qp.z, lo, hi), qp.z)
+    x = np.where(flo & ~fhi, np.maximum(x, lo + 1.0), x)
+    x = np.where(~flo & fhi, np.minimum(x, hi - 1.0), x)
+    s = np.maximum(qp.g - _mv(qp.G, x), 1.0)
+    lam = np.ones_like(s)
+    y = np.zeros(qp.bE.shape)
+    if warm is not None:
+        use = slice(None) if warm.valid is None else warm.valid
+        x[use] = warm.x[use]
+        s[use] = np.maximum(qp.g[use] - _mv(qp.G[use], x[use]), 1e-2)
+        lam[use] = np.maximum(warm.lam[use], 1e-2)
+        y[use] = warm.y[use]
+    return x, s, lam, y
+
+
+def _step_length(v, dv):
+    """Per member, the fraction-to-boundary step that keeps ``v + a dv > 0``, at most 1."""
+    ratio = np.where(dv < 0, -v / dv, np.inf)
+    return np.minimum(1.0, 0.995 * ratio.min(axis=1, initial=np.inf))
+
+
+def _solve_each(K, rhs):
+    """``K[i] d[i] = rhs[i]`` for every member, and which members got a
+    finite ``d``; a singular member fails alone."""
+    try:
+        d = np.linalg.solve(K, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        d = np.full(rhs.shape, np.nan)
+        for i in range(K.shape[0]):
+            try:
+                d[i] = np.linalg.solve(K[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    return d, np.isfinite(d).all(axis=1)
+
+
+def _mehrotra(qp: QPStack, cfg: KernelConfig = None, warm: QPIterate = None) -> QPStackResult:
+    """Mehrotra predictor-corrector on every member of ``qp`` in one loop.
+
+    Each member keeps its own step lengths, convergence test, best iterate,
+    regularization and status.  A member leaves the loop when it converges
+    (optimal), diverges (unbounded) or cannot take a step (iteration limit,
+    with its best iterate); the others go on as if it were not there.  The
+    KKT systems of the members still running are solved as one stack.  A
+    member whose system is singular or gives a non-finite step climbs the
+    regularization ladder (x100 from 1e-10 up to 1e-4) alone.
     """
     cfg = cfg or DEFAULT_CONFIG
+    S, n, mE, mI = qp.size, qp.c.shape[1], qp.bE.shape[1], qp.g.shape[1]
+    x, s, lam, y = _qp_start(qp, warm)
+    best = QPIterate(x=x.copy(), lam=lam.copy(), y=y.copy())
+    best_err = np.full(S, np.inf)
+    status = np.full(S, ITERATION_LIMIT, dtype=object)
+    iterations = np.full(S, cfg.ipm_max_iterations)
+    tol = cfg.opt_tol * (1.0 + np.maximum(qp.rhs_scale, np.abs(qp.c).max(axis=1, initial=0.0)))
+    # the KKT matrices without their G^T W G block, and the diagonal that
+    # the regularization r adds to: D + r on x, -r on y
+    K0 = np.zeros((S, n + mE, n + mE))
+    K0[:, :n, n:] = qp.AE.transpose(0, 2, 1)
+    K0[:, n:, :n] = qp.AE
+    Dpad = np.concatenate([qp.D, np.zeros((S, mE))], axis=1)
+    reg_sign = np.concatenate([np.ones(n), -np.ones(mE)])
+    diag = np.arange(n + mE)
+    run = np.arange(S)          # the members still iterating
+    data = (qp.c, qp.D, qp.z, qp.AE, qp.bE, qp.G, qp.g, tol, K0, Dpad)
+
+    with np.errstate(all="ignore"):     # a diverging member must not warn for the rest
+        for it in range(cfg.ipm_max_iterations):
+            c, D, z, AE, bE, G, g, tol_run, K0, Dpad = data
+            rd = D * (x - z) + c + _mv(AE.transpose(0, 2, 1), y) + _mv(G.transpose(0, 2, 1), lam)
+            rE = _mv(AE, x) - bE
+            rI = _mv(G, x) + s - g
+            mu = np.einsum("si,si->s", s, lam) / mI if mI else np.zeros(run.size)
+            err = np.maximum(np.abs(np.concatenate([rd, rE, rI], axis=1)).max(axis=1, initial=0.0),
+                             mu)
+            better = err < best_err[run]
+            at = run[better]
+            best_err[at] = err[better]
+            best.x[at], best.lam[at], best.y[at] = x[better], lam[better], y[better]
+
+            def settle(mask, what, current):
+                """Stop the members ``mask`` with status ``what``."""
+                at = run[mask]
+                status[at] = what
+                iterations[at] = it
+                if current:
+                    best.x[at], best.lam[at], best.y[at] = x[mask], lam[mask], y[mask]
+
+            optimal = err <= tol_run
+            unbounded = ~optimal & (~np.isfinite(err) | (np.abs(x).max(axis=1, initial=0.0) > 1e13))
+            stop = optimal | unbounded
+            if stop.any():
+                settle(optimal, OPTIMAL, True)
+                settle(unbounded, UNBOUNDED, True)
+                go = ~stop
+                run, x, s, lam, y, rd, rE, rI, mu = (
+                    a[go] for a in (run, x, s, lam, y, rd, rE, rI, mu))
+                if not run.size:
+                    break
+                data = tuple(a[go] for a in data)
+                c, D, z, AE, bE, G, g, tol_run, K0, Dpad = data
+            GT = G.transpose(0, 2, 1)
+            M = (GT * np.clip(lam / np.maximum(s, 1e-300), 0.0, 1e14)[:, None, :]) @ G
+            reg = np.full(run.size, _REG_START)
+
+            def kkt(rows):
+                """The regularized KKT matrices of the members ``rows``."""
+                K = K0[rows].copy()
+                K[:, :n, :n] = M[rows]
+                K[:, diag, diag] += Dpad[rows] + reg[rows, None] * reg_sign
+                return K
+
+            def rhs_for(rc):
+                rhs_x = -rd - _mv(GT, (-rc + lam * rI) / s) if mI else -rd
+                return np.concatenate([rhs_x, -rE], axis=1)
+
+            def directions(d, rc):
+                dx = d[:, :n]
+                ds = -rI - _mv(G, dx)
+                return dx, d[:, n:], ds, (-rc - lam * ds) / s
+
+            # predictor; a member whose system does not solve climbs the ladder alone
+            K = kkt(slice(None))
+            rc = s * lam
+            rhs = rhs_for(rc)
+            d, ok = _solve_each(K, rhs)
+            while not ok.all():
+                retry = np.flatnonzero(~ok)
+                reg[retry] = np.maximum(reg[retry] * 100.0, 1e-9)
+                retry = retry[reg[retry] <= _REG_MAX]
+                if not retry.size:
+                    break
+                K[retry] = kkt(retry)
+                d[retry], ok[retry] = _solve_each(K[retry], rhs[retry])
+            dx, dy, ds, dlam = directions(d, rc)
+            ap = ad = np.ones(run.size)
+            if mI:
+                # corrector, on the same regularized systems
+                ap, ad = _step_length(s, ds), _step_length(lam, dlam)
+                mu_aff = np.einsum("si,si->s", s + ap[:, None] * ds,
+                                   lam + ad[:, None] * dlam) / mI
+                sigma = np.where(mu > 0, (mu_aff / np.where(mu > 0, mu, 1.0)) ** 3, 0.1)
+                rc = s * lam - (sigma * mu)[:, None] + ds * dlam
+                d, _ = _solve_each(K, rhs_for(rc))
+                dx, dy, ds, dlam = directions(d, rc)
+                ap, ad = _step_length(s, ds), _step_length(lam, dlam)
+            ok &= np.isfinite(np.concatenate([dx, ds, dlam], axis=1)).all(axis=1)
+
+            x = x + ap[:, None] * dx
+            s = s + ap[:, None] * ds
+            y = y + ad[:, None] * dy
+            lam = lam + ad[:, None] * dlam
+            if not ok.all():
+                settle(~ok, ITERATION_LIMIT, False)
+                run, x, s, lam, y = (a[ok] for a in (run, x, s, lam, y))
+                data = tuple(a[ok] for a in data)
+                if not run.size:
+                    break
+
+        xb = best.x
+        objective = np.einsum("si,si->s", qp.c, xb) + 0.5 * np.sum(qp.D * (xb - qp.z) ** 2, axis=1)
+    return QPStackResult(status=status, member_iterations=iterations, objective=objective,
+                         iterate=best)
+
+
+def solve_qp_diagonal(qp, cfg: KernelConfig = None, warm_start=None):
+    """Solve min c^T x + c0 + 1/2 sum qdiag (x - qcenter)^2 over the LP region.
+
+    The one entry point of the QP kernel.  A ``QPStack`` is solved in one
+    Mehrotra loop and gives a ``QPStackResult``.  One ``LPInstance`` is
+    solved as a stack of one and gives an ``LPSolution`` with row duals and
+    reduced costs.  ``warm_start`` is a ``QPIterate`` with a row per member.
+    Purely linear programs (qdiag of zeros) are accepted.
+    """
+    if isinstance(qp, QPStack):
+        return _mehrotra(qp, cfg, warm_start)
+    lp = qp
     if lp.sense == "max":
         raise UnsupportedQuadratic("maximization with quadratic terms is not supported")
     n = lp.nvars
     D = lp.qdiag if lp.qdiag is not None else np.zeros(n)
-    z0 = lp.qcenter if lp.qcenter is not None else np.zeros(n)
-    AE, bE, G, g = _qp_parts(lp)
-    mE, mI = AE.shape[0], G.shape[0]
-    scale = max(1.0, np.abs(lp.c).max(initial=0.0), np.abs(lp.rhs).max(initial=0.0),
-                np.abs(bE).max(initial=0.0))
-    tol = cfg.opt_tol * (1.0 + scale)
-
-    if warm_start is not None and isinstance(warm_start, dict) and "x" in warm_start:
-        x = np.asarray(warm_start["x"], dtype=float).copy()
-        s = np.maximum(g - G @ x, 1e-2) if mI else np.zeros(0)
-        lam = np.maximum(np.asarray(warm_start.get("lam", np.ones(mI))), 1e-2) \
-            if mI else np.zeros(0)
-        y = np.asarray(warm_start.get("y", np.zeros(mE)), dtype=float).copy() \
-            if mE else np.zeros(0)
-        if lam.size != mI:
-            lam = np.ones(mI)
-        if y.size != mE:
-            y = np.zeros(mE)
-    else:
-        x, s, lam = _qp_start(lp, G, g)
-        y = np.zeros(mE)
-
-    delta = 1e-10
-    best = None
-    for it in range(cfg.ipm_max_iterations):
-        rd = D * (x - z0) + lp.c + (AE.T @ y if mE else 0.0) + (G.T @ lam if mI else 0.0)
-        rE = AE @ x - bE if mE else np.zeros(0)
-        rI = G @ x + s - g if mI else np.zeros(0)
-        mu = (s @ lam) / mI if mI else 0.0
-        err = max(np.abs(rd).max(initial=0.0), np.abs(rE).max(initial=0.0),
-                  np.abs(rI).max(initial=0.0), mu)
-        if best is None or err < best[0]:
-            best = (err, x.copy(), y.copy(), lam.copy(), s.copy())
-        if err <= tol:
-            return _qp_solution(lp, x, y, lam, D, z0, OPTIMAL, it)
-        if not np.isfinite(err) or np.abs(x).max(initial=0.0) > 1e13:
-            return LPSolution(status=UNBOUNDED, x=x, iterations=it)
-
-        lu = None
-        reg = delta
-        while lu is None and reg <= 1e-4:
-            if mI:
-                with np.errstate(all="ignore"):
-                    w = np.clip(lam / np.maximum(s, 1e-300), 0.0, 1e14)
-                M = np.diag(D + reg) + (G.T * w) @ G
-            else:
-                M = np.diag(D + reg)
-            if mE:
-                K = np.block([[M, AE.T], [AE, -reg * np.eye(mE)]])
-            else:
-                K = M
-            if not np.all(np.isfinite(K)):
-                return LPSolution(status=ITERATION_LIMIT, x=best[1], iterations=it)
-            try:
-                import warnings as _warnings
-                with np.errstate(all="ignore"), _warnings.catch_warnings():
-                    _warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                    lu = scipy.linalg.lu_factor(K)
-                    probe = scipy.linalg.lu_solve(lu, np.ones(K.shape[0]))
-                if not np.all(np.isfinite(probe)):
-                    lu = None
-            except (ValueError, np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-                lu = None
-            if lu is None:
-                reg = max(reg * 100.0, 1e-9)
-        if lu is None:
-            return LPSolution(status=ITERATION_LIMIT, x=best[1], iterations=it)
-
-        def newton(rc):
-            rhs_x = -rd
-            if mI:
-                rhs_x = rhs_x - G.T @ ((-rc + lam * rI) / s)
-            rhs = np.concatenate([rhs_x, -rE]) if mE else rhs_x
-            d = scipy.linalg.lu_solve(lu, rhs)
-            dx = d[:n]
-            dy = d[n:] if mE else np.zeros(0)
-            if mI:
-                ds = -rI - G @ dx
-                dlam = (-rc - lam * ds) / s
-            else:
-                ds = np.zeros(0)
-                dlam = np.zeros(0)
-            return dx, dy, ds, dlam
-
-        def steplen(v, dv):
-            neg = dv < 0
-            if not neg.any():
-                return 1.0
-            return min(1.0, 0.995 * np.min(-v[neg] / dv[neg]))
-
-        if mI:
-            rc_aff = s * lam
-            dxa, dya, dsa, dla = newton(rc_aff)
-            ap = steplen(s, dsa)
-            ad = steplen(lam, dla)
-            mu_aff = ((s + ap * dsa) @ (lam + ad * dla)) / mI
-            sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.1
-            rc = s * lam - sigma * mu + dsa * dla
-            dx, dy, ds, dlam = newton(rc)
-            ap = steplen(s, ds)
-            ad = steplen(lam, dlam)
-        else:
-            dx, dy, ds, dlam = newton(np.zeros(0))
-            ap = ad = 1.0
-        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(ds))
-                and np.all(np.isfinite(dlam))):
-            return LPSolution(status=ITERATION_LIMIT, x=best[1], iterations=it)
-        x = x + ap * dx
-        s = s + ap * ds
-        y = y + ad * dy
-        lam = lam + ad * dlam
-
-    return _qp_solution(lp, best[1], best[2], best[3], D, z0, ITERATION_LIMIT,
-                        cfg.ipm_max_iterations)
-
-
-def _qp_solution(lp, x, y, lam, D, z0, status, iters):
-    obj = float(lp.c @ x + lp.c0 + 0.5 * np.sum(D * (x - z0) ** 2))
-    # fold the IPM multipliers back into the package's row-dual convention
-    duals = np.zeros(lp.nrows)
-    ie = 0
-    ii = 0
-    for i, sns in enumerate(lp.row_senses):
-        if sns == "=":
-            duals[i] = -y[ie]
-            ie += 1
-        elif sns == "<=":
-            duals[i] = -lam[ii]
-            ii += 1
-        else:
-            duals[i] = lam[ii]
-            ii += 1
+    z = lp.qcenter if lp.qcenter is not None else np.zeros(n)
     A = _dense(lp.A)
-    grad = lp.c + D * (x - z0)
-    red = grad - A.T @ duals
-    sol = LPSolution(status=status, x=x, objective=obj, duals=duals,
-                     reduced_costs=red, iterations=iters)
-    sol.extras["ipm_state"] = {"x": x.copy(), "lam": lam.copy(), "y": y.copy()}
+    qp = qp_stack(lp.c[None], A[None], lp.rhs[None], lp.row_senses, lp.lb[None],
+                  lp.ub[None], D[None], z[None])
+    res = _mehrotra(qp, cfg, warm_start)
+    sol = res.member(0)
+    sol.objective += lp.c0
+    mult = np.concatenate([res.iterate.y[0], res.iterate.lam[0]])
+    sol.duals = qp.dual_sign * mult[qp.dual_pos]
+    sol.reduced_costs = lp.c + D * (sol.x - z) - A.T @ sol.duals
     return sol
 
 

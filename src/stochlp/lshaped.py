@@ -201,9 +201,9 @@ class BasisPool:
         return entry
 
     def touch(self, entry):
-        """Move ``entry`` to the front."""
+        """Move ``entry`` to the front, unless ``add`` has dropped it since it was read."""
         with self._lock:
-            if self.entries and self.entries[0] is not entry:
+            if entry in self.entries[1:]:
                 self.entries = (entry,) + tuple(e for e in self.entries if e is not entry)
 
 

@@ -14,7 +14,7 @@ consensus); when xi is feasible its expected value is reported alongside.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import ConfigError, FirstStageInfeasible
 from .execution import ExecConfig, VersionedDecision, drive
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
 from .kernel import KernelConfig
-from .model import LPInstance, TwoStageProblem, _ws_instance
+from .model import LPInstance, TwoStageProblem
 from .report import SolveReport
 
 
@@ -54,6 +54,10 @@ class PhConfig:
             raise ConfigError("adaptive factors need theta_inc > 1 > theta_dec > 0")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
+        if self.adapt_period < 1:
+            raise ConfigError("adapt_period must be >= 1")
+        if self.linearize not in (None, "one", "inf"):
+            raise ConfigError(f"linearize must be None, 'one' or 'inf', got {self.linearize!r}")
 
 
 @dataclass
@@ -92,30 +96,148 @@ def _maybe_adapt(state: PhState, cfg: PhConfig):
                              cfg, state.r)
 
 
-def solve_ph_subproblem(first, shape, scenario, xi, rho_s, r,
-                        cfg: KernelConfig = None, warm=None, linearize=None,
-                        scenario_index=0):
-    """Proximal scenario subproblem: WS objective + rho_s^T x + r/2 |x - xi|^2."""
-    ws = _ws_instance(first, shape, scenario)
-    n = first.n
-    c = ws.c.copy()
-    c[:n] += rho_s
-    qd = np.zeros(ws.nvars)
-    qd[:n] = r
-    qc = np.zeros(ws.nvars)
-    qc[:n] = xi
-    qp = LPInstance(c=c, A=ws.A, rhs=ws.rhs, row_senses=ws.row_senses,
-                    lb=ws.lb, ub=ws.ub, qdiag=qd, qcenter=qc)
+class ProximalStacks:
+    """Every scenario's proximal QP, built once per run.
+
+    Scenario s's QP is its wait-and-see LP over (x, y_s) plus the proximal
+    terms rho_s^T x + r/2 |x - xi|^2.  Scenarios that share a row pattern
+    (``kernel.qp_pattern``: row senses and which bounds are finite or fixed)
+    share one ``kernel.QPStack``; a scenario with its own row senses gets a
+    stack of its own pattern.  A wave writes only the first-stage costs
+    ``c_base + rho_s``, the penalty and the center ``xi``.
+    """
+
+    def __init__(self, problem: TwoStageProblem):
+        first, batch = problem.first, problem.batch
+        S, n, m, p, r = batch.size, first.n, batch.shape.m, first.p, batch.shape.r
+        self.n, self.m = n, m
+        A = np.zeros((S, p + r, n + m))
+        A[:, :p, :n] = first.A
+        A[:, p:, :n] = batch.T
+        A[:, p:, n:] = batch.shape.W
+        rhs = np.hstack([np.broadcast_to(first.b, (S, p)), batch.h])
+        lb = np.hstack([np.broadcast_to(first.lb, (S, n)), batch.lb])
+        ub = np.hstack([np.broadcast_to(first.ub, (S, n)), batch.ub])
+        self.c_base = np.hstack([np.broadcast_to(first.c, (S, n)), batch.q])
+        self.senses = [first.row_senses + sc.senses(batch.shape) for sc in batch.scenarios]
+        groups = {}
+        for s in range(S):
+            groups.setdefault(kernel.qp_pattern(self.senses[s], lb[s], ub[s]), []).append(s)
+        zero = np.zeros((S, n + m))
+        self.groups = [(np.array(idx), kernel.qp_stack(self.c_base[idx], A[idx], rhs[idx],
+                                                       self.senses[idx[0]], lb[idx], ub[idx],
+                                                       zero[idx], zero[idx]))
+                       for idx in groups.values()]
+        self.group_of = np.empty(S, dtype=int)
+        self.position = np.empty(S, dtype=int)
+        for k, (idx, _) in enumerate(self.groups):
+            self.group_of[idx] = k
+            self.position[idx] = np.arange(idx.size)
+        self._lp = (A, rhs, lb, ub)
+
+    def _terms(self, rows, xi, rho, r):
+        """Costs, penalty diagonal and center of the scenarios ``rows`` at (xi, rho, r)."""
+        n = self.n
+        c = self.c_base[rows]
+        c[:, :n] += rho[rows]
+        D = np.zeros_like(c)
+        D[:, :n] = r
+        z = np.zeros_like(c)
+        z[:, :n] = xi
+        return c, D, z
+
+    def wave_stack(self, group, pos, xi, rho, r):
+        """The proximal QPs of members ``pos`` of ``group`` at (xi, rho, r)."""
+        idx, stack = self.groups[group]
+        if pos.size != idx.size:
+            stack = stack.take(pos)
+        c, D, z = self._terms(idx[pos], xi, rho, r)
+        return replace(stack, c=c, D=D, z=z)
+
+    def lp(self, s, xi, rho, r):
+        """Scenario s's proximal QP as an ``LPInstance``, for the linearized penalty."""
+        A, rhs, lb, ub = self._lp
+        (c,), (D,), (z,) = self._terms([s], xi, rho, r)
+        return LPInstance(c=c, A=A[s], rhs=rhs[s], row_senses=self.senses[s],
+                          lb=lb[s], ub=ub[s], qdiag=D, qcenter=z)
+
+
+@dataclass
+class BundleSolution:
+    """Proximal solutions of a scenario bundle, in the bundle's order.
+
+    ``warm`` holds each scenario's interior-point iterate (x, lam, y), or
+    None after a linearized solve; ``ipm_iterations`` sums the scenarios'
+    interior-point iterations and ``qp_s`` is the time spent in the kernel.
+    """
+
+    scenarios: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    warm: list
+    ipm_iterations: int = 0
+    qp_s: float = 0.0
+
+
+def solve_ph_subproblem(data: ProximalStacks, bundle, xi, rho, r,
+                        cfg: KernelConfig = None, warm=None, linearize=None) -> BundleSolution:
+    """Proximal subproblems of the scenarios ``bundle``: each one's WS
+    objective + rho_s^T x + r/2 |x - xi|^2, with ``rho`` the (S, n)
+    multipliers and ``warm[s]`` scenario s's last iterate (or None).
+
+    The scenarios of one row pattern are solved as one ``kernel.QPStack``.
+    With ``linearize`` ('one' or 'inf') each scenario is one LP instead.
+    A scenario that does not end optimal raises the error
+    ``kernel.require_optimal`` names for it, the lowest such scenario first.
+    """
+    bundle = np.asarray(bundle, dtype=int)
+    n = data.n
+    xs = np.empty((bundle.size, n + data.m))
+    iterates = [None] * bundle.size
+    ipm_iterations = 0
+    failed = {}
+    t0 = time.perf_counter()
     if linearize:
-        lin = kernel.linearize_penalty(qp, norm=linearize)
-        sol = kernel.solve_lp(lin, cfg)
+        for k, s in enumerate(bundle):
+            sol = kernel.solve_lp(kernel.linearize_penalty(data.lp(s, xi, rho, r), norm=linearize),
+                                  cfg)
+            xs[k] = sol.x[:xs.shape[1]] if sol.x is not None else np.nan
+            if sol.status != kernel.OPTIMAL:
+                failed[int(s)] = sol
     else:
-        sol = kernel.solve_qp_diagonal(qp, cfg, warm_start=warm)
-    kernel.require_optimal(sol, "proximal subproblem", scenario_index)
-    x_s = sol.x[:n]
-    y_s = sol.x[n:n + shape.m]
-    obj = float(first.c @ x_s + scenario.q @ y_s)
-    return x_s, y_s, obj, sol.extras.get("ipm_state")
+        groups = data.group_of[bundle]
+        for g in np.unique(groups):
+            at = np.flatnonzero(groups == g)
+            members = bundle[at]
+            qp = data.wave_stack(g, data.position[members], xi, rho, r)
+            res = kernel.solve_qp_diagonal(qp, cfg, _stacked_warm(warm, members, qp))
+            it = res.iterate
+            xs[at] = it.x
+            ipm_iterations += res.iterations
+            for j, (k, s) in enumerate(zip(at, members)):
+                iterates[k] = (it.x[j], it.lam[j], it.y[j])
+                if res.status[j] != kernel.OPTIMAL:
+                    failed[int(s)] = res.member(j)
+    qp_s = time.perf_counter() - t0
+    if failed:
+        s = min(failed)
+        kernel.require_optimal(failed[s], "proximal subproblem", s)
+    return BundleSolution(scenarios=bundle, xs=xs[:, :n], ys=xs[:, n:], warm=iterates,
+                          ipm_iterations=ipm_iterations, qp_s=qp_s)
+
+
+def _stacked_warm(warm, members, qp):
+    """The members' last iterates as a ``kernel.QPIterate``; None if none has one."""
+    if warm is None:
+        return None
+    have = [warm[s] is not None for s in members]
+    if not any(have):
+        return None
+    x, lam, y = (np.zeros((members.size, a.shape[1])) for a in (qp.c, qp.g, qp.bE))
+    for j, s in enumerate(members):
+        if have[j]:
+            x[j], lam[j], y[j] = warm[s]
+    return kernel.QPIterate(x=x, lam=lam, y=y, valid=None if all(have) else np.array(have))
 
 
 def aggregate_implementable(xs, probs):
@@ -154,7 +276,7 @@ def solve_ph(problem: TwoStageProblem, cfg: PhConfig = None,
     engine = engine or cfg.execution
     t0 = time.perf_counter()
     state = _initial_state(problem, cfg)
-    coord = _PhCoordinator(problem, cfg, state)
+    coord = _PhCoordinator(problem, cfg, state, engine)
     stats = drive(coord, engine)
     rep = _report(problem, cfg, engine, state, coord.trace, coord.status,
                   time.perf_counter() - t0, seed)
@@ -203,26 +325,34 @@ def _report(problem, cfg, engine, state, trace, status, wall, seed):
 class _PhCoordinator:
     """Scenario-side state machine of the kappa protocol, for every execution mode.
 
-    A version is one (xi, rho, r) snapshot and its work items are the
-    scenarios.  Aggregation and the multiplier update touch every scenario at
-    once using each scenario's latest available solution, so multiplier
+    A version is one (xi, rho, r) snapshot and its work items are scenario
+    bundles: one bundle of every scenario in waves (serial and sync), one
+    scenario per item under async, so kappa counts scenarios there.
+    Aggregation and the multiplier update touch every scenario at once
+    using each scenario's latest available solution, so multiplier
     conservation is preserved.  The convergence test runs right after an
     aggregation that follows the completion of some version, so every
     scenario's solution in it is at least as new as that version.
     """
 
-    def __init__(self, problem, cfg, state: PhState):
+    def __init__(self, problem, cfg, state: PhState, engine: ExecConfig):
         self.p = problem
         self.cfg = cfg
         self.state = state
         self.probs = problem.probabilities
-        self.n_items = problem.nscen
+        S = problem.nscen
+        self.bundles = [np.arange(S)] if engine.mode != "async" \
+            else [np.array([s]) for s in range(S)]
+        self.n_items = len(self.bundles)
+        self.data = ProximalStacks(problem)
         self.finished = False
         self.status = "iteration_limit"
-        self.stamp = np.zeros(problem.nscen, dtype=int)
+        self.stamp = np.zeros(S, dtype=int)
         self.resolved = False      # some version completed since the last aggregation
         self.trace = []
-        self.warm = [None] * problem.nscen
+        self.warm = [None] * S
+        self.ipm_iterations = 0    # interior-point iterations since the last trace record
+        self.qp_s = 0.0            # and the seconds they took
 
     def initial_decision(self):
         return self._decision()
@@ -234,22 +364,22 @@ class _PhCoordinator:
 
     def worker_payload(self, decision, index):
         xi, rho, r = decision.payload
-        return solve_ph_subproblem(self.p.first, self.p.shape,
-                                   self.p.scenarios[index], xi, rho[index], r,
-                                   self.cfg.kernel, warm=self.warm[index],
-                                   linearize=self.cfg.linearize,
-                                   scenario_index=index)
+        return solve_ph_subproblem(self.data, self.bundles[index], xi, rho, r,
+                                   self.cfg.kernel, warm=self.warm,
+                                   linearize=self.cfg.linearize)
 
     def incorporate(self, env):
         if self.finished:
             return      # results drained after the stop leave the run as reported
-        s = env.index
-        x_s, y_s, _, ipm = env.payload
-        self.warm[s] = ipm
-        if env.version >= self.stamp[s]:
-            self.stamp[s] = env.version
-            self.state.xs[s] = x_s
-            self.state.ys[s] = y_s
+        sol = env.payload
+        self.ipm_iterations += sol.ipm_iterations
+        self.qp_s += sol.qp_s
+        for k, s in enumerate(sol.scenarios):
+            self.warm[s] = sol.warm[k]
+            if env.version >= self.stamp[s]:
+                self.stamp[s] = env.version
+                self.state.xs[s] = sol.xs[k]
+                self.state.ys[s] = sol.ys[k]
 
     def complete(self, version, decision):
         self.resolved = True
@@ -268,7 +398,9 @@ class _PhCoordinator:
         self.trace.append({"iteration": st.iteration, "primal_gap": st.primal_gap,
                            "dual_gap": st.dual_gap, "penalty": st.r,
                            "objective": _objective(self.p, st),
-                           "multiplier_drift": st.multiplier_drift(self.probs)})
+                           "multiplier_drift": st.multiplier_drift(self.probs),
+                           "ipm_iterations": self.ipm_iterations, "qp_s": self.qp_s})
+        self.ipm_iterations, self.qp_s = 0, 0.0
         resolved, self.resolved = self.resolved, False
         if resolved and st.primal_gap <= cfg.primal_tol and st.dual_gap <= cfg.dual_tol:
             self.status = "optimal"

@@ -80,8 +80,12 @@ class SolveReport:
             lines.append(f"{k + ':':<12} {v:.6g}")
         lines.append(f"iterations:  {self.iterations}")
         if self.cut_counts:
-            total = sum(self.cut_counts.values())
-            lines.append(f"cuts:        {total} ({self.cut_counts})")
+            kept = {k: v for k, v in self.cut_counts.items() if k != "added_total"}
+            line = f"cuts:        {sum(kept.values())} kept (" \
+                + ", ".join(f"{k} {v}" for k, v in kept.items()) + ")"
+            if "added_total" in self.cut_counts:
+                line += f", {self.cut_counts['added_total']} added in total"
+            lines.append(line)
         rec = self.extras.get("recourse")
         if rec:
             total = rec["bunched"] + rec["lp_solved"]

@@ -147,6 +147,17 @@ class TestSolve:
         assert r.stderr.startswith("error:")
         assert "Traceback" not in r.stderr
 
+    def test_text_report_counts_kept_cuts_once(self, capsys):
+        from stochlp import cli
+        args = ["solve", "--fixture", "farmer", "--method", "lshaped", "--cuts", "single"]
+        assert cli.main(args + ["--format", "machine"]) == 0
+        counts = json.loads(capsys.readouterr().out)["cut_counts"]
+        assert cli.main(args) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("cuts:"))
+        kept = counts["optimality"] + counts["feasibility"]
+        assert line.split()[1:3] == [str(kept), "kept"]
+        assert line.endswith(f", {counts['added_total']} added in total")
+
     def test_rerun_reproduces_report(self, tmp_path):
         a = run_cli("solve", "--fixture", "farmer", "--method", "lshaped",
                     "--seed", "3", "--format", "machine")

@@ -550,11 +550,10 @@ class TestSolveQP:
 
     def test_ph_subproblem_against_grid_oracle(self):
         from stochlp.fixtures import simple_problem
-        from stochlp.phedging import solve_ph_subproblem
+        from stochlp.phedging import ProximalStacks, solve_ph_subproblem
         p = simple_problem()
         xi = np.array([40.0, 20.0])
-        x_s, y_s, obj, _ = solve_ph_subproblem(p.first, p.shape, p.scenarios[0],
-                                               xi, np.zeros(2), 100.0)
+        solve_ph_subproblem(ProximalStacks(p), [0], xi, np.zeros((p.nscen, 2)), 100.0)
         # oracle: grid over (x1, x2) with inner LP over y
         from stochlp.model import _ws_instance
         ws = _ws_instance(p.first, p.shape, p.scenarios[0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stochlp import analysis
+from stochlp import analysis, kernel
 from stochlp.errors import ConfigError, InfeasibleScenario, NumericalBreakdown
 from stochlp.execution import ExecConfig
 from stochlp.fixtures import farmer_problem, simple_problem
@@ -11,6 +11,7 @@ from stochlp.kernel import KernelConfig
 from stochlp.model import FirstStage, RecourseShape, Scenario, build_problem
 from stochlp.phedging import (
     PhConfig,
+    ProximalStacks,
     aggregate_implementable,
     solve_ph,
     solve_ph_subproblem,
@@ -67,9 +68,8 @@ class TestSubproblem:
     def test_proximal_limit_pins_to_center(self):
         p = simple_problem()
         xi = np.array([50.0, 30.0])
-        x_s, _, _, _ = solve_ph_subproblem(p.first, p.shape, p.scenarios[0],
-                                           xi, np.zeros(2), 1e6)
-        np.testing.assert_allclose(x_s, xi, atol=1e-3)
+        sol = solve_ph_subproblem(ProximalStacks(p), [0], xi, np.zeros((p.nscen, 2)), 1e6)
+        np.testing.assert_allclose(sol.xs[0], xi, atol=1e-3)
 
     def test_infeasible_scenario_raises(self):
         first = FirstStage(c=[1.0], A=np.zeros((0, 1)), b=[], row_senses=(),
@@ -84,9 +84,55 @@ class TestSubproblem:
     def test_unconverged_qp_raises_naming_the_scenario(self):
         p = simple_problem()
         with pytest.raises(NumericalBreakdown, match="scenario 1 ended iteration_limit"):
-            solve_ph_subproblem(p.first, p.shape, p.scenarios[1], np.array([50.0, 30.0]),
-                                np.zeros(2), 1.0, KernelConfig(ipm_max_iterations=2),
-                                scenario_index=1)
+            solve_ph_subproblem(ProximalStacks(p), [1], np.array([50.0, 30.0]),
+                                np.zeros((p.nscen, 2)), 1.0, KernelConfig(ipm_max_iterations=2))
+
+    def test_the_lowest_stalled_scenario_of_a_bundle_is_named(self):
+        p = farmer_problem()
+        data = ProximalStacks(p)
+        xi, rho = np.array([170.0, 80.0, 250.0]), np.zeros((p.nscen, 3))
+
+        def solve(limit, warm=None):
+            return solve_ph_subproblem(data, range(p.nscen), xi, rho, 1.0,
+                                       KernelConfig(ipm_max_iterations=limit), warm=warm)
+
+        def solves(limit):
+            try:
+                solve(limit)
+            except NumericalBreakdown:
+                return False
+            return True
+
+        enough = next(k for k in range(1, 101) if solves(k))
+        (_, qp), = data.groups
+        # a restart far off needs more iterations than any cold start
+        far = (np.full(qp.c.shape[1], 1e12), np.full(qp.g.shape[1], 1e-2), np.zeros(qp.bE.shape[1]))
+        with pytest.raises(NumericalBreakdown,
+                           match="proximal subproblem of scenario 1 ended iteration_limit"):
+            solve(enough, warm=[None, far, far])
+
+    def test_scenarios_of_another_row_pattern_get_their_own_stack(self):
+        # scenario 1 has its own row senses and scenario 2 a finite upper bound
+        first = FirstStage(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[4.0], row_senses=("<=",))
+        shape = RecourseShape(W=[[1.0, -1.0]], sense="min", row_senses=(">=",))
+        scen = [Scenario(probability=0.4, q=[1.5, 0.5], T=[[-1.0, 0.0]], h=[0.5]),
+                Scenario(probability=0.3, q=[1.0, 1.0], T=[[0.0, 1.0]], h=[3.0],
+                         row_senses=("<=",)),
+                Scenario(probability=0.3, q=[2.0, 0.1], T=[[-1.0, -1.0]], h=[1.0],
+                         ub=[5.0, 5.0])]
+        p = build_problem(first, shape, scen)
+        data = ProximalStacks(p)
+        assert sorted(idx.tolist() for idx, _ in data.groups) == [[0], [1], [2]]
+        xi, rho = np.array([1.0, 0.5]), np.array([[0.2, -0.1], [-0.3, 0.4], [0.1, -0.2]])
+        sol = solve_ph_subproblem(data, [2, 0, 1], xi, rho, 2.0)
+        for k, s in enumerate([2, 0, 1]):
+            alone = kernel.solve_qp_diagonal(data.lp(s, xi, rho, 2.0))
+            np.testing.assert_allclose(sol.xs[k], alone.x[:2], atol=1e-9)
+            np.testing.assert_allclose(sol.ys[k], alone.x[2:], atol=1e-9)
+        v, _ = analysis.vrp(p)
+        rep = solve_ph(p, PhConfig(primal_tol=1e-8, dual_tol=1e-8))
+        assert rep.status == "optimal"
+        assert rep.extras["internal_objective"] == pytest.approx(v, rel=1e-4, abs=1e-6)
 
     def test_unconverged_wait_and_see_raises(self):
         with pytest.raises(NumericalBreakdown, match="wait-and-see LP of scenario 0"):
@@ -110,10 +156,9 @@ class TestSubproblem:
     def test_linearized_subproblem_pins_to_center_for_large_r(self):
         p = simple_problem()
         xi = np.array([50.0, 30.0])
-        x_s, _, _, _ = solve_ph_subproblem(p.first, p.shape, p.scenarios[0],
-                                           xi, np.zeros(2), 1e5,
-                                           linearize="one")
-        np.testing.assert_allclose(x_s, xi, atol=1e-6)
+        sol = solve_ph_subproblem(ProximalStacks(p), [0], xi, np.zeros((p.nscen, 2)), 1e5,
+                                  linearize="one")
+        np.testing.assert_allclose(sol.xs[0], xi, atol=1e-6)
 
 
 class TestSolve:
@@ -195,6 +240,34 @@ class TestSolve:
                                                 kernel=KernelConfig(ipm_max_iterations=2)))
 
 
+class TestConfig:
+    @pytest.mark.parametrize("kwargs", [{"penalty": "adaptive", "adapt_period": 0},
+                                        {"adapt_period": -3}],
+                             ids=["adaptive-0", "negative"])
+    def test_adapt_period_below_one_is_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="adapt_period"):
+            PhConfig(**kwargs)
+
+    @pytest.mark.parametrize("norm", ["two", "", "ONE"])
+    def test_unknown_linearize_norm_is_rejected(self, norm):
+        with pytest.raises(ConfigError, match="linearize"):
+            PhConfig(linearize=norm)
+
+    @pytest.mark.parametrize("norm", [None, "one", "inf"])
+    def test_known_linearize_norms_are_accepted(self, norm):
+        assert PhConfig(linearize=norm).linearize == norm
+
+
+class TestTrace:
+    def test_ipm_iterations_and_qp_time_are_recorded(self):
+        rep = solve_ph(farmer_problem(), PhConfig(penalty="fixed", r=1.0))
+        total = sum(t["ipm_iterations"] for t in rep.trace)
+        assert total > 0
+        # every wave solves each of the three scenarios at least once
+        assert all(t["ipm_iterations"] >= 3 for t in rep.trace)
+        assert all(t["qp_s"] > 0.0 for t in rep.trace)
+
+
 class TestExecutionModes:
     def test_sync_matches_serial(self):
         p = simple_problem()
@@ -203,6 +276,18 @@ class TestExecutionModes:
                      engine=ExecConfig(mode="sync", workers=4))
         assert a.objective == pytest.approx(b.objective, abs=1e-9)
         assert a.iterations == b.iterations
+
+    @pytest.mark.parametrize("penalty", ["fixed", "adaptive"])
+    def test_single_scenario_items_match_the_bundle(self, penalty):
+        # async at kappa = 1 on one worker solves one scenario per item
+        p = farmer_problem()
+        a = solve_ph(p, PhConfig(penalty=penalty))
+        b = solve_ph(p, PhConfig(penalty=penalty),
+                     engine=ExecConfig(mode="async", workers=1, kappa=1.0))
+        assert b.status == a.status == "optimal"
+        assert b.objective == pytest.approx(a.objective, rel=1e-6)
+        assert abs(b.iterations - a.iterations) <= 0.02 * a.iterations
+        assert b.extras["async"]["issued"] == p.nscen * b.extras["async"]["versions"]
 
     def test_async_converges_and_conserves(self):
         # async trajectories differ run to run; tighter gaps pin the value

@@ -100,16 +100,39 @@ def vrp(p: TwoStageProblem, kcfg=None):
 
 
 def wait_and_see_solutions(p: TwoStageProblem, kcfg=None):
-    """Optimal solution over (x, y) of each scenario's wait-and-see LP, in order."""
-    for s in range(p.nscen):
-        sol = kernel.solve_lp(build_wait_and_see(p, s), kcfg)
-        yield kernel.require_optimal(sol, "wait-and-see LP", s)
+    """Optimal (x, y) and value of each scenario's wait-and-see LP, as arrays
+    (S, n + m) and (S,); the lowest scenario whose LP is not optimal raises.
+
+    The LPs are one kernel LP family with the matrix ``[[A1, 0], [T, W]]``
+    when every scenario shares T and the shape's row senses.  Otherwise
+    every member is excluded, so each LP is solved alone and cold.
+    """
+    def solve(s, warm):
+        sol = kernel.solve_lp(build_wait_and_see(p, s), kcfg, warm_start=warm)
+        return kernel.require_optimal(sol, "wait-and-see LP", s), sol.basis
+
+    def stacked(first, second):
+        return np.hstack([np.broadcast_to(first, (S, first.size)), second])
+
+    batch, S, first, lp = p.batch, p.nscen, p.first, build_wait_and_see(p, 0)
+    alone = batch.own_senses.any() or (batch.T != batch.T[0]).any()
+    family = kernel.LPFamily(lp.A, lp.row_senses, stacked(first.c, batch.q),
+                             stacked(first.lb, batch.lb), stacked(first.ub, batch.ub),
+                             excluded=np.full(S, alone))
+    pooled, alone = kernel.solve_family(family, np.arange(S), stacked(first.b, batch.h),
+                                        solve, kcfg)
+    xs, values = np.empty((S, family.n)), np.empty(S)
+    for pos, x, _, objective in pooled:
+        xs[pos], values[pos] = x, objective
+    for s, sol in alone.items():
+        xs[s], values[s] = sol.x, sol.objective
+    return xs, values
 
 
 def ews(p: TwoStageProblem, kcfg=None):
     """Probability-weighted sum of wait-and-see optima."""
-    return sum(sc.probability * sol.objective
-               for sc, sol in zip(p.scenarios, wait_and_see_solutions(p, kcfg)))
+    _, values = wait_and_see_solutions(p, kcfg)
+    return sum(sc.probability * v for sc, v in zip(p.scenarios, values))
 
 
 def _clamp(name, value, scale):
@@ -157,6 +180,9 @@ def vss(p: TwoStageProblem, kcfg=None) -> MeasureResult:
     """Value of the stochastic solution: EEV - VRP >= 0 (minimization)."""
     v, _ = vrp(p, kcfg)
     return _vss_result(v, *eev(p, kcfg))
+
+
+MEASURES = ("vrp", "ews", "eev", "evpi", "vss")     # the names all_measures returns
 
 
 def all_measures(p: TwoStageProblem, kcfg=None) -> dict:

@@ -139,13 +139,17 @@ def cmd_solve(args):
 
 
 def cmd_analyze(args):
-    problem = _load_problem(args)
     wanted = [m.strip() for m in args.measures.split(",")] if args.measures else \
         ["ews", "evpi", "eev", "vss"]
+    for name in wanted:
+        if name not in analysis.MEASURES:
+            raise ConfigError(f"unknown measure {name!r}")
+    problem = _load_problem(args)
     out = {"format": "stochlp-analysis/1", "seed": args.seed, "measures": {}}
     text = []
     if args.evaluate:
-        x = np.array(json.load(open(args.evaluate)), dtype=float)
+        with open(args.evaluate) as f:
+            x = np.array(json.load(f), dtype=float)
         val = analysis.evaluate_decision(problem, x)
         val = problem.report_value(val) if np.isfinite(val) else val
         out["measures"]["evaluate"] = {"measure": "evaluate", "mode": "exact",
@@ -153,8 +157,6 @@ def cmd_analyze(args):
         text.append(f"V(x):  {val:.12g}")
     measures = analysis.all_measures(problem)
     for name in wanted:
-        if name not in measures:
-            raise ConfigError(f"unknown measure {name!r}")
         res = measures[name]
         out["measures"][name] = res.to_dict()
         text.append(f"{name.upper() + ':':<6} {res.value:.12g}"

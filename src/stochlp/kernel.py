@@ -1,5 +1,9 @@
 """Self-contained LP and diagonal-QP solver.
 
+Entry points: ``solve_lp`` for one LP, ``solve_family`` for a family of LPs
+that share a constraint matrix, and ``solve_qp_diagonal`` for one QP or a
+``QPStack`` of them.
+
 The LP method is a bounded-variable revised simplex with a composite
 (infeasibility-minimizing) phase 1 and Bland's rule engaged after a
 degeneracy stall.  A warm start whose basis is still dual feasible (an
@@ -14,6 +18,11 @@ basis inverse updated in place by BLAS ``dger`` and refactorized every
 ``_REFACTOR_EVERY`` pivots.  ``LPSolution.iterations`` is the total pivot
 count and ``extras["pivots"]`` splits it into dual, phase-1 and phase-2
 pivots.
+Bunching lives in ``solve_family``: the members of an ``LPFamily`` differ
+only in rhs, costs and bounds, so an optimal basis is one set of columns of
+``[A | I]`` for all of them.  Pooled bases solve by matmul the members the
+simplex's own stopping tests accept; the rest go to a fallback the caller
+supplies (a ``solve_lp`` call), whose optimal bases join the pool.
 The QP method is a Mehrotra predictor-corrector interior point for
 diagonal Hessians with one implementation, ``_mehrotra``: it runs a
 ``QPStack`` of programs that share one row pattern (row senses and which
@@ -42,6 +51,7 @@ reported multipliers are shadow prices of the declared objective.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +79,7 @@ _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 _REFACTOR_EVERY = 60    # pivots between refactorizations of the basis inverse
 _STALL_LIMIT = 50       # degenerate pivots before the primal method takes Bland's
                         # rule and the dual method hands its basis to the primal
+_POOL_SIZE = 8          # recent optimal bases an LPFamily keeps for bunching
 
 
 @dataclass
@@ -132,39 +143,85 @@ def _dense(A):
     return A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
 
 
-def _slack_bounds(sense):
-    # a_i x + s_i = rhs_i
-    if sense == "<=":
-        return 0.0, np.inf
-    if sense == ">=":
-        return -np.inf, 0.0
-    return 0.0, 0.0
-
-
-def slack_bounds(senses):
+def _slack_bounds(senses):
     """Lower and upper bounds of the slacks ``s`` in ``A x + s = rhs``, one per row sense."""
-    bounds = np.array([_slack_bounds(s) for s in senses], dtype=float).reshape(-1, 2)
+    of = {"<=": (0.0, np.inf), ">=": (-np.inf, 0.0), "=": (0.0, 0.0)}
+    bounds = np.array([of[s] for s in senses], dtype=float).reshape(-1, 2)
     return bounds[:, 0], bounds[:, 1]
+
+
+def _equality_form(A, row_senses, c, lb, ub):
+    """``[A | I]`` and the costs and bounds of its columns, the slacks of
+    ``A x + s = rhs`` last; ``c``, ``lb`` and ``ub`` may stack programs on a
+    leading axis."""
+    A = _dense(A)
+    m = A.shape[0]
+    c, lb, ub = (np.concatenate([v, np.broadcast_to(w, v.shape[:-1] + (m,))], axis=-1)
+                 for v, w in zip((c, lb, ub), (np.zeros(m), *_slack_bounds(row_senses))))
+    return np.hstack([A, np.eye(m)]), c, lb, ub
 
 
 class _Tableau:
     """Equality-form working problem: [A | I] z = b with bounds on z."""
 
     def __init__(self, lp: LPInstance):
-        A = _dense(lp.A)
-        m, n = A.shape
-        self.m, self.n = m, n
-        self.N = n + m
-        self.A = np.hstack([A, np.eye(m)])
+        self.A, self.c, self.lb, self.ub = _equality_form(lp.A, lp.row_senses, lp.c, lp.lb, lp.ub)
+        self.m, self.N = self.A.shape
+        self.n = self.N - self.m
         self.b = lp.rhs.astype(float).copy()
-        slack_lo, slack_hi = slack_bounds(lp.row_senses)
-        self.lb = np.concatenate([lp.lb, slack_lo])
-        self.ub = np.concatenate([lp.ub, slack_hi])
-        self.c = np.concatenate([lp.c, np.zeros(m)])
 
     def row(self, v):
         """``v @ self.A``, using that the slack block is the identity."""
         return np.concatenate([v @ self.A[:, :self.n], v])
+
+
+def _usable_basis(token, A, lb, ub):
+    """``token`` as a start of the columns ``A`` with bounds ``lb`` and ``ub``.
+
+    Returns its basic columns, statuses and basis inverse, or None unless it
+    is usable: ``vstat`` holds valid codes, is basic on exactly the distinct
+    in-range ``basic`` columns and puts each nonbasic column at a finite
+    bound (a free column at zero), and the basis matrix is nonsingular.
+    """
+    m, N = A.shape
+    if not isinstance(token, Basis) or token.basic.size != m or token.vstat.size != N:
+        return None
+    vstat = np.asarray(token.vstat)
+    try:
+        counts = np.bincount(vstat, minlength=4)     # raises on a negative code
+    except (TypeError, ValueError):
+        return None
+    if counts.size > 4 or counts[_BASIC] != m \
+            or (np.sort(token.basic) != np.flatnonzero(vstat == _BASIC)).any() \
+            or np.isinf(np.where(vstat == _AT_UB, ub, lb)[vstat < _BASIC]).any():
+        return None
+    if counts[_FREE]:
+        free = vstat == _FREE
+        if np.isfinite(lb[free]).any() or np.isfinite(ub[free]).any():
+            return None
+    basic = token.basic.astype(int)
+    try:
+        Binv = np.linalg.inv(A[:, basic])
+    except np.linalg.LinAlgError:
+        return None
+    return basic, vstat.astype(np.int8), Binv
+
+
+def _outside(x_B, lo_B, hi_B, feas):
+    """Which basic values lie below and which above their bounds, beyond ``feas``."""
+    return x_B < lo_B - feas, x_B > hi_B + feas
+
+
+def _wrong_sign(d, movable, not_lb, not_ub, dtol):
+    """Nonbasic columns whose reduced cost has the wrong sign for their status.
+
+    ``not_lb`` and ``not_ub`` mark the columns not at their lower and not at
+    their upper bound.  ``d`` is zero on basic columns, so only a column at
+    its lower bound or free can be wrong below zero, and only one at its
+    upper bound or free above zero; a column that cannot move (``movable``
+    False) never is.
+    """
+    return movable & (((d < -dtol) & not_ub) | ((d > dtol) & not_lb))
 
 
 class _WorkingBasis:
@@ -182,8 +239,11 @@ class _WorkingBasis:
         self.tab = tab
         self.pivots = {"dual": 0, "phase1": 0, "phase2": 0}
         self.since_refactor = 0
-        self.warm = self._adopt(token)
-        if not self.warm:
+        usable = _usable_basis(token, tab.A, tab.lb, tab.ub)
+        self.warm = usable is not None
+        if self.warm:
+            self.basic, self.vstat, self.Binv = usable
+        else:
             lo, hi = tab.lb[:tab.n], tab.ub[:tab.n]
             self.basic = np.arange(tab.n, tab.N)
             self.vstat = np.full(tab.N, _BASIC, dtype=np.int8)
@@ -191,38 +251,6 @@ class _WorkingBasis:
             self.vstat[:tab.n][np.isinf(lo) & np.isinf(hi)] = _FREE
             self.Binv = np.eye(tab.m)
         self.recompute()
-
-    def _adopt(self, token):
-        """Start from ``token`` if it is a usable basis; report whether it was.
-
-        Usable: ``vstat`` holds valid codes, is basic on exactly the distinct
-        in-range ``basic`` columns and puts each nonbasic column at a finite
-        bound (a free column at zero), and the basis matrix is nonsingular.
-        """
-        tab = self.tab
-        if not isinstance(token, Basis) or token.basic.size != tab.m \
-                or token.vstat.size != tab.N:
-            return False
-        vstat = np.asarray(token.vstat)
-        try:
-            counts = np.bincount(vstat, minlength=4)     # raises on a negative code
-        except (TypeError, ValueError):
-            return False
-        if counts.size > 4 or counts[_BASIC] != tab.m \
-                or (np.sort(token.basic) != np.flatnonzero(vstat == _BASIC)).any() \
-                or np.isinf(np.where(vstat == _AT_UB, tab.ub, tab.lb)[vstat < _BASIC]).any():
-            return False
-        if counts[_FREE]:
-            free = vstat == _FREE
-            if np.isfinite(tab.lb[free]).any() or np.isfinite(tab.ub[free]).any():
-                return False
-        basic = token.basic.astype(int)
-        try:
-            self.Binv = np.linalg.inv(tab.A[:, basic])
-        except np.linalg.LinAlgError:
-            return False
-        self.basic, self.vstat = basic, vstat.astype(np.int8)
-        return True
 
     @property
     def count(self):
@@ -294,8 +322,7 @@ def _simplex(wb, cfg):
     while wb.count < cfg.max_iterations:
         basic, vstat, xv, x_B, Binv = wb.basic, wb.vstat, wb.xv, wb.x_B, wb.Binv
         lo_B, hi_B = lb[basic], ub[basic]
-        below = x_B < lo_B - feas
-        above = x_B > hi_B + feas
+        below, above = _outside(x_B, lo_B, hi_B, feas)
         phase1 = bool(below.any() or above.any())
 
         if phase1:
@@ -413,22 +440,12 @@ def _dual_simplex(wb, cfg):
         d[wb.basic] = 0.0
         return y, d
 
-    def wrong_sign(d):
-        """Nonbasic columns whose reduced cost has the wrong sign for their status.
-
-        ``d`` is zero on basic columns, so only a column at its lower bound or
-        free can be wrong below zero, and only one at its upper bound or free
-        above zero.
-        """
-        vstat = wb.vstat
-        return movable & (((d < -dtol) & (vstat != _AT_UB)) | ((d > dtol) & (vstat != _AT_LB)))
-
     def flip_to_sign(flip):
         wb.vstat[flip] = np.where(wb.vstat[flip] == _AT_LB, _AT_UB, _AT_LB)
         wb.recompute()
 
     y, d = prices()
-    flip = wrong_sign(d)
+    flip = _wrong_sign(d, movable, wb.vstat != _AT_LB, wb.vstat != _AT_UB, dtol)
     if flip.any():
         if (flip & ~boxed).any():
             return _simplex(wb, cfg)
@@ -444,7 +461,7 @@ def _dual_simplex(wb, cfg):
             if not checked:
                 y, d = prices()
                 checked = True
-                flip = wrong_sign(d)
+                flip = _wrong_sign(d, movable, wb.vstat != _AT_LB, wb.vstat != _AT_UB, dtol)
                 if flip.any():
                     if (flip & ~boxed).any():
                         break
@@ -537,14 +554,131 @@ def solve_lp(lp: LPInstance, cfg: KernelConfig = None, warm_start: Basis = None)
     return _assemble(tab, res, lp, flip)
 
 
-def basis_inverse(lp: LPInstance, basis: Basis):
-    """The inverse of ``basis``'s columns of ``[A | I]``, or None.
+# ---------------------------------------------------------------------------
+# LP families: bunching over a pool of optimal bases
 
-    None when ``basis`` is not a usable warm start of ``lp``, by the same
-    checks ``solve_lp`` applies to ``warm_start`` (``_WorkingBasis._adopt``).
+
+class _PoolEntry:
+    """A pooled optimal basis with the inverse of its columns and its status masks."""
+
+    def __init__(self, basis, basic, vstat, Binv):
+        self.basis, self.basic, self.vstat, self.Binv = basis, basic, vstat, Binv
+        self.at_lb, self.at_ub, self.free = vstat == _AT_LB, vstat == _AT_UB, vstat == _FREE
+        self.not_lb, self.not_ub = ~self.at_lb, ~self.at_ub
+
+
+class LPFamily:
+    """Minimization LPs that share the matrix ``A`` and its row senses.
+
+    Member s has the costs ``c[s]`` and bounds ``lb[s]``, ``ub[s]``; its rhs
+    comes with each solve.  The family holds them over ``[A | I]``, stacked,
+    and ``entries``: at most ``_POOL_SIZE`` recent optimal bases with their
+    inverses, newest first.  Members marked ``excluded`` are LPs of their own
+    (another matrix or other row senses), left to the fallback and kept out
+    of the pool.  Entries are replaced whole, so a reader that takes
+    ``entries`` once sees a consistent pool while other threads add to it.
     """
-    wb = _WorkingBasis(_Tableau(lp), basis)
-    return wb.Binv if wb.warm else None
+
+    def __init__(self, A, row_senses, c, lb, ub, excluded):
+        self.n = c.shape[1]
+        self.A, self.cost, self.lo, self.hi = _equality_form(A, row_senses, c, lb, ub)
+        self.excluded = np.asarray(excluded, dtype=bool)
+        self.entries = ()
+        self._lock = threading.Lock()
+
+    def add(self, basis, member):
+        """Put ``basis``, optimal for ``member``, first; None unless it passes the
+        checks of a warm start against that member's data."""
+        usable = _usable_basis(basis, self.A, self.lo[member], self.hi[member])
+        if usable is None:
+            return None
+        entry = _PoolEntry(basis, *usable)
+        with self._lock:
+            rest = tuple(e for e in self.entries if not (np.array_equal(e.basic, entry.basic)
+                                                         and np.array_equal(e.vstat, entry.vstat)))
+            self.entries = (entry,) + rest[:_POOL_SIZE - 1]
+        return entry
+
+    def touch(self, entry):
+        """Move ``entry`` to the front, unless ``add`` has dropped it since it was read."""
+        with self._lock:
+            if entry in self.entries[1:]:
+                self.entries = (entry,) + tuple(e for e in self.entries if e is not entry)
+
+
+def solve_family(family: LPFamily, members, rhs, fallback, cfg: KernelConfig = None):
+    """Solve the members ``members`` of ``family``, with one rhs row each.
+
+    Each pooled basis, newest first, computes the basic values of the open
+    members in one matmul (their reduced costs in one more when the costs
+    vary) and solves those at which the simplex would stop: no basic value
+    ``_outside`` its bounds, no reduced cost of the ``_wrong_sign``, nonbasic
+    columns at finite bounds and free ones at zero.  The rest, every
+    infeasible and excluded member among them, go in index order to
+    ``fallback(k, warm)`` (``warm``: the newest pooled basis or None), which
+    returns (result, optimal basis or None); each basis it returns joins the
+    pool and is tried on the members still open.  Only the fallback's solves
+    are LP solves.
+
+    Returns (pooled, fallback), by position in ``members``: ``pooled`` has a
+    tuple (positions, x, duals, objective) per pooled basis that solved
+    members, with their structural values, row duals B^-T c_B and values
+    c x, a row each; ``fallback`` maps every other position to what the
+    fallback returned.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    members = np.asarray(members, dtype=int)
+    lo, hi, cost = family.lo[members], family.hi[members], family.cost[members]
+    c_varies = bool((cost != cost[:1]).any())
+    excluded = family.excluded[members]
+    open_ = ~excluded
+    pooled, done = [], {}
+
+    def bunch(entry):
+        A, basic, Binv = family.A, entry.basic, entry.Binv
+        pos = np.flatnonzero(open_)
+        lo_, hi_ = lo[pos], hi[pos]
+        xv = np.where(entry.at_ub, hi_, np.where(entry.at_lb, lo_, 0.0))
+        ok = np.isfinite(xv).all(axis=1)
+        if entry.free.any():
+            ok &= (np.isinf(lo_[:, entry.free]) & np.isinf(hi_[:, entry.free])).all(axis=1)
+        xv[~ok] = 0.0
+        x_B = (rhs[pos] - xv @ A.T) @ Binv.T
+        below, above = _outside(x_B, lo_[:, basic], hi_[:, basic], cfg.feas_tol)
+        ok &= ~(below | above).any(axis=1)
+        if c_varies:
+            y = cost[pos][:, basic] @ Binv
+            d = cost[pos] - y @ A
+        else:
+            y = np.broadcast_to(cost[0, basic] @ Binv, (pos.size, basic.size))
+            d = cost[:1] - y[:1] @ A
+        d[:, basic] = 0.0
+        ok &= ~_wrong_sign(d, lo_ < hi_, entry.not_lb, entry.not_ub, cfg.opt_tol).any(axis=1)
+        if not ok.any():
+            return False
+        pos, xv = pos[ok], xv[ok]
+        xv[:, basic] = x_B[ok]
+        open_[pos] = False
+        x = xv[:, :family.n]
+        pooled.append((pos, x, y[ok], np.einsum("ij,ij->i", cost[pos, :family.n], x)))
+        return True
+
+    for entry in family.entries:
+        if not open_.any():
+            break
+        if bunch(entry):
+            family.touch(entry)
+    for k in range(members.size):
+        if not (open_[k] or excluded[k]):
+            continue            # pooled
+        entries = family.entries
+        done[k], basis = fallback(k, entries[0].basis if entries else None)
+        open_[k] = False
+        if basis is not None and not excluded[k]:
+            entry = family.add(basis, members[k])
+            if entry is not None and open_.any():
+                bunch(entry)
+    return pooled, done
 
 
 def certificate_gap(lp: LPInstance, y: np.ndarray, tol: float = 1e-7) -> float:
@@ -555,35 +689,14 @@ def certificate_gap(lp: LPInstance, y: np.ndarray, tol: float = 1e-7) -> float:
     (slack senses included).  Coefficients within ``tol`` of the cone are
     treated as exactly on it.
     """
-    A = _dense(lp.A)
-    coef = y @ A
-    scale = max(1.0, np.abs(y).max(initial=0.0))
-    sup = 0.0
-    for j in range(lp.nvars):
-        a = coef[j]
-        if abs(a) <= tol * scale:
-            continue
-        if a > 0:
-            hi = lp.ub[j]
-            if np.isinf(hi):
-                return -np.inf
-            sup += a * hi
-        else:
-            lo = lp.lb[j]
-            if np.isinf(lo):
-                return -np.inf
-            sup += a * lo
-    for i, s in enumerate(lp.row_senses):
-        lo, hi = _slack_bounds(s)
-        a = y[i]
-        if abs(a) <= tol * scale:
-            continue
-        if a > 0 and np.isinf(hi):
-            return -np.inf
-        if a < 0 and np.isinf(lo):
-            return -np.inf
-        # finite slack bounds contribute 0 (both bounds are 0)
-    return float(y @ lp.rhs - sup)
+    slack_lo, slack_hi = _slack_bounds(lp.row_senses)
+    a = np.concatenate([y @ _dense(lp.A), y])      # on the columns, then on the slacks
+    a[np.abs(a) <= tol * max(1.0, np.abs(y).max(initial=0.0))] = 0.0
+    bound = np.where(a > 0, np.concatenate([lp.ub, slack_hi]),
+                     np.concatenate([lp.lb, slack_lo]))[a != 0]
+    if np.isinf(bound).any():
+        return -np.inf
+    return float(y @ lp.rhs - a[a != 0] @ bound)     # finite slack bounds are 0
 
 
 def primal_violation(lp: LPInstance, x: np.ndarray) -> float:

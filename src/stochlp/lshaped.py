@@ -12,15 +12,14 @@ the subproblem value plus gradient . x at the generating candidate, which
 absorbs the dual bound terms, so the cut is tight there and remains a valid
 global under-estimator.
 
-Recourse is fixed (W is shared), so a few optimal bases cover most
-scenarios.  ``solve_recourse`` bunches them: each basis of a small pool of
-recent optimal bases resolves, in one matmul over the problem's
-``ScenarioBatch``, every pending scenario for which it is primal and dual
-feasible, and only the rest (infeasible scenarios included) go through
-``solve_subproblem``, the one LP solve and status mapping, whose optimal
-bases then join the pool.  The L-shaped bundles and ``recourse_values``,
-which scores a decision, share it; trace records count the ``bunched`` and
-``lp_solved`` outcomes of each iteration.
+Recourse is fixed (W is shared), so the recourse LPs of a ``ScenarioBatch``
+are one kernel LP family (``BasisPool``).  ``solve_recourse`` bunches them
+with ``kernel.solve_family`` and keeps only the rhs h - T x and the cut data
+lambda^T T_s; the scenarios no pooled basis solves go to
+``solve_subproblem``, the one LP solve and status mapping.  The L-shaped
+bundles and ``recourse_values``, which scores a decision, share it.  Trace
+records count each iteration's ``bunched`` and ``lp_solved`` outcomes and
+its ``master_fallbacks`` (regularized masters that ended non-optimal).
 
 In every execution mode the work item is one aggregation bundle, so
 single-cut mode has one item per version; cut violation is checked against
@@ -29,9 +28,8 @@ the (x, theta) pair of the version that generated the cut.
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,17 +48,19 @@ from .model import LPInstance, TwoStageProblem, scenario_key
 from .report import SolveReport
 
 
+_TR_DELTA_MAX = 1e6     # largest trust-region radius
+_TR_GAMMA = 2.0         # trust-region growth and shrink factor
+_TR_ETA = 1e-4          # share of the predicted decrease that moves the center
+_RD_SIGMA0 = 1.0        # initial regularized-decomposition weight
+_LEVEL_LAMBDA = 0.5     # level-set position between the lower and upper bounds
+
+
 @dataclass
 class LShapedConfig:
     cuts: str = "multi"                 # single | multi | partial
     bundle_size: int = 1                # partial aggregation bundle size
     regularization: str = "none"        # none | tr | rd | level
     tr_delta0: float = None             # default max(1, 0.1 * |x0|_inf)
-    tr_delta_max: float = 1e6
-    tr_gamma: float = 2.0
-    tr_eta: float = 1e-4
-    rd_sigma0: float = 1.0
-    level_lambda: float = 0.5
     consolidation: bool = False
     consolidation_threshold: int = 5    # inactive master solves before removal
     consolidation_period: int = 5
@@ -77,8 +77,6 @@ class LShapedConfig:
             raise ConfigError("bundle_size must be >= 1")
         if self.regularization not in ("none", "tr", "rd", "level"):
             raise ConfigError(f"unknown regularization {self.regularization!r}")
-        if not 0.0 < self.level_lambda < 1.0:
-            raise ConfigError("level parameter must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
 
@@ -147,166 +145,48 @@ def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
 _solve_scenario = solve_subproblem
 
 
-_POOL_SIZE = 8      # optimal recourse bases a BasisPool keeps for bunching
+class BasisPool(kernel.LPFamily):
+    """The recourse LPs of ``batch`` as one kernel LP family.
 
-
-class _PooledBasis:
-    """An optimal basis with the inverse of its columns and its status masks."""
-
-    def __init__(self, basis, Binv):
-        self.basis = basis
-        self.basic = basis.basic
-        self.Binv = Binv
-        vstat = basis.vstat
-        self.at_lb, self.at_ub = vstat == kernel._AT_LB, vstat == kernel._AT_UB
-        self.free = vstat == kernel._FREE
-        self.not_lb, self.not_ub = ~self.at_lb, ~self.at_ub
-
-    def same(self, basis):
-        return np.array_equal(self.basic, basis.basic) \
-            and np.array_equal(self.basis.vstat, basis.vstat)
-
-
-class BasisPool:
-    """Recent optimal bases for the scenarios of one batch, most recent first.
-
-    The scenarios that keep the shape's row senses share the equality form
-    ``[W | I]``, so a basis is one set of columns for all of them.  The pool
-    holds their bounds and costs in that form, stacked, and with each basis
-    the inverse of its columns.  Entries are replaced whole, so a reader
-    that takes ``entries`` once sees a consistent pool while other threads
-    add to it.
+    They share W and the shape's row senses; each scenario has its own
+    costs q_s and bounds, and the rhs h_s - T_s x at each candidate x.
+    Scenarios with their own row senses are excluded from bunching.
     """
 
     def __init__(self, batch):
-        S, r = batch.size, batch.shape.r
-        slack_lo, slack_hi = kernel.slack_bounds(batch.shape.row_senses)
+        super().__init__(batch.shape.W, batch.shape.row_senses, batch.q, batch.lb, batch.ub,
+                         excluded=batch.own_senses)
         self.batch = batch
-        self.A = np.hstack([batch.shape.W, np.eye(r)])
-        self.lo = np.hstack([batch.lb, np.broadcast_to(slack_lo, (S, r))])
-        self.hi = np.hstack([batch.ub, np.broadcast_to(slack_hi, (S, r))])
-        self.cost = np.hstack([batch.q, np.zeros((S, r))])
-        self.entries = ()
-        self._lock = threading.Lock()
-
-    def add(self, lp, basis):
-        """Put ``basis``, optimal for ``lp``, first; None unless it is a usable basis."""
-        Binv = kernel.basis_inverse(lp, basis)
-        if Binv is None:
-            return None
-        entry = _PooledBasis(basis, Binv)
-        with self._lock:
-            rest = tuple(e for e in self.entries if not e.same(basis))
-            self.entries = (entry,) + rest[:_POOL_SIZE - 1]
-        return entry
-
-    def touch(self, entry):
-        """Move ``entry`` to the front, unless ``add`` has dropped it since it was read."""
-        with self._lock:
-            if entry in self.entries[1:]:
-                self.entries = (entry,) + tuple(e for e in self.entries if e is not entry)
-
-
-class _Pending:
-    """The scenarios ``idx`` of a pool's batch at x, and which are still open."""
-
-    def __init__(self, pool, idx, x):
-        batch = pool.batch
-        self.pool = pool
-        self.idx = idx
-        self.x = x
-        self.T = batch.T[idx]
-        self.q = batch.q[idx]
-        self.rhs = batch.h[idx] - self.T @ x
-        self.lo, self.hi, self.cost = pool.lo[idx], pool.hi[idx], pool.cost[idx]
-        self.q_varies = bool((self.q != self.q[:1]).any())
-        self.open = ~batch.own_senses[idx]     # not yet resolved and bunchable
-
-    def bunch(self, entry, cfg):
-        """Outcomes of the open scenarios that ``entry``'s basis solves, by position.
-
-        A scenario is accepted when, with its nonbasic columns at finite
-        bounds (free ones at zero, with no finite bound), its basic values
-        lie within their bounds to ``feas_tol`` and every movable nonbasic
-        column's reduced cost has the sign its status needs to ``opt_tol``:
-        the tests at which the simplex stops.
-        """
-        A, basic, Binv = self.pool.A, entry.basic, entry.Binv
-        pos = np.flatnonzero(self.open)
-        lo, hi = self.lo[pos], self.hi[pos]
-        xv = np.where(entry.at_ub, hi, np.where(entry.at_lb, lo, 0.0))
-        ok = np.isfinite(xv).all(axis=1)
-        if entry.free.any():
-            ok &= (np.isinf(lo[:, entry.free]) & np.isinf(hi[:, entry.free])).all(axis=1)
-        xv[~ok] = 0.0
-        x_B = (self.rhs[pos] - xv @ A.T) @ Binv.T
-        ok &= ((x_B >= lo[:, basic] - cfg.feas_tol)
-               & (x_B <= hi[:, basic] + cfg.feas_tol)).all(axis=1)
-        if self.q_varies:
-            cost = self.cost[pos]
-            duals = cost[:, basic] @ Binv
-            d = cost - duals @ A
-        else:
-            duals = np.broadcast_to(self.cost[0, basic] @ Binv, (pos.size, basic.size))
-            d = self.cost[:1] - duals[:1] @ A
-        d[:, basic] = 0.0
-        wrong = ((d < -cfg.opt_tol) & entry.not_ub) | ((d > cfg.opt_tol) & entry.not_lb)
-        ok &= ~(wrong & (lo < hi)).any(axis=1)
-        if not ok.any():
-            return {}
-        pos, xv, x_B, duals = pos[ok], xv[ok], x_B[ok], duals[ok]
-        self.open[pos] = False
-        xv[:, basic] = x_B
-        y = xv[:, :self.q.shape[1]]
-        values = np.einsum("ij,ij->i", self.q[pos], y)
-        gradients = np.einsum("ir,irn->in", duals, self.T[pos])
-        rhs = values + gradients @ self.x
-        return {int(k): SubproblemOutcome(
-                    scenario=int(self.idx[k]), feasible=True, value=float(values[i]),
-                    gradient=gradients[i], rhs=float(rhs[i]), y=y[i], bunched=True)
-                for i, k in enumerate(pos)}
 
 
 def solve_recourse(pool: BasisPool, x, idx, cfg: KernelConfig = None, solve=None):
     """Outcomes at x of the scenarios ``idx`` of ``pool.batch``, in the order of ``idx``.
 
-    Bunching: each basis of ``pool``, most recent first, resolves every
-    open scenario it is optimal for with one matmul for the basic values
-    (and one for the reduced costs when q varies); such an outcome has
-    ``bunched`` set, its duals are ``B^-T q_B`` and its cut gradient their
-    product with T_s.  The scenarios no basis accepts, which include every
-    infeasible one and every one with its own row senses, go in index order
-    to ``solve`` (``solve_subproblem`` unless given), warm from the most
-    recent pool basis; each optimal basis it returns joins the pool and is
-    tried on the scenarios still open.
+    One ``kernel.solve_family`` call.  A scenario a pooled basis solves has
+    ``bunched`` set, duals ``B^-T q_B`` and their product with T_s as cut
+    gradient.  The rest, every infeasible scenario and every one with its
+    own row senses among them, go in index order to ``solve``
+    (``solve_subproblem`` unless given), warm from the newest pooled basis.
     """
     cfg = cfg or kernel.DEFAULT_CONFIG
     solve = solve or solve_subproblem
     batch = pool.batch
     x = np.asarray(x, dtype=float)
     idx = np.asarray(idx, dtype=int)
-    pend = _Pending(pool, idx, x)
-    outs = {}
-    for entry in pool.entries:
-        if not pend.open.any():
-            break
-        got = pend.bunch(entry, cfg)
-        if got:
-            pool.touch(entry)
-            outs.update(got)
-    for k, s in enumerate(idx):
-        if k in outs:
-            continue
-        entries = pool.entries
-        sc = batch.scenarios[s]
-        outs[k], basis = solve(batch.shape, sc, x, cfg,
-                               warm=entries[0].basis if entries else None,
-                               scenario_index=int(s))
-        pend.open[k] = False
-        if basis is not None and not batch.own_senses[s]:
-            entry = pool.add(scenario_lp(batch.shape, sc, x), basis)
-            if entry is not None and pend.open.any():
-                outs.update(pend.bunch(entry, cfg))
+    T = batch.T[idx]
+
+    def fallback(k, warm):
+        s = int(idx[k])
+        return solve(batch.shape, batch.scenarios[s], x, cfg, warm=warm, scenario_index=s)
+
+    pooled, outs = kernel.solve_family(pool, idx, batch.h[idx] - T @ x, fallback, cfg)
+    for pos, y, duals, values in pooled:
+        gradients = np.einsum("ir,irn->in", duals, T[pos])
+        rhs = values + gradients @ x
+        outs.update({int(k): SubproblemOutcome(
+                        scenario=int(idx[k]), feasible=True, value=float(values[i]),
+                        gradient=gradients[i], rhs=float(rhs[i]), y=y[i], bunched=True)
+                     for i, k in enumerate(pos)})
     return [outs[k] for k in range(idx.size)]
 
 
@@ -430,6 +310,7 @@ class MasterState:
         self.value = None
         self._warm = None          # last optimal basis of the plain master
         self._warm_tr = None       # and of the trust-region master
+        self.fallbacks = 0         # regularized solves that ended non-optimal
 
     def add_cut(self, cut: Cut):
         self.cuts.append(cut)
@@ -445,28 +326,20 @@ class MasterState:
         opt = sum(1 for c in self.cuts if c.kind == "optimality")
         return {"optimality": opt, "feasibility": len(self.cuts) - opt}
 
-    def _instance(self, tr_center=None, tr_delta=None, qdiag=None, qcenter=None,
-                  extra_rows=None):
-        n, K = self.n, self.K
-        p = self.first.p
-        extra_rows = extra_rows or []
-        m = p + len(self.cuts) + len(extra_rows)
-        A = np.zeros((m, n + K))
+    def _instance(self, tr_center=None, tr_delta=None, qdiag=None, qcenter=None, level=None):
+        """The master over (x, theta); ``level`` adds the row c x + sum(theta) <= level."""
+        n, K, p, cuts = self.n, self.K, self.first.p, self.cuts
+        c = np.concatenate([self.first.c, np.ones(K)])
+        A = np.zeros((p + len(cuts), n + K))
         A[:p, :n] = self.first.A
-        rhs = np.empty(m)
-        rhs[:p] = self.first.b
-        senses = list(self.first.row_senses)
-        for i, cut in enumerate(self.cuts):
-            A[p + i, :n] = cut.gradient
+        A[p:, :n] = np.reshape([cut.gradient for cut in cuts], (-1, n))
+        for i, cut in enumerate(cuts):
             if cut.kind == "optimality":
                 A[p + i, n + cut.aggregate] = 1.0
-            rhs[p + i] = cut.rhs
-            senses.append(">=")
-        for j, (row, rv, sns) in enumerate(extra_rows):
-            A[p + len(self.cuts) + j, :] = row
-            rhs[p + len(self.cuts) + j] = rv
-            senses.append(sns)
-        c = np.concatenate([self.first.c, np.ones(K)])
+        rhs = np.concatenate([self.first.b, [cut.rhs for cut in cuts]])
+        senses = self.first.row_senses + (">=",) * len(cuts)
+        if level is not None:
+            A, rhs, senses = np.vstack([A, c]), np.append(rhs, level), senses + ("<=",)
         lb = np.concatenate([self.first.lb, np.full(K, self.theta_min)])
         ub = np.concatenate([self.first.ub, np.full(K, np.inf)])
         if tr_center is not None:
@@ -509,24 +382,22 @@ class MasterState:
         lp = self._instance(qdiag=np.full(self.n, sigma), qcenter=center)
         sol = kernel.solve_qp_diagonal(lp, self.kcfg)
         if sol.status != kernel.OPTIMAL or sol.x is None:
+            self.fallbacks += 1
             return self.solve_plain()   # proximal solve degraded; plain step is valid
         self._record_activity(lp, sol)
-        theta = sol.x[self.n:]
-        x = sol.x[:self.n]
-        return x, theta, float(self.first.c @ x + theta.sum())
+        return self._step(sol.x)
 
     def solve_level(self, center, level):
-        row = np.concatenate([self.first.c, np.ones(self.K)])
-        lp = self._instance(qdiag=np.ones(self.n), qcenter=center,
-                            extra_rows=[(row, level, "<=")])
-        lp = LPInstance(c=np.zeros(self.n + self.K), A=lp.A, rhs=lp.rhs,
-                        row_senses=lp.row_senses, lb=lp.lb, ub=lp.ub,
-                        qdiag=lp.qdiag, qcenter=lp.qcenter)
-        sol = kernel.solve_qp_diagonal(lp, self.kcfg)
+        lp = self._instance(qdiag=np.ones(self.n), qcenter=center, level=level)
+        sol = kernel.solve_qp_diagonal(replace(lp, c=np.zeros(lp.nvars)), self.kcfg)
         if sol.status != kernel.OPTIMAL or sol.x is None:
+            self.fallbacks += 1
             return self.solve_plain()   # projection degraded; plain step is valid
-        theta = sol.x[self.n:]
-        x = sol.x[:self.n]
+        return self._step(sol.x)
+
+    def _step(self, z):
+        """(x, theta, c x + sum(theta)) of the master point z = (x, theta)."""
+        x, theta = z[:self.n], z[self.n:]
         return x, theta, float(self.first.c @ x + theta.sum())
 
     def _record_activity(self, lp, sol):
@@ -596,7 +467,7 @@ class _Run:
         self.center = None
         self.U_center = np.inf
         self.delta = cfg.tr_delta0
-        self.sigma = cfg.rd_sigma0
+        self.sigma = _RD_SIGMA0
         self.prev_improved = False
         self.prev_model_value = None
 
@@ -637,12 +508,12 @@ class _Run:
                 predicted = self.U_center - self.prev_model_value \
                     if self.prev_model_value is not None else np.inf
                 actual = self.U_center - U_k
-                if actual >= cfg.tr_eta * max(predicted, 0.0) and U_k < self.U_center:
+                if actual >= _TR_ETA * max(predicted, 0.0) and U_k < self.U_center:
                     self.center = x_k.copy()
                     self.U_center = U_k
-                    self.delta = min(cfg.tr_gamma * self.delta, cfg.tr_delta_max)
+                    self.delta = min(_TR_GAMMA * self.delta, _TR_DELTA_MAX)
                 else:
-                    self.delta = max(self.delta / cfg.tr_gamma, 1e-8)
+                    self.delta = max(self.delta / _TR_GAMMA, 1e-8)
             else:
                 improved = U_k < self.U_center - 1e-12
                 if improved:
@@ -661,7 +532,7 @@ class _Run:
             self.prev_model_value = val
         else:
             U = self.U_best if np.isfinite(self.U_best) else L_plain + 1.0 + abs(L_plain)
-            level = L_plain + cfg.level_lambda * (U - L_plain)
+            level = L_plain + _LEVEL_LAMBDA * (U - L_plain)
             x, theta, val = st.solve_level(self.center, level + 1e-9 * (1 + abs(level)))
             self.prev_model_value = val
         return x, theta, L_plain
@@ -671,7 +542,9 @@ class _Run:
         self.trace.append({"iteration": self.iteration, "lower": self.L,
                            "upper": self.U_best, "gap": gap,
                            "cuts_added": added, "bunched": counts.bunched,
-                           "lp_solved": counts.lp_solved, "wall": wall})
+                           "lp_solved": counts.lp_solved,
+                           "master_fallbacks": self.state.fallbacks, "wall": wall})
+        self.state.fallbacks = 0
 
     def gap(self):
         if not np.isfinite(self.U_best) or not np.isfinite(self.L):

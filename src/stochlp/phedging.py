@@ -27,6 +27,11 @@ from .model import LPInstance, TwoStageProblem
 from .report import SolveReport
 
 
+_ADAPT_FREEZE = 100.0   # the adaptive penalty stops once gaps <= this * tolerance
+_ADAPT_HORIZON = 200    # and changes no more after this round, which keeps the
+                        # fixed-penalty convergence guarantee
+
+
 @dataclass
 class PhConfig:
     penalty: str = "fixed"         # fixed | adaptive
@@ -37,9 +42,6 @@ class PhConfig:
     primal_tol: float = 1e-5       # on the squared primal gap
     dual_tol: float = 1e-5         # on the squared dual gap
     adapt_period: int = 10         # rounds between penalty updates (averaged gaps)
-    adapt_freeze: float = 100.0    # stop adapting once gaps <= freeze * tolerance
-    adapt_horizon: int = 200       # no penalty changes after this round; keeps
-                                   # the fixed-penalty convergence guarantee
     max_iterations: int = 5000
     linearize: str = None          # None | 'one' | 'inf'
     execution: ExecConfig = field(default_factory=ExecConfig)
@@ -80,14 +82,14 @@ def _maybe_adapt(state: PhState, cfg: PhConfig):
     """Damped residual balancing: act on window-averaged gaps, freeze near
     convergence and after the adaptation horizon so the endgame runs with a
     constant penalty (plain progressive hedging converges for any fixed r)."""
-    if state.iteration > cfg.adapt_horizon:
+    if state.iteration > _ADAPT_HORIZON:
         state.gap_window.clear()
         return
     state.gap_window.append((state.primal_gap, state.dual_gap))
     if state.iteration % cfg.adapt_period != 0:
         return
-    if state.primal_gap <= cfg.adapt_freeze * cfg.primal_tol \
-            and state.dual_gap <= cfg.adapt_freeze * cfg.dual_tol:
+    if state.primal_gap <= _ADAPT_FREEZE * cfg.primal_tol \
+            and state.dual_gap <= _ADAPT_FREEZE * cfg.dual_tol:
         state.gap_window.clear()
         return
     window = np.asarray(state.gap_window)
@@ -263,7 +265,7 @@ def update_penalty(primal_gap, dual_gap, cfg: PhConfig, r):
 
 def _initial_state(problem: TwoStageProblem, cfg: PhConfig) -> PhState:
     """Unpenalized wait-and-see solves seed the scenario copies."""
-    ws = np.array([sol.x for sol in analysis.wait_and_see_solutions(problem, cfg.kernel)])
+    ws, _ = analysis.wait_and_see_solutions(problem, cfg.kernel)
     xs, ys = ws[:, :problem.n].copy(), ws[:, problem.n:].copy()
     xi = aggregate_implementable(xs, problem.probabilities)
     return PhState(xs=xs, ys=ys, xi=xi, rho=np.zeros_like(xs), r=cfg.r)

@@ -160,6 +160,9 @@ def confidence_interval(values, level=0.95) -> ConfidenceReport:
                             level=level, batches=m, relative_error=rel)
 
 
+_GROWTH = 2.0       # factor by which each SAA round grows the sample size
+
+
 @dataclass
 class SaaConfig:
     confidence: float = 0.95
@@ -167,7 +170,6 @@ class SaaConfig:
     n0: int = 16
     batches: int = 10          # lower-bound replications per round
     eval_samples: int = 1000
-    growth: float = 2.0
     max_n: int = 8192
 
     def __post_init__(self):
@@ -259,7 +261,7 @@ def saa_solve(model: StochasticModel, sampler, cfg: SaaConfig = None,
                            lower=lower, upper=upper)
         if rel <= cfg.rel_tol:
             return result
-        nxt = int(np.ceil(n * cfg.growth))
+        nxt = int(np.ceil(n * _GROWTH))
         if nxt > cfg.max_n:
             rep.flags.append("budget_exceeded")
             result.budget_exceeded = True

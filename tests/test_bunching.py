@@ -1,15 +1,26 @@
 """Bunched recourse: pooled optimal bases resolve scenarios as the LP would."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from stochlp import analysis, lshaped
-from stochlp.errors import SecondStageInfeasible
-from stochlp.fixtures import farmer_problem
+from stochlp import analysis, kernel, lshaped
+from stochlp.errors import InfeasibleScenario, SecondStageInfeasible
+from stochlp.fixtures import farmer_problem, simple_model, simple_sampler
 from stochlp.lshaped import BasisPool, RecourseCounts, solve_recourse, solve_subproblem
-from stochlp.model import FirstStage, RecourseShape, Scenario, build_problem, stack_scenarios
+from stochlp.model import (
+    FirstStage,
+    RecourseShape,
+    Scenario,
+    build_problem,
+    build_wait_and_see,
+    stack_scenarios,
+)
+from stochlp.sampling import _batch_instance
 
 SENSES = ("<=", ">=", "=")
 
@@ -235,6 +246,98 @@ def test_threads_sharing_a_pool_get_the_lp_values():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert 0 < len(pool.entries) <= lshaped._POOL_SIZE
+    assert 0 < len(pool.entries) <= kernel._POOL_SIZE
     assert len({(e.basic.tobytes(), e.basis.vstat.tobytes()) for e in pool.entries}) \
         == len(pool.entries)
+
+
+# ---------------------------------------------------------------------------
+# the wait-and-see LPs of a problem with fixed T form one LP family
+
+
+def _fixed_t(p, seed):
+    """``p`` with every scenario's T set to scenario 0's, a first-stage row and costs."""
+    rng = np.random.default_rng(seed)
+    n = p.n
+    first = FirstStage(c=np.round(rng.normal(0.0, 1.0, n), 2), A=np.ones((1, n)),
+                       b=[float(rng.integers(-1, 3))], row_senses=(str(rng.choice(SENSES)),),
+                       lb=np.full(n, -2.0), ub=np.full(n, 2.0))
+    T = p.scenarios[0].T
+    return build_problem(first, p.shape, [replace(sc, T=T) for sc in p.scenarios])
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), vary_q=st.booleans(), overrides=st.booleans(),
+       degenerate=st.booleans())
+def test_bunched_wait_and_see_solutions_match_the_lp(seed, vary_q, overrides, degenerate):
+    p = _fixed_t(random_fixed_recourse(seed, vary_q, overrides, degenerate), seed)
+    cold = [kernel.solve_lp(build_wait_and_see(p, s)) for s in range(p.nscen)]
+    infeasible = [s for s, sol in enumerate(cold) if sol.status == kernel.INFEASIBLE]
+    if infeasible:
+        with pytest.raises(InfeasibleScenario) as exc:
+            analysis.wait_and_see_solutions(p)
+        assert exc.value.scenario == infeasible[0]
+        return
+    xs, values = analysis.wait_and_see_solutions(p)
+    for s, ref in enumerate(cold):
+        assert abs(values[s] - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+        assert kernel.primal_violation(build_wait_and_see(p, s), xs[s]) <= 1e-7
+
+
+def _highs_wait_and_see(p, s):
+    """Optimal value of scenario s's wait-and-see LP, built here from the arrays."""
+    first, sc = p.first, p.scenarios[s]
+    A = np.block([[first.A, np.zeros((first.p, p.m))], [sc.T, p.shape.W]])
+    rhs = np.concatenate([first.b, sc.h])
+    senses = np.array(first.row_senses + sc.senses(p.shape))
+    sign = np.where(senses == ">=", -1.0, 1.0)
+    ineq = senses != "="
+    lo, hi = sc.bounds(p.shape)
+    res = linprog(np.concatenate([first.c, sc.q]),
+                  A_ub=(A * sign[:, None])[ineq], b_ub=(rhs * sign)[ineq],
+                  A_eq=A[~ineq] if (~ineq).any() else None,
+                  b_eq=rhs[~ineq] if (~ineq).any() else None,
+                  bounds=list(zip(np.concatenate([first.lb, lo]), np.concatenate([first.ub, hi]))),
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ews_of_simple_normal_batches_matches_highs(seed):
+    p = _batch_instance(simple_model(), simple_sampler(), 64, seed)
+    ref = sum(sc.probability * _highs_wait_and_see(p, s) for s, sc in enumerate(p.scenarios))
+    assert analysis.ews(p) == pytest.approx(ref, rel=1e-9)
+
+
+def test_farmer_wait_and_see_lps_are_solved_one_by_one(monkeypatch):
+    # the yields vary T, so the LPs share no constraint matrix: each is solved cold
+    warm_starts = []
+    solve = kernel.solve_lp
+
+    def counted(lp, cfg=None, warm_start=None):
+        warm_starts.append(warm_start)
+        return solve(lp, cfg, warm_start)
+    monkeypatch.setattr(kernel, "solve_lp", counted)
+    p = farmer_problem()
+    assert analysis.ews(p) == pytest.approx(-115405.5556, abs=1e-3)
+    assert warm_starts == [None] * p.nscen
+
+
+@pytest.mark.parametrize("bunched", [True, False])
+def test_the_lowest_infeasible_wait_and_see_lp_is_named(monkeypatch, bunched):
+    # x + y1 + y2 >= h with x <= 1, y1 <= 3, y2 <= 4: h = 9 and h = 10 are infeasible
+    family = []
+    solve_family = kernel.solve_family
+
+    def tracked(*args, **kwargs):
+        family.append(args[0])
+        return solve_family(*args, **kwargs)
+    monkeypatch.setattr(kernel, "solve_family", tracked)
+    first_t = [[1.0]] if bunched else [[2.0]]
+    p = _one_row_problem([Scenario(probability=1.0, q=[1.0, 2.0], T=first_t, h=[1.0]),
+                          _sc(2.0), _sc(10.0), _sc(9.0), _sc(1.5)])
+    with pytest.raises(InfeasibleScenario) as exc:
+        analysis.ews(p)
+    assert exc.value.scenario == 2
+    assert [bool(f.excluded.any()) for f in family] == [not bunched]

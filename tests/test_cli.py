@@ -239,6 +239,19 @@ class TestAnalyze:
         assert doc["measures"]["evaluate"]["value"] == pytest.approx(-108390.0,
                                                                      abs=1e-3)
 
+    def test_unknown_measure_fails_before_any_solve(self, monkeypatch):
+        from stochlp import analysis, cli
+
+        def solved(*args, **kwargs):
+            raise AssertionError("all_measures ran before --measures was checked")
+        monkeypatch.setattr(analysis, "all_measures", solved)
+        assert cli.main(["analyze", "--fixture", "farmer", "--measures", "bogus"]) == 1
+
+    def test_measure_names_are_those_all_measures_returns(self):
+        from stochlp import analysis
+        from stochlp.fixtures import farmer_problem
+        assert set(analysis.all_measures(farmer_problem())) == set(analysis.MEASURES)
+
 
 class TestSaaCommand:
     def test_simple_normal_rel_tol(self):

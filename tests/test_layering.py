@@ -1,0 +1,68 @@
+"""The kernel's private names stay inside the kernel.
+
+Every module of the package other than ``kernel.py`` uses the kernel through
+its public names only: no ``kernel._name`` attribute reads and no
+``from .kernel import _name`` imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stochlp"
+KERNEL_MODULES = {"kernel", "stochlp.kernel"}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_kernel_uses(source):
+    """(line, name) of every private kernel name that ``source`` reads or imports."""
+    tree = ast.parse(source)
+    aliases = set()         # local names bound to the kernel module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name in KERNEL_MODULES:
+                    aliases.add(a.asname or a.name)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module in KERNEL_MODULES:
+                found += [(node.lineno, a.name) for a in node.names if _private(a.name)]
+            elif module in ("", "stochlp"):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "kernel"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            value = node.value
+            if isinstance(value, ast.Name) and value.id in aliases:
+                found.append((node.lineno, node.attr))
+            elif isinstance(value, ast.Attribute) and value.attr == "kernel" \
+                    and isinstance(value.value, ast.Name) and value.value.id == "stochlp":
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "kernel.py"),
+                         ids=lambda p: p.name)
+def test_no_module_reaches_into_the_kernel(path):
+    assert private_kernel_uses(path.read_text()) == []
+
+
+def test_the_scan_sees_every_form_of_use():
+    source = (
+        "from . import kernel\n"
+        "import stochlp.kernel as K\n"
+        "from .kernel import solve_lp, _AT_LB\n"
+        "from stochlp import kernel as kk\n"
+        "kernel._FREE\n"
+        "K._BASIC\n"
+        "kk._slack_bounds([])\n"
+        "stochlp.kernel._POOL_SIZE\n"
+        "kernel.solve_lp\n"
+        "kernel.__name__\n"
+    )
+    assert private_kernel_uses(source) == [
+        (3, "_AT_LB"), (5, "_FREE"), (6, "_BASIC"), (7, "_slack_bounds"), (8, "_POOL_SIZE")]

@@ -359,6 +359,16 @@ class TestMaster:
         with pytest.raises(kernel.NumericalBreakdown, match="master LP ended iteration_limit"):
             st.solve_plain()
 
+    @pytest.mark.parametrize("reg", ["rd", "level"])
+    def test_a_non_optimal_regularized_master_falls_back_and_is_counted(self, monkeypatch, reg):
+        monkeypatch.setattr(kernel, "solve_qp_diagonal",
+                            lambda *args, **kwargs: kernel.LPSolution(kernel.ITERATION_LIMIT))
+        rep = solve_lshaped(simple_problem(), LShapedConfig(cuts="multi", regularization=reg))
+        assert rep.status == "optimal"
+        assert sum(rec["master_fallbacks"] for rec in rep.trace) > 0
+        v, _ = analysis.vrp(simple_problem())
+        assert rep.extras["internal_objective"] == pytest.approx(v, rel=1e-6)
+
 
 class TestConsolidation:
     def test_all_active_none_removed(self):

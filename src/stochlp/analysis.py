@@ -1,5 +1,6 @@
 """Stochastic-programming measures: EWS, EVPI, EEV, VSS, decision evaluation.
 
+The VRP is ``lshaped.vrp``: the DEP up to ``lshaped.DEP_ROW_BUDGET`` rows, L-shaped beyond.
 All measures are computed on the internal minimization form, where
 EWS <= VRP <= EEV, so EVPI = VRP - EWS and VSS = EEV - VRP are nonnegative
 up to solver tolerance; reported values are orientation-independent.
@@ -15,12 +16,12 @@ import numpy as np
 
 from . import kernel
 from .errors import FirstStageInfeasible, SecondStageInfeasible, StochLPError
-from .lshaped import LShapedConfig, recourse_values, solve_lshaped
+from .lshaped import recourse_values, vrp
+from .model import build_deterministic_equivalent  # noqa: F401 - perfbench/tracing.py wraps it here
 from .model import (
     LPInstance,
     StochasticModel,
     TwoStageProblem,
-    build_deterministic_equivalent,
     build_expected_value_problem,
     build_wait_and_see,
 )
@@ -35,7 +36,6 @@ from .sampling import (
 )
 
 MEASURE_TOL = 1e-6
-DEP_SCENARIO_LIMIT = 1000   # beyond this the L-shaped solver computes the VRP
 
 
 class InternalConsistencyError(StochLPError):
@@ -87,16 +87,6 @@ def evaluate_decision(p: TwoStageProblem, x, kcfg=None, on_infeasible="inf", cou
     for sc, v in zip(p.scenarios, values):
         total += sc.probability * v
     return total
-
-
-def vrp(p: TwoStageProblem, kcfg=None):
-    """Optimal value of the recourse problem (internal minimization form)."""
-    if p.nscen <= DEP_SCENARIO_LIMIT:
-        lp = build_deterministic_equivalent(p)
-        sol = kernel.require_optimal(kernel.solve_lp(lp, kcfg), "DEP solve")
-        return sol.objective, sol.x[:p.n]
-    rep = solve_lshaped(p, LShapedConfig())
-    return rep.extras["internal_objective"], rep.decision
 
 
 def wait_and_see_solutions(p: TwoStageProblem, kcfg=None):

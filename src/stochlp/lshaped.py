@@ -33,12 +33,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import kernel
+from . import kernel, model as _model
 from .errors import (
     ConfigError,
     MasterInfeasible,
     MixedOutcome,
     NotInfeasible,
+    NumericalBreakdown,
     SecondStageInfeasible,
 )
 from .execution import ExecConfig, VersionedDecision, drive
@@ -53,6 +54,7 @@ _TR_GAMMA = 2.0         # trust-region growth and shrink factor
 _TR_ETA = 1e-4          # share of the predicted decrease that moves the center
 _RD_SIGMA0 = 1.0        # initial regularized-decomposition weight
 _LEVEL_LAMBDA = 0.5     # level-set position between the lower and upper bounds
+DEP_ROW_BUDGET = 128    # most DEP rows vrp solves whole; measured crossover 100-200
 
 
 @dataclass
@@ -368,8 +370,8 @@ class MasterState:
                     warm = None
         sol = kernel.solve_lp(lp, self.kcfg, warm_start=warm)
         if sol.status == kernel.INFEASIBLE:
-            raise MasterInfeasible(
-                "first stage plus feasibility cuts has no feasible point")
+            raise MasterInfeasible("master LP ended infeasible: first stage plus "
+                                   "feasibility cuts has no feasible point")
         kernel.require_optimal(sol, "master LP")
         if tr_center is None:
             self._warm = sol.basis
@@ -587,6 +589,24 @@ def solve_lshaped(problem: TwoStageProblem, cfg: LShapedConfig = None,
     if stats is not None:
         rep.extras["async"] = stats.summary()
     return rep
+
+
+def vrp(p: TwoStageProblem, kcfg: KernelConfig = None):
+    """Optimal value and first-stage decision of the recourse problem (minimization form).
+
+    The DEP is solved whole when its p + S r rows are at most ``DEP_ROW_BUDGET``.
+    Beyond, single-cut L-shaped runs until an evaluated candidate adds no violated
+    cut, and its lower bound L is the value: L meets U to round-off there and never
+    exceeds the optimum, so SAA lower estimates stay valid.  Non-optimal ends raise.
+    """
+    if p.first.p + p.nscen * p.r <= DEP_ROW_BUDGET:
+        lp = _model.build_deterministic_equivalent(p)   # looked up per call, so wrappers see it
+        sol = kernel.require_optimal(kernel.solve_lp(lp, kcfg), "DEP solve")
+        return sol.objective, sol.x[:p.n]
+    rep = solve_lshaped(p, LShapedConfig(cuts="single", gap_tol=0.0, kernel=kcfg or KernelConfig()))
+    if rep.status != "optimal":
+        raise NumericalBreakdown(f"L-shaped run ended {rep.status}")
+    return rep.gaps["lower"], rep.decision
 
 
 class _Coordinator:

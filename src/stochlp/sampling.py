@@ -4,10 +4,11 @@ Samplers are deterministic maps (seed, index) -> Scenario backed by the
 counter-based Philox generator, so identical inputs reproduce identical
 scenarios on any platform and samples can be drawn concurrently.
 
-The SAA driver follows the multiple-replication layout: M lower-bound
-batches of n scenarios each, an upper estimate from evaluating the
-incumbent decision on fresh scenarios, and a combined gap interval whose
-relative width drives the sample-size growth loop.
+The SAA driver follows the multiple-replication layout (Mak, Morton and
+Wood 1999): M lower-bound batches of n scenarios each, solved by
+``lshaped.vrp``, an upper estimate from evaluating the incumbent decision
+on fresh scenarios, and a combined gap interval whose relative width
+drives the sample-size growth loop.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.stats
 
-from . import kernel, model as _model
 from .errors import TooFewBatches
-from .lshaped import recourse_values
+from .lshaped import recourse_values, vrp
 from .model import (
     Scenario,
     StochasticModel,
@@ -114,7 +114,7 @@ def sample_instance(model: StochasticModel, sampler, n, seed) -> TwoStageProblem
 
 
 def _collapse_duplicates(scenarios):
-    """Merge identical sampled scenarios into weighted ones (exact for the DEP)."""
+    """Merge identical sampled scenarios into weighted ones (exact for the recourse problem)."""
     merged = {}     # insertion-ordered: first occurrences keep their place
     for s in scenarios:
         key = scenario_key(s)
@@ -190,12 +190,6 @@ class SaaResult:
     upper: ConfidenceReport = None
 
 
-def _solve_dep_value(problem, kcfg=None):
-    lp = _model.build_deterministic_equivalent(problem)   # looked up per call, so wrappers see it
-    sol = kernel.require_optimal(kernel.solve_lp(lp, kcfg), "sampled instance")
-    return sol.objective, sol.x[:problem.n]
-
-
 def _batch_instance(model, sampler, n, seed):
     """Sampled instance of n scenarios, identical draws merged into one."""
     scenarios = [replace(sampler.sample(seed, i), probability=1.0 / n)
@@ -234,15 +228,11 @@ def saa_solve(model: StochasticModel, sampler, cfg: SaaConfig = None,
     result = None
     while True:
         rounds += 1
-        vals = np.empty(cfg.batches)
-        decisions = []
-        for j in range(cfg.batches):
-            inst = _batch_instance(model, sampler, n, derive_seed(seed, rounds, j))
-            v, x = _solve_dep_value(inst, kcfg)
-            vals[j] = v
-            decisions.append(x)
+        solved = [vrp(_batch_instance(model, sampler, n, derive_seed(seed, rounds, j)), kcfg)
+                  for j in range(cfg.batches)]
+        vals = np.array([v for v, _ in solved])
         lower = confidence_interval(vals, cfg.confidence)
-        x_hat = decisions[int(np.argsort(vals)[vals.size // 2])]
+        x_hat = solved[int(np.argsort(vals)[vals.size // 2])][1]
         evals = evaluate_on_samples(model, sampler, x_hat, cfg.eval_samples,
                                     derive_seed(seed, rounds, 10009), kcfg)
         upper = replace(confidence_interval(evals, cfg.confidence), n=evals.size, batches=1)

@@ -4,12 +4,37 @@
 second-stage row a dedicated one-sided slack column with positive cost, so
 any first-stage point has a feasible (and bounded) recourse.
 ``random_norrc_problem`` drops those slacks on capacity rows, so feasibility
-cuts are required.
+cuts are required.  ``dep_optimum`` is the reference the solvers are checked
+against: the DEP solved whole, whatever path ``analysis.vrp`` takes.
 """
 
 import numpy as np
 
-from stochlp.model import FirstStage, RecourseShape, Scenario, build_problem
+from stochlp import kernel
+from stochlp.fixtures import farmer_model, farmer_scenario
+from stochlp.model import (
+    FirstStage,
+    RecourseShape,
+    Scenario,
+    build_deterministic_equivalent,
+    build_problem,
+)
+
+
+def dep_optimum(problem):
+    """Optimal value and first-stage decision of the DEP, built and solved whole."""
+    sol = kernel.solve_lp(build_deterministic_equivalent(problem))
+    kernel.require_optimal(sol, "DEP solve")
+    return sol.objective, sol.x[:problem.n]
+
+
+def farmer_instance(S, seed):
+    """Farmer with S equiprobable scenarios, yields scaled by one U(0.8, 1.2) factor each."""
+    model = farmer_model()
+    factors = np.random.default_rng(seed).uniform(0.8, 1.2, S)
+    return build_problem(model.first, model.shape,
+                         [farmer_scenario(1.0 / S, f * np.array([2.5, 3.0, 20.0]))
+                          for f in factors])
 
 
 def _first_stage(rng, n):
@@ -117,7 +142,6 @@ def random_norrc_problem(seed, n_max=4, m_max=4, r_max=3, s_max=6):
 
 def first_stage_feasible_points(problem, count, seed):
     """Sample feasible first-stage points by l1 projection of box samples."""
-    from stochlp import kernel
     from stochlp.model import LPInstance
 
     rng = np.random.default_rng(seed)
@@ -146,12 +170,12 @@ def first_stage_feasible_points(problem, count, seed):
     return pts
 
 
-def infeasible_problem():
-    """One scenario of min x + y with y <= 4, y >= x + 5, x >= 0: nothing is feasible."""
+def infeasible_problem(copies=1):
+    """``copies`` scenarios of min x + y with y <= 4, y >= x + 5, x >= 0: nothing is feasible."""
     first = FirstStage(c=[1.0], A=np.zeros((0, 1)), b=[], row_senses=(), lb=[0.0])
     shape = RecourseShape(W=[[1.0], [1.0]], sense="min", row_senses=("<=", ">="))
-    sc = Scenario(probability=1.0, q=[1.0], T=[[0.0], [-1.0]], h=[4.0, 5.0])
-    return build_problem(first, shape, [sc])
+    sc = Scenario(probability=1.0 / copies, q=[1.0], T=[[0.0], [-1.0]], h=[4.0, 5.0])
+    return build_problem(first, shape, [sc] * copies)
 
 
 def unbounded_recourse_problem():

@@ -33,6 +33,7 @@ from stochlp.phedging import PhConfig, solve_ph
 from stochlp.sampling import SaaConfig, saa_solve
 
 from _problems import (
+    dep_optimum,
     first_stage_feasible_points,
     random_norrc_problem,
     random_rcr_problem,
@@ -98,7 +99,7 @@ def sweep6():
     for seed in range(N_SWEEP):
         p = random_rcr_problem(seed)
         problems[seed] = p
-        dep_v, _ = vrp(p)
+        dep_v, _ = dep_optimum(p)
         pts = first_stage_feasible_points(p, 10, seed + 5000)
         pvals = [_scenario_values(p, x) for x in pts]
         for cuts, bs, reg, mode in GRID:
@@ -146,7 +147,7 @@ def sweep7():
     failures = []
     for seed in range(N_NORRC):
         p = random_norrc_problem(seed)
-        dep_v, _ = vrp(p)
+        dep_v, _ = dep_optimum(p)
         rep = solve_lshaped(p, LShapedConfig(cuts="multi"))
         rel = abs(rep.extras["internal_objective"] - dep_v) / max(1.0, abs(dep_v))
         worst = max(worst, rel)

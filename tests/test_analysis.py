@@ -1,21 +1,29 @@
 """Measures: decision evaluation, EWS/EVPI/EEV/VSS, ordering, agnosticism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stochlp import analysis, kernel
+from stochlp import analysis, kernel, lshaped, model, sampling
 from stochlp.analysis import InternalConsistencyError
-from stochlp.errors import FirstStageInfeasible, InfeasibleProblem, InfeasibleScenario
-from stochlp.fixtures import farmer_problem, simple_problem
+from stochlp.errors import (
+    FirstStageInfeasible,
+    InfeasibleProblem,
+    InfeasibleScenario,
+    NumericalBreakdown,
+)
+from stochlp.fixtures import farmer_problem, simple_model, simple_problem, simple_sampler
 from stochlp.model import (
     FirstStage,
+    LPInstance,
     RecourseShape,
     Scenario,
     build_deterministic_equivalent,
     build_problem,
 )
 
-from _problems import infeasible_problem, random_rcr_problem
+from _problems import dep_optimum, farmer_instance, infeasible_problem, random_rcr_problem
 
 
 class TestEvaluateDecision:
@@ -145,10 +153,13 @@ class TestMeasures:
 class TestInfeasibleProgram:
     """An infeasible program fails as infeasible in every measure, not as a breakdown."""
 
-    @pytest.mark.parametrize("measure", [analysis.vrp, analysis.expected_value_decision])
-    def test_raises_infeasible_problem(self, measure):
+    @pytest.mark.parametrize("measure, copies", [
+        pytest.param(analysis.vrp, 1, id="vrp"),
+        pytest.param(analysis.expected_value_decision, 1, id="expected_value_decision"),
+        pytest.param(analysis.vrp, 200, id="vrp-past-the-dep-budget")])
+    def test_raises_infeasible_problem(self, measure, copies):
         with pytest.raises(InfeasibleProblem, match="ended infeasible"):
-            measure(infeasible_problem())
+            measure(infeasible_problem(copies))
 
     def test_ews_names_the_scenario(self):
         with pytest.raises(InfeasibleScenario) as exc:
@@ -162,7 +173,7 @@ class TestSolverAgnosticism:
         from stochlp.lshaped import LShapedConfig, solve_lshaped
         from stochlp.phedging import PhConfig, solve_ph
         p = farmer_problem()
-        v_dep, _ = analysis.vrp(p)
+        v_dep, _ = dep_optimum(p)
         v_ls = solve_lshaped(p, LShapedConfig()).extras["internal_objective"]
         v_ph = solve_ph(p, PhConfig(penalty="fixed", r=1.0)).extras["internal_objective"]
         w = analysis.ews(p)
@@ -175,9 +186,72 @@ class TestSolverAgnosticism:
     def test_evaluation_consistency_with_dep_optimizer(self):
         for seed in range(10):
             p = random_rcr_problem(seed)
-            v, x = analysis.vrp(p)
+            v, x = dep_optimum(p)
             val = analysis.evaluate_decision(p, x)
             assert val == pytest.approx(v, rel=1e-6, abs=1e-6)
+
+
+INSTANCES = {"simple": lambda n: sampling._batch_instance(simple_model(), simple_sampler(), n,
+                                                          seed=n),
+             "farmer": lambda S: farmer_instance(S, seed=S)}
+
+
+def _first_stage_violation(p, x):
+    first = p.first
+    return kernel.primal_violation(
+        LPInstance(c=np.zeros(first.n), A=first.A, rhs=first.b, row_senses=first.row_senses,
+                   lb=first.lb, ub=first.ub), x)
+
+
+class TestRowBudget:
+    """``vrp`` solves the DEP whole below ``lshaped.DEP_ROW_BUDGET`` rows, L-shaped above."""
+
+    @pytest.mark.parametrize("family, size", [
+        ("simple", 16), ("simple", 64), ("simple", 256), ("farmer", 30), ("farmer", 150)],
+        ids=str)
+    def test_both_sides_agree(self, monkeypatch, family, size):
+        p = INSTANCES[family](size)
+        sides = []
+        for budget in (0, 10**9):
+            monkeypatch.setattr(lshaped, "DEP_ROW_BUDGET", budget)
+            v, x = analysis.vrp(p)
+            assert _first_stage_violation(p, x) <= 1e-7
+            assert analysis.evaluate_decision(p, x) == pytest.approx(v, rel=1e-9)
+            sides.append(v)
+        assert sides[0] == pytest.approx(sides[1], rel=1e-9)
+
+    def test_saa_interval_same_on_both_sides(self, monkeypatch):
+        cfg = sampling.SaaConfig(n0=64, max_n=64, batches=4, eval_samples=200)
+        reports = []
+        for budget in (0, 10**9):
+            monkeypatch.setattr(lshaped, "DEP_ROW_BUDGET", budget)
+            reports.append(sampling.saa_solve(simple_model(), simple_sampler(), cfg, seed=3).report)
+        lshaped_side, dep_side = reports
+        assert lshaped_side.lo == pytest.approx(dep_side.lo, rel=1e-9)
+        assert lshaped_side.hi == pytest.approx(dep_side.hi, rel=1e-9)
+
+    def test_kernel_config_reaches_the_lshaped_run(self, monkeypatch):
+        monkeypatch.setattr(lshaped, "DEP_ROW_BUDGET", 0)
+        with pytest.raises(NumericalBreakdown, match="recourse LP of scenario 0 ended iteration_limit"):
+            analysis.vrp(farmer_problem(), kernel.KernelConfig(max_iterations=1))
+
+    def test_iteration_limit_raises_numerical_breakdown(self, monkeypatch):
+        monkeypatch.setattr(lshaped, "DEP_ROW_BUDGET", 0)
+        run = lshaped.solve_lshaped
+        monkeypatch.setattr(lshaped, "solve_lshaped",
+                            lambda p, cfg: run(p, replace(cfg, max_iterations=1)))
+        with pytest.raises(NumericalBreakdown, match="L-shaped run ended iteration_limit"):
+            analysis.vrp(farmer_problem())
+
+    def test_no_dep_past_the_budget(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError(f"DEP of {p.nscen} scenarios built")
+        monkeypatch.setattr(model, "build_deterministic_equivalent", refuse)
+        cfg = sampling.SaaConfig(n0=1024, max_n=1024, batches=2, eval_samples=100)
+        res = sampling.saa_solve(simple_model(), simple_sampler(), cfg, seed=0)
+        assert (res.n, res.rounds) == (1024, 1)
+        measures = analysis.all_measures(farmer_instance(1000, seed=0))
+        assert measures["evpi"].value >= 0.0 and measures["vss"].value >= 0.0
 
 
 class TestSampledCalibration:

@@ -101,17 +101,18 @@ class TestSolve:
         r = run_cli("solve", "--input", str(path), "--method", "ph")
         assert r.returncode == 3
 
-    @pytest.mark.parametrize("args", [
-        ("analyze",),
-        ("solve", "--method", "dep"),
-        ("solve", "--method", "lshaped"),
-        ("solve", "--method", "ph"),
-    ], ids=["analyze", "dep", "lshaped", "ph"])
-    def test_exit_3_on_infeasible_program(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("args, copies", [
+        pytest.param(("analyze",), 1, id="analyze"),
+        pytest.param(("solve", "--method", "dep"), 1, id="dep"),
+        pytest.param(("solve", "--method", "lshaped"), 1, id="lshaped"),
+        pytest.param(("solve", "--method", "ph"), 1, id="ph"),
+        pytest.param(("analyze",), 200, id="analyze-past-the-dep-budget"),
+    ])
+    def test_exit_3_on_infeasible_program(self, tmp_path, capsys, args, copies):
         from stochlp import cli, serialize
         from _problems import infeasible_problem
         path = tmp_path / "infeasible.json"
-        serialize.save_problem(infeasible_problem(), path)
+        serialize.save_problem(infeasible_problem(copies), path)
         assert cli.main([*args, "--input", str(path)]) == 3
 
     def test_exit_3_on_unbounded_recourse_under_async(self, tmp_path, capsys):

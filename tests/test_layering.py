@@ -1,8 +1,10 @@
-"""The kernel's private names stay inside the kernel.
+"""The kernel's private names stay inside the kernel, and the DEP has one caller.
 
 Every module of the package other than ``kernel.py`` uses the kernel through
 its public names only: no ``kernel._name`` attribute reads and no
-``from .kernel import _name`` imports.
+``from .kernel import _name`` imports.  The extensive form is built only by
+``lshaped.vrp``, the one solve of the recourse problem, and by the CLI's
+``solve --method dep``.
 """
 
 import ast
@@ -66,3 +68,49 @@ def test_the_scan_sees_every_form_of_use():
     )
     assert private_kernel_uses(source) == [
         (3, "_AT_LB"), (5, "_FREE"), (6, "_BASIC"), (7, "_slack_bounds"), (8, "_POOL_SIZE")]
+
+
+DEP = "build_deterministic_equivalent"
+
+
+def dep_users(source):
+    """(line, innermost enclosing function) of every read of the DEP builder in ``source``."""
+    tree = ast.parse(source)
+    names = {DEP} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     for a in node.names if a.name == DEP and a.asname}
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Name) and node.id in names \
+                or isinstance(node, ast.Attribute) and node.attr == DEP:
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_only_vrp_and_the_dep_method_build_the_dep():
+    users = {(path.name, where) for path in PACKAGE.glob("*.py")
+             for _, where in dep_users(path.read_text())}
+    assert users == {("lshaped.py", "vrp"), ("cli.py", "cmd_solve")}
+
+
+def test_the_dep_scan_sees_every_form_of_use():
+    source = (
+        "from .model import build_deterministic_equivalent\n"
+        "from .model import build_deterministic_equivalent as dep\n"
+        "def f(p):\n"
+        "    return build_deterministic_equivalent(p)\n"
+        "def g(p):\n"
+        "    def inner():\n"
+        "        return model.build_deterministic_equivalent(p)\n"
+        "    return dep\n"
+        "h = lambda p: dep(p)\n"
+        "build_deterministic_equivalent\n"
+    )
+    assert dep_users(source) == [(4, "f"), (7, "inner"), (8, "g"), (9, "<lambda>"),
+                                 (10, "<module>")]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stochlp import analysis, kernel
+from stochlp import kernel
 from stochlp.errors import (
     ConfigError,
     MasterInfeasible,
@@ -30,6 +30,7 @@ from stochlp.model import (
 )
 
 from _problems import (
+    dep_optimum,
     first_stage_feasible_points,
     random_rcr_problem,
     unbounded_recourse_problem,
@@ -205,7 +206,7 @@ class TestSolve:
     def test_sandwich_property(self):
         for seed in range(5):
             p = random_rcr_problem(seed)
-            v, _ = analysis.vrp(p)
+            v, _ = dep_optimum(p)
             rep = solve_lshaped(p, LShapedConfig(cuts="multi"))
             for t in rep.trace:
                 if np.isfinite(t["lower"]):
@@ -277,7 +278,7 @@ class TestScenarioBoundOverrides:
                          T=[[-0.5, -0.5], [0.0, -1.0]], h=[0.5, 1.0],
                          lb=[0.1, 0.0])]
         p = build_problem(first, shape, scen)
-        v, _ = analysis.vrp(p)
+        v, _ = dep_optimum(p)
         rep = solve_lshaped(p, LShapedConfig(cuts="multi"))
         assert rep.extras["internal_objective"] == pytest.approx(v, rel=1e-5,
                                                                  abs=1e-7)
@@ -286,7 +287,7 @@ class TestScenarioBoundOverrides:
 class TestFeasibilityCuts:
     def test_norrc_fixture_matches_dep(self):
         p = norrc1_problem()
-        v, _ = analysis.vrp(p)
+        v, _ = dep_optimum(p)
         rep = solve_lshaped(p, LShapedConfig(cuts="multi"))
         assert rep.status == "optimal"
         assert rep.objective == pytest.approx(v, rel=1e-5, abs=1e-7)
@@ -366,7 +367,7 @@ class TestMaster:
         rep = solve_lshaped(simple_problem(), LShapedConfig(cuts="multi", regularization=reg))
         assert rep.status == "optimal"
         assert sum(rec["master_fallbacks"] for rec in rep.trace) > 0
-        v, _ = analysis.vrp(simple_problem())
+        v, _ = dep_optimum(simple_problem())
         assert rep.extras["internal_objective"] == pytest.approx(v, rel=1e-6)
 
 

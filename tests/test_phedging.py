@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stochlp import analysis, kernel
+from stochlp import kernel
 from stochlp.errors import ConfigError, InfeasibleScenario, NumericalBreakdown
 from stochlp.execution import ExecConfig
 from stochlp.fixtures import farmer_problem, simple_problem
@@ -19,7 +19,7 @@ from stochlp.phedging import (
     update_penalty,
 )
 
-from _problems import random_rcr_problem
+from _problems import dep_optimum, random_rcr_problem
 
 
 class TestUpdates:
@@ -129,7 +129,7 @@ class TestSubproblem:
             alone = kernel.solve_qp_diagonal(data.lp(s, xi, rho, 2.0))
             np.testing.assert_allclose(sol.xs[k], alone.x[:2], atol=1e-9)
             np.testing.assert_allclose(sol.ys[k], alone.x[2:], atol=1e-9)
-        v, _ = analysis.vrp(p)
+        v, _ = dep_optimum(p)
         rep = solve_ph(p, PhConfig(primal_tol=1e-8, dual_tol=1e-8))
         assert rep.status == "optimal"
         assert rep.extras["internal_objective"] == pytest.approx(v, rel=1e-4, abs=1e-6)
@@ -169,7 +169,7 @@ class TestSolve:
         scen = [Scenario(probability=1.0, q=[1.5], T=[[-1.0, 0.0]], h=[0.0])]
         p = build_problem(first, shape, scen)
         rep = solve_ph(p, PhConfig())
-        v, _ = analysis.vrp(p)
+        v, _ = dep_optimum(p)
         assert rep.iterations <= 2
         assert rep.gaps["dual_gap"] <= 1e-12
         assert rep.extras["internal_objective"] == pytest.approx(v, abs=1e-6)
@@ -218,7 +218,7 @@ class TestSolve:
     def test_random_instances_match_dep(self):
         for seed in range(8):
             p = random_rcr_problem(seed)
-            v, _ = analysis.vrp(p)
+            v, _ = dep_optimum(p)
             rep = solve_ph(p, PhConfig(penalty="adaptive", primal_tol=1e-8,
                                        dual_tol=1e-8))
             rel = abs(rep.extras["internal_objective"] - v) / max(1e-3, abs(v))

@@ -120,14 +120,14 @@ def cmd_solve(args):
                             execution=engine)
         if args.max_iterations:
             cfg.max_iterations = args.max_iterations
-        rep = solve_lshaped(problem, cfg, engine, seed=args.seed)
+        rep = solve_lshaped(problem, cfg, seed=args.seed)
     else:
         pen, r = _parse_penalty(args.penalty)
         tol = 1e-5 if args.gap is None else args.gap
         cfg = PhConfig(penalty=pen, r=r, primal_tol=tol, dual_tol=tol, execution=engine)
         if args.max_iterations:
             cfg.max_iterations = args.max_iterations
-        rep = solve_ph(problem, cfg, engine, seed=args.seed)
+        rep = solve_ph(problem, cfg, seed=args.seed)
     rep.config.update({"seed": args.seed, "method": args.method})
     rep.log_trace()
     _emit(args, rep.to_json(), rep.to_text())

@@ -5,23 +5,27 @@ Each algorithm has one coordinator, a state machine over versioned decisions:
 item of a version, ``incorporate`` folds one result in, ``complete`` runs once
 all n results of a version are in, and ``advance`` re-solves and publishes
 the next version, or sets ``finished`` and returns None when the run stops.
-``drive`` runs a coordinator to its stop in one of two ways:
+A coordinator's work items come from ``work_items`` over its groups (L-shaped
+aggregation bundles, PH scenarios): one item holding every group in waves,
+one item per group under async.  ``drive`` runs a coordinator to its stop in
+one of two ways:
 
-- waves (serial and sync): all n items of the newest version go to
-  ``run_wave``, which runs them in order on the calling thread; the results
-  are incorporated in index order, then the version is completed and
-  advanced.  This is the kappa protocol with kappa = 1, run without queues.
-  Serial and sync are the same run; threads would only contend for the
-  interpreter lock, so the worker count does not apply to waves.
+- waves (serial and sync): the one item of the newest version goes to
+  ``run_wave``, which runs it on the calling thread; its result is
+  incorporated, then the version is completed and advanced.  This is the
+  kappa protocol with kappa = 1, run without queues.  Serial and sync are
+  the same run; threads would only contend for the interpreter lock, so the
+  worker count does not apply to waves.
 - the kappa protocol (async): ``run_async`` mirrors a master/worker channel
   design with in-memory bounded queues and ``workers`` threads.  Workers
   pull (version, item) work and push result envelopes back, and the
   coordinator publishes version v+1 as soon as ceil(kappa * n) results for
-  version v have arrived.  Every published version's full item set is still
-  processed (late results are incorporated), and the coordinators run their
-  stopping tests only at an advance that follows the completion of some
-  version.  Workers are handed items of the newest version only;
-  intermediate versions a stale worker never saw are not revisited.
+  version v have arrived, so kappa counts groups.  Every published version's
+  full item set is still processed (late results are incorporated), and the
+  coordinators run their stopping tests only at an advance that follows the
+  completion of some version.  Workers are handed items of the newest
+  version only; intermediate versions a stale worker never saw are not
+  revisited.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, DeadlockError, StochLPError, WorkerPanic
 
@@ -101,6 +107,17 @@ class ResultEnvelope:
     payload: object
     wall: float = 0.0
     error: BaseException = None
+
+
+def work_items(groups, engine: ExecConfig):
+    """The work items of one version: index arrays over ``groups``, in group order.
+
+    Waves (serial and sync) get one item that concatenates every group;
+    async gets one item per group.
+    """
+    if engine.mode == "async":
+        return [np.asarray(g, dtype=int) for g in groups]
+    return [np.concatenate(groups).astype(int)]
 
 
 def run_wave(items, worker_fn):

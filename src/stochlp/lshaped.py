@@ -19,15 +19,19 @@ lambda^T T_s; the scenarios no pooled basis solves go to
 ``solve_subproblem``, the one LP solve and status mapping.  The L-shaped
 bundles and ``recourse_values``, which scores a decision, share it.  Trace
 records count each iteration's ``bunched`` and ``lp_solved`` outcomes and
-its ``master_fallbacks`` (regularized masters that ended non-optimal).
+its ``master_fallbacks`` (regularized or trust-region masters that fell back
+to the plain master's step).
 
-In every execution mode the work item is one aggregation bundle, so
-single-cut mode has one item per version; cut violation is checked against
+Work items follow ``execution.work_items`` over the aggregation bundles: a
+serial or sync wave is one item of every bundle, solved by one
+``solve_recourse`` call, and async hands out one bundle per item.  Either
+way cuts are built bundle by bundle, and cut violation is checked against
 the (x, theta) pair of the version that generated the cut.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -42,7 +46,7 @@ from .errors import (
     NumericalBreakdown,
     SecondStageInfeasible,
 )
-from .execution import ExecConfig, VersionedDecision, drive
+from .execution import ExecConfig, VersionedDecision, drive, work_items
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
 from .kernel import KernelConfig
 from .model import LPInstance, TwoStageProblem, scenario_key
@@ -369,6 +373,9 @@ class MasterState:
                 else:
                     warm = None
         sol = kernel.solve_lp(lp, self.kcfg, warm_start=warm)
+        if sol.status == kernel.INFEASIBLE and tr_center is not None:
+            self.fallbacks += 1
+            return self.solve_plain()   # the box misses the feasible region; plain step is valid
         if sol.status == kernel.INFEASIBLE:
             raise MasterInfeasible("master LP ended infeasible: first stage plus "
                                    "feasibility cuts has no feasible point")
@@ -447,24 +454,41 @@ class MasterState:
         return kernel.Basis(basic, np.delete(warm.vstat, cols))
 
 
-class _Run:
-    """Shared state of one L-shaped run, used by every execution mode."""
+class _Coordinator:
+    """One L-shaped run and the master side of the kappa protocol, in every mode.
 
-    def __init__(self, problem, cfg):
+    A version is one candidate (x, theta); its work items group the
+    aggregation bundles by ``execution.work_items``.  Cuts are built bundle by
+    bundle and tested against the (x, theta) of the version that generated
+    them.  The upper bound comes only from versions whose results are all in,
+    and the stopping tests run right after the master re-solve that follows
+    such a version, so a converged run issues no further wave.
+    """
+
+    def __init__(self, problem: TwoStageProblem, cfg: LShapedConfig):
         self.p = problem
         self.cfg = cfg
         self.probs = problem.probabilities
-        self.bundles = make_bundles(problem.nscen, cfg.cuts, cfg.bundle_size)
-        self.state = MasterState(problem, len(self.bundles), cfg.theta_min, cfg.kernel)
+        bundles = make_bundles(problem.nscen, cfg.cuts, cfg.bundle_size)
+        self.bundle_of = np.repeat(np.arange(len(bundles)), [len(b) for b in bundles])
+        self.items = work_items(bundles, cfg.execution)
+        self.n_items = len(self.items)
+        self.state = MasterState(problem, len(bundles), cfg.theta_min, cfg.kernel)
         self.pool = BasisPool(problem.batch)
-        self.counts = RecourseCounts()
         self.U_best = np.inf
-        self.x_best = None
-        self.ys_best = None
+        self.x_best = self.ys_best = None
         self.L = -np.inf
         self.trace = []
         self.iteration = 0
-        self.cuts_added = 0
+        self.finished = False
+        self.status = "iteration_limit"
+        self.partial = {}          # version -> outcomes received so far
+        self.added = {}            # version -> cuts its results added
+        self.payloads = {}         # version (= iteration that produced it) -> (x, theta)
+        self.pending_eval = None   # last fully evaluated (x, U, added), consumed by advance
+        self.unrecorded = 0        # cuts added since the last trace record
+        self.solved = RecourseCounts()     # outcomes received since the last record
+        self.t_mark = None
         # regularization state
         self.center = None
         self.U_center = np.inf
@@ -473,21 +497,92 @@ class _Run:
         self.prev_improved = False
         self.prev_model_value = None
 
-    def solve_bundle(self, bundle, x):
-        return solve_recourse(self.pool, x, bundle, self.cfg.kernel)
+    def initial_decision(self):
+        x, theta, _ = self.state.solve_plain()   # cold start: theta at theta_min
+        self.payloads[0] = (x, theta)
+        self.t_mark = time.perf_counter()
+        return VersionedDecision(version=0, payload=(x, theta), iteration=0)
 
-    def note_upper(self, U, x, outcomes):
-        if U is not None and U < self.U_best - 1e-12:
-            self.U_best = U
-            self.x_best = x.copy()
-            ys = [None] * self.p.nscen
-            for o in outcomes:
-                ys[o.scenario] = o.y
-            self.ys_best = ys
-            return True
-        return False
+    def worker_payload(self, decision, index):
+        x, _ = decision.payload
+        return solve_recourse(self.pool, x, self.items[index], self.cfg.kernel)
 
-    def next_candidate(self, x_k, U_k):
+    def incorporate(self, env):
+        if self.finished:
+            return      # results drained after the stop leave the run as reported
+        self.solved.add(env.payload)
+        self.partial.setdefault(env.version, []).extend(env.payload)
+        cuts = []      # an item holds whole bundles, in bundle order
+        for _, outcomes in itertools.groupby(env.payload, lambda o: self.bundle_of[o.scenario]):
+            cuts += self._bundle_cuts(list(outcomes), env.version)
+        for cut in cuts:
+            self.state.add_cut(cut)
+        self.added[env.version] = self.added.get(env.version, 0) + len(cuts)
+        self.unrecorded += len(cuts)
+
+    def _bundle_cuts(self, outcomes, version):
+        """The violated cuts of one bundle's outcomes at ``version``'s (x, theta):
+        its feasibility cuts if a scenario is infeasible, else its optimality cut."""
+        x, theta = self.payloads[version]
+        infeasible = [o for o in outcomes if not o.feasible]
+        if infeasible:
+            cuts = [make_feasibility_cut(o, iteration=version) for o in infeasible]
+            return [c for c in cuts if c.rhs - c.gradient @ x > self.cfg.kernel.feas_tol]
+        cuts = aggregate_cuts(outcomes, self.probs, self.cfg.cuts, self.cfg.bundle_size,
+                              self.p.nscen, version)
+        return [c for c in cuts if c.value_at(x) > theta[c.aggregate]
+                + 1e-9 * (1.0 + abs(c.value_at(x)))]
+
+    def complete(self, version, decision):
+        if self.finished:
+            return
+        outcomes = self.partial.pop(version)
+        x, _ = decision.payload
+        U = None
+        if all(o.feasible for o in outcomes):
+            U = float(self.p.first.c @ x
+                      + sum(self.probs[o.scenario] * o.value for o in outcomes))
+            if U < self.U_best - 1e-12:
+                self.U_best, self.x_best = U, x.copy()
+                self.ys_best = [o.y for o in sorted(outcomes, key=lambda o: o.scenario)]
+        # regularization centers move only on fully evaluated candidates
+        self.pending_eval = (x, U, self.added.pop(version))
+
+    def advance(self):
+        cfg, st = self.cfg, self.state
+        self.iteration += 1
+        evaluated = self.pending_eval
+        self.pending_eval = None
+        x_eval, U, added = evaluated or (self.payloads[self.iteration - 1][0], None, None)
+        x, theta, L_plain = self._next_candidate(x_eval, U)
+        if st.all_aggregates_cut:
+            self.L = L_plain
+        self.trace.append({"iteration": self.iteration, "lower": self.L,
+                           "upper": self.U_best, "gap": self.gap(),
+                           "cuts_added": self.unrecorded, "bunched": self.solved.bunched,
+                           "lp_solved": self.solved.lp_solved,
+                           "master_fallbacks": st.fallbacks,
+                           "wall": time.perf_counter() - self.t_mark})
+        st.fallbacks = self.unrecorded = 0
+        self.solved = RecourseCounts()
+        # no cut added at a fully evaluated candidate: the model is exact there
+        exact = added == 0 and U is not None and cfg.regularization == "none"
+        if evaluated is not None and st.all_aggregates_cut \
+                and (self.gap() <= cfg.gap_tol or exact):
+            self.status = "optimal"
+            self.finished = True
+            return None
+        if cfg.consolidation and self.iteration % cfg.consolidation_period == 0:
+            st.consolidate(cfg.consolidation_threshold)
+        if self.iteration >= cfg.max_iterations:
+            self.finished = True
+            return None
+        self.payloads[self.iteration] = (x, theta)
+        self.t_mark = time.perf_counter()
+        return VersionedDecision(version=self.iteration, payload=(x, theta),
+                                 iteration=self.iteration)
+
+    def _next_candidate(self, x_k, U_k):
         """Apply the regularization policy and solve for the next candidate.
 
         Returns (x, theta, L_plain).  L_plain is the unregularized master
@@ -496,9 +591,7 @@ class _Run:
         cfg, st = self.cfg, self.state
         reg = cfg.regularization
         if reg == "none":
-            x, theta, val = st.solve_plain()
-            self.prev_model_value = val
-            return x, theta, val
+            return st.solve_plain()
 
         if self.center is None:
             self.center = (self.x_best if self.x_best is not None else x_k).copy()
@@ -528,64 +621,49 @@ class _Run:
         _, _, L_plain = st.solve_plain()
         if reg == "tr":
             x, theta, val = st.solve_plain(tr_center=self.center, tr_delta=self.delta)
-            self.prev_model_value = val
         elif reg == "rd":
             x, theta, val = st.solve_rd(self.center, self.sigma)
-            self.prev_model_value = val
         else:
             U = self.U_best if np.isfinite(self.U_best) else L_plain + 1.0 + abs(L_plain)
             level = L_plain + _LEVEL_LAMBDA * (U - L_plain)
             x, theta, val = st.solve_level(self.center, level + 1e-9 * (1 + abs(level)))
-            self.prev_model_value = val
+        self.prev_model_value = val
         return x, theta, L_plain
-
-    def record(self, wall, added, counts):
-        gap = self.gap()
-        self.trace.append({"iteration": self.iteration, "lower": self.L,
-                           "upper": self.U_best, "gap": gap,
-                           "cuts_added": added, "bunched": counts.bunched,
-                           "lp_solved": counts.lp_solved,
-                           "master_fallbacks": self.state.fallbacks, "wall": wall})
-        self.state.fallbacks = 0
 
     def gap(self):
         if not np.isfinite(self.U_best) or not np.isfinite(self.L):
             return np.inf
         return (self.U_best - self.L) / (1.0 + abs(self.U_best))
 
-    def lower_valid(self):
-        return self.state.all_aggregates_cut
-
-    def report(self, status, wall, seed=None):
-        p = self.p
-        obj = p.report_value(self.U_best) if np.isfinite(self.U_best) else np.nan
-        counts = self.state.counts()
-        counts["added_total"] = self.cuts_added
-        return SolveReport(
-            method="lshaped", status=status, objective=obj,
+    def report(self, wall, seed=None):
+        cfg, counts = self.cfg, self.state.counts()
+        counts["added_total"] = sum(rec["cuts_added"] for rec in self.trace)
+        solved = RecourseCounts(sum(rec["bunched"] for rec in self.trace),
+                                sum(rec["lp_solved"] for rec in self.trace))
+        obj = self.p.report_value(self.U_best) if np.isfinite(self.U_best) else np.nan
+        rep = SolveReport(
+            method="lshaped", status=self.status, objective=obj,
             decision=self.x_best, recourse=self.ys_best,
             gaps={"lower": self.L, "upper": self.U_best, "gap": self.gap()},
             iterations=self.iteration, cut_counts=counts, trace=self.trace,
             seed=seed, wall_time=wall,
-            extras={"internal_objective": self.U_best,
-                    "recourse": self.counts.as_dict(),
+            extras={"internal_objective": self.U_best, "recourse": solved.as_dict(),
                     "_cuts": list(self.state.cuts)},
         )
+        rep.config = {"cuts": cfg.cuts, "bundle_size": cfg.bundle_size,
+                      "regularization": cfg.regularization, "gap_tol": cfg.gap_tol,
+                      "execution": cfg.execution.label, "workers": cfg.execution.workers}
+        return rep
 
 
-def solve_lshaped(problem: TwoStageProblem, cfg: LShapedConfig = None,
-                  engine: ExecConfig = None, seed=None) -> SolveReport:
+def solve_lshaped(problem: TwoStageProblem, cfg: LShapedConfig = None, *,
+                  seed=None) -> SolveReport:
     """Run the L-shaped algorithm until (U - L) / (1 + |U|) <= gap_tol."""
     cfg = cfg or LShapedConfig()
-    engine = engine or cfg.execution
     t0 = time.perf_counter()
-    run = _Run(problem, cfg)
-    coord = _Coordinator(run, cfg)
-    stats = drive(coord, engine)
-    rep = run.report(coord.status, time.perf_counter() - t0, seed)
-    rep.config = {"cuts": cfg.cuts, "bundle_size": cfg.bundle_size,
-                  "regularization": cfg.regularization, "gap_tol": cfg.gap_tol,
-                  "execution": engine.label, "workers": engine.workers}
+    coord = _Coordinator(problem, cfg)
+    stats = drive(coord, cfg.execution)
+    rep = coord.report(time.perf_counter() - t0, seed)
     if stats is not None:
         rep.extras["async"] = stats.summary()
     return rep
@@ -607,106 +685,3 @@ def vrp(p: TwoStageProblem, kcfg: KernelConfig = None):
     if rep.status != "optimal":
         raise NumericalBreakdown(f"L-shaped run ended {rep.status}")
     return rep.gaps["lower"], rep.decision
-
-
-class _Coordinator:
-    """Master-side state machine of the kappa protocol, for every execution mode.
-
-    A version is one candidate (x, theta) and its work items are the
-    aggregation bundles.  Cuts are built as each bundle's results arrive and
-    tested against the (x, theta) of the version that generated them.  The
-    upper bound comes only from versions whose results are all in, and the
-    stopping tests run right after the master re-solve that follows such a
-    version, so a converged run issues no further wave.
-    """
-
-    def __init__(self, run: _Run, cfg):
-        self.run = run
-        self.cfg = cfg
-        self.n_items = len(run.bundles)
-        self.finished = False
-        self.status = "iteration_limit"
-        self.partial = {}          # version -> outcomes received so far
-        self.added = {}            # version -> cuts its results added
-        self.payloads = {}         # version (= iteration that produced it) -> (x, theta)
-        self.pending_eval = None   # last fully evaluated (x, U, added), consumed by advance
-        self.unrecorded = 0        # cuts added since the last trace record
-        self.solved = RecourseCounts()     # outcomes received since the last record
-        self.t_mark = None
-
-    def initial_decision(self):
-        x, theta, _ = self.run.state.solve_plain()   # cold start: theta at theta_min
-        self.payloads[0] = (x, theta)
-        self.t_mark = time.perf_counter()
-        return VersionedDecision(version=0, payload=(x, theta), iteration=0)
-
-    def worker_payload(self, decision, index):
-        x, _ = decision.payload
-        return self.run.solve_bundle(self.run.bundles[index], x)
-
-    def incorporate(self, env):
-        if self.finished:
-            return      # results drained after the stop leave the run as reported
-        run = self.run
-        outcomes = env.payload
-        run.counts.add(outcomes)
-        self.solved.add(outcomes)
-        x, theta = self.payloads[env.version]
-        self.partial.setdefault(env.version, []).extend(outcomes)
-        infeasible = [o for o in outcomes if not o.feasible]
-        if infeasible:
-            cuts = [make_feasibility_cut(o, iteration=env.version) for o in infeasible]
-            cuts = [c for c in cuts if c.rhs - c.gradient @ x > self.cfg.kernel.feas_tol]
-        else:
-            cuts = aggregate_cuts(outcomes, run.probs, self.cfg.cuts, self.cfg.bundle_size,
-                                  run.p.nscen, env.version)
-            cuts = [c for c in cuts if c.value_at(x) > theta[c.aggregate]
-                    + 1e-9 * (1.0 + abs(c.value_at(x)))]
-        for cut in cuts:
-            run.state.add_cut(cut)
-        self.added[env.version] = self.added.get(env.version, 0) + len(cuts)
-        self.unrecorded += len(cuts)
-        run.cuts_added += len(cuts)
-
-    def complete(self, version, decision):
-        if self.finished:
-            return
-        run = self.run
-        outcomes = self.partial.pop(version)
-        x, _ = decision.payload
-        U = None
-        if all(o.feasible for o in outcomes):
-            U = float(run.p.first.c @ x
-                      + sum(run.probs[o.scenario] * o.value for o in outcomes))
-        run.note_upper(U, x, outcomes)
-        # regularization centers move only on fully evaluated candidates
-        self.pending_eval = (x, U, self.added.pop(version))
-
-    def advance(self):
-        run, cfg = self.run, self.cfg
-        run.iteration += 1
-        evaluated = self.pending_eval
-        self.pending_eval = None
-        x_eval, U, added = evaluated or (self.payloads[run.iteration - 1][0], None, None)
-        x, theta, L_plain = run.next_candidate(x_eval, U)
-        if run.lower_valid():
-            run.L = L_plain
-        run.record(time.perf_counter() - self.t_mark, self.unrecorded, self.solved)
-        self.unrecorded = 0
-        self.solved = RecourseCounts()
-        # no cut added at a fully evaluated candidate: the model is exact there
-        exact = added == 0 and U is not None and cfg.regularization == "none"
-        if evaluated is not None and run.lower_valid() \
-                and (run.gap() <= cfg.gap_tol or exact):
-            self.status = "optimal"
-            self.finished = True
-            return None
-        if cfg.consolidation and run.iteration % cfg.consolidation_period == 0:
-            run.state.consolidate(cfg.consolidation_threshold)
-        if run.iteration >= cfg.max_iterations:
-            self.finished = True
-            return None
-        self.payloads[run.iteration] = (x, theta)
-        self.t_mark = time.perf_counter()
-        return VersionedDecision(version=run.iteration, payload=(x, theta),
-                                 iteration=run.iteration)

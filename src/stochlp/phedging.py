@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, kernel
 from .errors import ConfigError, FirstStageInfeasible
-from .execution import ExecConfig, VersionedDecision, drive
+from .execution import ExecConfig, VersionedDecision, drive, work_items
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
 from .kernel import KernelConfig
 from .model import LPInstance, TwoStageProblem
@@ -271,16 +271,14 @@ def _initial_state(problem: TwoStageProblem, cfg: PhConfig) -> PhState:
     return PhState(xs=xs, ys=ys, xi=xi, rho=np.zeros_like(xs), r=cfg.r)
 
 
-def solve_ph(problem: TwoStageProblem, cfg: PhConfig = None,
-             engine: ExecConfig = None, seed=None) -> SolveReport:
+def solve_ph(problem: TwoStageProblem, cfg: PhConfig = None, *, seed=None) -> SolveReport:
     """Run progressive hedging until both squared gaps fall below tolerance."""
     cfg = cfg or PhConfig()
-    engine = engine or cfg.execution
     t0 = time.perf_counter()
     state = _initial_state(problem, cfg)
-    coord = _PhCoordinator(problem, cfg, state, engine)
-    stats = drive(coord, engine)
-    rep = _report(problem, cfg, engine, state, coord.trace, coord.status,
+    coord = _PhCoordinator(problem, cfg, state)
+    stats = drive(coord, cfg.execution)
+    rep = _report(problem, cfg, state, coord.trace, coord.status,
                   time.perf_counter() - t0, seed)
     if stats is not None:
         rep.extras["async"] = stats.summary()
@@ -294,7 +292,7 @@ def _objective(problem, state):
     return float(probs @ np.asarray(vals))
 
 
-def _report(problem, cfg, engine, state, trace, status, wall, seed):
+def _report(problem, cfg, state, trace, status, wall, seed):
     obj = _objective(problem, state)
     # expected value of the implementable point itself, when it is feasible
     # (pre-consensus it may not be second-stage feasible); looked up per
@@ -320,16 +318,17 @@ def _report(problem, cfg, engine, state, trace, status, wall, seed):
     )
     rep.config = {"penalty": cfg.penalty, "r": cfg.r,
                   "primal_tol": cfg.primal_tol, "dual_tol": cfg.dual_tol,
-                  "execution": engine.label, "workers": engine.workers}
+                  "execution": cfg.execution.label, "workers": cfg.execution.workers}
     return rep
 
 
 class _PhCoordinator:
     """Scenario-side state machine of the kappa protocol, for every execution mode.
 
-    A version is one (xi, rho, r) snapshot and its work items are scenario
-    bundles: one bundle of every scenario in waves (serial and sync), one
-    scenario per item under async, so kappa counts scenarios there.
+    A version is one (xi, rho, r) snapshot and its work items group the
+    scenarios by ``execution.work_items``: every scenario in one item in waves
+    (serial and sync), one scenario per item under async, so kappa counts
+    scenarios there.
     Aggregation and the multiplier update touch every scenario at once
     using each scenario's latest available solution, so multiplier
     conservation is preserved.  The convergence test runs right after an
@@ -337,14 +336,13 @@ class _PhCoordinator:
     scenario's solution in it is at least as new as that version.
     """
 
-    def __init__(self, problem, cfg, state: PhState, engine: ExecConfig):
+    def __init__(self, problem, cfg, state: PhState):
         self.p = problem
         self.cfg = cfg
         self.state = state
         self.probs = problem.probabilities
         S = problem.nscen
-        self.bundles = [np.arange(S)] if engine.mode != "async" \
-            else [np.array([s]) for s in range(S)]
+        self.bundles = work_items([[s] for s in range(S)], cfg.execution)
         self.n_items = len(self.bundles)
         self.data = ProximalStacks(problem)
         self.finished = False

@@ -282,9 +282,29 @@ def cross_product_scenarios(positions, base_q, base_T, base_h, cap=DEFAULT_SCENA
     Scenario count is the product of the outcome counts; each scenario's
     probability is the product of its outcome probabilities.
     """
-    return _expand(list(positions), np.asarray(base_q, dtype=float),
-                   np.asarray(base_T, dtype=float), np.asarray(base_h, dtype=float),
-                   cap)
+    positions = list(positions)
+    q0, T0, h0 = (np.asarray(a, dtype=float) for a in (base_q, base_T, base_h))
+    total = 1
+    for pos in positions:
+        total *= len(pos.outcomes)
+        if total > cap:
+            raise ScenarioExplosion(total, cap)
+        if pos.target[0] != "block":
+            psum = sum(pr for _, pr in pos.outcomes)
+            if abs(psum - 1.0) > 1e-6:
+                raise ParseError("stoch", 0,
+                                 f"outcome probabilities of {pos.target} sum to {psum:.8g}")
+    scenarios = []
+    for combo in itertools.product(*(pos.outcomes for pos in positions)):
+        prob = 1.0
+        assignments = []
+        for pos, (value, pr) in zip(positions, combo):
+            prob *= pr
+            block = pos.target[0] == "block"
+            assignments.extend(value.items() if block else [(pos.target, value)])
+        q, T, h = write_targets(q0, T0, h0, assignments)
+        scenarios.append(Scenario(probability=prob, q=q, T=T, h=h))
+    return scenarios
 
 
 def read_smps(triplet: SmpsTriplet, cap=DEFAULT_SCENARIO_CAP) -> TwoStageProblem:
@@ -386,33 +406,9 @@ def read_smps(triplet: SmpsTriplet, cap=DEFAULT_SCENARIO_CAP) -> TwoStageProblem
             outcomes.append((assign, inst["prob"]))
         positions.append(RandomPosition(target=("block", bname), outcomes=outcomes))
 
-    scenarios = _expand(positions, q0, T0, h0, cap)
+    scenarios = cross_product_scenarios(positions, q0, T0, h0, cap)
     problem = build_problem(first, shape, scenarios)
     return problem
-
-
-def _expand(positions, q0, T0, h0, cap):
-    total = 1
-    for pos in positions:
-        total *= len(pos.outcomes)
-        if total > cap:
-            raise ScenarioExplosion(total, cap)
-        if pos.target[0] != "block":
-            psum = sum(pr for _, pr in pos.outcomes)
-            if abs(psum - 1.0) > 1e-6:
-                raise ParseError("stoch", 0,
-                                 f"outcome probabilities of {pos.target} sum to {psum:.8g}")
-    scenarios = []
-    for combo in itertools.product(*(pos.outcomes for pos in positions)):
-        prob = 1.0
-        assignments = []
-        for pos, (value, pr) in zip(positions, combo):
-            prob *= pr
-            block = pos.target[0] == "block"
-            assignments.extend(value.items() if block else [(pos.target, value)])
-        q, T, h = write_targets(q0, T0, h0, assignments)
-        scenarios.append(Scenario(probability=prob, q=q, T=T, h=h))
-    return scenarios
 
 
 def read_smps_files(core_path, time_path=None, stoch_path=None,

@@ -23,8 +23,7 @@ from stochlp.fixtures import (
 )
 from stochlp.lshaped import (
     LShapedConfig,
-    _Coordinator as _AsyncCoordinator,
-    _Run,
+    _Coordinator,
     solve_lshaped,
     solve_subproblem,
 )
@@ -103,8 +102,9 @@ def sweep6():
         pts = first_stage_feasible_points(p, 10, seed + 5000)
         pvals = [_scenario_values(p, x) for x in pts]
         for cuts, bs, reg, mode in GRID:
-            cfg = LShapedConfig(cuts=cuts, bundle_size=bs, regularization=reg)
-            rep = solve_lshaped(p, cfg, engine=_engine(mode))
+            cfg = LShapedConfig(cuts=cuts, bundle_size=bs, regularization=reg,
+                                execution=_engine(mode))
+            rep = solve_lshaped(p, cfg)
             rel = abs(rep.extras["internal_objective"] - dep_v) / max(1.0, abs(dep_v))
             ls_worst = max(ls_worst, rel)
             if rel > 1e-5 or rep.status != "optimal":
@@ -320,9 +320,9 @@ def test_criterion_12_async_protocol(sweep6):
     for seed in list(sweep6["problems"])[:8]:
         p = sweep6["problems"][seed]
         serial = solve_lshaped(p, LShapedConfig(cuts="multi"))
-        cfg = LShapedConfig(cuts="multi")
-        run = _Run(p, cfg)
-        coord = _AsyncCoordinator(run, cfg)
+        engine = ExecConfig(mode="async", workers=4, kappa=0.5)
+        cfg = LShapedConfig(cuts="multi", execution=engine)
+        coord = _Coordinator(p, cfg)
         slow = []
 
         def delayed(dec, idx, _coord=coord, _slow=slow):
@@ -333,9 +333,8 @@ def test_criterion_12_async_protocol(sweep6):
                 time.sleep(0.05)
             return _coord.worker_payload(dec, idx)
 
-        stats = run_async(coord, delayed,
-                          ExecConfig(mode="async", workers=4, kappa=0.5))
-        obj = run.U_best
+        stats = run_async(coord, delayed, engine)
+        obj = coord.U_best
         gap_tol = cfg.gap_tol * (1.0 + abs(obj)) * 2
         match = abs(obj - serial.extras["internal_objective"]) <= max(gap_tol, 1e-6)
         exactly_once = (stats.issued == stats.received

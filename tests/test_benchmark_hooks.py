@@ -28,10 +28,10 @@ def test_every_traced_name_exists_and_is_called():
     saved = tracing.install(tracer)
     try:
         sync = ExecConfig(mode="sync", workers=2)
-        lshaped.solve_lshaped(simple_problem(), lshaped.LShapedConfig(cuts="multi"),
-                              engine=sync)
-        phedging.solve_ph(simple_problem(), phedging.PhConfig(max_iterations=2),
-                          engine=sync)
+        lshaped.solve_lshaped(simple_problem(),
+                              lshaped.LShapedConfig(cuts="multi", execution=sync))
+        phedging.solve_ph(simple_problem(),
+                          phedging.PhConfig(max_iterations=2, execution=sync))
         x = [40.0, 80.0]
         analysis.evaluate_decision(simple_problem(), x)
         sampling.evaluate_on_samples(simple_model(), simple_sampler(), x, 4, seed=0)

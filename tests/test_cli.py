@@ -159,6 +159,14 @@ class TestSolve:
         assert line.split()[1:3] == [str(kept), "kept"]
         assert line.endswith(f", {counts['added_total']} added in total")
 
+    def test_trust_region_without_complete_recourse_exits_0(self, capsys):
+        from stochlp import cli
+        solve = ["solve", "--fixture", "norrc-1", "--format", "machine", "--method"]
+        assert cli.main(solve + ["dep"]) == 0
+        dep = json.loads(capsys.readouterr().out)["objective"]
+        assert cli.main(solve + ["lshaped", "--regularization", "tr"]) == 0
+        assert json.loads(capsys.readouterr().out)["objective"] == pytest.approx(dep, abs=1e-5)
+
     def test_rerun_reproduces_report(self, tmp_path):
         a = run_cli("solve", "--fixture", "farmer", "--method", "lshaped",
                     "--seed", "3", "--format", "machine")

@@ -84,8 +84,9 @@ class TestWavesRunInline:
                 threads.append(threading.get_ident())
                 return _solve(*args, **kwargs)
             monkeypatch.setattr(module, name, record)
-        lshaped.solve_lshaped(simple_problem(), lshaped.LShapedConfig(), engine=engine)
-        phedging.solve_ph(simple_problem(), phedging.PhConfig(max_iterations=3), engine=engine)
+        lshaped.solve_lshaped(simple_problem(), lshaped.LShapedConfig(execution=engine))
+        phedging.solve_ph(simple_problem(),
+                          phedging.PhConfig(max_iterations=3, execution=engine))
         assert threads and set(threads) == {threading.get_ident()}
 
 

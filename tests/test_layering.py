@@ -1,10 +1,12 @@
-"""The kernel's private names stay inside the kernel, and the DEP has one caller.
+"""The kernel's private names stay inside the kernel, the DEP has one caller, and
+the execution mode is read in one module.
 
 Every module of the package other than ``kernel.py`` uses the kernel through
 its public names only: no ``kernel._name`` attribute reads and no
 ``from .kernel import _name`` imports.  The extensive form is built only by
 ``lshaped.vrp``, the one solve of the recourse problem, and by the CLI's
-``solve --method dep``.
+``solve --method dep``.  Only ``execution.py`` compares an execution mode
+(``ExecConfig.mode``) to a mode name, so the work-item rule has one home.
 """
 
 import ast
@@ -114,3 +116,40 @@ def test_the_dep_scan_sees_every_form_of_use():
     )
     assert dep_users(source) == [(4, "f"), (7, "inner"), (8, "g"), (9, "<lambda>"),
                                  (10, "<module>")]
+
+
+def mode_comparisons(source):
+    """Line of every comparison of a ``.mode`` attribute with a string or strings."""
+    def text(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(text(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(n, ast.Attribute) and n.attr == "mode" for n in sides) \
+                    and any(text(n) for n in sides):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "execution.py"),
+                         ids=lambda p: p.name)
+def test_only_execution_reads_the_mode(path):
+    assert mode_comparisons(path.read_text()) == []
+
+
+def test_the_mode_scan_sees_every_form_of_use():
+    source = (
+        "engine.mode != 'async'\n"
+        "if cfg.execution.mode == \"sync\": pass\n"
+        "x = 'async' == e.mode\n"
+        "e.mode in ('serial', 'sync')\n"
+        "e.mode is None\n"
+        "e.kind == 'async'\n"
+        "mode == 'async'\n"
+    )
+    assert mode_comparisons(source) == [1, 2, 3, 4]

@@ -1,9 +1,11 @@
 """L-shaped solver: cuts, aggregation, policies, and DEP agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stochlp import kernel
+from stochlp import kernel, lshaped
 from stochlp.errors import (
     ConfigError,
     MasterInfeasible,
@@ -32,9 +34,13 @@ from stochlp.model import (
 from _problems import (
     dep_optimum,
     first_stage_feasible_points,
+    infeasible_problem,
+    random_norrc_problem,
     random_rcr_problem,
     unbounded_recourse_problem,
 )
+
+REGULARIZATIONS = ["none", "tr", "rd", "level"]
 
 
 def _outcomes_at(problem, x):
@@ -255,14 +261,21 @@ class TestSolve:
         with pytest.raises(ConfigError):
             LShapedConfig(max_iterations=0)
 
-    def test_master_infeasible(self):
+    @pytest.mark.parametrize("reg", REGULARIZATIONS)
+    def test_master_infeasible(self, reg):
         first = FirstStage(c=[1.0], A=[[1.0], [1.0]], b=[1.0, 3.0],
                            row_senses=("<=", ">="), lb=[0.0], ub=[10.0])
         shape = RecourseShape(W=[[1.0]], sense="min", row_senses=(">=",))
         scen = [Scenario(probability=1.0, q=[1.0], T=[[0.0]], h=[0.0])]
         p = build_problem(first, shape, scen)
         with pytest.raises(MasterInfeasible):
-            solve_lshaped(p, LShapedConfig())
+            solve_lshaped(p, LShapedConfig(regularization=reg))
+
+    @pytest.mark.parametrize("reg", REGULARIZATIONS)
+    def test_feasibility_cuts_that_empty_the_first_stage_raise(self, reg):
+        # the unboxed master is solved before the trust-region one, so no box hides this
+        with pytest.raises(MasterInfeasible):
+            solve_lshaped(infeasible_problem(), LShapedConfig(regularization=reg))
 
 
 class TestScenarioBoundOverrides:
@@ -285,19 +298,20 @@ class TestScenarioBoundOverrides:
 
 
 class TestFeasibilityCuts:
-    def test_norrc_fixture_matches_dep(self):
+    @pytest.mark.parametrize("reg", REGULARIZATIONS)
+    def test_norrc_fixture_matches_dep(self, reg):
         p = norrc1_problem()
         v, _ = dep_optimum(p)
-        rep = solve_lshaped(p, LShapedConfig(cuts="multi"))
+        rep = solve_lshaped(p, LShapedConfig(cuts="multi", regularization=reg))
         assert rep.status == "optimal"
         assert rep.objective == pytest.approx(v, rel=1e-5, abs=1e-7)
         assert rep.cut_counts["feasibility"] > 0
 
-    def test_final_point_scenario_feasible(self):
-        from _problems import random_norrc_problem
+    @pytest.mark.parametrize("reg", REGULARIZATIONS)
+    def test_final_point_scenario_feasible(self, reg):
         for seed in range(5):
             p = random_norrc_problem(seed)
-            rep = solve_lshaped(p, LShapedConfig(cuts="multi"))
+            rep = solve_lshaped(p, LShapedConfig(cuts="multi", regularization=reg))
             assert rep.status == "optimal"
             for s, sc in enumerate(p.scenarios):
                 out, _ = solve_subproblem(p.shape, sc, rep.decision,
@@ -450,8 +464,8 @@ class TestConsolidation:
         # async consolidates too; on seed 9 stale cuts are dropped
         p = random_rcr_problem(9)
         engine = ExecConfig(mode="async", workers=1, kappa=1.0)
-        a = solve_lshaped(p, plain, engine=engine)
-        b = solve_lshaped(p, consolidated, engine=engine)
+        a = solve_lshaped(p, replace(plain, execution=engine))
+        b = solve_lshaped(p, replace(consolidated, execution=engine))
         assert a.extras["internal_objective"] == pytest.approx(
             b.extras["internal_objective"], rel=1e-5, abs=1e-6)
         assert b.cut_counts["optimality"] < a.cut_counts["optimality"]
@@ -460,33 +474,30 @@ class TestConsolidation:
 class TestExecutionModes:
     def test_one_worker_sync_identical_to_serial(self):
         p = simple_problem()
-        a = solve_lshaped(p, LShapedConfig(), engine=ExecConfig(mode="serial"))
-        b = solve_lshaped(p, LShapedConfig(),
-                          engine=ExecConfig(mode="sync", workers=1))
+        a = solve_lshaped(p, LShapedConfig(execution=ExecConfig(mode="serial")))
+        b = solve_lshaped(p, LShapedConfig(execution=ExecConfig(mode="sync", workers=1)))
         assert a.objective == b.objective
         assert a.iterations == b.iterations
         np.testing.assert_array_equal(a.decision, b.decision)
 
     def test_sync_matches_serial(self):
         p = simple_problem()
-        a = solve_lshaped(p, LShapedConfig(), engine=ExecConfig(mode="serial"))
-        b = solve_lshaped(p, LShapedConfig(),
-                          engine=ExecConfig(mode="sync", workers=4))
+        a = solve_lshaped(p, LShapedConfig(execution=ExecConfig(mode="serial")))
+        b = solve_lshaped(p, LShapedConfig(execution=ExecConfig(mode="sync", workers=4)))
         assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
     def test_sync_deterministic_across_runs(self):
         p = random_rcr_problem(3)
         vals = set()
         for _ in range(3):
-            rep = solve_lshaped(p, LShapedConfig(),
-                                engine=ExecConfig(mode="sync", workers=4))
+            rep = solve_lshaped(p, LShapedConfig(execution=ExecConfig(mode="sync", workers=4)))
             vals.add(round(rep.extras["internal_objective"], 9))
         assert len(vals) == 1
 
     def test_async_kappa_one_matches(self):
         p = simple_problem()
-        rep = solve_lshaped(p, LShapedConfig(),
-                            engine=ExecConfig(mode="async", workers=2, kappa=1.0))
+        rep = solve_lshaped(p, LShapedConfig(
+            execution=ExecConfig(mode="async", workers=2, kappa=1.0)))
         assert rep.objective == pytest.approx(-855.8333333, abs=1e-3)
         st = rep.extras["async"]
         assert st["issued"] == st["received"]
@@ -495,8 +506,8 @@ class TestExecutionModes:
     def test_async_kappa_one_single_worker_replays_serial(self):
         p = random_rcr_problem(0)
         a = solve_lshaped(p, LShapedConfig(cuts="multi"))
-        b = solve_lshaped(p, LShapedConfig(cuts="multi"),
-                          engine=ExecConfig(mode="async", workers=1, kappa=1.0))
+        b = solve_lshaped(p, LShapedConfig(
+            cuts="multi", execution=ExecConfig(mode="async", workers=1, kappa=1.0)))
         assert (a.status, a.iterations, a.cut_counts, a.objective) == \
             (b.status, b.iterations, b.cut_counts, b.objective)
         np.testing.assert_array_equal(a.decision, b.decision)
@@ -504,11 +515,57 @@ class TestExecutionModes:
         assert drop_wall == [{k: v for k, v in t.items() if k != "wall"} for t in b.trace]
 
     def test_async_trace_counts_every_cut(self):
-        rep = solve_lshaped(random_rcr_problem(0), LShapedConfig(cuts="multi"),
-                            engine=ExecConfig(mode="async", workers=2, kappa=0.5))
+        rep = solve_lshaped(random_rcr_problem(0), LShapedConfig(
+            cuts="multi", execution=ExecConfig(mode="async", workers=2, kappa=0.5)))
         added = rep.cut_counts["added_total"]
         assert added > 0
         assert sum(t["cuts_added"] for t in rep.trace) == added
+
+    @pytest.mark.parametrize("cuts, bundle_size", [("single", 1), ("multi", 1), ("partial", 2)],
+                             ids=["single", "multi", "partial2"])
+    @pytest.mark.parametrize("make", [random_rcr_problem, random_norrc_problem],
+                             ids=["rcr", "norrc"])
+    def test_async_bundles_replay_serial_waves(self, make, cuts, bundle_size):
+        # one item of every bundle against one item per bundle, at kappa = 1
+        per_record = ("cuts_added", "bunched", "lp_solved")
+        for seed in range(20):
+            p = make(seed)
+            cfg = LShapedConfig(cuts=cuts, bundle_size=bundle_size)
+            a = solve_lshaped(p, cfg)
+            b = solve_lshaped(p, replace(cfg, execution=ExecConfig(mode="async", workers=1,
+                                                                   kappa=1.0)))
+            assert (a.status, a.iterations, a.cut_counts) == \
+                (b.status, b.iterations, b.cut_counts)
+            assert [[t[k] for k in per_record] for t in a.trace] == \
+                [[t[k] for k in per_record] for t in b.trace]
+            assert a.extras["internal_objective"] == pytest.approx(
+                b.extras["internal_objective"], rel=1e-12)
+
+    @pytest.fixture
+    def recourse_calls(self, monkeypatch):
+        """The scenario count of every ``lshaped.solve_recourse`` call."""
+        calls = []
+        solve = lshaped.solve_recourse
+        monkeypatch.setattr(lshaped, "solve_recourse",
+                            lambda pool, x, idx, *a, **kw: calls.append(len(idx))
+                            or solve(pool, x, idx, *a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("engine", [ExecConfig(mode="serial"),
+                                        ExecConfig(mode="sync", workers=2)],
+                             ids=["serial", "sync"])
+    def test_a_wave_is_one_recourse_call(self, recourse_calls, engine):
+        p = random_rcr_problem(0)
+        rep = solve_lshaped(p, LShapedConfig(cuts="multi", execution=engine))
+        assert recourse_calls == [p.nscen] * rep.iterations
+
+    def test_an_async_item_is_one_bundle(self, recourse_calls):
+        p = random_rcr_problem(0)
+        rep = solve_lshaped(p, LShapedConfig(
+            cuts="multi", execution=ExecConfig(mode="async", workers=1, kappa=1.0)))
+        st = rep.extras["async"]
+        assert st["issued"] == p.nscen * st["versions"]
+        assert recourse_calls == [1] * st["issued"]
 
     @pytest.mark.parametrize("engine", [ExecConfig(mode="serial"),
                                         ExecConfig(mode="async", workers=2, kappa=0.5)],
@@ -516,5 +573,5 @@ class TestExecutionModes:
     def test_unbounded_recourse_raises_itself_in_every_mode(self, engine):
         # a worker's package error is re-raised as is, not wrapped in WorkerPanic
         with pytest.raises(UnboundedSubproblem) as exc:
-            solve_lshaped(unbounded_recourse_problem(), LShapedConfig(), engine=engine)
+            solve_lshaped(unbounded_recourse_problem(), LShapedConfig(execution=engine))
         assert exc.value.scenario == 0

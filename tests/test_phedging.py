@@ -272,8 +272,8 @@ class TestExecutionModes:
     def test_sync_matches_serial(self):
         p = simple_problem()
         a = solve_ph(p, PhConfig(penalty="fixed", r=1.0))
-        b = solve_ph(p, PhConfig(penalty="fixed", r=1.0),
-                     engine=ExecConfig(mode="sync", workers=4))
+        b = solve_ph(p, PhConfig(penalty="fixed", r=1.0,
+                                 execution=ExecConfig(mode="sync", workers=4)))
         assert a.objective == pytest.approx(b.objective, abs=1e-9)
         assert a.iterations == b.iterations
 
@@ -282,8 +282,8 @@ class TestExecutionModes:
         # async at kappa = 1 on one worker solves one scenario per item
         p = farmer_problem()
         a = solve_ph(p, PhConfig(penalty=penalty))
-        b = solve_ph(p, PhConfig(penalty=penalty),
-                     engine=ExecConfig(mode="async", workers=1, kappa=1.0))
+        b = solve_ph(p, PhConfig(penalty=penalty,
+                                 execution=ExecConfig(mode="async", workers=1, kappa=1.0)))
         assert b.status == a.status == "optimal"
         assert b.objective == pytest.approx(a.objective, rel=1e-6)
         assert abs(b.iterations - a.iterations) <= 0.02 * a.iterations
@@ -293,8 +293,8 @@ class TestExecutionModes:
         # async trajectories differ run to run; tighter gaps pin the value
         p = simple_problem()
         rep = solve_ph(p, PhConfig(penalty="fixed", r=1.0,
-                                   primal_tol=1e-7, dual_tol=1e-7),
-                       engine=ExecConfig(mode="async", workers=3, kappa=0.5))
+                                   primal_tol=1e-7, dual_tol=1e-7,
+                                   execution=ExecConfig(mode="async", workers=3, kappa=0.5)))
         assert rep.status == "optimal"
         assert abs(rep.objective - (-855.8333)) <= 0.5
         st = rep.extras["async"]
@@ -302,7 +302,8 @@ class TestExecutionModes:
         assert rep.extras["multiplier_drift"] <= 1e-6 * max(1, rep.iterations)
 
     def test_async_trace_has_objective(self):
-        rep = solve_ph(simple_problem(), PhConfig(penalty="fixed", r=1.0, max_iterations=20),
-                       engine=ExecConfig(mode="async", workers=2, kappa=0.5))
+        rep = solve_ph(simple_problem(), PhConfig(
+            penalty="fixed", r=1.0, max_iterations=20,
+            execution=ExecConfig(mode="async", workers=2, kappa=0.5)))
         assert rep.trace
         assert all("objective" in t for t in rep.trace)

@@ -22,7 +22,6 @@ from .analysis import (
 from .execution import ExecConfig, run_async, run_wave
 from .kernel import (
     Basis,
-    KernelConfig,
     LPSolution,
     linearize_penalty,
     solve_lp,
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Basis", "ConfidenceReport", "Cut", "DiscreteSampler", "ExecConfig",
-    "FirstStage", "KernelConfig", "LPInstance", "LPSolution", "LShapedConfig",
+    "FirstStage", "LPInstance", "LPSolution", "LShapedConfig",
     "MeasureResult", "NormalSampler", "PhConfig", "RecourseShape", "SaaConfig",
     "Scenario", "SolveReport", "StochasticModel", "TwoStageProblem",
     "all_measures", "build_deterministic_equivalent",

@@ -62,13 +62,11 @@ class MeasureResult:
         return d
 
 
-def evaluate_decision(p: TwoStageProblem, x, kcfg=None, on_infeasible="inf", counts=None):
+def evaluate_decision(p: TwoStageProblem, x):
     """Expected result c^T x + sum_s pi_s Q_s(x) of a first-stage decision.
 
-    Returns +inf when some scenario is second-stage infeasible at x (or
-    raises when on_infeasible='raise').  The candidate must satisfy the
-    first-stage constraints.  ``counts`` (a ``lshaped.RecourseCounts``),
-    when given, adds up how many recourse values bunching resolved.
+    Returns +inf when some scenario is second-stage infeasible at x.  The
+    candidate must satisfy the first-stage constraints.
     """
     x = np.asarray(x, dtype=float)
     first = p.first
@@ -78,10 +76,8 @@ def evaluate_decision(p: TwoStageProblem, x, kcfg=None, on_infeasible="inf", cou
     if viol > 1e-6:
         raise FirstStageInfeasible(f"candidate violates the first stage by {viol:.3g}")
     try:
-        values = recourse_values(p.batch, x, kcfg, counts)
+        values = recourse_values(p.batch, x)
     except SecondStageInfeasible:
-        if on_infeasible == "raise":
-            raise
         return np.inf
     total = float(first.c @ x)
     for sc, v in zip(p.scenarios, values):
@@ -89,7 +85,7 @@ def evaluate_decision(p: TwoStageProblem, x, kcfg=None, on_infeasible="inf", cou
     return total
 
 
-def wait_and_see_solutions(p: TwoStageProblem, kcfg=None):
+def wait_and_see_solutions(p: TwoStageProblem):
     """Optimal (x, y) and value of each scenario's wait-and-see LP, as arrays
     (S, n + m) and (S,); the lowest scenario whose LP is not optimal raises.
 
@@ -98,7 +94,7 @@ def wait_and_see_solutions(p: TwoStageProblem, kcfg=None):
     every member is excluded, so each LP is solved alone and cold.
     """
     def solve(s, warm):
-        sol = kernel.solve_lp(build_wait_and_see(p, s), kcfg, warm_start=warm)
+        sol = kernel.solve_lp(build_wait_and_see(p, s), warm_start=warm)
         return kernel.require_optimal(sol, "wait-and-see LP", s), sol.basis
 
     def stacked(first, second):
@@ -110,7 +106,7 @@ def wait_and_see_solutions(p: TwoStageProblem, kcfg=None):
                              stacked(first.lb, batch.lb), stacked(first.ub, batch.ub),
                              excluded=np.full(S, alone))
     pooled, alone = kernel.solve_family(family, np.arange(S), stacked(first.b, batch.h),
-                                        solve, kcfg)
+                                        solve)
     xs, values = np.empty((S, family.n)), np.empty(S)
     for pos, x, _, objective in pooled:
         xs[pos], values[pos] = x, objective
@@ -119,9 +115,9 @@ def wait_and_see_solutions(p: TwoStageProblem, kcfg=None):
     return xs, values
 
 
-def ews(p: TwoStageProblem, kcfg=None):
+def ews(p: TwoStageProblem):
     """Probability-weighted sum of wait-and-see optima."""
-    _, values = wait_and_see_solutions(p, kcfg)
+    _, values = wait_and_see_solutions(p)
     return sum(sc.probability * v for sc, v in zip(p.scenarios, values))
 
 
@@ -138,22 +134,22 @@ def _evpi_result(v, w):
                          components={"ews": w, "vrp": v, "raw": raw})
 
 
-def evpi(p: TwoStageProblem, kcfg=None) -> MeasureResult:
+def evpi(p: TwoStageProblem) -> MeasureResult:
     """Expected value of perfect information: VRP - EWS >= 0 (minimization)."""
-    v, _ = vrp(p, kcfg)
-    return _evpi_result(v, ews(p, kcfg))
+    v, _ = vrp(p)
+    return _evpi_result(v, ews(p))
 
 
-def expected_value_decision(p: TwoStageProblem, kcfg=None):
+def expected_value_decision(p: TwoStageProblem):
     lp = build_expected_value_problem(p)
-    sol = kernel.require_optimal(kernel.solve_lp(lp, kcfg), "expected-value problem")
+    sol = kernel.require_optimal(kernel.solve_lp(lp), "expected-value problem")
     return sol.x[:p.n]
 
 
-def eev(p: TwoStageProblem, kcfg=None):
+def eev(p: TwoStageProblem):
     """Expected result of the expected-value decision (+inf if infeasible)."""
-    x_bar = expected_value_decision(p, kcfg)
-    return evaluate_decision(p, x_bar, kcfg), x_bar
+    x_bar = expected_value_decision(p)
+    return evaluate_decision(p, x_bar), x_bar
 
 
 def _vss_result(v, e, x_bar):
@@ -166,19 +162,19 @@ def _vss_result(v, e, x_bar):
                          components={"eev": e, "vrp": v, "raw": raw, "x_bar": x_bar})
 
 
-def vss(p: TwoStageProblem, kcfg=None) -> MeasureResult:
+def vss(p: TwoStageProblem) -> MeasureResult:
     """Value of the stochastic solution: EEV - VRP >= 0 (minimization)."""
-    v, _ = vrp(p, kcfg)
-    return _vss_result(v, *eev(p, kcfg))
+    v, _ = vrp(p)
+    return _vss_result(v, *eev(p))
 
 
 MEASURES = ("vrp", "ews", "eev", "evpi", "vss")     # the names all_measures returns
 
 
-def all_measures(p: TwoStageProblem, kcfg=None) -> dict:
-    v, x = vrp(p, kcfg)
-    w = ews(p, kcfg)
-    e, x_bar = eev(p, kcfg)
+def all_measures(p: TwoStageProblem) -> dict:
+    v, x = vrp(p)
+    w = ews(p)
+    e, x_bar = eev(p)
     return {
         "vrp": MeasureResult("vrp", "exact", value=v, components={"x": x}),
         "ews": MeasureResult("ews", "exact", value=w),
@@ -188,8 +184,7 @@ def all_measures(p: TwoStageProblem, kcfg=None) -> dict:
     }
 
 
-def sampled_measures(model: StochasticModel, sampler, cfg: SaaConfig = None,
-                     seed=0, kcfg=None) -> dict:
+def sampled_measures(model: StochasticModel, sampler, cfg: SaaConfig = None, seed=0) -> dict:
     """Interval estimates of VRP, EVPI and VSS from independent SAA batches.
 
     Each measure uses its own independent batches; difference intervals add
@@ -198,18 +193,18 @@ def sampled_measures(model: StochasticModel, sampler, cfg: SaaConfig = None,
     size the SAA run settles on, which starts from ``cfg.n0``.
     """
     cfg = cfg or SaaConfig()
-    saa = saa_solve(model, sampler, cfg, seed=seed, kcfg=kcfg)
+    saa = saa_solve(model, sampler, cfg, seed=seed)
     vrp_iv = saa.report
 
     ews_vals = np.empty(cfg.batches)
     eev_vals = np.empty(cfg.batches)
     for j in range(cfg.batches):
         inst_e = _batch_instance(model, sampler, saa.n, derive_seed(seed, 7001, j))
-        ews_vals[j] = ews(inst_e, kcfg)
+        ews_vals[j] = ews(inst_e)
         inst_v = _batch_instance(model, sampler, saa.n, derive_seed(seed, 7002, j))
-        x_bar = expected_value_decision(inst_v, kcfg)
+        x_bar = expected_value_decision(inst_v)
         evals = evaluate_on_samples(model, sampler, x_bar, max(cfg.eval_samples // 4, 32),
-                                    derive_seed(seed, 7003, j), kcfg)
+                                    derive_seed(seed, 7003, j))
         eev_vals[j] = float(evals.mean())
     ews_iv = confidence_interval(ews_vals, cfg.confidence)
     eev_iv = confidence_interval(eev_vals, cfg.confidence)

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import ConfigError, DeadlockError, StochLPError, WorkerPanic
 
 ENV_WORKERS = "STOCHLP_WORKERS"
+_WATCHDOG_S = 60.0      # seconds the async coordinator waits for any result
 
 
 @dataclass
@@ -49,7 +50,6 @@ class ExecConfig:
     mode: str = "serial"           # serial | sync | async
     workers: int = 1
     kappa: float = 0.5
-    watchdog: float = 60.0
 
     def __post_init__(self):
         if self.mode not in ("serial", "sync", "async"):
@@ -255,7 +255,7 @@ def run_async(coordinator, worker_fn, cfg: ExecConfig):
         publish(dec)
         while stats.received < stats.issued:
             try:
-                env = result_q.get(timeout=cfg.watchdog)
+                env = result_q.get(timeout=_WATCHDOG_S)
             except queue.Empty:
                 raise DeadlockError({
                     "issued": stats.issued, "received": stats.received,
@@ -287,7 +287,7 @@ def run_async(coordinator, worker_fn, cfg: ExecConfig):
         for _ in threads:
             work_q.put(_SENTINEL)
         for t in threads:
-            t.join(timeout=cfg.watchdog)
+            t.join(timeout=_WATCHDOG_S)
     if failure is not None:
         raise failure
     return stats

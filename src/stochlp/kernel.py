@@ -82,19 +82,11 @@ _STALL_LIMIT = 50       # degenerate pivots before the primal method takes Bland
 _POOL_SIZE = 8          # recent optimal bases an LPFamily keeps for bunching
 
 
-@dataclass
-class KernelConfig:
-    feas_tol: float = 1e-8
-    opt_tol: float = 1e-8
-    max_iterations: int = 50000
-    ipm_max_iterations: int = 100
-
-    def __post_init__(self):
-        if self.feas_tol <= 0 or self.opt_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_CONFIG = KernelConfig()
+# Read at each call, so setting a module attribute takes effect on the next solve.
+FEAS_TOL = 1e-8             # primal feasibility tolerance of the simplex methods and bunching
+OPT_TOL = 1e-8              # reduced-cost tolerance; also scales the interior point's stop
+MAX_PIVOTS = 50000          # simplex pivots per LP solve
+IPM_MAX_ITERATIONS = 100    # interior-point iterations per QP stack member
 
 
 @dataclass
@@ -304,13 +296,13 @@ class _WorkingBasis:
                 "x_B": self.x_B, "xv": self.xv, "pivots": self.pivots, **extra}
 
 
-def _simplex(wb, cfg):
+def _simplex(wb):
     """Bounded primal simplex on the working basis ``wb``, whose ``x_B`` is current.
 
     Pivots already counted on ``wb`` (by the dual simplex on this solve)
-    count toward ``cfg.max_iterations``.  Returns ``wb.result``.
+    count toward ``MAX_PIVOTS``.  Returns ``wb.result``.
     """
-    feas, dtol = cfg.feas_tol, cfg.opt_tol
+    feas, dtol = FEAS_TOL, OPT_TOL
     tab = wb.tab
     A, lb, ub, c = tab.A, tab.lb, tab.ub, tab.c
     N = tab.N
@@ -319,7 +311,7 @@ def _simplex(wb, cfg):
     stall = 0
     last_obj = np.inf
 
-    while wb.count < cfg.max_iterations:
+    while wb.count < MAX_PIVOTS:
         basic, vstat, xv, x_B, Binv = wb.basic, wb.vstat, wb.xv, wb.x_B, wb.Binv
         lo_B, hi_B = lb[basic], ub[basic]
         below, above = _outside(x_B, lo_B, hi_B, feas)
@@ -415,7 +407,7 @@ def _simplex(wb, cfg):
     return wb.result(ITERATION_LIMIT)
 
 
-def _dual_simplex(wb, cfg):
+def _dual_simplex(wb):
     """Bounded dual simplex from the warm working basis ``wb``.
 
     Runs when the start basis is dual feasible, which is what an rhs change
@@ -430,7 +422,7 @@ def _dual_simplex(wb, cfg):
     """
     tab = wb.tab
     A, lb, ub, c = tab.A, tab.lb, tab.ub, tab.c
-    feas, dtol = cfg.feas_tol, cfg.opt_tol
+    feas, dtol = FEAS_TOL, OPT_TOL
     movable = lb < ub
     boxed = movable & np.isfinite(lb) & np.isfinite(ub)
 
@@ -448,7 +440,7 @@ def _dual_simplex(wb, cfg):
     flip = _wrong_sign(d, movable, wb.vstat != _AT_LB, wb.vstat != _AT_UB, dtol)
     if flip.any():
         if (flip & ~boxed).any():
-            return _simplex(wb, cfg)
+            return _simplex(wb)
         flip_to_sign(flip)
     checked = True              # d is fresh and its signs are verified
     stall = 0
@@ -468,7 +460,7 @@ def _dual_simplex(wb, cfg):
                     flip_to_sign(flip)
                     continue
             return wb.result(OPTIMAL, y=y, z=d)
-        if wb.count >= cfg.max_iterations:
+        if wb.count >= MAX_PIVOTS:
             return wb.result(ITERATION_LIMIT)
 
         r = int(np.argmax(infeas))
@@ -511,7 +503,7 @@ def _dual_simplex(wb, cfg):
         else:
             d[wb.basic] = 0.0
     wb.recompute()
-    return _simplex(wb, cfg)
+    return _simplex(wb)
 
 
 def _assemble(tab, res, lp, flip):
@@ -539,18 +531,17 @@ def _assemble(tab, res, lp, flip):
     return sol
 
 
-def solve_lp(lp: LPInstance, cfg: KernelConfig = None, warm_start: Basis = None) -> LPSolution:
+def solve_lp(lp: LPInstance, warm_start: Basis = None) -> LPSolution:
     """Solve a linear instance; quadratic terms are rejected."""
     if lp.is_quadratic:
         raise ValueError("solve_lp requires a linear instance; use solve_qp_diagonal")
-    cfg = cfg or DEFAULT_CONFIG
     flip = lp.sense == "max"
     work = lp if not flip else LPInstance(
         c=-lp.c, A=lp.A, rhs=lp.rhs, row_senses=lp.row_senses, lb=lp.lb, ub=lp.ub,
         c0=0.0, sense="min")
     tab = _Tableau(work)
     wb = _WorkingBasis(tab, warm_start)
-    res = _dual_simplex(wb, cfg) if wb.warm else _simplex(wb, cfg)
+    res = _dual_simplex(wb) if wb.warm else _simplex(wb)
     return _assemble(tab, res, lp, flip)
 
 
@@ -606,7 +597,7 @@ class LPFamily:
                 self.entries = (entry,) + tuple(e for e in self.entries if e is not entry)
 
 
-def solve_family(family: LPFamily, members, rhs, fallback, cfg: KernelConfig = None):
+def solve_family(family: LPFamily, members, rhs, fallback):
     """Solve the members ``members`` of ``family``, with one rhs row each.
 
     Each pooled basis, newest first, computes the basic values of the open
@@ -626,7 +617,6 @@ def solve_family(family: LPFamily, members, rhs, fallback, cfg: KernelConfig = N
     c x, a row each; ``fallback`` maps every other position to what the
     fallback returned.
     """
-    cfg = cfg or DEFAULT_CONFIG
     members = np.asarray(members, dtype=int)
     lo, hi, cost = family.lo[members], family.hi[members], family.cost[members]
     c_varies = bool((cost != cost[:1]).any())
@@ -644,7 +634,7 @@ def solve_family(family: LPFamily, members, rhs, fallback, cfg: KernelConfig = N
             ok &= (np.isinf(lo_[:, entry.free]) & np.isinf(hi_[:, entry.free])).all(axis=1)
         xv[~ok] = 0.0
         x_B = (rhs[pos] - xv @ A.T) @ Binv.T
-        below, above = _outside(x_B, lo_[:, basic], hi_[:, basic], cfg.feas_tol)
+        below, above = _outside(x_B, lo_[:, basic], hi_[:, basic], FEAS_TOL)
         ok &= ~(below | above).any(axis=1)
         if c_varies:
             y = cost[pos][:, basic] @ Binv
@@ -653,7 +643,7 @@ def solve_family(family: LPFamily, members, rhs, fallback, cfg: KernelConfig = N
             y = np.broadcast_to(cost[0, basic] @ Binv, (pos.size, basic.size))
             d = cost[:1] - y[:1] @ A
         d[:, basic] = 0.0
-        ok &= ~_wrong_sign(d, lo_ < hi_, entry.not_lb, entry.not_ub, cfg.opt_tol).any(axis=1)
+        ok &= ~_wrong_sign(d, lo_ < hi_, entry.not_lb, entry.not_ub, OPT_TOL).any(axis=1)
         if not ok.any():
             return False
         pos, xv = pos[ok], xv[ok]
@@ -679,24 +669,6 @@ def solve_family(family: LPFamily, members, rhs, fallback, cfg: KernelConfig = N
             if entry is not None and open_.any():
                 bunch(entry)
     return pooled, done
-
-
-def certificate_gap(lp: LPInstance, y: np.ndarray, tol: float = 1e-7) -> float:
-    """Certified infeasibility margin of a Farkas row certificate.
-
-    Positive means ``y`` proves that no point within the bounds satisfies
-    the rows: y^T rhs exceeds the supremum of y^T A x over the bound box
-    (slack senses included).  Coefficients within ``tol`` of the cone are
-    treated as exactly on it.
-    """
-    slack_lo, slack_hi = _slack_bounds(lp.row_senses)
-    a = np.concatenate([y @ _dense(lp.A), y])      # on the columns, then on the slacks
-    a[np.abs(a) <= tol * max(1.0, np.abs(y).max(initial=0.0))] = 0.0
-    bound = np.where(a > 0, np.concatenate([lp.ub, slack_hi]),
-                     np.concatenate([lp.lb, slack_lo]))[a != 0]
-    if np.isinf(bound).any():
-        return -np.inf
-    return float(y @ lp.rhs - a[a != 0] @ bound)     # finite slack bounds are 0
 
 
 def primal_violation(lp: LPInstance, x: np.ndarray) -> float:
@@ -882,7 +854,7 @@ def _solve_each(K, rhs):
     return d, np.isfinite(d).all(axis=1)
 
 
-def _mehrotra(qp: QPStack, cfg: KernelConfig = None, warm: QPIterate = None) -> QPStackResult:
+def _mehrotra(qp: QPStack, warm: QPIterate = None) -> QPStackResult:
     """Mehrotra predictor-corrector on every member of ``qp`` in one loop.
 
     Each member keeps its own step lengths, convergence test, best iterate,
@@ -893,14 +865,14 @@ def _mehrotra(qp: QPStack, cfg: KernelConfig = None, warm: QPIterate = None) -> 
     member whose system is singular or gives a non-finite step climbs the
     regularization ladder (x100 from 1e-10 up to 1e-4) alone.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    limit = IPM_MAX_ITERATIONS
     S, n, mE, mI = qp.size, qp.c.shape[1], qp.bE.shape[1], qp.g.shape[1]
     x, s, lam, y = _qp_start(qp, warm)
     best = QPIterate(x=x.copy(), lam=lam.copy(), y=y.copy())
     best_err = np.full(S, np.inf)
     status = np.full(S, ITERATION_LIMIT, dtype=object)
-    iterations = np.full(S, cfg.ipm_max_iterations)
-    tol = cfg.opt_tol * (1.0 + np.maximum(qp.rhs_scale, np.abs(qp.c).max(axis=1, initial=0.0)))
+    iterations = np.full(S, limit)
+    tol = OPT_TOL * (1.0 + np.maximum(qp.rhs_scale, np.abs(qp.c).max(axis=1, initial=0.0)))
     # the KKT matrices without their G^T W G block, and the diagonal that
     # the regularization r adds to: D + r on x, -r on y
     K0 = np.zeros((S, n + mE, n + mE))
@@ -913,7 +885,7 @@ def _mehrotra(qp: QPStack, cfg: KernelConfig = None, warm: QPIterate = None) -> 
     data = (qp.c, qp.D, qp.z, qp.AE, qp.bE, qp.G, qp.g, tol, K0, Dpad)
 
     with np.errstate(all="ignore"):     # a diverging member must not warn for the rest
-        for it in range(cfg.ipm_max_iterations):
+        for it in range(limit):
             c, D, z, AE, bE, G, g, tol_run, K0, Dpad = data
             rd = D * (x - z) + c + _mv(AE.transpose(0, 2, 1), y) + _mv(G.transpose(0, 2, 1), lam)
             rE = _mv(AE, x) - bE
@@ -1011,7 +983,7 @@ def _mehrotra(qp: QPStack, cfg: KernelConfig = None, warm: QPIterate = None) -> 
                          iterate=best)
 
 
-def solve_qp_diagonal(qp, cfg: KernelConfig = None, warm_start=None):
+def solve_qp_diagonal(qp, warm_start=None):
     """Solve min c^T x + c0 + 1/2 sum qdiag (x - qcenter)^2 over the LP region.
 
     The one entry point of the QP kernel.  A ``QPStack`` is solved in one
@@ -1021,7 +993,7 @@ def solve_qp_diagonal(qp, cfg: KernelConfig = None, warm_start=None):
     Purely linear programs (qdiag of zeros) are accepted.
     """
     if isinstance(qp, QPStack):
-        return _mehrotra(qp, cfg, warm_start)
+        return _mehrotra(qp, warm_start)
     lp = qp
     if lp.sense == "max":
         raise UnsupportedQuadratic("maximization with quadratic terms is not supported")
@@ -1031,7 +1003,7 @@ def solve_qp_diagonal(qp, cfg: KernelConfig = None, warm_start=None):
     A = _dense(lp.A)
     qp = qp_stack(lp.c[None], A[None], lp.rhs[None], lp.row_senses, lp.lb[None],
                   lp.ub[None], D[None], z[None])
-    res = _mehrotra(qp, cfg, warm_start)
+    res = _mehrotra(qp, warm_start)
     sol = res.member(0)
     sol.objective += lp.c0
     mult = np.concatenate([res.iterate.y[0], res.iterate.lam[0]])

@@ -48,7 +48,6 @@ from .errors import (
 )
 from .execution import ExecConfig, VersionedDecision, drive, work_items
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
-from .kernel import KernelConfig
 from .model import LPInstance, TwoStageProblem, scenario_key
 from .report import SolveReport
 
@@ -58,6 +57,9 @@ _TR_GAMMA = 2.0         # trust-region growth and shrink factor
 _TR_ETA = 1e-4          # share of the predicted decrease that moves the center
 _RD_SIGMA0 = 1.0        # initial regularized-decomposition weight
 _LEVEL_LAMBDA = 0.5     # level-set position between the lower and upper bounds
+_THETA_MIN = -1e10      # lower bound on each theta slot until its first cut
+_CONSOLIDATE_AFTER = 5  # inactive master solves before consolidation drops a cut
+_CONSOLIDATE_EVERY = 5  # iterations between consolidation passes
 DEP_ROW_BUDGET = 128    # most DEP rows vrp solves whole; measured crossover 100-200
 
 
@@ -66,15 +68,10 @@ class LShapedConfig:
     cuts: str = "multi"                 # single | multi | partial
     bundle_size: int = 1                # partial aggregation bundle size
     regularization: str = "none"        # none | tr | rd | level
-    tr_delta0: float = None             # default max(1, 0.1 * |x0|_inf)
     consolidation: bool = False
-    consolidation_threshold: int = 5    # inactive master solves before removal
-    consolidation_period: int = 5
     gap_tol: float = 1e-6
     max_iterations: int = 1000
-    theta_min: float = -1e10
     execution: ExecConfig = field(default_factory=ExecConfig)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
 
     def __post_init__(self):
         if self.cuts not in ("single", "multi", "partial"):
@@ -127,14 +124,13 @@ def scenario_lp(shape, scenario, x) -> LPInstance:
                       row_senses=scenario.senses(shape), lb=lo, ub=hi)
 
 
-def solve_subproblem(shape, scenario, x, cfg: KernelConfig = None, warm=None,
-                     scenario_index=0):
+def solve_subproblem(shape, scenario, x, warm=None, scenario_index=0):
     """The one LP solve of Q_s(x): (outcome, optimal basis or None when infeasible).
 
     Every status other than optimal and infeasible raises, naming the scenario.
     """
     s = scenario_index
-    sol = kernel.solve_lp(scenario_lp(shape, scenario, x), cfg, warm_start=warm)
+    sol = kernel.solve_lp(scenario_lp(shape, scenario, x), warm_start=warm)
     feasible = sol.status != kernel.INFEASIBLE
     if feasible:
         value, mult = kernel.require_optimal(sol, "recourse LP", s).objective, sol.duals
@@ -165,7 +161,7 @@ class BasisPool(kernel.LPFamily):
         self.batch = batch
 
 
-def solve_recourse(pool: BasisPool, x, idx, cfg: KernelConfig = None, solve=None):
+def solve_recourse(pool: BasisPool, x, idx, solve=None):
     """Outcomes at x of the scenarios ``idx`` of ``pool.batch``, in the order of ``idx``.
 
     One ``kernel.solve_family`` call.  A scenario a pooled basis solves has
@@ -174,7 +170,6 @@ def solve_recourse(pool: BasisPool, x, idx, cfg: KernelConfig = None, solve=None
     own row senses among them, go in index order to ``solve``
     (``solve_subproblem`` unless given), warm from the newest pooled basis.
     """
-    cfg = cfg or kernel.DEFAULT_CONFIG
     solve = solve or solve_subproblem
     batch = pool.batch
     x = np.asarray(x, dtype=float)
@@ -183,9 +178,9 @@ def solve_recourse(pool: BasisPool, x, idx, cfg: KernelConfig = None, solve=None
 
     def fallback(k, warm):
         s = int(idx[k])
-        return solve(batch.shape, batch.scenarios[s], x, cfg, warm=warm, scenario_index=s)
+        return solve(batch.shape, batch.scenarios[s], x, warm=warm, scenario_index=s)
 
-    pooled, outs = kernel.solve_family(pool, idx, batch.h[idx] - T @ x, fallback, cfg)
+    pooled, outs = kernel.solve_family(pool, idx, batch.h[idx] - T @ x, fallback)
     for pos, y, duals, values in pooled:
         gradients = np.einsum("ir,irn->in", duals, T[pos])
         rhs = values + gradients @ x
@@ -218,12 +213,11 @@ class RecourseCounts:
                 "bunched_share": self.bunched_share}
 
 
-def recourse_values(batch, x, cfg: KernelConfig = None, counts: RecourseCounts = None):
+def recourse_values(batch, x):
     """Q_s(x) of every scenario of ``batch``, resolving each distinct recourse LP once.
 
     Raises ``SecondStageInfeasible`` naming the first scenario with no
-    feasible recourse at x.  ``counts``, when given, adds up the split
-    between bunched and LP-solved outcomes.
+    feasible recourse at x.
     """
     def solve(*args, **kwargs):
         out, basis = _solve_scenario(*args, **kwargs)
@@ -235,9 +229,7 @@ def recourse_values(batch, x, cfg: KernelConfig = None, counts: RecourseCounts =
     owner = np.array([first.setdefault(scenario_key(sc), s)
                       for s, sc in enumerate(batch.scenarios)], dtype=int)
     idx = np.fromiter(first.values(), dtype=int, count=len(first))
-    outs = solve_recourse(BasisPool(batch), x, idx, cfg, solve=solve)
-    if counts is not None:
-        counts.add(outs)
+    outs = solve_recourse(BasisPool(batch), x, idx, solve=solve)
     vals = np.empty(batch.size)
     vals[idx] = [o.value for o in outs]
     return vals[owner]
@@ -302,12 +294,10 @@ def aggregate_cuts(outcomes, probabilities, policy, bundle_size=1, nscen=None,
 class MasterState:
     """Master problem: first stage plus theta slots plus accumulated cuts."""
 
-    def __init__(self, problem: TwoStageProblem, n_aggregates, theta_min, cfg=None):
+    def __init__(self, problem: TwoStageProblem, n_aggregates):
         self.first = problem.first
         self.n = problem.n
         self.K = n_aggregates
-        self.theta_min = theta_min
-        self.kcfg = cfg or KernelConfig()
         self.cuts = []             # optimality and feasibility, in insertion order
         self.inactive = {}         # id(cut) -> consecutive slack master solves
         self.has_cut = np.zeros(n_aggregates, dtype=bool)
@@ -346,7 +336,7 @@ class MasterState:
         senses = self.first.row_senses + (">=",) * len(cuts)
         if level is not None:
             A, rhs, senses = np.vstack([A, c]), np.append(rhs, level), senses + ("<=",)
-        lb = np.concatenate([self.first.lb, np.full(K, self.theta_min)])
+        lb = np.concatenate([self.first.lb, np.full(K, _THETA_MIN)])
         ub = np.concatenate([self.first.ub, np.full(K, np.inf)])
         if tr_center is not None:
             lb[:n] = np.maximum(lb[:n], tr_center - tr_delta)
@@ -372,7 +362,7 @@ class MasterState:
                                         np.concatenate([warm.vstat, np.full(extra, 2, np.int8)]))
                 else:
                     warm = None
-        sol = kernel.solve_lp(lp, self.kcfg, warm_start=warm)
+        sol = kernel.solve_lp(lp, warm_start=warm)
         if sol.status == kernel.INFEASIBLE and tr_center is not None:
             self.fallbacks += 1
             return self.solve_plain()   # the box misses the feasible region; plain step is valid
@@ -389,7 +379,7 @@ class MasterState:
 
     def solve_rd(self, center, sigma):
         lp = self._instance(qdiag=np.full(self.n, sigma), qcenter=center)
-        sol = kernel.solve_qp_diagonal(lp, self.kcfg)
+        sol = kernel.solve_qp_diagonal(lp)
         if sol.status != kernel.OPTIMAL or sol.x is None:
             self.fallbacks += 1
             return self.solve_plain()   # proximal solve degraded; plain step is valid
@@ -398,7 +388,7 @@ class MasterState:
 
     def solve_level(self, center, level):
         lp = self._instance(qdiag=np.ones(self.n), qcenter=center, level=level)
-        sol = kernel.solve_qp_diagonal(replace(lp, c=np.zeros(lp.nvars)), self.kcfg)
+        sol = kernel.solve_qp_diagonal(replace(lp, c=np.zeros(lp.nvars)))
         if sol.status != kernel.OPTIMAL or sol.x is None:
             self.fallbacks += 1
             return self.solve_plain()   # projection degraded; plain step is valid
@@ -473,7 +463,7 @@ class _Coordinator:
         self.bundle_of = np.repeat(np.arange(len(bundles)), [len(b) for b in bundles])
         self.items = work_items(bundles, cfg.execution)
         self.n_items = len(self.items)
-        self.state = MasterState(problem, len(bundles), cfg.theta_min, cfg.kernel)
+        self.state = MasterState(problem, len(bundles))
         self.pool = BasisPool(problem.batch)
         self.U_best = np.inf
         self.x_best = self.ys_best = None
@@ -492,20 +482,20 @@ class _Coordinator:
         # regularization state
         self.center = None
         self.U_center = np.inf
-        self.delta = cfg.tr_delta0
+        self.delta = None          # trust-region radius, set with the first center
         self.sigma = _RD_SIGMA0
         self.prev_improved = False
         self.prev_model_value = None
 
     def initial_decision(self):
-        x, theta, _ = self.state.solve_plain()   # cold start: theta at theta_min
+        x, theta, _ = self.state.solve_plain()   # cold start: theta at _THETA_MIN
         self.payloads[0] = (x, theta)
         self.t_mark = time.perf_counter()
         return VersionedDecision(version=0, payload=(x, theta), iteration=0)
 
     def worker_payload(self, decision, index):
         x, _ = decision.payload
-        return solve_recourse(self.pool, x, self.items[index], self.cfg.kernel)
+        return solve_recourse(self.pool, x, self.items[index])
 
     def incorporate(self, env):
         if self.finished:
@@ -527,7 +517,7 @@ class _Coordinator:
         infeasible = [o for o in outcomes if not o.feasible]
         if infeasible:
             cuts = [make_feasibility_cut(o, iteration=version) for o in infeasible]
-            return [c for c in cuts if c.rhs - c.gradient @ x > self.cfg.kernel.feas_tol]
+            return [c for c in cuts if c.rhs - c.gradient @ x > kernel.FEAS_TOL]
         cuts = aggregate_cuts(outcomes, self.probs, self.cfg.cuts, self.cfg.bundle_size,
                               self.p.nscen, version)
         return [c for c in cuts if c.value_at(x) > theta[c.aggregate]
@@ -572,8 +562,8 @@ class _Coordinator:
             self.status = "optimal"
             self.finished = True
             return None
-        if cfg.consolidation and self.iteration % cfg.consolidation_period == 0:
-            st.consolidate(cfg.consolidation_threshold)
+        if cfg.consolidation and self.iteration % _CONSOLIDATE_EVERY == 0:
+            st.consolidate(_CONSOLIDATE_AFTER)
         if self.iteration >= cfg.max_iterations:
             self.finished = True
             return None
@@ -596,8 +586,7 @@ class _Coordinator:
         if self.center is None:
             self.center = (self.x_best if self.x_best is not None else x_k).copy()
             self.U_center = self.U_best
-            if self.delta is None:
-                self.delta = max(1.0, 0.1 * float(np.max(np.abs(self.center))))
+            self.delta = max(1.0, 0.1 * float(np.max(np.abs(self.center))))
         elif U_k is not None:
             if reg == "tr":
                 predicted = self.U_center - self.prev_model_value \
@@ -669,7 +658,7 @@ def solve_lshaped(problem: TwoStageProblem, cfg: LShapedConfig = None, *,
     return rep
 
 
-def vrp(p: TwoStageProblem, kcfg: KernelConfig = None):
+def vrp(p: TwoStageProblem):
     """Optimal value and first-stage decision of the recourse problem (minimization form).
 
     The DEP is solved whole when its p + S r rows are at most ``DEP_ROW_BUDGET``.
@@ -679,9 +668,9 @@ def vrp(p: TwoStageProblem, kcfg: KernelConfig = None):
     """
     if p.first.p + p.nscen * p.r <= DEP_ROW_BUDGET:
         lp = _model.build_deterministic_equivalent(p)   # looked up per call, so wrappers see it
-        sol = kernel.require_optimal(kernel.solve_lp(lp, kcfg), "DEP solve")
+        sol = kernel.require_optimal(kernel.solve_lp(lp), "DEP solve")
         return sol.objective, sol.x[:p.n]
-    rep = solve_lshaped(p, LShapedConfig(cuts="single", gap_tol=0.0, kernel=kcfg or KernelConfig()))
+    rep = solve_lshaped(p, LShapedConfig(cuts="single", gap_tol=0.0))
     if rep.status != "optimal":
         raise NumericalBreakdown(f"L-shaped run ended {rep.status}")
     return rep.gaps["lower"], rep.decision

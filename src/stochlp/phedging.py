@@ -22,7 +22,6 @@ from . import analysis, kernel
 from .errors import ConfigError, FirstStageInfeasible
 from .execution import ExecConfig, VersionedDecision, drive, work_items
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
-from .kernel import KernelConfig
 from .model import LPInstance, TwoStageProblem
 from .report import SolveReport
 
@@ -30,34 +29,29 @@ from .report import SolveReport
 _ADAPT_FREEZE = 100.0   # the adaptive penalty stops once gaps <= this * tolerance
 _ADAPT_HORIZON = 200    # and changes no more after this round, which keeps the
                         # fixed-penalty convergence guarantee
+_ADAPT_PERIOD = 10      # rounds between penalty updates (averaged gaps)
+_ZETA = 10.0            # residual-balancing ratio threshold
+_THETA_INC = 2.0        # penalty growth factor
+_THETA_DEC = 0.5        # penalty shrink factor
 
 
 @dataclass
 class PhConfig:
     penalty: str = "fixed"         # fixed | adaptive
     r: float = 1.0
-    zeta: float = 10.0             # residual-balancing ratio threshold
-    theta_inc: float = 2.0
-    theta_dec: float = 0.5
     primal_tol: float = 1e-5       # on the squared primal gap
     dual_tol: float = 1e-5         # on the squared dual gap
-    adapt_period: int = 10         # rounds between penalty updates (averaged gaps)
     max_iterations: int = 5000
     linearize: str = None          # None | 'one' | 'inf'
     execution: ExecConfig = field(default_factory=ExecConfig)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
 
     def __post_init__(self):
         if self.penalty not in ("fixed", "adaptive"):
             raise ConfigError(f"penalty must be 'fixed' or 'adaptive', got {self.penalty!r}")
         if self.r <= 0:
             raise ConfigError("penalty parameter r must be > 0")
-        if not (self.theta_inc > 1.0 > self.theta_dec > 0.0):
-            raise ConfigError("adaptive factors need theta_inc > 1 > theta_dec > 0")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if self.adapt_period < 1:
-            raise ConfigError("adapt_period must be >= 1")
         if self.linearize not in (None, "one", "inf"):
             raise ConfigError(f"linearize must be None, 'one' or 'inf', got {self.linearize!r}")
 
@@ -86,7 +80,7 @@ def _maybe_adapt(state: PhState, cfg: PhConfig):
         state.gap_window.clear()
         return
     state.gap_window.append((state.primal_gap, state.dual_gap))
-    if state.iteration % cfg.adapt_period != 0:
+    if state.iteration % _ADAPT_PERIOD != 0:
         return
     if state.primal_gap <= _ADAPT_FREEZE * cfg.primal_tol \
             and state.dual_gap <= _ADAPT_FREEZE * cfg.dual_tol:
@@ -94,8 +88,7 @@ def _maybe_adapt(state: PhState, cfg: PhConfig):
         return
     window = np.asarray(state.gap_window)
     state.gap_window.clear()
-    state.r = update_penalty(float(window[:, 0].mean()), float(window[:, 1].mean()),
-                             cfg, state.r)
+    state.r = update_penalty(float(window[:, 0].mean()), float(window[:, 1].mean()), state.r)
 
 
 class ProximalStacks:
@@ -170,7 +163,8 @@ class BundleSolution:
 
     ``warm`` holds each scenario's interior-point iterate (x, lam, y), or
     None after a linearized solve; ``ipm_iterations`` sums the scenarios'
-    interior-point iterations and ``qp_s`` is the time spent in the kernel.
+    interior-point iterations, cold retries included, ``qp_retries`` counts
+    the cold retries and ``qp_s`` is the time spent in the kernel.
     """
 
     scenarios: np.ndarray
@@ -178,16 +172,20 @@ class BundleSolution:
     ys: np.ndarray
     warm: list
     ipm_iterations: int = 0
+    qp_retries: int = 0
     qp_s: float = 0.0
 
 
 def solve_ph_subproblem(data: ProximalStacks, bundle, xi, rho, r,
-                        cfg: KernelConfig = None, warm=None, linearize=None) -> BundleSolution:
+                        warm=None, linearize=None) -> BundleSolution:
     """Proximal subproblems of the scenarios ``bundle``: each one's WS
     objective + rho_s^T x + r/2 |x - xi|^2, with ``rho`` the (S, n)
     multipliers and ``warm[s]`` scenario s's last iterate (or None).
 
     The scenarios of one row pattern are solved as one ``kernel.QPStack``.
+    A warm start can leave a QP that solves cold stalled far off the
+    central path, so the warm-started members that end non-optimal are
+    solved again, cold, once, as one stack of their own.
     With ``linearize`` ('one' or 'inf') each scenario is one LP instead.
     A scenario that does not end optimal raises the error
     ``kernel.require_optimal`` names for it, the lowest such scenario first.
@@ -196,13 +194,12 @@ def solve_ph_subproblem(data: ProximalStacks, bundle, xi, rho, r,
     n = data.n
     xs = np.empty((bundle.size, n + data.m))
     iterates = [None] * bundle.size
-    ipm_iterations = 0
+    ipm_iterations = retries = 0
     failed = {}
     t0 = time.perf_counter()
     if linearize:
         for k, s in enumerate(bundle):
-            sol = kernel.solve_lp(kernel.linearize_penalty(data.lp(s, xi, rho, r), norm=linearize),
-                                  cfg)
+            sol = kernel.solve_lp(kernel.linearize_penalty(data.lp(s, xi, rho, r), norm=linearize))
             xs[k] = sol.x[:xs.shape[1]] if sol.x is not None else np.nan
             if sol.status != kernel.OPTIMAL:
                 failed[int(s)] = sol
@@ -212,10 +209,18 @@ def solve_ph_subproblem(data: ProximalStacks, bundle, xi, rho, r,
             at = np.flatnonzero(groups == g)
             members = bundle[at]
             qp = data.wave_stack(g, data.position[members], xi, rho, r)
-            res = kernel.solve_qp_diagonal(qp, cfg, _stacked_warm(warm, members, qp))
+            start = _stacked_warm(warm, members, qp)
+            res = kernel.solve_qp_diagonal(qp, start)
+            ipm_iterations += res.iterations
+            if start is not None:
+                warmed = True if start.valid is None else start.valid
+                retry = np.flatnonzero((res.status != kernel.OPTIMAL) & warmed)
+                if retry.size:
+                    _merge(res, retry, kernel.solve_qp_diagonal(qp.take(retry)))
+                    ipm_iterations += int(res.member_iterations[retry].sum())
+                    retries += retry.size
             it = res.iterate
             xs[at] = it.x
-            ipm_iterations += res.iterations
             for j, (k, s) in enumerate(zip(at, members)):
                 iterates[k] = (it.x[j], it.lam[j], it.y[j])
                 if res.status[j] != kernel.OPTIMAL:
@@ -225,7 +230,16 @@ def solve_ph_subproblem(data: ProximalStacks, bundle, xi, rho, r,
         s = min(failed)
         kernel.require_optimal(failed[s], "proximal subproblem", s)
     return BundleSolution(scenarios=bundle, xs=xs[:, :n], ys=xs[:, n:], warm=iterates,
-                          ipm_iterations=ipm_iterations, qp_s=qp_s)
+                          ipm_iterations=ipm_iterations, qp_retries=retries, qp_s=qp_s)
+
+
+def _merge(res, pos, again):
+    """Put ``again``, the re-solve of the members ``pos`` of ``res``, in their place."""
+    res.status[pos] = again.status
+    res.member_iterations[pos] = again.member_iterations
+    res.objective[pos] = again.objective
+    for name in ("x", "lam", "y"):
+        getattr(res.iterate, name)[pos] = getattr(again.iterate, name)
 
 
 def _stacked_warm(warm, members, qp):
@@ -252,20 +266,20 @@ def update_multipliers(rho, xs, xi, r):
     return rho + r * (np.asarray(xs) - xi)
 
 
-def update_penalty(primal_gap, dual_gap, cfg: PhConfig, r):
+def update_penalty(primal_gap, dual_gap, r):
     """Residual balancing: grow r while consensus violation (the dual gap)
     dominates the movement of xi (the primal gap), shrink in the opposite
     case, and hold otherwise."""
-    if dual_gap > cfg.zeta * primal_gap:
-        r = cfg.theta_inc * r
-    elif primal_gap > cfg.zeta * dual_gap:
-        r = cfg.theta_dec * r
+    if dual_gap > _ZETA * primal_gap:
+        r = _THETA_INC * r
+    elif primal_gap > _ZETA * dual_gap:
+        r = _THETA_DEC * r
     return float(np.clip(r, 1e-6, 1e8))
 
 
 def _initial_state(problem: TwoStageProblem, cfg: PhConfig) -> PhState:
     """Unpenalized wait-and-see solves seed the scenario copies."""
-    ws, _ = analysis.wait_and_see_solutions(problem, cfg.kernel)
+    ws, _ = analysis.wait_and_see_solutions(problem)
     xs, ys = ws[:, :problem.n].copy(), ws[:, problem.n:].copy()
     xi = aggregate_implementable(xs, problem.probabilities)
     return PhState(xs=xs, ys=ys, xi=xi, rho=np.zeros_like(xs), r=cfg.r)
@@ -298,7 +312,7 @@ def _report(problem, cfg, state, trace, status, wall, seed):
     # (pre-consensus it may not be second-stage feasible); looked up per
     # call, so wrappers of analysis.evaluate_decision see it
     try:
-        xi_value = analysis.evaluate_decision(problem, state.xi, cfg.kernel)
+        xi_value = analysis.evaluate_decision(problem, state.xi)
     except FirstStageInfeasible:
         xi_value = np.inf
     rep = SolveReport(
@@ -353,6 +367,7 @@ class _PhCoordinator:
         self.warm = [None] * S
         self.ipm_iterations = 0    # interior-point iterations since the last trace record
         self.qp_s = 0.0            # and the seconds they took
+        self.qp_retries = 0        # cold re-solves of warm-started QPs since that record
 
     def initial_decision(self):
         return self._decision()
@@ -365,14 +380,14 @@ class _PhCoordinator:
     def worker_payload(self, decision, index):
         xi, rho, r = decision.payload
         return solve_ph_subproblem(self.data, self.bundles[index], xi, rho, r,
-                                   self.cfg.kernel, warm=self.warm,
-                                   linearize=self.cfg.linearize)
+                                   warm=self.warm, linearize=self.cfg.linearize)
 
     def incorporate(self, env):
         if self.finished:
             return      # results drained after the stop leave the run as reported
         sol = env.payload
         self.ipm_iterations += sol.ipm_iterations
+        self.qp_retries += sol.qp_retries
         self.qp_s += sol.qp_s
         for k, s in enumerate(sol.scenarios):
             self.warm[s] = sol.warm[k]
@@ -399,8 +414,9 @@ class _PhCoordinator:
                            "dual_gap": st.dual_gap, "penalty": st.r,
                            "objective": _objective(self.p, st),
                            "multiplier_drift": st.multiplier_drift(self.probs),
-                           "ipm_iterations": self.ipm_iterations, "qp_s": self.qp_s})
-        self.ipm_iterations, self.qp_s = 0, 0.0
+                           "ipm_iterations": self.ipm_iterations,
+                           "qp_retries": self.qp_retries, "qp_s": self.qp_s})
+        self.ipm_iterations, self.qp_retries, self.qp_s = 0, 0, 0.0
         resolved, self.resolved = self.resolved, False
         if resolved and st.primal_gap <= cfg.primal_tol and st.dual_gap <= cfg.dual_tol:
             self.status = "optimal"

@@ -197,24 +197,21 @@ def _batch_instance(model, sampler, n, seed):
     return build_problem(model.first, model.shape, _collapse_duplicates(scenarios))
 
 
-def evaluate_on_samples(model, sampler, x, n_eval, seed, kcfg=None, counts=None):
+def evaluate_on_samples(model, sampler, x, n_eval, seed):
     """Per-sample value c^T x + Q_s(x) of a fixed decision, internal orientation.
 
     The orientation is the one :func:`build_problem` gives the sampled
     instances, so the estimates of an SAA run score the same objective.
     Identical sampled scenarios are solved once (exact for the returned
     sample statistics), which makes discrete samplers cheap to evaluate,
-    and the recourse values are bunched (``lshaped.solve_recourse``);
-    ``counts``, when given, adds up how many were.
+    and the recourse values are bunched (``lshaped.solve_recourse``).
     """
     first, shape, scenarios = minimization_form(
         model.first, model.shape, [sampler.sample(seed, i) for i in range(n_eval)])
-    return float(first.c @ x) + recourse_values(stack_scenarios(shape, scenarios), x,
-                                                kcfg, counts)
+    return float(first.c @ x) + recourse_values(stack_scenarios(shape, scenarios), x)
 
 
-def saa_solve(model: StochasticModel, sampler, cfg: SaaConfig = None,
-              seed=0, kcfg=None) -> SaaResult:
+def saa_solve(model: StochasticModel, sampler, cfg: SaaConfig = None, seed=0) -> SaaResult:
     """Grow the per-batch sample size until the gap interval is relatively tight.
 
     Each round solves ``batches`` sampled instances of size n (lower-bound
@@ -228,13 +225,13 @@ def saa_solve(model: StochasticModel, sampler, cfg: SaaConfig = None,
     result = None
     while True:
         rounds += 1
-        solved = [vrp(_batch_instance(model, sampler, n, derive_seed(seed, rounds, j)), kcfg)
+        solved = [vrp(_batch_instance(model, sampler, n, derive_seed(seed, rounds, j)))
                   for j in range(cfg.batches)]
         vals = np.array([v for v, _ in solved])
         lower = confidence_interval(vals, cfg.confidence)
         x_hat = solved[int(np.argsort(vals)[vals.size // 2])][1]
         evals = evaluate_on_samples(model, sampler, x_hat, cfg.eval_samples,
-                                    derive_seed(seed, rounds, 10009), kcfg)
+                                    derive_seed(seed, rounds, 10009))
         upper = replace(confidence_interval(evals, cfg.confidence), n=evals.size, batches=1)
         # union of the two interval estimates: equals [lower.lo, upper.hi]
         # normally, and stays ordered when sampling noise crosses them

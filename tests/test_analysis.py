@@ -31,11 +31,11 @@ class TestEvaluateDecision:
         val = analysis.evaluate_decision(farmer_problem(), [170.0, 80.0, 250.0])
         assert val == pytest.approx(-108390.0, abs=1e-3)
 
-    def test_iteration_limit_raises_naming_the_scenario(self):
+    def test_iteration_limit_raises_naming_the_scenario(self, monkeypatch):
         # a recourse LP stopped by the iteration limit has no value to report
-        cfg = kernel.KernelConfig(max_iterations=1)
+        monkeypatch.setattr(kernel, "MAX_PIVOTS", 1)
         with pytest.raises(kernel.NumericalBreakdown, match="scenario 0 ended iteration_limit"):
-            analysis.evaluate_decision(farmer_problem(), [170.0, 80.0, 250.0], cfg)
+            analysis.evaluate_decision(farmer_problem(), [170.0, 80.0, 250.0])
 
     def test_scenarios_differing_only_in_bounds_are_solved_apart(self):
         # min x - 0.5 y1 - 0.5 y2 with y1 <= 2, y2 <= 10 at x = 0: -6
@@ -232,8 +232,9 @@ class TestRowBudget:
 
     def test_kernel_config_reaches_the_lshaped_run(self, monkeypatch):
         monkeypatch.setattr(lshaped, "DEP_ROW_BUDGET", 0)
+        monkeypatch.setattr(kernel, "MAX_PIVOTS", 1)
         with pytest.raises(NumericalBreakdown, match="recourse LP of scenario 0 ended iteration_limit"):
-            analysis.vrp(farmer_problem(), kernel.KernelConfig(max_iterations=1))
+            analysis.vrp(farmer_problem())
 
     def test_iteration_limit_raises_numerical_breakdown(self, monkeypatch):
         monkeypatch.setattr(lshaped, "DEP_ROW_BUDGET", 0)

@@ -131,6 +131,19 @@ def _counting(monkeypatch):
     return solved
 
 
+def _counting_outcomes(monkeypatch):
+    """A RecourseCounts that adds up the outcomes of every ``solve_recourse`` call."""
+    counts = RecourseCounts()
+    solve = lshaped.solve_recourse
+
+    def counted(*args, **kwargs):
+        outs = solve(*args, **kwargs)
+        counts.add(outs)
+        return outs
+    monkeypatch.setattr(lshaped, "solve_recourse", counted)
+    return counts
+
+
 def _one_row_problem(scenarios):
     """min y1 + 2 y2 s.t. y1 + y2 >= h - x, 0 <= y1 <= 3, 0 <= y2 <= 4."""
     first = FirstStage(c=[0.0], A=np.zeros((0, 1)), b=[], row_senses=(), lb=[0.0], ub=[1.0])
@@ -174,20 +187,21 @@ class TestFallbackRoutes:
     def test_one_lp_per_distinct_scenario_in_evaluation(self, monkeypatch):
         p = _one_row_problem([_sc(1.0), _sc(9.0), _sc(1.0)])
         with pytest.raises(SecondStageInfeasible) as exc:
-            analysis.evaluate_decision(p, [0.0], on_infeasible="raise")
+            lshaped.recourse_values(p.batch, [0.0])
         assert exc.value.scenario == 1
-        counts = RecourseCounts()
+        assert analysis.evaluate_decision(p, [0.0]) == np.inf
+        counts = _counting_outcomes(monkeypatch)
         q = _one_row_problem([_sc(1.0), _sc(5.0), _sc(1.0), _sc(2.0)])
-        assert analysis.evaluate_decision(q, [0.0], counts=counts) == pytest.approx(11.0 / 4)
+        assert analysis.evaluate_decision(q, [0.0]) == pytest.approx(11.0 / 4)
         assert (counts.bunched, counts.lp_solved) == (1, 2)
 
 
-def test_one_basis_serves_most_simple_normal_samples():
+def test_one_basis_serves_most_simple_normal_samples(monkeypatch):
     from stochlp.fixtures import simple_model, simple_sampler
     from stochlp.sampling import evaluate_on_samples
-    counts = RecourseCounts()
+    counts = _counting_outcomes(monkeypatch)
     x = np.array([46.67, 36.25])
-    vals = evaluate_on_samples(simple_model(), simple_sampler(), x, 200, 3, counts=counts)
+    vals = evaluate_on_samples(simple_model(), simple_sampler(), x, 200, 3)
     assert counts.bunched + counts.lp_solved == 200
     assert counts.lp_solved <= 5
     ref = [analysis.evaluate_decision(build_problem(simple_model().first, simple_model().shape,
@@ -315,9 +329,9 @@ def test_farmer_wait_and_see_lps_are_solved_one_by_one(monkeypatch):
     warm_starts = []
     solve = kernel.solve_lp
 
-    def counted(lp, cfg=None, warm_start=None):
+    def counted(lp, warm_start=None):
         warm_starts.append(warm_start)
-        return solve(lp, cfg, warm_start)
+        return solve(lp, warm_start)
     monkeypatch.setattr(kernel, "solve_lp", counted)
     p = farmer_problem()
     assert analysis.ews(p) == pytest.approx(-115405.5556, abs=1e-3)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from stochlp import lshaped, phedging
+from stochlp import execution, lshaped, phedging
 from stochlp.errors import ConfigError, DeadlockError, WorkerPanic
 from stochlp.execution import (
     ExecConfig,
@@ -159,17 +159,16 @@ class TestRunAsync:
         assert stats.issued == stats.received
         assert time.perf_counter() - t0 < 10.0
 
-    def test_watchdog_detects_stuck_worker(self):
+    def test_watchdog_detects_stuck_worker(self, monkeypatch):
         def fn(dec, idx):
             if idx == 0:
                 time.sleep(3.0)
             return idx
 
         coord = _CountingCoordinator(n_items=2, rounds=2)
+        monkeypatch.setattr(execution, "_WATCHDOG_S", 0.2)
         with pytest.raises(DeadlockError) as exc:
-            run_async(coord, fn,
-                      ExecConfig(mode="async", workers=1, kappa=1.0,
-                                 watchdog=0.2))
+            run_async(coord, fn, ExecConfig(mode="async", workers=1, kappa=1.0))
         assert "outstanding" in str(exc.value)
 
     def test_worker_panic_propagates(self):

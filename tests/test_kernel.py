@@ -23,8 +23,6 @@ from stochlp.errors import (
     UnsupportedQuadratic,
 )
 from stochlp.kernel import (
-    KernelConfig,
-    certificate_gap,
     linearize_penalty,
     primal_violation,
     solve_lp,
@@ -79,6 +77,26 @@ def scipy_reference(lp):
                    A_eq=np.array(A_eq) if A_eq else None,
                    b_eq=np.array(b_eq) if b_eq else None,
                    bounds=bounds, method="highs")
+
+
+def certificate_gap(lp, y, tol=1e-7):
+    """Certified infeasibility margin of a Farkas row certificate.
+
+    Positive means ``y`` proves that no point within the bounds satisfies
+    the rows: y^T rhs exceeds the supremum of y^T A x over the bound box
+    (slack senses included).  Coefficients within ``tol`` of the cone are
+    treated as exactly on it.
+    """
+    slack_of = {"<=": (0.0, np.inf), ">=": (-np.inf, 0.0), "=": (0.0, 0.0)}
+    slack_lo, slack_hi = (np.array([slack_of[s][k] for s in lp.row_senses], dtype=float)
+                          for k in (0, 1))
+    a = np.concatenate([y @ np.asarray(lp.A, dtype=float), y])   # on the columns, then the slacks
+    a[np.abs(a) <= tol * max(1.0, np.abs(y).max(initial=0.0))] = 0.0
+    bound = np.where(a > 0, np.concatenate([lp.ub, slack_hi]),
+                     np.concatenate([lp.lb, slack_lo]))[a != 0]
+    if np.isinf(bound).any():
+        return -np.inf
+    return float(y @ lp.rhs - a[a != 0] @ bound)     # finite slack bounds are 0
 
 
 def random_bounded_lp(rng):
@@ -256,11 +274,12 @@ class TestSolveLP:
         assert sol.objective == pytest.approx(-2.8, rel=1e-12)
         np.testing.assert_allclose(sol.x, [1.6, 1.2], rtol=1e-12)
 
-    def test_iteration_limit_flagged(self):
+    def test_iteration_limit_flagged(self, monkeypatch):
         rng = np.random.default_rng(9)
         lp = random_bounded_lp(rng)
         assert solve_lp(lp).iterations > 1
-        sol = solve_lp(lp, KernelConfig(max_iterations=1))
+        monkeypatch.setattr(kernel, "MAX_PIVOTS", 1)
+        sol = solve_lp(lp)
         assert sol.status == kernel.ITERATION_LIMIT
         assert sol.iterations == 1
 
@@ -414,14 +433,15 @@ class TestDualSimplex:
         assert sol.extras["pivots"]["dual"] == 0
         assert sol.extras["pivots"]["phase2"] >= 1
 
-    def test_iteration_limit_counts_dual_pivots(self):
+    def test_iteration_limit_counts_dual_pivots(self, monkeypatch):
         for kind, lp, basis in warm_cases(23, 400):
             full = solve_lp(lp, warm_start=basis)
             if full.status == kernel.OPTIMAL and full.extras["pivots"]["dual"] >= 2:
                 break
         else:
             pytest.fail("no warm case needed two dual pivots")
-        sol = solve_lp(lp, KernelConfig(max_iterations=1), warm_start=basis)
+        monkeypatch.setattr(kernel, "MAX_PIVOTS", 1)
+        sol = solve_lp(lp, warm_start=basis)
         assert sol.status == kernel.ITERATION_LIMIT
         assert sol.iterations == 1
         assert sol.extras["pivots"] == {"dual": 1, "phase1": 0, "phase2": 0}

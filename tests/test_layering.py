@@ -7,6 +7,9 @@ its public names only: no ``kernel._name`` attribute reads and no
 ``lshaped.vrp``, the one solve of the recourse problem, and by the CLI's
 ``solve --method dep``.  Only ``execution.py`` compares an execution mode
 (``ExecConfig.mode``) to a mode name, so the work-item rule has one home.
+Every field of the solver and sampling configs is set somewhere outside the
+tests (the package or the benchmark); a setting only tests change is a
+module constant instead.
 """
 
 import ast
@@ -153,3 +156,79 @@ def test_the_mode_scan_sees_every_form_of_use():
         "mode == 'async'\n"
     )
     assert mode_comparisons(source) == [1, 2, 3, 4]
+
+
+BENCH = PACKAGE.parents[1] / "perfbench"
+CONFIGS = {"LShapedConfig": "lshaped.py", "PhConfig": "phedging.py",
+           "ExecConfig": "execution.py", "SaaConfig": "sampling.py"}
+# fields kept although only the tests set them, with the reason
+TEST_ONLY = {("PhConfig", "linearize"): "the paper's linearized PH penalty (l1 or l-inf "
+                                        "proximal term), an algorithm variant of its own"}
+
+
+def config_fields(source, name):
+    """The annotated fields of the class ``name`` defined in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return {s.target.id for s in node.body if isinstance(s, ast.AnnAssign)}
+    raise LookupError(name)
+
+
+def fields_set(source, name):
+    """The names ``source`` sets as keywords of ``name(...)`` and ``replace(...)``
+    calls or by assignment to an attribute not of ``self``.  Inside the class
+    ``name`` only its ``cls(...)`` calls count, such as a parser's."""
+    found = set()
+
+    def visit(node, own):
+        own = own or isinstance(node, ast.ClassDef) and node.name == name
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if callee == "cls" if own else callee in (name, "replace"):
+                found.update(k.arg for k in node.keywords if k.arg)
+        elif not own and isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for leaf in t.elts if isinstance(t, ast.Tuple) else [t]:
+                    if isinstance(leaf, ast.Attribute) and not (
+                            isinstance(leaf.value, ast.Name) and leaf.value.id == "self"):
+                        found.add(leaf.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_every_config_field_has_a_setter_outside_the_tests(name):
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    sources += [p.read_text() for p in sorted(BENCH.glob("*.py")) if not p.name.startswith("test_")]
+    fields = config_fields((PACKAGE / CONFIGS[name]).read_text(), name)
+    unset = fields - set().union(*(fields_set(s, name) for s in sources))
+    assert unset == {f for c, f in TEST_ONLY if c == name}
+
+
+def test_the_setter_scan_sees_every_form_of_use():
+    source = (
+        "class Cfg:\n"
+        "    a: int = 1\n"
+        "    b: int = 2\n"
+        "    def __post_init__(self):\n"
+        "        self.c = 3\n"
+        "        Cfg(d=4)\n"
+        "    @classmethod\n"
+        "    def parse(cls, text):\n"
+        "        return cls(e=5)\n"
+        "cfg = Cfg(f=6)\n"
+        "cfg.g = 7\n"
+        "cfg.h += 8\n"
+        "cfg.i, other.j = 9, 10\n"
+        "replace(cfg, k=11)\n"
+        "mod.Cfg(l=12)\n"
+        "Other(m=13)\n"
+        "self.n = 14\n"
+    )
+    assert fields_set(source, "Cfg") == set("efghijkl")
+    assert config_fields(source, "Cfg") == {"a", "b"}

@@ -88,12 +88,13 @@ class TestSubproblem:
         with pytest.raises(UnboundedSubproblem):
             solve_subproblem(shape, sc, np.array([0.0]), scenario_index=3)
 
-    def test_iteration_limit_raises_naming_the_scenario(self):
+    def test_iteration_limit_raises_naming_the_scenario(self, monkeypatch):
         p = farmer_problem()
+        monkeypatch.setattr(kernel, "MAX_PIVOTS", 1)
         with pytest.raises(kernel.NumericalBreakdown,
                            match="recourse LP of scenario 2 ended iteration_limit"):
             solve_subproblem(p.shape, p.scenarios[2], np.array([170.0, 80.0, 250.0]),
-                             kernel.KernelConfig(max_iterations=1), scenario_index=2)
+                             scenario_index=2)
 
 
 class TestCuts:
@@ -222,7 +223,7 @@ class TestSolve:
 
     def test_trust_region_box_respected(self):
         p = simple_problem()
-        cfg = LShapedConfig(cuts="multi", regularization="tr", tr_delta0=1.0)
+        cfg = LShapedConfig(cuts="multi", regularization="tr")
         # instrument: wrap the master to record candidates and the active box
         from stochlp import lshaped as m
 
@@ -333,7 +334,7 @@ class TestMaster:
     def test_master_resolve_after_violated_cuts_takes_dual_pivots(self, lp_solves):
         from stochlp.lshaped import MasterState
         p = farmer_problem()
-        st = MasterState(p, p.nscen, -1e10)
+        st = MasterState(p, p.nscen)
         x, theta, _ = st.solve_plain()
         for cut in aggregate_cuts(_outcomes_at(p, x), p.probabilities, "multi"):
             assert cut.value_at(x) > theta[cut.aggregate]
@@ -349,7 +350,7 @@ class TestMaster:
     def test_trust_region_resolve_after_violated_cuts_takes_dual_pivots(self, lp_solves):
         from stochlp.lshaped import MasterState
         p = farmer_problem()
-        st = MasterState(p, p.nscen, -1e10)
+        st = MasterState(p, p.nscen)
         center = np.array([150.0, 100.0, 250.0])
         x, theta, _ = st.solve_plain(tr_center=center, tr_delta=50.0)
         for cut in aggregate_cuts(_outcomes_at(p, x), p.probabilities, "multi"):
@@ -364,13 +365,14 @@ class TestMaster:
         cold = kernel.solve_lp(st._instance(tr_center=x, tr_delta=25.0))
         assert value == pytest.approx(cold.objective, rel=1e-9)
 
-    def test_iteration_limit_raises_naming_the_master(self):
+    def test_iteration_limit_raises_naming_the_master(self, monkeypatch):
         # an iterate stopped by the limit may break the first stage; it is no candidate
         from stochlp.lshaped import MasterState
         p = farmer_problem()
-        st = MasterState(p, 1, -1e10, kernel.KernelConfig(max_iterations=1))
+        st = MasterState(p, 1)
         st.add_cut(make_optimality_cut(_outcomes_at(p, [170.0, 80.0, 250.0]),
                                        p.probabilities))
+        monkeypatch.setattr(kernel, "MAX_PIVOTS", 1)
         with pytest.raises(kernel.NumericalBreakdown, match="master LP ended iteration_limit"):
             st.solve_plain()
 
@@ -389,14 +391,14 @@ class TestConsolidation:
     def test_all_active_none_removed(self):
         from stochlp.lshaped import MasterState
         p = simple_problem()
-        st = MasterState(p, 2, -1e10)
+        st = MasterState(p, 2)
         rep = solve_lshaped(p, LShapedConfig())     # smoke: cuts exist somewhere
         assert st.consolidate(1) == 0               # no cuts, nothing to remove
 
     def test_stale_cut_removed(self):
         from stochlp.lshaped import Cut, MasterState
         p = simple_problem()
-        st = MasterState(p, 1, -1e10)
+        st = MasterState(p, 1)
         cut = Cut(kind="optimality", gradient=np.array([0.0, 0.0]), rhs=-1e9,
                   source=frozenset({0, 1}), aggregate=0)
         st.add_cut(cut)
@@ -411,7 +413,7 @@ class TestConsolidation:
         from stochlp.lshaped import MasterState
         p = farmer_problem()
         rep = solve_lshaped(p, LShapedConfig(cuts="multi"))
-        st = MasterState(p, p.nscen, -1e10)
+        st = MasterState(p, p.nscen)
         for cut in rep.extras["_cuts"]:
             st.add_cut(cut)
         st.solve_plain()
@@ -427,7 +429,7 @@ class TestConsolidation:
     def test_consolidation_drops_a_warm_basis_with_nonbasic_dropped_slack(self):
         from stochlp.lshaped import Cut, MasterState
         p = simple_problem()
-        st = MasterState(p, 1, -1e10)
+        st = MasterState(p, 1)
         cut = Cut(kind="optimality", gradient=np.array([1.0, 1.0]), rhs=100.0,
                   source=frozenset({0, 1}), aggregate=0)
         st.add_cut(cut)
@@ -439,7 +441,7 @@ class TestConsolidation:
     def test_feasibility_cuts_never_removed(self):
         from stochlp.lshaped import Cut, MasterState
         p = simple_problem()
-        st = MasterState(p, 1, -1e10)
+        st = MasterState(p, 1)
         fcut = Cut(kind="feasibility", gradient=np.array([1.0, 0.0]), rhs=41.0,
                    source=frozenset({0}))
         st.add_cut(fcut)
@@ -451,10 +453,11 @@ class TestConsolidation:
         st.consolidate(1)
         assert any(c.kind == "feasibility" for c in st.cuts)
 
-    def test_consolidated_run_same_objective(self):
+    def test_consolidated_run_same_objective(self, monkeypatch):
+        monkeypatch.setattr(lshaped, "_CONSOLIDATE_AFTER", 2)
+        monkeypatch.setattr(lshaped, "_CONSOLIDATE_EVERY", 3)
         plain = LShapedConfig(cuts="multi", consolidation=False)
-        consolidated = LShapedConfig(cuts="multi", consolidation=True,
-                                     consolidation_threshold=2, consolidation_period=3)
+        consolidated = LShapedConfig(cuts="multi", consolidation=True)
         for seed in range(5):
             p = random_rcr_problem(seed)
             a = solve_lshaped(p, plain)

@@ -1,13 +1,14 @@
 """Progressive hedging: update formulas, invariants, and DEP agreement."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
 from stochlp import kernel
 from stochlp.errors import ConfigError, InfeasibleScenario, NumericalBreakdown
 from stochlp.execution import ExecConfig
-from stochlp.fixtures import farmer_problem, simple_problem
-from stochlp.kernel import KernelConfig
+from stochlp.fixtures import farmer_problem, simple_model, simple_problem, simple_sampler
 from stochlp.model import FirstStage, RecourseShape, Scenario, build_problem
 from stochlp.phedging import (
     PhConfig,
@@ -18,6 +19,7 @@ from stochlp.phedging import (
     update_multipliers,
     update_penalty,
 )
+from stochlp.sampling import _batch_instance
 
 from _problems import dep_optimum, random_rcr_problem
 
@@ -47,21 +49,17 @@ class TestUpdates:
         np.testing.assert_allclose(out, [[-2.0], [2.0]])
 
     def test_penalty_balanced_unchanged(self):
-        cfg = PhConfig(penalty="adaptive")
-        assert update_penalty(1.0, 1.0, cfg, 3.0) == 3.0
+        assert update_penalty(1.0, 1.0, 3.0) == 3.0
 
     def test_penalty_grows_on_consensus_violation(self):
         # consensus violation (dual gap) dominating drives r up
-        cfg = PhConfig(penalty="adaptive")
-        assert update_penalty(1.0, 100.0, cfg, 2.0) == 4.0
+        assert update_penalty(1.0, 100.0, 2.0) == 4.0
 
     def test_penalty_shrinks_when_xi_oscillates(self):
-        cfg = PhConfig(penalty="adaptive")
-        assert update_penalty(100.0, 1.0, cfg, 2.0) == 1.0
+        assert update_penalty(100.0, 1.0, 2.0) == 1.0
 
     def test_penalty_clamped(self):
-        cfg = PhConfig(penalty="adaptive")
-        assert update_penalty(1e9, 0.0, cfg, 2e-6) == pytest.approx(1e-6)
+        assert update_penalty(1e9, 0.0, 2e-6) == pytest.approx(1e-6)
 
 
 class TestSubproblem:
@@ -81,20 +79,21 @@ class TestSubproblem:
         with pytest.raises(InfeasibleScenario):
             solve_ph(p, PhConfig())
 
-    def test_unconverged_qp_raises_naming_the_scenario(self):
+    def test_unconverged_qp_raises_naming_the_scenario(self, monkeypatch):
         p = simple_problem()
+        monkeypatch.setattr(kernel, "IPM_MAX_ITERATIONS", 2)
         with pytest.raises(NumericalBreakdown, match="scenario 1 ended iteration_limit"):
             solve_ph_subproblem(ProximalStacks(p), [1], np.array([50.0, 30.0]),
-                                np.zeros((p.nscen, 2)), 1.0, KernelConfig(ipm_max_iterations=2))
+                                np.zeros((p.nscen, 2)), 1.0)
 
-    def test_the_lowest_stalled_scenario_of_a_bundle_is_named(self):
+    def test_the_lowest_stalled_scenario_of_a_bundle_is_named(self, monkeypatch):
         p = farmer_problem()
         data = ProximalStacks(p)
         xi, rho = np.array([170.0, 80.0, 250.0]), np.zeros((p.nscen, 3))
 
         def solve(limit, warm=None):
-            return solve_ph_subproblem(data, range(p.nscen), xi, rho, 1.0,
-                                       KernelConfig(ipm_max_iterations=limit), warm=warm)
+            with patch.object(kernel, "IPM_MAX_ITERATIONS", limit):
+                return solve_ph_subproblem(data, range(p.nscen), xi, rho, 1.0, warm=warm)
 
         def solves(limit):
             try:
@@ -107,6 +106,17 @@ class TestSubproblem:
         (_, qp), = data.groups
         # a restart far off needs more iterations than any cold start
         far = (np.full(qp.c.shape[1], 1e12), np.full(qp.g.shape[1], 1e-2), np.zeros(qp.bE.shape[1]))
+        # the far-off members get one cold retry, which the cold limit suffices for
+        assert solve(enough, warm=[None, far, far]).qp_retries == 2
+        qp_solve = kernel.solve_qp_diagonal
+
+        def cold_retry_stalls(qp, warm_start=None):
+            if warm_start is not None:
+                return qp_solve(qp, warm_start)
+            with patch.object(kernel, "IPM_MAX_ITERATIONS", 1):
+                return qp_solve(qp)
+
+        monkeypatch.setattr(kernel, "solve_qp_diagonal", cold_retry_stalls)
         with pytest.raises(NumericalBreakdown,
                            match="proximal subproblem of scenario 1 ended iteration_limit"):
             solve(enough, warm=[None, far, far])
@@ -134,9 +144,10 @@ class TestSubproblem:
         assert rep.status == "optimal"
         assert rep.extras["internal_objective"] == pytest.approx(v, rel=1e-4, abs=1e-6)
 
-    def test_unconverged_wait_and_see_raises(self):
+    def test_unconverged_wait_and_see_raises(self, monkeypatch):
+        monkeypatch.setattr(kernel, "MAX_PIVOTS", 1)
         with pytest.raises(NumericalBreakdown, match="wait-and-see LP of scenario 0"):
-            solve_ph(farmer_problem(), PhConfig(kernel=KernelConfig(max_iterations=1)))
+            solve_ph(farmer_problem(), PhConfig())
 
     def test_linearized_penalty_path(self):
         # the l1 surrogate lacks strong convexity, so no optimality claim;
@@ -162,6 +173,16 @@ class TestSubproblem:
 
 
 class TestSolve:
+    def test_a_stalled_warm_start_is_retried_cold(self):
+        # a warm-started proximal QP of this batch stalls at the iteration
+        # limit, though it solves cold; without the cold retry the run raises
+        p = _batch_instance(simple_model(), simple_sampler(), 64, 2)
+        rep = solve_ph(p, PhConfig(penalty="adaptive"))
+        assert rep.status == "optimal"
+        assert sum(rec["qp_retries"] for rec in rep.trace) > 0
+        v, _ = dep_optimum(p)
+        assert rep.extras["internal_objective"] == pytest.approx(v, rel=1e-3)
+
     def test_single_scenario_exact_in_two_iterations(self):
         first = FirstStage(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[4.0],
                            row_senses=("<=",))
@@ -233,21 +254,14 @@ class TestSolve:
         with pytest.raises(ConfigError):
             PhConfig(max_iterations=0)
 
-    def test_ipm_stall_is_not_reported_as_optimal(self):
+    def test_ipm_stall_is_not_reported_as_optimal(self, monkeypatch):
         # two IPM steps are far from converged: the iterate must not be used
+        monkeypatch.setattr(kernel, "IPM_MAX_ITERATIONS", 2)
         with pytest.raises(NumericalBreakdown, match="ended iteration_limit"):
-            solve_ph(farmer_problem(), PhConfig(max_iterations=30,
-                                                kernel=KernelConfig(ipm_max_iterations=2)))
+            solve_ph(farmer_problem(), PhConfig(max_iterations=30))
 
 
 class TestConfig:
-    @pytest.mark.parametrize("kwargs", [{"penalty": "adaptive", "adapt_period": 0},
-                                        {"adapt_period": -3}],
-                             ids=["adaptive-0", "negative"])
-    def test_adapt_period_below_one_is_rejected(self, kwargs):
-        with pytest.raises(ConfigError, match="adapt_period"):
-            PhConfig(**kwargs)
-
     @pytest.mark.parametrize("norm", ["two", "", "ONE"])
     def test_unknown_linearize_norm_is_rejected(self, norm):
         with pytest.raises(ConfigError, match="linearize"):

@@ -1,5 +1,7 @@
 """Stacked interior point: every member ends as it would when solved alone."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from stochlp import kernel
 from stochlp.kernel import (
-    KernelConfig,
     QPIterate,
     qp_stack,
     solve_qp_diagonal,
@@ -45,9 +46,9 @@ def member_lp(data, i):
                       qdiag=D[i], qcenter=z[i])
 
 
-def kernel_tol(lp, cfg=kernel.DEFAULT_CONFIG):
+def kernel_tol(lp):
     """The interior point's stopping tolerance on ``lp``."""
-    return cfg.opt_tol * (1.0 + max(1.0, np.abs(lp.c).max(), np.abs(lp.rhs).max(initial=0.0)))
+    return kernel.OPT_TOL * (1.0 + max(1.0, np.abs(lp.c).max(), np.abs(lp.rhs).max(initial=0.0)))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -75,14 +76,15 @@ def test_a_stalled_member_leaves_the_others_unchanged(seed, stalled):
     stalled %= S
     qp = qp_stack(*data)
     free = solve_qp_diagonal(qp)
-    cfg = KernelConfig(ipm_max_iterations=int(free.member_iterations.max()) + 1)
+    limit = int(free.member_iterations.max()) + 1
     far = QPIterate(x=np.full(qp.c.shape, 1e8), lam=np.full(qp.g.shape, 1e8),
                     y=np.zeros(qp.bE.shape), valid=np.arange(S) == stalled)
-    res = solve_qp_diagonal(qp, cfg, far)
-    assert res.status[stalled] == kernel.ITERATION_LIMIT
-    assert res.member_iterations[stalled] == cfg.ipm_max_iterations
     others = np.flatnonzero(np.arange(S) != stalled)
-    alone = solve_qp_diagonal(qp.take(others), cfg)
+    with patch.object(kernel, "IPM_MAX_ITERATIONS", limit):
+        res = solve_qp_diagonal(qp, far)
+        alone = solve_qp_diagonal(qp.take(others))
+    assert res.status[stalled] == kernel.ITERATION_LIMIT
+    assert res.member_iterations[stalled] == limit
     assert list(res.status[others]) == [kernel.OPTIMAL] * others.size
     np.testing.assert_array_equal(res.member_iterations[others], alone.member_iterations)
     np.testing.assert_allclose(res.iterate.x[others], alone.iterate.x, rtol=0, atol=1e-12)
@@ -94,9 +96,10 @@ def test_infeasible_and_unbounded_members_end_alone():
     c = np.array([[1.0], [1.0], [-1.0]])
     box = qp_stack(c, np.ones((3, 1, 1)), [[0.5], [5.0], [0.2]], (">=",),
                    np.zeros((3, 1)), np.ones((3, 1)), np.ones((3, 1)), np.zeros((3, 1)))
-    res = solve_qp_diagonal(box, KernelConfig(ipm_max_iterations=30))
+    with patch.object(kernel, "IPM_MAX_ITERATIONS", 30):
+        res = solve_qp_diagonal(box)
+        rest = solve_qp_diagonal(box.take([0, 2]))
     assert list(res.status) == [kernel.OPTIMAL, kernel.ITERATION_LIMIT, kernel.OPTIMAL]
-    rest = solve_qp_diagonal(box.take([0, 2]), KernelConfig(ipm_max_iterations=30))
     np.testing.assert_array_equal(res.iterate.x[[0, 2]], rest.iterate.x)
     # a free variable with x <= 0: linear costs send the second member to -inf
     free = qp_stack([[1.0], [1.0]], np.ones((2, 1, 1)), np.zeros((2, 1)), ("<=",),

@@ -15,9 +15,11 @@ or a tiny pivot.  Cold starts, and warm tokens that are not a valid basis of
 the instance, use the primal method from the slack basis.  Both methods keep
 their own pricing and ratio test and pivot one ``_WorkingBasis``: an explicit
 basis inverse updated in place by BLAS ``dger`` and refactorized every
-``_REFACTOR_EVERY`` pivots.  ``LPSolution.iterations`` is the total pivot
-count and ``extras["pivots"]`` splits it into dual, phase-1 and phase-2
-pivots.
+``_REFACTOR_EVERY`` pivots.  ``_basis_inverse`` factors every basis through
+its slack block, so a master grown by cut rows with basic slacks costs a k×k
+inverse, k at most its structural column count, instead of an m×m one.
+``LPSolution.iterations`` is the total pivot count and ``extras["pivots"]``
+splits it into dual, phase-1 and phase-2 pivots.
 Bunching lives in ``solve_family``: the members of an ``LPFamily`` differ
 only in rhs, costs and bounds, so an optimal basis is one set of columns of
 ``[A | I]`` for all of them.  Pooled bases solve by matmul the members the
@@ -167,13 +169,39 @@ class _Tableau:
         return np.concatenate([v @ self.A[:, :self.n], v])
 
 
-def _usable_basis(token, A, lb, ub):
-    """``token`` as a start of the columns ``A`` with bounds ``lb`` and ``ub``.
+def _basis_inverse(A, basic, n):
+    """Inverse of the basis ``A[:, basic]`` of ``A = [A_x | I]``, ``A_x`` with ``n`` columns.
 
-    Returns its basic columns, statuses and basis inverse, or None unless it
-    is usable: ``vstat`` holds valid codes, is basic on exactly the distinct
-    in-range ``basic`` columns and puts each nonbasic column at a finite
-    bound (a free column at zero), and the basis matrix is nonsingular.
+    Only A_RC is inverted: the k basic structural columns C on the k rows R
+    whose slack is not basic.  The row of the inverse for a column of C is its
+    row of A_RC^-1 on the columns R, and the row for the slack of row i is
+    e_i - A_iC A_RC^-1: O(k^3 + m k^2) work instead of O(m^3).  Raises
+    ``np.linalg.LinAlgError`` when A_RC, and so the basis, is singular.
+    """
+    m = A.shape[0]
+    slack = basic >= n
+    S = basic[slack] - n
+    in_s = np.zeros(m, dtype=bool)
+    in_s[S] = True
+    A_C = A[:, basic[~slack]]
+    inv = np.linalg.inv(A_C[~in_s])
+    block = np.empty((m, inv.shape[0]))
+    block[~slack] = inv
+    block[slack] = -(A_C[S] @ inv)
+    Binv = np.zeros((m, m))
+    Binv[:, ~in_s] = block
+    Binv[slack, S] = 1.0
+    return Binv
+
+
+def _usable_basis(token, A, lb, ub):
+    """``token`` as a start of the columns ``A = [A_x | I]`` with bounds ``lb`` and ``ub``.
+
+    Returns its basic columns, statuses and basis inverse, factored through
+    its slack block by ``_basis_inverse``, or None unless it is usable:
+    ``vstat`` holds valid codes, is basic on exactly the distinct in-range
+    ``basic`` columns and puts each nonbasic column at a finite bound (a free
+    column at zero), and the basis matrix is nonsingular.
     """
     m, N = A.shape
     if not isinstance(token, Basis) or token.basic.size != m or token.vstat.size != N:
@@ -193,7 +221,7 @@ def _usable_basis(token, A, lb, ub):
             return None
     basic = token.basic.astype(int)
     try:
-        Binv = np.linalg.inv(A[:, basic])
+        Binv = _basis_inverse(A, basic, N - m)
     except np.linalg.LinAlgError:
         return None
     return basic, vstat.astype(np.int8), Binv
@@ -260,7 +288,7 @@ class _WorkingBasis:
 
     def refactor(self):
         try:
-            self.Binv = np.linalg.inv(self.tab.A[:, self.basic])
+            self.Binv = _basis_inverse(self.tab.A, self.basic, self.tab.n)
         except np.linalg.LinAlgError:
             raise NumericalBreakdown("singular basis during refactorization") from None
         self.since_refactor = 0
@@ -550,7 +578,7 @@ def solve_lp(lp: LPInstance, warm_start: Basis = None) -> LPSolution:
 
 
 class _PoolEntry:
-    """A pooled optimal basis with the inverse of its columns and its status masks."""
+    """A pooled optimal basis with its inverse (``_basis_inverse``) and its status masks."""
 
     def __init__(self, basis, basic, vstat, Binv):
         self.basis, self.basic, self.vstat, self.Binv = basis, basic, vstat, Binv
@@ -564,10 +592,11 @@ class LPFamily:
     Member s has the costs ``c[s]`` and bounds ``lb[s]``, ``ub[s]``; its rhs
     comes with each solve.  The family holds them over ``[A | I]``, stacked,
     and ``entries``: at most ``_POOL_SIZE`` recent optimal bases with their
-    inverses, newest first.  Members marked ``excluded`` are LPs of their own
-    (another matrix or other row senses), left to the fallback and kept out
-    of the pool.  Entries are replaced whole, so a reader that takes
-    ``entries`` once sees a consistent pool while other threads add to it.
+    inverses, factored through their slack block by ``_usable_basis``, newest
+    first.  Members marked ``excluded`` are LPs of their own (another matrix
+    or other row senses), left to the fallback and kept out of the pool.
+    Entries are replaced whole, so a reader that takes ``entries`` once sees
+    a consistent pool while other threads add to it.
     """
 
     def __init__(self, A, row_senses, c, lb, ub, excluded):

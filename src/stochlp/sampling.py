@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.stats
 
-from .errors import TooFewBatches
+from .errors import ConfigError, TooFewBatches
 from .lshaped import recourse_values, vrp
 from .model import (
     Scenario,
@@ -173,8 +173,12 @@ class SaaConfig:
     max_n: int = 8192
 
     def __post_init__(self):
+        if not 0 < self.confidence < 1:
+            raise ConfigError("confidence must be in (0, 1)")
         if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
+            raise ConfigError("rel_tol must be > 0")
+        if self.n0 < 1:
+            raise ConfigError("n0 must be >= 1")
         if self.batches < 2:
             raise TooFewBatches("need at least 2 batches")
 

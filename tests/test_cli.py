@@ -272,6 +272,17 @@ class TestSaaCommand:
         assert doc["confidence"]["relative_error"] <= 5e-2
         assert doc["seed"] == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--rel-tol", "0"), "rel_tol must be > 0"),
+        (("--confidence", "1"), "confidence must be in (0, 1)"),
+        (("--confidence", "0"), "confidence must be in (0, 1)"),
+        (("--n0", "0"), "n0 must be >= 1"),
+    ], ids=["rel-tol", "confidence-1", "confidence-0", "n0"])
+    def test_exit_1_on_bad_saa_config(self, capsys, flags, message):
+        from stochlp import cli
+        assert cli.main(["saa", "--model", "simple", *flags]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_budget_exit_code(self):
         r = run_cli("saa", "--model", "simple", "--sampler", "simple-discrete",
                     "--rel-tol", "1e-9", "--n0", "4", "--batches", "3",

@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from stochlp import kernel
@@ -520,6 +522,73 @@ class TestLongSolves:
             bland.append(sol.extras["pivots"])
             assert_matches_highs(grown, solve_lp(grown, warm_start=warm))
         assert bland != dantzig     # Bland's rule did choose other pivots
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), n=st.integers(1, 8),
+       share=st.floats(0.0, 1.0))
+@example(seed=0, m=5, n=7, share=0.0)       # every basic column a slack
+@example(seed=1, m=5, n=7, share=1.0)       # no slack basic
+@example(seed=2, m=6, n=2, share=1.0)       # more rows than structural columns
+def test_basis_inverse_matches_dense(seed, m, n, share):
+    """The slack-block inverse of a random basis of ``[A | I]`` is the dense one."""
+    rng = np.random.default_rng(seed)
+    A = np.hstack([rng.normal(0, 2, (m, n)), np.eye(m)])
+    k = round(share * min(m, n))
+    basic = rng.permutation(np.concatenate([rng.choice(n, k, replace=False),
+                                            n + rng.choice(m, m - k, replace=False)]))
+    B = A[:, basic]
+    assume(np.linalg.cond(B) < 1e6)
+    dense = np.linalg.inv(B)
+    got = kernel._basis_inverse(A, basic, n)
+    assert np.abs(got - dense).max() <= 1e-9 * np.abs(dense).max()
+
+
+class TestSingularBasis:
+    """A basis whose structural block A_RC is singular is never inverted.
+
+    Structural columns 0 and 1 differ only on row 2, whose slack is basic,
+    so they are independent while their block on rows 0 and 1 is singular.
+    """
+
+    LP = LPInstance(c=[1.0, 1.0, 1.0], A=[[1.0, 1.0, 1.0], [2.0, 2.0, 0.0], [0.0, 5.0, 1.0]],
+                    rhs=[1.0, 1.0, 1.0], row_senses=("<=", "<=", "<="),
+                    lb=[0.0, 0.0, 0.0], ub=[1.0, 1.0, 1.0])
+    BASIC = np.array([0, 1, 5])
+
+    def test_warm_token_is_dropped(self):
+        vstat = np.full(6, kernel._AT_LB, dtype=np.int8)
+        vstat[self.BASIC] = kernel._BASIC
+        tab = kernel._Tableau(self.LP)
+        token = kernel.Basis(self.BASIC, vstat)
+        assert kernel._usable_basis(token, tab.A, tab.lb, tab.ub) is None
+        sol = solve_lp(self.LP, warm_start=token)
+        assert sol.extras["pivots"]["dual"] == 0          # solved cold
+        assert_matches_highs(self.LP, sol)
+
+    def test_refactor_raises(self):
+        wb = kernel._WorkingBasis(kernel._Tableau(self.LP), None)
+        wb.basic = self.BASIC.copy()
+        with pytest.raises(NumericalBreakdown, match="singular basis during refactorization"):
+            wb.refactor()
+
+
+def test_no_inverse_larger_than_the_structural_columns(monkeypatch):
+    """Multi-cut L-shaped inverts no block larger than the master's x and θ columns."""
+    from stochlp.lshaped import LShapedConfig, solve_lshaped
+    from _problems import farmer_instance
+    p = farmer_instance(40, 1)
+    shapes = []
+    inv = np.linalg.inv
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    rep = solve_lshaped(p, LShapedConfig(cuts="multi"))
+    assert rep.status == "optimal"
+    assert shapes and max(max(s) for s in shapes) <= p.n + p.nscen
 
 
 def grid_qp_oracle(lp, span, resolution):

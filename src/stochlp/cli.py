@@ -215,7 +215,7 @@ def build_parser():
     p.add_argument("--consolidate", action="store_true")
     p.add_argument("--exec", dest="exec_mode", default="serial",
                    help="serial | sync | async:KAPPA")
-    p.add_argument("--penalty", default="fixed:1", help="fixed:R | adaptive")
+    p.add_argument("--penalty", default="adaptive", help="adaptive | fixed:R")
     p.add_argument("--gap", type=float, default=None,
                    help="relative gap tolerance, default 1e-6 (PH: squared-gap "
                         "tolerances, default 1e-5)")

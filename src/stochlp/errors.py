@@ -49,8 +49,8 @@ class UnboundedSubproblem(UnboundedProblem):
         super().__init__(message or f"second-stage problem of scenario {scenario} is unbounded")
 
 
-class UnsupportedQuadratic(StochLPError):
-    pass
+class ProblemTooLarge(StochLPError):
+    """A program would need more memory than the package allows it."""
 
 
 class ParseError(StochLPError):

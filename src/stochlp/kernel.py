@@ -1,8 +1,8 @@
 """Self-contained LP and diagonal-QP solver.
 
 Entry points: ``solve_lp`` for one LP, ``solve_family`` for a family of LPs
-that share a constraint matrix, and ``solve_qp_diagonal`` for one QP or a
-``QPStack`` of them.
+that share a constraint matrix, and ``solve_qp_diagonal`` for a ``QPStack``
+of QPs.  An LP is an ``LPInstance``: dense and a minimization.
 
 The LP method is a bounded-variable revised simplex with a composite
 (infeasibility-minimizing) phase 1 and Bland's rule engaged after a
@@ -25,15 +25,13 @@ only in rhs, costs and bounds, so an optimal basis is one set of columns of
 ``[A | I]`` for all of them.  Pooled bases solve by matmul the members the
 simplex's own stopping tests accept; the rest go to a fallback the caller
 supplies (a ``solve_lp`` call), whose optimal bases join the pool.
-The QP method is a Mehrotra predictor-corrector interior point for
-diagonal Hessians with one implementation, ``_mehrotra``: it runs a
-``QPStack`` of programs that share one row pattern (row senses and which
-bounds are finite) in one loop, with per-member step lengths, convergence,
-best iterate, regularization and status, and solves the members' KKT systems
-as one stacked ``np.linalg.solve``.  ``solve_qp_diagonal`` is its one entry
-point: progressive hedging passes the stacks it builds once per run, one per
-wave, and a single ``LPInstance`` (the regularized L-shaped masters) is
-solved as a stack of one and gets row duals and reduced costs.
+The QP method, ``solve_qp_diagonal``, is a Mehrotra predictor-corrector
+interior point for diagonal Hessians: it runs a ``QPStack`` of programs that
+share one row pattern (row senses and which bounds are finite) in one loop,
+with per-member step lengths, convergence, best iterate, regularization and
+status, and solves the members' KKT systems as one stacked
+``np.linalg.solve``.  Progressive hedging passes the stacks it builds once
+per run, one per wave; the regularized L-shaped masters are stacks of one.
 
 Both methods return a status; a caller that needs an optimum passes the
 solution through ``require_optimal``, so an infeasible, unbounded or
@@ -46,19 +44,16 @@ for a minimization instance the row multipliers ``y`` satisfy
 
 so the dual of an active ``>=`` row is ``>= 0`` and of an active ``<=`` row
 is ``<= 0``.  The dual objective is ``y^T rhs + sum_j z_j * (bound of j)``
-over nonbasic variables.  For maximization instances the kernel negates the
-objective internally and negates ``y`` and ``z`` on the way out, so the
-reported multipliers are shadow prices of the declared objective.
+over nonbasic variables.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg.blas
-import scipy.sparse as sp
 
 from .errors import (
     InfeasibleProblem,
@@ -66,7 +61,6 @@ from .errors import (
     NumericalBreakdown,
     UnboundedProblem,
     UnboundedSubproblem,
-    UnsupportedQuadratic,
 )
 from .model import LPInstance
 
@@ -133,10 +127,6 @@ def require_optimal(sol: LPSolution, what: str, scenario: int = None) -> LPSolut
     raise NumericalBreakdown(f"{where} ended {sol.status}")
 
 
-def _dense(A):
-    return A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-
-
 def _slack_bounds(senses):
     """Lower and upper bounds of the slacks ``s`` in ``A x + s = rhs``, one per row sense."""
     of = {"<=": (0.0, np.inf), ">=": (-np.inf, 0.0), "=": (0.0, 0.0)}
@@ -148,7 +138,6 @@ def _equality_form(A, row_senses, c, lb, ub):
     """``[A | I]`` and the costs and bounds of its columns, the slacks of
     ``A x + s = rhs`` last; ``c``, ``lb`` and ``ub`` may stack programs on a
     leading axis."""
-    A = _dense(A)
     m = A.shape[0]
     c, lb, ub = (np.concatenate([v, np.broadcast_to(w, v.shape[:-1] + (m,))], axis=-1)
                  for v, w in zip((c, lb, ub), (np.zeros(m), *_slack_bounds(row_senses))))
@@ -534,7 +523,7 @@ def _dual_simplex(wb):
     return _simplex(wb)
 
 
-def _assemble(tab, res, lp, flip):
+def _assemble(tab, res):
     """Build the user-facing solution from the simplex end state."""
     basic, vstat, x_B, xv = res["basic"], res["vstat"], res["x_B"], res["xv"]
     x_full = xv.copy()
@@ -544,33 +533,23 @@ def _assemble(tab, res, lp, flip):
                      basis=Basis(basic.copy(), vstat.copy()),
                      iterations=sum(res["pivots"].values()))
     sol.extras["pivots"] = res["pivots"]
-    sgn = -1.0 if flip else 1.0
     if res["status"] == OPTIMAL:
-        y = res["y"]
-        z = res["z"]
-        sol.objective = sgn * (tab.c @ x_full) + lp.c0
-        sol.duals = sgn * y
-        sol.reduced_costs = sgn * z[:tab.n]
+        sol.objective = tab.c @ x_full
+        sol.duals = res["y"]
+        sol.reduced_costs = res["z"][:tab.n]
     elif res["status"] == INFEASIBLE:
         sol.farkas = res["farkas"]
         sol.extras["infeasibility"] = res["infeasibility"]
     elif res["status"] == ITERATION_LIMIT:
-        sol.objective = sgn * (tab.c @ x_full) + lp.c0
+        sol.objective = tab.c @ x_full
     return sol
 
 
 def solve_lp(lp: LPInstance, warm_start: Basis = None) -> LPSolution:
-    """Solve a linear instance; quadratic terms are rejected."""
-    if lp.is_quadratic:
-        raise ValueError("solve_lp requires a linear instance; use solve_qp_diagonal")
-    flip = lp.sense == "max"
-    work = lp if not flip else LPInstance(
-        c=-lp.c, A=lp.A, rhs=lp.rhs, row_senses=lp.row_senses, lb=lp.lb, ub=lp.ub,
-        c0=0.0, sense="min")
-    tab = _Tableau(work)
+    """Solve ``lp``, warm from ``warm_start`` when that is a usable basis of it."""
+    tab = _Tableau(lp)
     wb = _WorkingBasis(tab, warm_start)
-    res = _dual_simplex(wb) if wb.warm else _simplex(wb)
-    return _assemble(tab, res, lp, flip)
+    return _assemble(tab, _dual_simplex(wb) if wb.warm else _simplex(wb))
 
 
 # ---------------------------------------------------------------------------
@@ -701,18 +680,12 @@ def solve_family(family: LPFamily, members, rhs, fallback):
 
 
 def primal_violation(lp: LPInstance, x: np.ndarray) -> float:
-    """Largest bound or row violation of a candidate point."""
-    A = _dense(lp.A)
-    ax = A @ x
-    v = max(np.max(lp.lb - x, initial=0.0), np.max(x - lp.ub, initial=0.0))
-    for i, s in enumerate(lp.row_senses):
-        if s == "<=":
-            v = max(v, ax[i] - lp.rhs[i])
-        elif s == ">=":
-            v = max(v, lp.rhs[i] - ax[i])
-        else:
-            v = max(v, abs(ax[i] - lp.rhs[i]))
-    return float(v)
+    """Largest bound or row violation of a candidate point: a row holds when
+    its slack ``rhs - A x`` lies in its ``_slack_bounds``."""
+    s = lp.rhs - lp.A @ x
+    lo, hi = _slack_bounds(lp.row_senses)
+    return float(max(np.max(lp.lb - x, initial=0.0), np.max(x - lp.ub, initial=0.0),
+                     np.max(lo - s, initial=0.0), np.max(s - hi, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +706,7 @@ class QPStack:
     and ``g`` (S, mI).  The equality rows and the fixed variables form
     ``AE``; the other rows (a ``>=`` row negated) and the finite bounds
     form ``G``.  ``rhs_scale`` (S,) is max(1, |rhs|, |bE|), the data part of
-    the convergence scale.  Row i of the source program has the dual
-    ``dual_sign[i] * concat(y, lam)[dual_pos[i]]`` in the package's sign
-    convention.
+    the convergence scale.
     """
 
     c: np.ndarray
@@ -748,8 +719,6 @@ class QPStack:
     lb: np.ndarray
     ub: np.ndarray
     rhs_scale: np.ndarray
-    dual_pos: np.ndarray
-    dual_sign: np.ndarray
 
     @property
     def size(self):
@@ -757,11 +726,7 @@ class QPStack:
 
     def take(self, pos):
         """The members ``pos`` as a stack of their own."""
-        return QPStack(*(getattr(self, f)[pos] for f in _MEMBER_FIELDS),
-                       dual_pos=self.dual_pos, dual_sign=self.dual_sign)
-
-
-_MEMBER_FIELDS = ("c", "D", "z", "AE", "bE", "G", "g", "lb", "ub", "rhs_scale")
+        return QPStack(**{f.name: getattr(self, f.name)[pos] for f in fields(self)})
 
 
 def qp_pattern(row_senses, lb, ub):
@@ -796,10 +761,7 @@ def qp_stack(c, A, rhs, row_senses, lb, ub, D, z) -> QPStack:
     g = np.concatenate([rhs[:, ~eq] * sign, np.stack([ub, -lb], axis=2).reshape(S, 2 * n)[:, keep]],
                        axis=1)
     rhs_scale = np.maximum(1.0, np.abs(np.concatenate([rhs, bE], axis=1)).max(axis=1, initial=0.0))
-    dual_pos = np.where(eq, np.cumsum(eq) - 1, AE.shape[1] + np.cumsum(~eq) - 1)
-    dual_sign = np.where(senses == ">=", 1.0, -1.0)
-    return QPStack(c=c, D=D, z=z, AE=AE, bE=bE, G=G, g=g, lb=lb, ub=ub,
-                   rhs_scale=rhs_scale, dual_pos=dual_pos, dual_sign=dual_sign)
+    return QPStack(c=c, D=D, z=z, AE=AE, bE=bE, G=G, g=g, lb=lb, ub=ub, rhs_scale=rhs_scale)
 
 
 @dataclass
@@ -883,8 +845,9 @@ def _solve_each(K, rhs):
     return d, np.isfinite(d).all(axis=1)
 
 
-def _mehrotra(qp: QPStack, warm: QPIterate = None) -> QPStackResult:
-    """Mehrotra predictor-corrector on every member of ``qp`` in one loop.
+def solve_qp_diagonal(qp: QPStack, warm_start: QPIterate = None) -> QPStackResult:
+    """Mehrotra predictor-corrector on every member of ``qp`` in one loop,
+    warm from the members of ``warm_start`` that it marks valid.
 
     Each member keeps its own step lengths, convergence test, best iterate,
     regularization and status.  A member leaves the loop when it converges
@@ -896,7 +859,7 @@ def _mehrotra(qp: QPStack, warm: QPIterate = None) -> QPStackResult:
     """
     limit = IPM_MAX_ITERATIONS
     S, n, mE, mI = qp.size, qp.c.shape[1], qp.bE.shape[1], qp.g.shape[1]
-    x, s, lam, y = _qp_start(qp, warm)
+    x, s, lam, y = _qp_start(qp, warm_start)
     best = QPIterate(x=x.copy(), lam=lam.copy(), y=y.copy())
     best_err = np.full(S, np.inf)
     status = np.full(S, ITERATION_LIMIT, dtype=object)
@@ -1012,86 +975,41 @@ def _mehrotra(qp: QPStack, warm: QPIterate = None) -> QPStackResult:
                          iterate=best)
 
 
-def solve_qp_diagonal(qp, warm_start=None):
-    """Solve min c^T x + c0 + 1/2 sum qdiag (x - qcenter)^2 over the LP region.
+def linearize_penalty(lp: LPInstance, r: float, center, norm: str = "one") -> LPInstance:
+    """``lp`` with the proximal term r ||x - center||_1 or r ||x - center||_inf.
 
-    The one entry point of the QP kernel.  A ``QPStack`` is solved in one
-    Mehrotra loop and gives a ``QPStackResult``.  One ``LPInstance`` is
-    solved as a stack of one and gives an ``LPSolution`` with row duals and
-    reduced costs.  ``warm_start`` is a ``QPIterate`` with a row per member.
-    Purely linear programs (qdiag of zeros) are accepted.
+    The penalty covers the first ``center.size`` variables.  The returned
+    instance appends auxiliary columns after the original variables; slice
+    the primal solution to ``lp.nvars`` to recover x.
     """
-    if isinstance(qp, QPStack):
-        return _mehrotra(qp, warm_start)
-    lp = qp
-    if lp.sense == "max":
-        raise UnsupportedQuadratic("maximization with quadratic terms is not supported")
-    n = lp.nvars
-    D = lp.qdiag if lp.qdiag is not None else np.zeros(n)
-    z = lp.qcenter if lp.qcenter is not None else np.zeros(n)
-    A = _dense(lp.A)
-    qp = qp_stack(lp.c[None], A[None], lp.rhs[None], lp.row_senses, lp.lb[None],
-                  lp.ub[None], D[None], z[None])
-    res = _mehrotra(qp, warm_start)
-    sol = res.member(0)
-    sol.objective += lp.c0
-    mult = np.concatenate([res.iterate.y[0], res.iterate.lam[0]])
-    sol.duals = qp.dual_sign * mult[qp.dual_pos]
-    sol.reduced_costs = lp.c + D * (sol.x - z) - A.T @ sol.duals
-    return sol
-
-
-def linearize_penalty(lp: LPInstance, norm: str = "one") -> LPInstance:
-    """Replace a proximal term r/2 ||x - center||^2 by r ||x - center||_1 or _inf.
-
-    The quadratic coefficient must be one value r shared by every penalized
-    coordinate.  The returned instance appends auxiliary columns after the
-    original variables; slice the primal solution to ``lp.nvars`` to recover x.
-    """
-    if lp.qdiag is None or not np.any(lp.qdiag > 0):
-        raise UnsupportedQuadratic("instance has no quadratic term to linearize")
-    idx = np.flatnonzero(lp.qdiag > 0)
-    r_vals = lp.qdiag[idx]
-    if np.max(r_vals) - np.min(r_vals) > 1e-12 * max(1.0, np.max(r_vals)):
-        raise UnsupportedQuadratic("quadratic term is not a uniform proximal penalty")
-    r = float(r_vals[0])
-    center = lp.qcenter[idx]
-    A = _dense(lp.A)
-    n, m = lp.nvars, lp.nrows
-    k = idx.size
+    center = np.asarray(center, dtype=float)
+    n, m, k = lp.nvars, lp.nrows, center.size
+    eye = np.eye(k)
     if norm == "one":
         # x_i - p_i + n_i = center_i, objective += r (p_i + n_i)
-        nv = n + 2 * k
-        A2 = np.zeros((m + k, nv))
-        A2[:m, :n] = A
+        A2 = np.zeros((m + k, n + 2 * k))
+        A2[m:, n:n + k] = -eye
+        A2[m:, n + k:] = eye
         rhs2 = np.concatenate([lp.rhs, center])
         senses2 = lp.row_senses + ("=",) * k
-        for t, j in enumerate(idx):
-            A2[m + t, j] = 1.0
-            A2[m + t, n + t] = -1.0
-            A2[m + t, n + k + t] = 1.0
         c2 = np.concatenate([lp.c, np.full(2 * k, r)])
         lb2 = np.concatenate([lp.lb, np.zeros(2 * k)])
         ub2 = np.concatenate([lp.ub, np.full(2 * k, np.inf)])
     elif norm == "inf":
         # x_i - t <= center_i and -x_i - t <= -center_i, objective += r t
-        nv = n + 1
-        A2 = np.zeros((m + 2 * k, nv))
-        A2[:m, :n] = A
+        A2 = np.zeros((m + 2 * k, n + 1))
+        A2[m + k:, :k] = -eye
+        A2[m:, n] = -1.0
         rhs2 = np.concatenate([lp.rhs, center, -center])
         senses2 = lp.row_senses + ("<=",) * (2 * k)
-        for t, j in enumerate(idx):
-            A2[m + t, j] = 1.0
-            A2[m + t, n] = -1.0
-            A2[m + k + t, j] = -1.0
-            A2[m + k + t, n] = -1.0
         c2 = np.concatenate([lp.c, [r]])
         lb2 = np.concatenate([lp.lb, [0.0]])
         ub2 = np.concatenate([lp.ub, [np.inf]])
     else:
         raise ValueError(f"norm must be 'one' or 'inf', got {norm!r}")
-    return LPInstance(c=c2, A=A2, rhs=rhs2, row_senses=senses2, lb=lb2, ub=ub2,
-                      c0=lp.c0, sense=lp.sense)
+    A2[:m, :n] = lp.A
+    A2[m:m + k, :k] = eye
+    return LPInstance(c=c2, A=A2, rhs=rhs2, row_senses=senses2, lb=lb2, ub=ub2)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,9 +1018,9 @@ def linearize_penalty(lp: LPInstance, norm: str = "one") -> LPInstance:
 
 def write_mps(lp: LPInstance, name: str = "STOCHLP") -> str:
     """Free-format MPS text for a linear instance (diagnostic dump)."""
-    A = _dense(lp.A)
+    A = lp.A
     cols = lp.col_names or tuple(f"C{j + 1}" for j in range(lp.nvars))
-    rows = lp.row_names or tuple(f"R{i + 1}" for i in range(lp.nrows))
+    rows = tuple(f"R{i + 1}" for i in range(lp.nrows))
     sense_code = {"<=": "L", ">=": "G", "=": "E"}
     out = [f"NAME {name}", "ROWS", " N OBJ"]
     for i, s in enumerate(lp.row_senses):

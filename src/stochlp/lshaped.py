@@ -322,7 +322,7 @@ class MasterState:
         opt = sum(1 for c in self.cuts if c.kind == "optimality")
         return {"optimality": opt, "feasibility": len(self.cuts) - opt}
 
-    def _instance(self, tr_center=None, tr_delta=None, qdiag=None, qcenter=None, level=None):
+    def _instance(self, tr_center=None, tr_delta=None, level=None):
         """The master over (x, theta); ``level`` adds the row c x + sum(theta) <= level."""
         n, K, p, cuts = self.n, self.K, self.first.p, self.cuts
         c = np.concatenate([self.first.c, np.ones(K)])
@@ -341,12 +341,16 @@ class MasterState:
         if tr_center is not None:
             lb[:n] = np.maximum(lb[:n], tr_center - tr_delta)
             ub[:n] = np.minimum(ub[:n], tr_center + tr_delta)
-        qd = qc = None
-        if qdiag is not None:
-            qd = np.concatenate([qdiag, np.zeros(K)])
-            qc = np.concatenate([qcenter, np.zeros(K)])
-        return LPInstance(c=c, A=A, rhs=rhs, row_senses=tuple(senses), lb=lb, ub=ub,
-                          qdiag=qd, qcenter=qc)
+        return LPInstance(c=c, A=A, rhs=rhs, row_senses=tuple(senses), lb=lb, ub=ub)
+
+    def _proximal(self, lp, weight, center):
+        """``lp`` plus weight/2 |x - center|^2 on its x columns, solved as a
+        ``kernel.QPStack`` of one."""
+        D = np.concatenate([np.full(self.n, weight), np.zeros(self.K)])
+        z = np.concatenate([center, np.zeros(self.K)])
+        qp = kernel.qp_stack(lp.c[None], lp.A[None], lp.rhs[None], lp.row_senses,
+                             lp.lb[None], lp.ub[None], D[None], z[None])
+        return kernel.solve_qp_diagonal(qp).member(0)
 
     def solve_plain(self, tr_center=None, tr_delta=None):
         lp = self._instance(tr_center=tr_center, tr_delta=tr_delta)
@@ -378,18 +382,18 @@ class MasterState:
         return sol.x[:self.n], sol.x[self.n:], sol.objective
 
     def solve_rd(self, center, sigma):
-        lp = self._instance(qdiag=np.full(self.n, sigma), qcenter=center)
-        sol = kernel.solve_qp_diagonal(lp)
-        if sol.status != kernel.OPTIMAL or sol.x is None:
+        lp = self._instance()
+        sol = self._proximal(lp, sigma, center)
+        if sol.status != kernel.OPTIMAL:
             self.fallbacks += 1
             return self.solve_plain()   # proximal solve degraded; plain step is valid
         self._record_activity(lp, sol)
         return self._step(sol.x)
 
     def solve_level(self, center, level):
-        lp = self._instance(qdiag=np.ones(self.n), qcenter=center, level=level)
-        sol = kernel.solve_qp_diagonal(replace(lp, c=np.zeros(lp.nvars)))
-        if sol.status != kernel.OPTIMAL or sol.x is None:
+        lp = self._instance(level=level)
+        sol = self._proximal(replace(lp, c=np.zeros(lp.nvars)), 1.0, center)
+        if sol.status != kernel.OPTIMAL:
             self.fallbacks += 1
             return self.solve_plain()   # projection degraded; plain step is valid
         return self._step(sol.x)

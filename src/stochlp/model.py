@@ -2,11 +2,10 @@
 
 A problem is a first-stage LP plus a finite list of weighted scenarios that
 share one recourse shape (fixed W).  This module alone decides how that data
-is held: matrices are stored dense (sparse input is converted once, at
-construction; only an LPInstance such as the DEP keeps a sparse matrix), and
-all data is normalized to minimization by :func:`minimization_form`;
-reported objective values are un-negated for problems that were declared as
-maximization.
+is held: every matrix is stored dense (sparse input is converted once, at
+construction), and all data is normalized to minimization by
+:func:`minimization_form`; reported objective values are un-negated for
+problems that were declared as maximization.
 
 Row senses are the strings "<=", ">=", "=".
 """
@@ -26,12 +25,14 @@ from .errors import (
     IndexOutOfRange,
     NonPositiveProbability,
     ProbabilityMassError,
+    ProblemTooLarge,
 )
 
 ROW_SENSES = ("<=", ">=", "=")
 
 PROB_NORMALIZE_TOL = 1e-6   # drift below this is silently normalized
 PROB_ERROR_TOL = 0.1        # drift beyond this is a modeling mistake
+DEP_MAX_BYTES = 2**31       # largest [A | I] tableau of the DEP the kernel may build
 
 
 def _as_vector(v, name, n=None):
@@ -43,14 +44,10 @@ def _as_vector(v, name, n=None):
     return a
 
 
-def _as_matrix(m, name, keep_sparse=False):
-    """A 2-D float matrix.  Problem data is stored dense, so sparse input is
-    converted here, once; only an LPInstance (such as the DEP) keeps it sparse."""
-    if sp.issparse(m):
-        if keep_sparse:
-            return m.tocsc()
-        m = m.toarray()
-    a = np.asarray(m, dtype=float)
+def _as_matrix(m, name):
+    """A 2-D float matrix.  Every matrix is stored dense, so sparse input is
+    converted here, once."""
+    a = np.asarray(m.toarray() if sp.issparse(m) else m, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(name, "(rows, cols)", a.shape)
     return a
@@ -319,29 +316,24 @@ class TwoStageProblem:
 
 @dataclass(frozen=True)
 class LPInstance:
-    """Canonical solver input: a linear or diagonal-quadratic convex program.
+    """Canonical solver input, a dense minimization LP:
 
-    minimize (or maximize)  c^T x + c0 + 1/2 * sum_j qdiag[j] * (x[j] - qcenter[j])^2
-    subject to              A x (row_senses) rhs,  lb <= x <= ub
+    minimize    c^T x
+    subject to  A x (row_senses) rhs,  lb <= x <= ub
     """
 
     c: np.ndarray
-    A: object          # dense ndarray or scipy.sparse (kept as CSC)
+    A: np.ndarray
     rhs: np.ndarray
     row_senses: tuple
     lb: np.ndarray
     ub: np.ndarray
-    c0: float = 0.0
-    sense: str = "min"
-    qdiag: np.ndarray = None
-    qcenter: np.ndarray = None
     col_names: tuple = None
-    row_names: tuple = None
 
     def __post_init__(self):
         c = _as_vector(self.c, "objective c")
         n = c.size
-        A = _as_matrix(self.A, "constraint matrix", keep_sparse=True)
+        A = _as_matrix(self.A, "constraint matrix")
         if A.shape[1] != n:
             raise DimensionMismatch("constraint matrix", (A.shape[0], n), A.shape)
         rhs = _as_vector(self.rhs, "rhs", A.shape[0])
@@ -353,13 +345,6 @@ class LPInstance:
         object.__setattr__(self, "row_senses", senses)
         object.__setattr__(self, "lb", lo)
         object.__setattr__(self, "ub", hi)
-        if self.qdiag is not None:
-            qd = _as_vector(self.qdiag, "qdiag", n)
-            if np.any(qd < 0):
-                raise ValueError("quadratic diagonal must be nonnegative (convexity)")
-            qc = np.zeros(n) if self.qcenter is None else _as_vector(self.qcenter, "qcenter", n)
-            object.__setattr__(self, "qdiag", qd)
-            object.__setattr__(self, "qcenter", qc)
 
     @property
     def nvars(self):
@@ -368,10 +353,6 @@ class LPInstance:
     @property
     def nrows(self):
         return self.rhs.size
-
-    @property
-    def is_quadratic(self):
-        return self.qdiag is not None and np.any(self.qdiag > 0)
 
 
 def build_problem(first: FirstStage, shape: RecourseShape, scenarios) -> TwoStageProblem:
@@ -428,35 +409,24 @@ def minimization_form(first: FirstStage, shape: RecourseShape, scenarios):
     return first, replace(shape, sense="min"), list(scenarios)
 
 
-def _to_triplets(M, row_off, col_off, rows, cols, vals):
-    r, c = np.nonzero(M)
-    rows.append(r + row_off)
-    cols.append(c + col_off)
-    vals.append(M[r, c])
-
-
 def build_deterministic_equivalent(p: TwoStageProblem) -> LPInstance:
     """Extensive form over x and one y-block per scenario.
 
-    Second-stage blocks stay sparse: the matrix is assembled from triplets
-    into compressed-column form.
+    Raises ``ProblemTooLarge`` before allocating anything when the kernel's
+    ``[A | I]`` tableau of it would exceed ``DEP_MAX_BYTES``.
     """
     first, shape = p.first, p.shape
     n, m, r, S = p.n, p.m, p.r, p.nscen
     nv = n + S * m
     nr = first.p + S * r
+    size = 8 * nr * (nv + nr)
+    if size > DEP_MAX_BYTES:
+        raise ProblemTooLarge(
+            f"the deterministic equivalent ({nr} rows, {nv} columns) needs a {size} byte "
+            f"tableau, over the limit of {DEP_MAX_BYTES} bytes; use --method lshaped")
 
-    rows, cols, vals = [], [], []
-    _to_triplets(first.A, 0, 0, rows, cols, vals)
-    for s, sc in enumerate(p.scenarios):
-        row0 = first.p + s * r
-        _to_triplets(sc.T, row0, 0, rows, cols, vals)
-        _to_triplets(shape.W, row0, n + s * m, rows, cols, vals)
-    A = sp.csc_matrix(
-        (np.concatenate(vals) if vals else [],
-         (np.concatenate(rows) if rows else [], np.concatenate(cols) if cols else [])),
-        shape=(nr, nv))
-
+    A = np.zeros((nr, nv))
+    A[:first.p, :n] = first.A
     c = np.zeros(nv)
     c[:n] = first.c
     rhs = np.zeros(nr)
@@ -468,11 +438,13 @@ def build_deterministic_equivalent(p: TwoStageProblem) -> LPInstance:
     senses = list(first.row_senses)
     col_names = [f"x{j + 1}" for j in range(n)]
     for s, sc in enumerate(p.scenarios):
-        c[n + s * m:n + (s + 1) * m] = sc.probability * sc.q
-        rhs[first.p + s * r:first.p + (s + 1) * r] = sc.h
-        lo, hi = sc.bounds(shape)
-        lb[n + s * m:n + (s + 1) * m] = lo
-        ub[n + s * m:n + (s + 1) * m] = hi
+        rows = slice(first.p + s * r, first.p + (s + 1) * r)
+        cols = slice(n + s * m, n + (s + 1) * m)
+        A[rows, :n] = sc.T
+        A[rows, cols] = shape.W
+        c[cols] = sc.probability * sc.q
+        rhs[rows] = sc.h
+        lb[cols], ub[cols] = sc.bounds(shape)
         senses.extend(sc.senses(shape))
         col_names.extend(f"y{j + 1}_{s + 1}" for j in range(m))
 

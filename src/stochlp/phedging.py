@@ -37,7 +37,7 @@ _THETA_DEC = 0.5        # penalty shrink factor
 
 @dataclass
 class PhConfig:
-    penalty: str = "fixed"         # fixed | adaptive
+    penalty: str = "adaptive"      # adaptive | fixed
     r: float = 1.0
     primal_tol: float = 1e-5       # on the squared primal gap
     dual_tol: float = 1e-5         # on the squared dual gap
@@ -130,31 +130,28 @@ class ProximalStacks:
             self.position[idx] = np.arange(idx.size)
         self._lp = (A, rhs, lb, ub)
 
-    def _terms(self, rows, xi, rho, r):
-        """Costs, penalty diagonal and center of the scenarios ``rows`` at (xi, rho, r)."""
+    def wave_stack(self, group, pos, xi, rho, r):
+        """The proximal QPs of members ``pos`` of ``group`` at (xi, rho, r)."""
         n = self.n
+        idx, stack = self.groups[group]
+        if pos.size != idx.size:
+            stack = stack.take(pos)
+        rows = idx[pos]
         c = self.c_base[rows]
         c[:, :n] += rho[rows]
         D = np.zeros_like(c)
         D[:, :n] = r
         z = np.zeros_like(c)
         z[:, :n] = xi
-        return c, D, z
-
-    def wave_stack(self, group, pos, xi, rho, r):
-        """The proximal QPs of members ``pos`` of ``group`` at (xi, rho, r)."""
-        idx, stack = self.groups[group]
-        if pos.size != idx.size:
-            stack = stack.take(pos)
-        c, D, z = self._terms(idx[pos], xi, rho, r)
         return replace(stack, c=c, D=D, z=z)
 
-    def lp(self, s, xi, rho, r):
-        """Scenario s's proximal QP as an ``LPInstance``, for the linearized penalty."""
+    def lp(self, s, rho):
+        """Scenario s's wait-and-see LP with the costs rho_s^T x added, for the
+        linearized penalty."""
         A, rhs, lb, ub = self._lp
-        (c,), (D,), (z,) = self._terms([s], xi, rho, r)
-        return LPInstance(c=c, A=A[s], rhs=rhs[s], row_senses=self.senses[s],
-                          lb=lb[s], ub=ub[s], qdiag=D, qcenter=z)
+        c = self.c_base[s].copy()
+        c[:self.n] += rho[s]
+        return LPInstance(c=c, A=A[s], rhs=rhs[s], row_senses=self.senses[s], lb=lb[s], ub=ub[s])
 
 
 @dataclass
@@ -199,7 +196,7 @@ def solve_ph_subproblem(data: ProximalStacks, bundle, xi, rho, r,
     t0 = time.perf_counter()
     if linearize:
         for k, s in enumerate(bundle):
-            sol = kernel.solve_lp(kernel.linearize_penalty(data.lp(s, xi, rho, r), norm=linearize))
+            sol = kernel.solve_lp(kernel.linearize_penalty(data.lp(s, rho), r, xi, linearize))
             xs[k] = sol.x[:xs.shape[1]] if sol.x is not None else np.nan
             if sol.status != kernel.OPTIMAL:
                 failed[int(s)] = sol

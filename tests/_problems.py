@@ -6,6 +6,7 @@ any first-stage point has a feasible (and bounded) recourse.
 ``random_norrc_problem`` drops those slacks on capacity rows, so feasibility
 cuts are required.  ``dep_optimum`` is the reference the solvers are checked
 against: the DEP solved whole, whatever path ``analysis.vrp`` takes.
+``stack_of_one`` turns an LP plus a proximal term into the kernel's QP input.
 """
 
 import numpy as np
@@ -26,6 +27,13 @@ def dep_optimum(problem):
     sol = kernel.solve_lp(build_deterministic_equivalent(problem))
     kernel.require_optimal(sol, "DEP solve")
     return sol.objective, sol.x[:problem.n]
+
+
+def stack_of_one(lp, D, z):
+    """``lp`` plus 1/2 sum_j D_j (x_j - z_j)^2 as a ``kernel.QPStack`` of one."""
+    D, z = (np.asarray(v, dtype=float)[None] for v in (D, z))
+    return kernel.qp_stack(lp.c[None], lp.A[None], lp.rhs[None], lp.row_senses,
+                           lp.lb[None], lp.ub[None], D, z)
 
 
 def farmer_instance(S, seed):

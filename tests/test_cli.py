@@ -115,6 +115,14 @@ class TestSolve:
         serialize.save_problem(infeasible_problem(copies), path)
         assert cli.main([*args, "--input", str(path)]) == 3
 
+    def test_dep_over_the_size_limit_exits_1(self, monkeypatch, capsys):
+        from stochlp import cli, model
+        monkeypatch.setattr(model, "DEP_MAX_BYTES", 1024)
+        assert cli.main(["solve", "--fixture", "farmer", "--method", "dep"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the deterministic equivalent (13 rows, 21 columns)")
+        assert "use --method lshaped" in err
+
     def test_exit_3_on_unbounded_recourse_under_async(self, tmp_path, capsys):
         from stochlp import cli, serialize
         from _problems import unbounded_recourse_problem

@@ -22,7 +22,6 @@ from stochlp.errors import (
     NumericalBreakdown,
     UnboundedProblem,
     UnboundedSubproblem,
-    UnsupportedQuadratic,
 )
 from stochlp.kernel import (
     linearize_penalty,
@@ -32,6 +31,8 @@ from stochlp.kernel import (
     write_mps,
 )
 from stochlp.model import LPInstance
+
+from _problems import stack_of_one
 
 
 def vertex_enumeration_min(c, A, b):
@@ -131,12 +132,6 @@ class TestSolveLP:
         from stochlp.model import build_deterministic_equivalent
         sol = solve_lp(build_deterministic_equivalent(simple_problem()))
         assert sol.objective == pytest.approx(-855.833333333333, abs=1e-6)
-
-    def test_rejects_quadratic(self):
-        qp = LPInstance(c=[0.0], A=np.zeros((0, 1)), rhs=[], row_senses=(),
-                        lb=[0.0], ub=[1.0], qdiag=[1.0], qcenter=[0.0])
-        with pytest.raises(ValueError):
-            solve_lp(qp)
 
     def test_vertex_enumeration_oracle(self):
         rng = np.random.default_rng(11)
@@ -449,19 +444,20 @@ class TestDualSimplex:
         assert sol.extras["pivots"] == {"dual": 1, "phase1": 0, "phase2": 0}
 
     def test_maximization_duals_are_shadow_prices(self):
-        # max x1 + x2 s.t. x1 + 2 x2 <= 4, 3 x1 + x2 <= 6; then tighten the second rhs
-        # until x1 leaves the optimal basis
-        lp = LPInstance(c=[1.0, 1.0], A=[[1.0, 2.0], [3.0, 1.0]], rhs=[4.0, 6.0],
-                        row_senses=("<=", "<="), lb=[0.0, 0.0], ub=[np.inf, np.inf],
-                        sense="max")
+        # max x1 + x2 s.t. x1 + 2 x2 <= 4, 3 x1 + x2 <= 6, as min -x1 - x2; then
+        # tighten the second rhs until x1 leaves the optimal basis
+        lp = LPInstance(c=[-1.0, -1.0], A=[[1.0, 2.0], [3.0, 1.0]], rhs=[4.0, 6.0],
+                        row_senses=("<=", "<="), lb=[0.0, 0.0], ub=[np.inf, np.inf])
         basis = solve_lp(lp).basis
         moved = LPInstance(c=lp.c, A=lp.A, rhs=[4.0, 1.0], row_senses=lp.row_senses,
-                           lb=lp.lb, ub=lp.ub, sense="max")
+                           lb=lp.lb, ub=lp.ub)
         warm = solve_lp(moved, warm_start=basis)
         cold = solve_lp(moved)
         assert warm.extras["pivots"]["dual"] >= 1
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
         np.testing.assert_allclose(warm.duals, cold.duals, atol=1e-12)
+        # the shadow prices of the maximization, -duals, are >= 0 on its <= rows
+        assert (-warm.duals >= -1e-12).all()
 
 
 def degenerate_cases(seed, count):
@@ -544,6 +540,29 @@ def test_basis_inverse_matches_dense(seed, m, n, share):
     assert np.abs(got - dense).max() <= 1e-9 * np.abs(dense).max()
 
 
+def _loop_violation(lp, x):
+    """Reference: the per-row loop that measured a point's largest violation."""
+    ax = np.asarray(lp.A) @ x
+    v = max(np.max(lp.lb - x, initial=0.0), np.max(x - lp.ub, initial=0.0))
+    for i, s in enumerate(lp.row_senses):
+        if s == "<=":
+            v = max(v, ax[i] - lp.rhs[i])
+        elif s == ">=":
+            v = max(v, lp.rhs[i] - ax[i])
+        else:
+            v = max(v, abs(ax[i] - lp.rhs[i]))
+    return float(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.0, 1e-9, 1.0, 10.0]))
+def test_primal_violation_matches_the_row_loop(seed, spread):
+    rng = np.random.default_rng(seed)
+    lp = random_bounded_lp(rng)
+    x = np.clip(rng.normal(0, 3, lp.nvars), lp.lb, lp.ub) + spread * rng.normal(0, 1, lp.nvars)
+    assert primal_violation(lp, x) == _loop_violation(lp, x)
+
+
 class TestSingularBasis:
     """A basis whose structural block A_RC is singular is never inverted.
 
@@ -591,28 +610,29 @@ def test_no_inverse_larger_than_the_structural_columns(monkeypatch):
     assert shapes and max(max(s) for s in shapes) <= p.n + p.nscen
 
 
-def grid_qp_oracle(lp, span, resolution):
-    """Grid search over the quadratic coordinates with an inner LP for the rest."""
-    idx = np.flatnonzero(lp.qdiag > 0)
+def grid_qp_oracle(lp, D, z, span, resolution):
+    """Minimum of ``lp``'s objective plus 1/2 sum D (x - z)^2: a grid search over
+    the coordinates with D > 0 and an inner LP for the rest."""
+    D, z = np.asarray(D, dtype=float), np.asarray(z, dtype=float)
+    idx = np.flatnonzero(D > 0)
     free = np.setdiff1d(np.arange(lp.nvars), idx)
-    A = np.asarray(lp.A)
-    grids = [np.arange(max(lp.lb[j], lp.qcenter[j] - span),
-                       min(lp.ub[j], lp.qcenter[j] + span) + resolution, resolution)
+    A = lp.A
+    grids = [np.arange(max(lp.lb[j], z[j] - span), min(lp.ub[j], z[j] + span) + resolution,
+                       resolution)
              for j in idx]
     if not free.size:
         # every grid point at once, one point per row
         points = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, idx.size)
-        quad = points @ lp.c[idx] + 0.5 * np.sum(
-            lp.qdiag[idx] * (points - lp.qcenter[idx]) ** 2, axis=1)
+        quad = points @ lp.c[idx] + 0.5 * np.sum(D[idx] * (points - z[idx]) ** 2, axis=1)
         viol = points @ A[:, idx].T - lp.rhs
         ok = np.ones(len(points), dtype=bool)
         for s, v in zip(lp.row_senses, viol.T):
             ok &= (v <= 1e-9) if s == "<=" else (v >= -1e-9) if s == ">=" else (np.abs(v) <= 1e-9)
-        return (quad[ok].min() if ok.any() else np.inf) + lp.c0
+        return quad[ok].min() if ok.any() else np.inf
     best = np.inf
     for point in itertools.product(*grids):
         point = np.asarray(point)
-        quad = lp.c[idx] @ point + 0.5 * np.sum(lp.qdiag[idx] * (point - lp.qcenter[idx]) ** 2)
+        quad = lp.c[idx] @ point + 0.5 * np.sum(D[idx] * (point - z[idx]) ** 2)
         sub = LPInstance(c=lp.c[free], A=A[:, free],
                          rhs=lp.rhs - A[:, idx] @ point,
                          row_senses=lp.row_senses,
@@ -620,21 +640,25 @@ def grid_qp_oracle(lp, span, resolution):
         sol = solve_lp(sub)
         if sol.status == kernel.OPTIMAL:
             best = min(best, quad + sol.objective)
-    return best + lp.c0
+    return best
+
+
+def solve_one(lp, D, z):
+    """``lp`` plus 1/2 sum D (x - z)^2, solved as a stack of one: member 0's solution."""
+    return solve_qp_diagonal(stack_of_one(lp, D, z)).member(0)
 
 
 class TestSolveQP:
     def test_box_projection(self):
-        qp = LPInstance(c=[0.0], A=np.zeros((0, 1)), rhs=[], row_senses=(),
-                        lb=[0.0], ub=[1.0], qdiag=[2.0], qcenter=[2.0])
-        sol = solve_qp_diagonal(qp)
+        lp = LPInstance(c=[0.0], A=np.zeros((0, 1)), rhs=[], row_senses=(), lb=[0.0], ub=[1.0])
+        sol = solve_one(lp, [2.0], [2.0])
         assert sol.status == kernel.OPTIMAL
         assert sol.x[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_interior_stationary_point(self):
-        qp = LPInstance(c=[1.0], A=np.zeros((0, 1)), rhs=[], row_senses=(),
-                        lb=[-3.0], ub=[np.inf], qdiag=[1.0], qcenter=[0.0])
-        sol = solve_qp_diagonal(qp)
+        lp = LPInstance(c=[1.0], A=np.zeros((0, 1)), rhs=[], row_senses=(),
+                        lb=[-3.0], ub=[np.inf])
+        sol = solve_one(lp, [1.0], [0.0])
         assert sol.x[0] == pytest.approx(-1.0, abs=1e-6)
 
     def test_ph_subproblem_against_grid_oracle(self):
@@ -648,10 +672,8 @@ class TestSolveQP:
         ws = _ws_instance(p.first, p.shape, p.scenarios[0])
         qd = np.zeros(ws.nvars); qd[:2] = 100.0
         qc = np.zeros(ws.nvars); qc[:2] = xi
-        qp = LPInstance(c=ws.c, A=ws.A, rhs=ws.rhs, row_senses=ws.row_senses,
-                        lb=ws.lb, ub=ws.ub, qdiag=qd, qcenter=qc)
-        sol = solve_qp_diagonal(qp)
-        coarse = grid_qp_oracle(qp, span=2.0, resolution=0.05)
+        sol = solve_one(ws, qd, qc)
+        coarse = grid_qp_oracle(ws, qd, qc, span=2.0, resolution=0.05)
         assert sol.objective <= coarse + 1e-3
         assert sol.objective >= coarse - 0.5   # grid upper-bounds the optimum
 
@@ -662,47 +684,42 @@ class TestSolveQP:
             qd = rng.uniform(0.5, 3.0, n)
             qc = rng.uniform(-1, 1, n)
             c = rng.normal(0, 1, n)
-            qp = LPInstance(c=c, A=np.zeros((0, n)), rhs=[], row_senses=(),
-                            lb=np.full(n, -4.0), ub=np.full(n, 4.0),
-                            qdiag=qd, qcenter=qc)
-            sol = solve_qp_diagonal(qp)
-            oracle = grid_qp_oracle(qp, span=4.0, resolution=0.01)
+            lp = LPInstance(c=c, A=np.zeros((0, n)), rhs=[], row_senses=(),
+                            lb=np.full(n, -4.0), ub=np.full(n, 4.0))
+            sol = solve_one(lp, qd, qc)
+            oracle = grid_qp_oracle(lp, qd, qc, span=4.0, resolution=0.01)
             assert sol.objective == pytest.approx(oracle, abs=1e-3)
 
     def test_kkt_residual_small(self):
-        qp = LPInstance(c=[1.0, -1.0], A=[[1.0, 1.0]], rhs=[1.0],
-                        row_senses=("<=",), lb=[0.0, 0.0], ub=[np.inf, np.inf],
-                        qdiag=[1.0, 1.0], qcenter=[0.0, 0.0])
-        sol = solve_qp_diagonal(qp)
-        assert sol.status == kernel.OPTIMAL
-        assert primal_violation(qp, sol.x) <= 1e-6
-        grad = qp.c + qp.qdiag * (sol.x - qp.qcenter)
-        lag = grad - np.asarray(qp.A).T @ sol.duals
-        # at an interior optimum of nonnegative variables the gradient residual
-        # is complementary with x
-        assert float(np.abs(lag * sol.x).max()) <= 1e-5
+        lp = LPInstance(c=[1.0, -1.0], A=[[1.0, 1.0]], rhs=[1.0],
+                        row_senses=("<=",), lb=[0.0, 0.0], ub=[np.inf, np.inf])
+        qp = stack_of_one(lp, [1.0, 1.0], [0.0, 0.0])
+        res = solve_qp_diagonal(qp)
+        assert res.status[0] == kernel.OPTIMAL
+        x, lam, y = res.iterate.x[0], res.iterate.lam[0], res.iterate.y[0]
+        assert primal_violation(lp, x) <= 1e-6
+        # stationarity D (x - z) + c + AE^T y + G^T lam = 0 from the iterate's
+        # multipliers, which are >= 0 on G x <= g and complementary with its slack
+        grad = qp.D[0] * (x - qp.z[0]) + qp.c[0] + qp.AE[0].T @ y + qp.G[0].T @ lam
+        assert float(np.abs(grad).max()) <= 1e-6
+        assert (lam >= 0.0).all()
+        assert float(np.abs(lam * (qp.g[0] - qp.G[0] @ x)).max()) <= 1e-6
 
 
 class TestLinearizePenalty:
     def _toy(self):
+        """An LP whose proximal term is r = 2 around (1, 1)."""
         return LPInstance(c=[1.0, 0.5], A=[[1.0, 1.0]], rhs=[3.0],
-                          row_senses=(">=",), lb=[0.0, 0.0], ub=[10.0, 10.0],
-                          qdiag=[2.0, 2.0], qcenter=[1.0, 1.0])
+                          row_senses=(">=",), lb=[0.0, 0.0], ub=[10.0, 10.0])
 
     def test_zero_penalty_at_center_solution(self):
-        base = LPInstance(c=[1.0, 0.5], A=[[1.0, 1.0]], rhs=[3.0],
-                          row_senses=(">=",), lb=[0.0, 0.0], ub=[10.0, 10.0])
+        base = self._toy()
         opt = solve_lp(base)
-        qp = LPInstance(c=base.c, A=base.A, rhs=base.rhs, row_senses=base.row_senses,
-                        lb=base.lb, ub=base.ub, qdiag=[5.0, 5.0], qcenter=opt.x)
-        lin = linearize_penalty(qp, "one")
-        sol = solve_lp(lin)
+        sol = solve_lp(linearize_penalty(base, 5.0, opt.x, "one"))
         np.testing.assert_allclose(sol.x[:2], opt.x, atol=1e-7)
 
     def test_l1_matches_hand_expansion(self):
-        qp = self._toy()
-        lin = linearize_penalty(qp, "one")
-        sol = solve_lp(lin)
+        sol = solve_lp(linearize_penalty(self._toy(), 2.0, [1.0, 1.0], "one"))
         # hand expansion: min c x + 2(p1+n1+p2+n2), x - p + n = center
         n = 2
         A = np.zeros((1 + n, 3 * n))
@@ -717,26 +734,16 @@ class TestLinearizePenalty:
         assert sol.objective == pytest.approx(ref.objective, abs=1e-8)
 
     def test_linf_vs_l1_relation(self):
-        qp = self._toy()
-        l1 = solve_lp(linearize_penalty(qp, "one"))
-        li = solve_lp(linearize_penalty(qp, "inf"))
+        l1 = solve_lp(linearize_penalty(self._toy(), 2.0, [1.0, 1.0], "one"))
+        li = solve_lp(linearize_penalty(self._toy(), 2.0, [1.0, 1.0], "inf"))
         # max-norm penalty is no larger than the l1 penalty at any point
         assert li.objective <= l1.objective + 1e-8
 
     def test_feasibility_of_returned_point(self):
-        qp = self._toy()
+        base = self._toy()
         for norm in ("one", "inf"):
-            sol = solve_lp(linearize_penalty(qp, norm))
-            base = LPInstance(c=qp.c, A=qp.A, rhs=qp.rhs, row_senses=qp.row_senses,
-                              lb=qp.lb, ub=qp.ub)
+            sol = solve_lp(linearize_penalty(base, 2.0, [1.0, 1.0], norm))
             assert primal_violation(base, sol.x[:2]) <= 1e-8
-
-    def test_nonuniform_rejected(self):
-        qp = LPInstance(c=[0.0, 0.0], A=np.zeros((0, 2)), rhs=[], row_senses=(),
-                        lb=[0.0, 0.0], ub=[1.0, 1.0], qdiag=[1.0, 2.0],
-                        qcenter=[0.0, 0.0])
-        with pytest.raises(UnsupportedQuadratic):
-            linearize_penalty(qp, "one")
 
 
 class TestMpsDump:

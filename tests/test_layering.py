@@ -1,5 +1,5 @@
-"""The kernel's private names stay inside the kernel, the DEP has one caller, and
-the execution mode is read in one module.
+"""The kernel's private names stay inside the kernel, the DEP has one caller,
+the execution mode is read in one module, and data has one form.
 
 Every module of the package other than ``kernel.py`` uses the kernel through
 its public names only: no ``kernel._name`` attribute reads and no
@@ -7,9 +7,11 @@ its public names only: no ``kernel._name`` attribute reads and no
 ``lshaped.vrp``, the one solve of the recourse problem, and by the CLI's
 ``solve --method dep``.  Only ``execution.py`` compares an execution mode
 (``ExecConfig.mode``) to a mode name, so the work-item rule has one home.
-Every field of the solver and sampling configs is set somewhere outside the
-tests (the package or the benchmark); a setting only tests change is a
-module constant instead.
+Only ``model.py`` imports ``scipy.sparse``: it converts sparse input to the
+one dense form.  Every field of the solver and sampling configs and of
+``LPInstance`` is set somewhere outside the tests (the package or the
+benchmark); a setting only tests change is a module constant instead, and an
+instance field only tests set is a second form that goes.
 """
 
 import ast
@@ -158,9 +160,42 @@ def test_the_mode_scan_sees_every_form_of_use():
     assert mode_comparisons(source) == [1, 2, 3, 4]
 
 
+def sparse_imports(source):
+    """Line of every import of ``scipy.sparse`` or of a name from it in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names if a.name.startswith("scipy.sparse")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("scipy.sparse") \
+                    or module == "scipy" and any(a.name == "sparse" for a in node.names):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "model.py"),
+                         ids=lambda p: p.name)
+def test_only_the_model_imports_scipy_sparse(path):
+    assert sparse_imports(path.read_text()) == []
+
+
+def test_the_sparse_scan_sees_every_form_of_use():
+    source = (
+        "import scipy.sparse\n"
+        "import scipy.sparse as sp\n"
+        "from scipy import sparse\n"
+        "from scipy.sparse import csc_matrix\n"
+        "from scipy.sparse.linalg import splu\n"
+        "import scipy.linalg.blas\n"
+        "from scipy import linalg\n"
+    )
+    assert sparse_imports(source) == [1, 2, 3, 4, 5]
+
+
 BENCH = PACKAGE.parents[1] / "perfbench"
 CONFIGS = {"LShapedConfig": "lshaped.py", "PhConfig": "phedging.py",
-           "ExecConfig": "execution.py", "SaaConfig": "sampling.py"}
+           "ExecConfig": "execution.py", "SaaConfig": "sampling.py", "LPInstance": "model.py"}
 # fields kept although only the tests set them, with the reason
 TEST_ONLY = {("PhConfig", "linearize"): "the paper's linearized PH penalty (l1 or l-inf "
                                         "proximal term), an algorithm variant of its own"}

@@ -378,8 +378,9 @@ class TestMaster:
 
     @pytest.mark.parametrize("reg", ["rd", "level"])
     def test_a_non_optimal_regularized_master_falls_back_and_is_counted(self, monkeypatch, reg):
-        monkeypatch.setattr(kernel, "solve_qp_diagonal",
-                            lambda *args, **kwargs: kernel.LPSolution(kernel.ITERATION_LIMIT))
+        solve = kernel.solve_qp_diagonal
+        monkeypatch.setattr(kernel, "solve_qp_diagonal", lambda qp: replace(
+            solve(qp), status=np.full(qp.size, kernel.ITERATION_LIMIT, dtype=object)))
         rep = solve_lshaped(simple_problem(), LShapedConfig(cuts="multi", regularization=reg))
         assert rep.status == "optimal"
         assert sum(rec["master_fallbacks"] for rec in rep.trace) > 0

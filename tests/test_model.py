@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from stochlp import kernel
+from stochlp import kernel, model
 from stochlp.errors import (
     DimensionMismatch,
     EmptyScenarioSet,
     IndexOutOfRange,
     NonPositiveProbability,
     ProbabilityMassError,
+    ProblemTooLarge,
 )
 from stochlp.fixtures import farmer_problem, simple_problem
 from stochlp.model import (
     FirstStage,
+    LPInstance,
     RecourseShape,
     Scenario,
     build_deterministic_equivalent,
@@ -120,6 +122,18 @@ class TestDeterministicEquivalent:
             lp = build_deterministic_equivalent(p)
             assert lp.nvars == p.n + p.nscen * p.m
             assert lp.nrows == p.first.p + p.nscen * p.r
+            assert type(lp.A) is np.ndarray
+
+    def test_size_guard_raises_before_allocating(self, monkeypatch):
+        # farmer: 13 rows and 21 columns, so an [A | I] tableau of 8 * 13 * 34 bytes
+        p = farmer_problem()
+        nr, nv = p.first.p + p.nscen * p.r, p.n + p.nscen * p.m
+        assert (nr, nv) == (13, 21)
+        monkeypatch.setattr(model, "DEP_MAX_BYTES", 1024)
+        monkeypatch.setattr(np, "zeros", None)      # nothing may be allocated first
+        with pytest.raises(ProblemTooLarge, match=r"3536 byte tableau, over the limit of "
+                                                  r"1024 bytes; use --method lshaped"):
+            build_deterministic_equivalent(p)
 
     def test_single_scenario_collapse(self):
         # DEP, WS(0) and the expected-value problem agree on one scenario
@@ -340,6 +354,14 @@ class TestSparseInput:
         np.testing.assert_array_equal(p.shape.W, dense.shape.W)
         for a, b in zip(p.scenarios, dense.scenarios):
             np.testing.assert_array_equal(a.T, b.T)
+
+    def test_lp_instance_stores_an_ndarray(self):
+        import scipy.sparse as sp
+        dense = build_deterministic_equivalent(farmer_problem())
+        lp = LPInstance(c=dense.c, A=sp.csc_matrix(dense.A), rhs=dense.rhs,
+                        row_senses=dense.row_senses, lb=dense.lb, ub=dense.ub)
+        assert type(lp.A) is np.ndarray
+        np.testing.assert_array_equal(lp.A, dense.A)
 
     def test_solvers_and_measures_match_dense(self):
         from stochlp import analysis

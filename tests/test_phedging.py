@@ -1,5 +1,6 @@
 """Progressive hedging: update formulas, invariants, and DEP agreement."""
 
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -9,7 +10,7 @@ from stochlp import kernel
 from stochlp.errors import ConfigError, InfeasibleScenario, NumericalBreakdown
 from stochlp.execution import ExecConfig
 from stochlp.fixtures import farmer_problem, simple_model, simple_problem, simple_sampler
-from stochlp.model import FirstStage, RecourseShape, Scenario, build_problem
+from stochlp.model import FirstStage, RecourseShape, Scenario, build_problem, build_wait_and_see
 from stochlp.phedging import (
     PhConfig,
     ProximalStacks,
@@ -21,7 +22,7 @@ from stochlp.phedging import (
 )
 from stochlp.sampling import _batch_instance
 
-from _problems import dep_optimum, random_rcr_problem
+from _problems import dep_optimum, random_rcr_problem, stack_of_one
 
 
 class TestUpdates:
@@ -136,7 +137,10 @@ class TestSubproblem:
         xi, rho = np.array([1.0, 0.5]), np.array([[0.2, -0.1], [-0.3, 0.4], [0.1, -0.2]])
         sol = solve_ph_subproblem(data, [2, 0, 1], xi, rho, 2.0)
         for k, s in enumerate([2, 0, 1]):
-            alone = kernel.solve_qp_diagonal(data.lp(s, xi, rho, 2.0))
+            ws = build_wait_and_see(p, s)
+            lp = replace(ws, c=ws.c + np.concatenate([rho[s], np.zeros(2)]))
+            qp = stack_of_one(lp, [2.0, 2.0, 0.0, 0.0], np.concatenate([xi, np.zeros(2)]))
+            alone = kernel.solve_qp_diagonal(qp).member(0)
             np.testing.assert_allclose(sol.xs[k], alone.x[:2], atol=1e-9)
             np.testing.assert_allclose(sol.ys[k], alone.x[2:], atol=1e-9)
         v, _ = dep_optimum(p)

@@ -15,6 +15,8 @@ from stochlp.kernel import (
 )
 from stochlp.model import LPInstance
 
+from _problems import stack_of_one
+
 SENSES = ("<=", ">=", "=")
 
 
@@ -41,9 +43,9 @@ def random_stack(seed):
 
 
 def member_lp(data, i):
+    """Member i's LP part; its proximal term is ``D[i]``, ``z[i]``."""
     c, A, rhs, senses, lb, ub, D, z = data
-    return LPInstance(c=c[i], A=A[i], rhs=rhs[i], row_senses=senses, lb=lb[i], ub=ub[i],
-                      qdiag=D[i], qcenter=z[i])
+    return LPInstance(c=c[i], A=A[i], rhs=rhs[i], row_senses=senses, lb=lb[i], ub=ub[i])
 
 
 def kernel_tol(lp):
@@ -59,7 +61,7 @@ def test_each_member_matches_its_solve_alone(seed):
     assert res.iterations == res.member_iterations.sum()
     for i in range(data[0].shape[0]):
         lp = member_lp(data, i)
-        alone = solve_qp_diagonal(lp)
+        alone = solve_qp_diagonal(stack_of_one(lp, data[6][i], data[7][i])).member(0)
         assert res.status[i] == alone.status == kernel.OPTIMAL
         assert res.member_iterations[i] == alone.iterations
         tol = kernel_tol(lp)
@@ -122,19 +124,6 @@ def test_members_must_share_their_pattern():
                  [[0.0], [-np.inf]], [[1.0], [1.0]], np.ones((2, 1)), np.zeros((2, 1)))
 
 
-def test_duals_follow_the_package_convention():
-    # min x1 + x2 + 1/2 |x|^2 with x1 + x2 >= 3 (active), x1 - x2 = 0, x1 <= 5
-    lp = LPInstance(c=[1.0, 1.0], A=[[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]],
-                    rhs=[3.0, 0.0, 5.0], row_senses=(">=", "=", "<="),
-                    lb=[-np.inf, -np.inf], ub=[np.inf, np.inf],
-                    qdiag=[1.0, 1.0], qcenter=[0.0, 0.0])
-    sol = solve_qp_diagonal(lp)
-    np.testing.assert_allclose(sol.x, [1.5, 1.5], atol=1e-7)
-    # gradient (2.5, 2.5) = A^T y: y >= 0 on the active >= row, 0 on the slack <= row
-    np.testing.assert_allclose(sol.duals, [2.5, 0.0, 0.0], atol=1e-6)
-    np.testing.assert_allclose(sol.reduced_costs, [0.0, 0.0], atol=1e-6)
-
-
 def _loop_parts(lp):
     """Reference: the per-row loop that split a program into the interior
     point's equality rows (AE, bE) and inequality rows (G x <= g)."""
@@ -165,17 +154,6 @@ def _loop_parts(lp):
             np.array(g_rows).reshape(-1, n), np.array(g_rhs, dtype=float))
 
 
-def _loop_duals(lp, y, lam):
-    """Reference: the per-row loop that folded (y, lam) into row duals."""
-    duals, ie, ii = np.zeros(lp.nrows), 0, 0
-    for i, s in enumerate(lp.row_senses):
-        if s == "=":
-            duals[i], ie = -y[ie], ie + 1
-        else:
-            duals[i], ii = (-lam[ii] if s == "<=" else lam[ii]), ii + 1
-    return duals
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_the_stack_layout_matches_the_row_loop(seed):
@@ -192,6 +170,3 @@ def test_the_stack_layout_matches_the_row_loop(seed):
                   lp.ub[None], np.ones((1, n)), np.zeros((1, n)))
     for got, want in zip((qp.AE[0], qp.bE[0], qp.G[0], qp.g[0]), _loop_parts(lp)):
         np.testing.assert_array_equal(got, want)
-    y, lam = rng.normal(0.0, 1.0, qp.bE.shape[1]), rng.normal(0.0, 1.0, qp.g.shape[1])
-    np.testing.assert_array_equal(qp.dual_sign * np.concatenate([y, lam])[qp.dual_pos],
-                                  _loop_duals(lp, y, lam))

@@ -79,34 +79,26 @@ def evaluate_decision(p: TwoStageProblem, x):
         values = recourse_values(p.batch, x)
     except SecondStageInfeasible:
         return np.inf
-    total = float(first.c @ x)
-    for sc, v in zip(p.scenarios, values):
-        total += sc.probability * v
-    return total
+    return float(first.c @ x + p.probabilities @ values)
 
 
 def wait_and_see_solutions(p: TwoStageProblem):
     """Optimal (x, y) and value of each scenario's wait-and-see LP, as arrays
     (S, n + m) and (S,); the lowest scenario whose LP is not optimal raises.
 
-    The LPs are one kernel LP family with the matrix ``[[A1, 0], [T, W]]``
-    when every scenario shares T and the shape's row senses.  Otherwise
+    The LPs are the members of the problem's ``wait_and_see`` form, one
+    kernel LP family when they share its matrix and row senses.  Otherwise
     every member is excluded, so each LP is solved alone and cold.
     """
+    form, S = p.wait_and_see, p.nscen
+
     def solve(s, warm):
         sol = kernel.solve_lp(build_wait_and_see(p, s), warm_start=warm)
         return kernel.require_optimal(sol, "wait-and-see LP", s), sol.basis
 
-    def stacked(first, second):
-        return np.hstack([np.broadcast_to(first, (S, first.size)), second])
-
-    batch, S, first, lp = p.batch, p.nscen, p.first, build_wait_and_see(p, 0)
-    alone = batch.own_senses.any() or (batch.T != batch.T[0]).any()
-    family = kernel.LPFamily(lp.A, lp.row_senses, stacked(first.c, batch.q),
-                             stacked(first.lb, batch.lb), stacked(first.ub, batch.ub),
-                             excluded=np.full(S, alone))
-    pooled, alone = kernel.solve_family(family, np.arange(S), stacked(first.b, batch.h),
-                                        solve)
+    family = kernel.LPFamily(form.A[0], form.row_senses[0], form.c, form.lb, form.ub,
+                             excluded=np.full(S, not form.shared))
+    pooled, alone = kernel.solve_family(family, np.arange(S), form.rhs, solve)
     xs, values = np.empty((S, family.n)), np.empty(S)
     for pos, x, _, objective in pooled:
         xs[pos], values[pos] = x, objective
@@ -118,7 +110,7 @@ def wait_and_see_solutions(p: TwoStageProblem):
 def ews(p: TwoStageProblem):
     """Probability-weighted sum of wait-and-see optima."""
     _, values = wait_and_see_solutions(p)
-    return sum(sc.probability * v for sc, v in zip(p.scenarios, values))
+    return float(p.probabilities @ values)
 
 
 def _clamp(name, value, scale):

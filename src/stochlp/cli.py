@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -95,6 +96,11 @@ def _parse_penalty(text):
     raise ConfigError(f"unknown penalty {text!r}")
 
 
+def _iteration_limit(cfg, args):
+    """``cfg`` with ``--max-iterations``, when given, through the config's own checks."""
+    return cfg if args.max_iterations is None else replace(cfg, max_iterations=args.max_iterations)
+
+
 def cmd_solve(args):
     problem = _load_problem(args)
     engine = _exec_config(args)
@@ -118,16 +124,12 @@ def cmd_solve(args):
                             consolidation=args.consolidate,
                             gap_tol=1e-6 if args.gap is None else args.gap,
                             execution=engine)
-        if args.max_iterations:
-            cfg.max_iterations = args.max_iterations
-        rep = solve_lshaped(problem, cfg, seed=args.seed)
+        rep = solve_lshaped(problem, _iteration_limit(cfg, args), seed=args.seed)
     else:
         pen, r = _parse_penalty(args.penalty)
         tol = 1e-5 if args.gap is None else args.gap
         cfg = PhConfig(penalty=pen, r=r, primal_tol=tol, dual_tol=tol, execution=engine)
-        if args.max_iterations:
-            cfg.max_iterations = args.max_iterations
-        rep = solve_ph(problem, cfg, seed=args.seed)
+        rep = solve_ph(problem, _iteration_limit(cfg, args), seed=args.seed)
     rep.config.update({"seed": args.seed, "method": args.method})
     rep.log_trace()
     _emit(args, rep.to_json(), rep.to_text())

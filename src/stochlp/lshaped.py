@@ -48,7 +48,7 @@ from .errors import (
 )
 from .execution import ExecConfig, VersionedDecision, drive, work_items
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
-from .model import LPInstance, TwoStageProblem, scenario_key
+from .model import LPInstance, TwoStageProblem, duplicate_owners
 from .report import SolveReport
 
 
@@ -225,10 +225,8 @@ def recourse_values(batch, x):
             raise SecondStageInfeasible(out.scenario)
         return out, basis
 
-    first = {}
-    owner = np.array([first.setdefault(scenario_key(sc), s)
-                      for s, sc in enumerate(batch.scenarios)], dtype=int)
-    idx = np.fromiter(first.values(), dtype=int, count=len(first))
+    owner = duplicate_owners(batch.scenarios)
+    idx = np.flatnonzero(owner == np.arange(batch.size))
     outs = solve_recourse(BasisPool(batch), x, idx, solve=solve)
     vals = np.empty(batch.size)
     vals[idx] = [o.value for o in outs]

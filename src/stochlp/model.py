@@ -209,10 +209,14 @@ def write_targets(q, T, h, assignments):
     return q, T, h
 
 
-def scenario_key(s: Scenario):
-    """Hashable image of a scenario's data: equal keys mean identical recourse LPs."""
-    arrays = (s.q, s.T, s.h, s.lb, s.ub)
-    return tuple(None if a is None else a.tobytes() for a in arrays) + (s.row_senses,)
+def duplicate_owners(scenarios):
+    """For each scenario, the index of the first one with the same (q, T, h) and
+    overrides: their recourse LPs are identical, and a merge keeps that one."""
+    first, owners = {}, []
+    for k, s in enumerate(scenarios):
+        key = tuple(None if a is None else a.tobytes() for a in (s.q, s.T, s.h, s.lb, s.ub))
+        owners.append(first.setdefault(key + (s.row_senses,), k))
+    return np.array(owners, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -220,9 +224,10 @@ class ScenarioBatch:
     """Second-stage data of a scenario list, stacked along a leading scenario axis.
 
     ``q`` is (S, m), ``T`` (S, r, n), ``h`` (S, r), and ``lb``/``ub`` (S, m)
-    are the effective bounds (a scenario's override, else the shape's).
-    ``own_senses`` (S,) marks the scenarios whose row senses differ from
-    the shape's.  ``shape`` and ``scenarios`` are the data it was built from.
+    and ``senses`` (S,) are the effective bounds and row senses (a
+    scenario's override, else the shape's).  ``own_senses`` (S,) marks the
+    scenarios whose row senses differ from the shape's.  ``shape`` and
+    ``scenarios`` are the data it was built from.
     """
 
     shape: RecourseShape
@@ -232,6 +237,7 @@ class ScenarioBatch:
     h: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    senses: tuple
     own_senses: np.ndarray
 
     @property
@@ -240,9 +246,10 @@ class ScenarioBatch:
 
 
 def stack_scenarios(shape: RecourseShape, scenarios) -> ScenarioBatch:
-    """The :class:`ScenarioBatch` of ``scenarios`` under ``shape``."""
+    """The :class:`ScenarioBatch` of ``scenarios``, with ``shape``'s defaults resolved."""
     scenarios = tuple(scenarios)
     bounds = [s.bounds(shape) for s in scenarios]
+    senses = tuple(s.senses(shape) for s in scenarios)
     return ScenarioBatch(
         shape=shape, scenarios=scenarios,
         q=np.array([s.q for s in scenarios]),
@@ -250,8 +257,8 @@ def stack_scenarios(shape: RecourseShape, scenarios) -> ScenarioBatch:
         h=np.array([s.h for s in scenarios]),
         lb=np.array([lo for lo, _ in bounds]),
         ub=np.array([hi for _, hi in bounds]),
-        own_senses=np.array([s.senses(shape) != shape.row_senses for s in scenarios],
-                            dtype=bool))
+        senses=senses,
+        own_senses=np.array([x != shape.row_senses for x in senses], dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -305,13 +312,14 @@ class TwoStageProblem:
         """The scenarios stacked, built on first use and then kept."""
         return stack_scenarios(self.shape, self.scenarios)
 
+    @cached_property
+    def wait_and_see(self) -> WaitAndSeeForm:
+        """Every scenario's wait-and-see LP, stacked, built on first use and then kept."""
+        return stack_wait_and_see(self.first, self.batch)
+
     def report_value(self, internal_value):
         """Map an internal (minimization) objective back to the declared sense."""
         return -internal_value if self.declared_first_sense == "max" else internal_value
-
-    @property
-    def model(self):
-        return StochasticModel(self.first, self.shape)
 
 
 @dataclass(frozen=True)
@@ -415,7 +423,7 @@ def build_deterministic_equivalent(p: TwoStageProblem) -> LPInstance:
     Raises ``ProblemTooLarge`` before allocating anything when the kernel's
     ``[A | I]`` tableau of it would exceed ``DEP_MAX_BYTES``.
     """
-    first, shape = p.first, p.shape
+    first, batch = p.first, p.batch
     n, m, r, S = p.n, p.m, p.r, p.nscen
     nv = n + S * m
     nr = first.p + S * r
@@ -427,54 +435,68 @@ def build_deterministic_equivalent(p: TwoStageProblem) -> LPInstance:
 
     A = np.zeros((nr, nv))
     A[:first.p, :n] = first.A
-    c = np.zeros(nv)
-    c[:n] = first.c
-    rhs = np.zeros(nr)
-    rhs[:first.p] = first.b
-    lb = np.empty(nv)
-    ub = np.empty(nv)
-    lb[:n] = first.lb
-    ub[:n] = first.ub
-    senses = list(first.row_senses)
-    col_names = [f"x{j + 1}" for j in range(n)]
-    for s, sc in enumerate(p.scenarios):
-        rows = slice(first.p + s * r, first.p + (s + 1) * r)
-        cols = slice(n + s * m, n + (s + 1) * m)
-        A[rows, :n] = sc.T
-        A[rows, cols] = shape.W
-        c[cols] = sc.probability * sc.q
-        rhs[rows] = sc.h
-        lb[cols], ub[cols] = sc.bounds(shape)
-        senses.extend(sc.senses(shape))
-        col_names.extend(f"y{j + 1}_{s + 1}" for j in range(m))
+    A[first.p:, :n] = batch.T.reshape(S * r, n)
+    for s in range(S):
+        A[first.p + s * r:first.p + (s + 1) * r, n + s * m:n + (s + 1) * m] = batch.shape.W
+    return LPInstance(
+        c=np.concatenate([first.c, (p.probabilities[:, None] * batch.q).ravel()]),
+        A=A,
+        rhs=np.concatenate([first.b, batch.h.ravel()]),
+        row_senses=first.row_senses + tuple(x for senses in batch.senses for x in senses),
+        lb=np.concatenate([first.lb, batch.lb.ravel()]),
+        ub=np.concatenate([first.ub, batch.ub.ravel()]),
+        col_names=tuple([f"x{j + 1}" for j in range(n)]
+                        + [f"y{j + 1}_{s + 1}" for s in range(S) for j in range(m)]))
 
-    return LPInstance(c=c, A=A, rhs=rhs, row_senses=tuple(senses), lb=lb, ub=ub,
-                      col_names=tuple(col_names))
+
+@dataclass(frozen=True)
+class WaitAndSeeForm:
+    """Every scenario's wait-and-see LP, stacked along a leading scenario axis.
+
+    Member s is the LP over (x, y_s) with costs (c, q_s), matrix [[A1, 0],
+    [T_s, W]], rhs (b, h_s), the scenario's bounds, and the first stage's row
+    senses followed by the scenario's.  When ``shared``, every member has
+    member 0's matrix and row senses, and ``A`` broadcasts that one matrix.
+    Every array is read-only.
+    """
+
+    c: np.ndarray           # (S, n + m)
+    A: np.ndarray           # (S, p + r, n + m)
+    rhs: np.ndarray         # (S, p + r)
+    lb: np.ndarray          # (S, n + m)
+    ub: np.ndarray          # (S, n + m)
+    row_senses: tuple       # (S,)
+    shared: bool
+    col_names: tuple
+
+
+def stack_wait_and_see(first: FirstStage, batch: ScenarioBatch) -> WaitAndSeeForm:
+    """The :class:`WaitAndSeeForm` of the scenarios of ``batch``."""
+    S, n, p, shape = batch.size, first.n, first.p, batch.shape
+    shared = not (batch.own_senses.any() or (batch.T != batch.T[0]).any())
+    A = np.zeros((1 if shared else S, p + shape.r, n + shape.m))
+    A[:, :p, :n] = first.A
+    A[:, p:, :n] = batch.T[:A.shape[0]]
+    A[:, p:, n:] = shape.W
+    c, rhs, lb, ub = (np.hstack([np.broadcast_to(head, (S, head.size)), rest])
+                      for head, rest in [(first.c, batch.q), (first.b, batch.h),
+                                         (first.lb, batch.lb), (first.ub, batch.ub)])
+    for a in (c, rhs, lb, ub):
+        a.flags.writeable = False
+    return WaitAndSeeForm(
+        c=c, A=np.broadcast_to(A, (S,) + A.shape[1:]), rhs=rhs, lb=lb, ub=ub,
+        row_senses=tuple(first.row_senses + senses for senses in batch.senses),
+        shared=shared,
+        col_names=tuple([f"x{j + 1}" for j in range(n)] + [f"y{j + 1}" for j in range(shape.m)]))
 
 
 def build_wait_and_see(p: TwoStageProblem, s: int) -> LPInstance:
-    """Single LP over (x, y) with full knowledge of scenario s."""
+    """Single LP over (x, y) with full knowledge of scenario s: ``p.wait_and_see``'s member s."""
     if not 0 <= s < p.nscen:
         raise IndexOutOfRange(f"scenario index {s} out of range [0, {p.nscen})")
-    return _ws_instance(p.first, p.shape, p.scenarios[s])
-
-
-def _ws_instance(first: FirstStage, shape: RecourseShape, sc: Scenario) -> LPInstance:
-    n, m, r = first.n, shape.m, shape.r
-    A = np.zeros((first.p + r, n + m))
-    A[:first.p, :n] = first.A
-    A[first.p:, :n] = sc.T
-    A[first.p:, n:] = shape.W
-    lo, hi = sc.bounds(shape)
-    return LPInstance(
-        c=np.concatenate([first.c, sc.q]),
-        A=A,
-        rhs=np.concatenate([first.b, sc.h]),
-        row_senses=first.row_senses + sc.senses(shape),
-        lb=np.concatenate([first.lb, lo]),
-        ub=np.concatenate([first.ub, hi]),
-        col_names=tuple([f"x{j + 1}" for j in range(n)] + [f"y{j + 1}" for j in range(m)]),
-    )
+    form = p.wait_and_see
+    return LPInstance(c=form.c[s], A=form.A[s], rhs=form.rhs[s], row_senses=form.row_senses[s],
+                      lb=form.lb[s], ub=form.ub[s], col_names=form.col_names)
 
 
 def expected_scenario(scenarios, shape: RecourseShape) -> Scenario:
@@ -486,26 +508,26 @@ def expected_scenario(scenarios, shape: RecourseShape) -> Scenario:
     scenarios = list(scenarios)
     if not scenarios:
         raise EmptyScenarioSet("cannot average an empty scenario set")
+    batch = stack_scenarios(shape, scenarios)
     total = sum(s.probability for s in scenarios)
     w = [s.probability / total for s in scenarios]
-    q = sum(wi * s.q for wi, s in zip(w, scenarios))
-    T = sum(wi * s.T for wi, s in zip(w, scenarios))
-    h = sum(wi * s.h for wi, s in zip(w, scenarios))
-    kwargs = {}
-    for k, name in enumerate(("lb", "ub")):
-        if any(getattr(s, name) is not None for s in scenarios):
-            kwargs[name] = sum(wi * s.bounds(shape)[k] for wi, s in zip(w, scenarios))
-    senses = scenarios[0].row_senses
-    if any(s.row_senses != senses for s in scenarios):
+
+    def mean(stack):
+        return sum(wi * a for wi, a in zip(w, stack))
+
+    kwargs = {name: mean(getattr(batch, name)) for name in ("lb", "ub")
+              if any(getattr(s, name) is not None for s in scenarios)}
+    if any(senses != batch.senses[0] for senses in batch.senses):
         raise ValueError("scenarios disagree on row senses; the mean scenario is undefined")
-    if senses is not None:
-        kwargs["row_senses"] = senses
-    return Scenario(probability=1.0, q=q, T=T, h=h, **kwargs)
+    if batch.own_senses[0]:
+        kwargs["row_senses"] = batch.senses[0]
+    return Scenario(probability=1.0, q=mean(batch.q), T=mean(batch.T), h=mean(batch.h),
+                    **kwargs)
 
 
 def build_expected_value_problem(p: TwoStageProblem) -> LPInstance:
     """Wait-and-see LP on the expected scenario."""
-    return _ws_instance(p.first, p.shape, expected_scenario(p.scenarios, p.shape))
+    return build_wait_and_see(replace(p, scenarios=(expected_scenario(p.scenarios, p.shape),)), 0)
 
 
 def validate(p: TwoStageProblem) -> list:
@@ -524,10 +546,8 @@ def validate(p: TwoStageProblem) -> list:
     free_first = np.where(np.isinf(p.first.lb) & np.isinf(p.first.ub))[0]
     for j in free_first:
         out.append(f"first-stage variable {int(j)} is free in both directions")
-    for s, sc in enumerate(p.scenarios):
-        lo, hi = sc.bounds(p.shape)
-        free = np.where(np.isinf(lo) & np.isinf(hi))[0]
-        for j in free:
-            out.append(f"scenario {s}: second-stage variable {int(j)} is free in both directions")
-            break
+    free = np.isinf(p.batch.lb) & np.isinf(p.batch.ub)
+    for s in np.flatnonzero(free.any(axis=1)):
+        out.append(f"scenario {s}: second-stage variable {int(np.argmax(free[s]))} "
+                   "is free in both directions")
     return out

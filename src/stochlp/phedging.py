@@ -22,7 +22,7 @@ from . import analysis, kernel
 from .errors import ConfigError, FirstStageInfeasible
 from .execution import ExecConfig, VersionedDecision, drive, work_items
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
-from .model import LPInstance, TwoStageProblem
+from .model import TwoStageProblem, build_wait_and_see
 from .report import SolveReport
 
 
@@ -54,6 +54,9 @@ class PhConfig:
             raise ConfigError("max_iterations must be >= 1")
         if self.linearize not in (None, "one", "inf"):
             raise ConfigError(f"linearize must be None, 'one' or 'inf', got {self.linearize!r}")
+        if self.linearize and self.penalty == "adaptive":
+            raise ConfigError("linearize needs penalty=\"fixed\": the adaptive rule is "
+                              "tuned for the quadratic proximal term")
 
 
 @dataclass
@@ -92,43 +95,34 @@ def _maybe_adapt(state: PhState, cfg: PhConfig):
 
 
 class ProximalStacks:
-    """Every scenario's proximal QP, built once per run.
+    """Every scenario's proximal QP, grouped once per run.
 
-    Scenario s's QP is its wait-and-see LP over (x, y_s) plus the proximal
-    terms rho_s^T x + r/2 |x - xi|^2.  Scenarios that share a row pattern
-    (``kernel.qp_pattern``: row senses and which bounds are finite or fixed)
-    share one ``kernel.QPStack``; a scenario with its own row senses gets a
-    stack of its own pattern.  A wave writes only the first-stage costs
-    ``c_base + rho_s``, the penalty and the center ``xi``.
+    Scenario s's QP is member s of the problem's ``wait_and_see`` form, its
+    LP over (x, y_s), plus the proximal terms rho_s^T x + r/2 |x - xi|^2.
+    Scenarios that share a row pattern (``kernel.qp_pattern``: row senses
+    and which bounds are finite or fixed) share one ``kernel.QPStack``; a
+    scenario with its own row senses gets a stack of its own pattern.  A
+    wave writes only the first-stage costs ``c + rho_s``, the penalty and
+    the center ``xi``.
     """
 
     def __init__(self, problem: TwoStageProblem):
-        first, batch = problem.first, problem.batch
-        S, n, m, p, r = batch.size, first.n, batch.shape.m, first.p, batch.shape.r
-        self.n, self.m = n, m
-        A = np.zeros((S, p + r, n + m))
-        A[:, :p, :n] = first.A
-        A[:, p:, :n] = batch.T
-        A[:, p:, n:] = batch.shape.W
-        rhs = np.hstack([np.broadcast_to(first.b, (S, p)), batch.h])
-        lb = np.hstack([np.broadcast_to(first.lb, (S, n)), batch.lb])
-        ub = np.hstack([np.broadcast_to(first.ub, (S, n)), batch.ub])
-        self.c_base = np.hstack([np.broadcast_to(first.c, (S, n)), batch.q])
-        self.senses = [first.row_senses + sc.senses(batch.shape) for sc in batch.scenarios]
+        self.problem, form = problem, problem.wait_and_see
+        self.n, self.m = problem.n, problem.m
         groups = {}
-        for s in range(S):
-            groups.setdefault(kernel.qp_pattern(self.senses[s], lb[s], ub[s]), []).append(s)
-        zero = np.zeros((S, n + m))
-        self.groups = [(np.array(idx), kernel.qp_stack(self.c_base[idx], A[idx], rhs[idx],
-                                                       self.senses[idx[0]], lb[idx], ub[idx],
-                                                       zero[idx], zero[idx]))
+        for s in range(problem.nscen):
+            groups.setdefault(kernel.qp_pattern(form.row_senses[s], form.lb[s], form.ub[s]),
+                              []).append(s)
+        zero = np.zeros_like(form.c)
+        self.groups = [(np.array(idx), kernel.qp_stack(form.c[idx], form.A[idx], form.rhs[idx],
+                                                       form.row_senses[idx[0]], form.lb[idx],
+                                                       form.ub[idx], zero[idx], zero[idx]))
                        for idx in groups.values()]
-        self.group_of = np.empty(S, dtype=int)
-        self.position = np.empty(S, dtype=int)
+        self.group_of = np.empty(problem.nscen, dtype=int)
+        self.position = np.empty(problem.nscen, dtype=int)
         for k, (idx, _) in enumerate(self.groups):
             self.group_of[idx] = k
             self.position[idx] = np.arange(idx.size)
-        self._lp = (A, rhs, lb, ub)
 
     def wave_stack(self, group, pos, xi, rho, r):
         """The proximal QPs of members ``pos`` of ``group`` at (xi, rho, r)."""
@@ -137,7 +131,7 @@ class ProximalStacks:
         if pos.size != idx.size:
             stack = stack.take(pos)
         rows = idx[pos]
-        c = self.c_base[rows]
+        c = self.problem.wait_and_see.c[rows]
         c[:, :n] += rho[rows]
         D = np.zeros_like(c)
         D[:, :n] = r
@@ -148,10 +142,8 @@ class ProximalStacks:
     def lp(self, s, rho):
         """Scenario s's wait-and-see LP with the costs rho_s^T x added, for the
         linearized penalty."""
-        A, rhs, lb, ub = self._lp
-        c = self.c_base[s].copy()
-        c[:self.n] += rho[s]
-        return LPInstance(c=c, A=A[s], rhs=rhs[s], row_senses=self.senses[s], lb=lb[s], ub=ub[s])
+        lp = build_wait_and_see(self.problem, s)
+        return replace(lp, c=lp.c + np.pad(rho[s], (0, self.m)))
 
 
 @dataclass
@@ -297,10 +289,8 @@ def solve_ph(problem: TwoStageProblem, cfg: PhConfig = None, *, seed=None) -> So
 
 
 def _objective(problem, state):
-    probs = problem.probabilities
-    vals = [problem.first.c @ state.xs[s] + problem.scenarios[s].q @ state.ys[s]
-            for s in range(problem.nscen)]
-    return float(probs @ np.asarray(vals))
+    vals = state.xs @ problem.first.c + np.einsum("sm,sm->s", problem.batch.q, state.ys)
+    return float(problem.probabilities @ vals)
 
 
 def _report(problem, cfg, state, trace, status, wall, seed):

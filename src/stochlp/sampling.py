@@ -25,8 +25,8 @@ from .model import (
     StochasticModel,
     TwoStageProblem,
     build_problem,
+    duplicate_owners,
     minimization_form,
-    scenario_key,
     stack_scenarios,
     write_targets,
 )
@@ -104,26 +104,25 @@ class NormalSampler:
         return replace(t, q=q, T=T, h=h, probability=1.0)
 
 
+def _draws(sampler, n, seed):
+    """The n scenarios ``sampler`` draws for ``seed``, each with probability 1/n."""
+    return [replace(sampler.sample(seed, i), probability=1.0 / n) for i in range(n)]
+
+
 def sample_instance(model: StochasticModel, sampler, n, seed) -> TwoStageProblem:
     """Finite instance of n sampled scenarios, each with probability 1/n."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    scenarios = [replace(sampler.sample(seed, i), probability=1.0 / n)
-                 for i in range(n)]
-    return build_problem(model.first, model.shape, scenarios)
+    return build_problem(model.first, model.shape, _draws(sampler, n, seed))
 
 
 def _collapse_duplicates(scenarios):
-    """Merge identical sampled scenarios into weighted ones (exact for the recourse problem)."""
-    merged = {}     # insertion-ordered: first occurrences keep their place
-    for s in scenarios:
-        key = scenario_key(s)
-        if key in merged:
-            merged[key] = replace(merged[key],
-                                  probability=merged[key].probability + s.probability)
-        else:
-            merged[key] = s
-    return list(merged.values())
+    """Merge identical sampled scenarios into weighted ones (exact for the
+    recourse problem); first occurrences keep their place."""
+    owner = duplicate_owners(scenarios)
+    weight = np.bincount(owner, weights=[s.probability for s in scenarios])
+    return [s if weight[k] == s.probability else replace(s, probability=float(weight[k]))
+            for k, s in enumerate(scenarios) if owner[k] == k]
 
 
 @dataclass
@@ -196,9 +195,7 @@ class SaaResult:
 
 def _batch_instance(model, sampler, n, seed):
     """Sampled instance of n scenarios, identical draws merged into one."""
-    scenarios = [replace(sampler.sample(seed, i), probability=1.0 / n)
-                 for i in range(n)]
-    return build_problem(model.first, model.shape, _collapse_duplicates(scenarios))
+    return build_problem(model.first, model.shape, _collapse_duplicates(_draws(sampler, n, seed)))
 
 
 def evaluate_on_samples(model, sampler, x, n_eval, seed):

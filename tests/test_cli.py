@@ -291,6 +291,14 @@ class TestSaaCommand:
         assert cli.main(["saa", "--model", "simple", *flags]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("method", ["lshaped", "ph"])
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_exit_1_on_bad_max_iterations(self, capsys, method, limit):
+        from stochlp import cli
+        assert cli.main(["solve", "--fixture", "farmer", "--method", method,
+                         "--max-iterations", limit]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: max_iterations must be >= 1\n"
+
     def test_budget_exit_code(self):
         r = run_cli("saa", "--model", "simple", "--sampler", "simple-discrete",
                     "--rel-tol", "1e-9", "--n0", "4", "--batches", "3",

@@ -668,8 +668,8 @@ class TestSolveQP:
         xi = np.array([40.0, 20.0])
         solve_ph_subproblem(ProximalStacks(p), [0], xi, np.zeros((p.nscen, 2)), 100.0)
         # oracle: grid over (x1, x2) with inner LP over y
-        from stochlp.model import _ws_instance
-        ws = _ws_instance(p.first, p.shape, p.scenarios[0])
+        from stochlp.model import build_wait_and_see
+        ws = build_wait_and_see(p, 0)
         qd = np.zeros(ws.nvars); qd[:2] = 100.0
         qc = np.zeros(ws.nvars); qc[:2] = xi
         sol = solve_one(ws, qd, qc)

@@ -8,7 +8,9 @@ its public names only: no ``kernel._name`` attribute reads and no
 ``solve --method dep``.  Only ``execution.py`` compares an execution mode
 (``ExecConfig.mode``) to a mode name, so the work-item rule has one home.
 Only ``model.py`` imports ``scipy.sparse``: it converts sparse input to the
-one dense form.  Every field of the solver and sampling configs and of
+one dense form.  Outside ``model.py`` only ``lshaped.scenario_lp`` resolves a
+scenario's default bounds and row senses; every other reader takes them from
+the problem's ``ScenarioBatch``.  Every field of the solver and sampling configs and of
 ``LPInstance`` is set somewhere outside the tests (the package or the
 benchmark); a setting only tests change is a module constant instead, and an
 instance field only tests set is a second form that goes.
@@ -191,6 +193,45 @@ def test_the_sparse_scan_sees_every_form_of_use():
         "from scipy import linalg\n"
     )
     assert sparse_imports(source) == [1, 2, 3, 4, 5]
+
+
+def default_resolutions(source):
+    """(line, innermost enclosing function) of every ``.bounds(`` or ``.senses(`` call."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("bounds", "senses"):
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_only_the_model_and_scenario_lp_resolve_scenario_defaults():
+    users = {(path.name, where) for path in PACKAGE.glob("*.py") if path.name != "model.py"
+             for _, where in default_resolutions(path.read_text())}
+    assert users == {("lshaped.py", "scenario_lp")}
+
+
+def test_the_default_scan_sees_every_form_of_use():
+    source = (
+        "def f(p, sc):\n"
+        "    return sc.bounds(p.shape)\n"
+        "def g(p):\n"
+        "    return [s.senses(p.shape) for s in p.scenarios]\n"
+        "h = lambda sc, shape: sc.bounds(shape)[0]\n"
+        "p.scenarios[0].senses(shape)\n"
+        "sc.bounds\n"
+        "senses(shape)\n"
+        "p.batch.senses\n"
+    )
+    assert default_resolutions(source) == [(2, "f"), (4, "g"), (5, "<lambda>"),
+                                           (6, "<module>")]
 
 
 BENCH = PACKAGE.parents[1] / "perfbench"

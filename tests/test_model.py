@@ -1,5 +1,7 @@
 """Model construction, normalization, and derived deterministic programs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,18 @@ class TestExpectedScenario:
         np.testing.assert_array_equal(ev.ub[1:], [6.0])
         assert kernel.solve_lp(ev).objective == pytest.approx(-6.0, abs=1e-9)
 
+    def test_row_senses_are_compared_with_their_defaults_resolved(self):
+        # a scenario that spells out the shape's row senses has the same program
+        p = simple_problem()
+        spelled = replace(p.scenarios[1], row_senses=p.shape.row_senses)
+        mean = expected_scenario([p.scenarios[0], spelled], p.shape)
+        assert mean.senses(p.shape) == p.shape.row_senses
+        other = replace(p.scenarios[1], row_senses=("=",) * p.r)
+        with pytest.raises(ValueError, match="disagree on row senses"):
+            expected_scenario([p.scenarios[0], other], p.shape)
+        mean = expected_scenario([other, other], p.shape)
+        assert mean.row_senses == ("=",) * p.r
+
     def test_ev_problem_is_ws_on_mean(self):
         p = farmer_problem()
         ev = build_expected_value_problem(p)
@@ -278,6 +292,60 @@ class TestValidate:
             declared_first_sense=p.declared_first_sense,
             declared_second_sense=p.declared_second_sense)
         assert any("probabilities sum" in d for d in validate(drifted))
+
+
+class TestWaitAndSeeForm:
+    """The stacked form holds each scenario's wait-and-see LP exactly."""
+
+    @staticmethod
+    def _problem():
+        first = FirstStage(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[4.0], row_senses=("<=",),
+                           ub=[3.0, 5.0])
+        shape = RecourseShape(W=[[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]], sense="min",
+                              row_senses=(">=", "="), ub=[8.0, np.inf, 9.0])
+        scen = [Scenario(probability=0.3, q=[1.5, 0.5, 1.0], T=[[-1.0, 0.0], [0.0, 1.0]],
+                         h=[0.5, 2.0]),
+                Scenario(probability=0.3, q=[1.0, 1.0, 2.0], T=[[0.0, 1.0], [1.0, 1.0]],
+                         h=[3.0, 1.0], lb=[1.0, 0.0, -2.0], ub=[6.0, 7.0, np.inf]),
+                Scenario(probability=0.4, q=[2.0, 0.1, 0.3], T=[[-1.0, -1.0], [0.5, 0.0]],
+                         h=[1.0, 4.0], row_senses=("<=", "="))]
+        return build_problem(first, shape, scen)
+
+    @staticmethod
+    def _reference(p, sc):
+        """Scenario ``sc``'s wait-and-see LP assembled from its own fields."""
+        first, shape = p.first, p.shape
+        return {"c": np.concatenate([first.c, sc.q]),
+                "A": np.block([[first.A, np.zeros((first.p, p.m))], [sc.T, shape.W]]),
+                "rhs": np.concatenate([first.b, sc.h]),
+                "row_senses": first.row_senses + (sc.row_senses or shape.row_senses),
+                "lb": np.concatenate([first.lb, shape.lb if sc.lb is None else sc.lb]),
+                "ub": np.concatenate([first.ub, shape.ub if sc.ub is None else sc.ub]),
+                "col_names": ("x1", "x2", "y1", "y2", "y3")}
+
+    def test_members_match_the_scenario_data(self):
+        from stochlp.phedging import ProximalStacks
+        p = self._problem()
+        stacks = ProximalStacks(p)
+        assert not p.wait_and_see.shared
+        for s, sc in enumerate(p.scenarios):
+            want = self._reference(p, sc)
+            for lp in (build_wait_and_see(p, s), stacks.lp(s, np.zeros((p.nscen, p.n)))):
+                for name, value in want.items():
+                    np.testing.assert_array_equal(getattr(lp, name), value, err_msg=name)
+
+    def test_a_shared_matrix_is_broadcast(self):
+        p = simple_problem()
+        form = p.wait_and_see
+        assert form.shared and form.A.strides[0] == 0
+        assert form is p.wait_and_see
+        for s, sc in enumerate(p.scenarios):
+            np.testing.assert_array_equal(form.A[s], self._reference(p, sc)["A"])
+
+    def test_the_form_is_read_only(self):
+        form = self._problem().wait_and_see
+        for name in ("c", "A", "rhs", "lb", "ub"):
+            assert not getattr(form, name).flags.writeable
 
 
 class TestScenarioOverrides:

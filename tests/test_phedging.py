@@ -22,7 +22,7 @@ from stochlp.phedging import (
 )
 from stochlp.sampling import _batch_instance
 
-from _problems import dep_optimum, random_rcr_problem, stack_of_one
+from _problems import dep_optimum, farmer_instance, random_rcr_problem, stack_of_one
 
 
 class TestUpdates:
@@ -273,7 +273,42 @@ class TestConfig:
 
     @pytest.mark.parametrize("norm", [None, "one", "inf"])
     def test_known_linearize_norms_are_accepted(self, norm):
-        assert PhConfig(linearize=norm).linearize == norm
+        penalty = "adaptive" if norm is None else "fixed"
+        assert PhConfig(penalty=penalty, linearize=norm).linearize == norm
+
+    @pytest.mark.parametrize("norm", ["one", "inf"])
+    def test_linearize_with_the_adaptive_penalty_is_rejected(self, norm):
+        with pytest.raises(ConfigError, match='penalty="fixed"'):
+            PhConfig(linearize=norm)
+        with pytest.raises(ConfigError, match='penalty="fixed"'):
+            PhConfig(penalty="adaptive", linearize=norm)
+
+
+class TestWaitAndSeeForm:
+    def test_a_solve_builds_the_form_once(self, monkeypatch):
+        from stochlp import model
+        calls = []
+        build = model.stack_wait_and_see
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(model, "stack_wait_and_see", counted)
+        p = farmer_instance(8, 3)
+        rep = solve_ph(p, PhConfig(max_iterations=5))
+        assert rep.iterations == 5
+        assert len(calls) == 1
+
+    def test_scenario_lps_are_members_of_the_form(self):
+        p = farmer_instance(4, 1)
+        data = ProximalStacks(p)
+        rho = np.arange(4 * p.n, dtype=float).reshape(4, p.n)
+        for s in range(4):
+            lp = data.lp(s, rho)
+            np.testing.assert_array_equal(lp.c[:p.n], p.first.c + rho[s])
+            np.testing.assert_array_equal(lp.c[p.n:], p.batch.q[s])
+            np.testing.assert_array_equal(lp.A, p.wait_and_see.A[s])
 
 
 class TestTrace:

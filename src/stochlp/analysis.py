@@ -88,22 +88,22 @@ def wait_and_see_solutions(p: TwoStageProblem):
 
     The LPs are the members of the problem's ``wait_and_see`` form, one
     kernel LP family when they share its matrix and row senses.  Otherwise
-    every member is excluded, so each LP is solved alone and cold.
+    every member is excluded, so each LP is solved alone, warm from the
+    optimal basis of the one before.
     """
     form, S = p.wait_and_see, p.nscen
+    xs, values = np.empty((S, form.c.shape[1])), np.empty(S)
 
     def solve(s, warm):
         sol = kernel.solve_lp(build_wait_and_see(p, s), warm_start=warm)
-        return kernel.require_optimal(sol, "wait-and-see LP", s), sol.basis
+        kernel.require_optimal(sol, "wait-and-see LP", s)
+        xs[s], values[s] = sol.x, sol.objective
+        return sol.basis
 
     family = kernel.LPFamily(form.A[0], form.row_senses[0], form.c, form.lb, form.ub,
                              excluded=np.full(S, not form.shared))
-    pooled, alone = kernel.solve_family(family, np.arange(S), form.rhs, solve)
-    xs, values = np.empty((S, family.n)), np.empty(S)
-    for pos, x, _, objective in pooled:
-        xs[pos], values[pos] = x, objective
-    for s, sol in alone.items():
-        xs[s], values[s] = sol.x, sol.objective
+    pooled, x, _, objective = kernel.solve_family(family, np.arange(S), form.rhs, solve)
+    xs[pooled], values[pooled] = x[pooled], objective[pooled]
     return xs, values
 
 

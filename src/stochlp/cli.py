@@ -112,8 +112,8 @@ def cmd_solve(args):
             method="dep", status=sol.status,
             objective=problem.report_value(sol.objective) if sol.x is not None else np.nan,
             decision=sol.x[:problem.n] if sol.x is not None else None,
-            recourse=[sol.x[problem.n + s * problem.m:problem.n + (s + 1) * problem.m]
-                      for s in range(problem.nscen)] if sol.status == kernel.OPTIMAL else None,
+            recourse=(sol.x[problem.n:].reshape(problem.nscen, problem.m)
+                      if sol.status == kernel.OPTIMAL else None),
             iterations=sol.iterations, seed=args.seed,
             wall_time=time.perf_counter() - t0)
         rep.config = {"method": "dep", "seed": args.seed}
@@ -168,10 +168,7 @@ def cmd_analyze(args):
 
 
 def cmd_saa(args):
-    model = fixtures.get_model(args.model) if args.model in ("simple", "farmer") \
-        else None
-    if model is None:
-        raise ConfigError("--model must name a built-in sampling model (simple, farmer)")
+    model = fixtures.simple_model()     # the one model --model admits
     sampler = fixtures.get_sampler(args.sampler)
     cfg = SaaConfig(confidence=args.confidence, rel_tol=args.rel_tol,
                     n0=args.n0, batches=args.batches,
@@ -233,7 +230,8 @@ def build_parser():
 
     p = sub.add_parser("saa", help="sample average approximation")
     _add_common(p)
-    p.add_argument("--model", default="simple")
+    p.add_argument("--model", choices=("simple",), default="simple",
+                   help="the model the built-in samplers draw scenarios for")
     p.add_argument("--sampler", default="simple-normal")
     p.add_argument("--rel-tol", type=float, default=5e-2)
     p.add_argument("--confidence", type=float, default=0.95)

@@ -81,12 +81,8 @@ class ScenarioExplosion(StochLPError):
         )
 
 
-class MixedOutcome(StochLPError):
-    """A feasibility outcome was passed where only feasible ones are allowed."""
-
-
 class NotInfeasible(StochLPError):
-    """A feasibility cut was requested from a feasible subproblem outcome."""
+    """A feasibility cut was requested from a feasible recourse row."""
 
 
 class MasterInfeasible(InfeasibleProblem):

@@ -191,14 +191,6 @@ def get_fixture(name) -> TwoStageProblem:
         raise KeyError(f"unknown fixture {name!r}; available: {fixture_names()}") from None
 
 
-def get_model(name) -> StochasticModel:
-    if name == "simple":
-        return simple_model()
-    if name == "farmer":
-        return farmer_model()
-    raise KeyError(f"no sampling model for fixture {name!r}")
-
-
 def get_sampler(name):
     try:
         return _SAMPLERS[name]()

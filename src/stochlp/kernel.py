@@ -23,8 +23,10 @@ splits it into dual, phase-1 and phase-2 pivots.
 Bunching lives in ``solve_family``: the members of an ``LPFamily`` differ
 only in rhs, costs and bounds, so an optimal basis is one set of columns of
 ``[A | I]`` for all of them.  Pooled bases solve by matmul the members the
-simplex's own stopping tests accept; the rest go to a fallback the caller
-supplies (a ``solve_lp`` call), whose optimal bases join the pool.
+simplex's own stopping tests accept, and ``solve_family`` returns their
+solutions as arrays by position; the rest go to a fallback the caller
+supplies (a ``solve_lp`` call that records its own result), whose optimal
+bases join the pool.
 The QP method, ``solve_qp_diagonal``, is a Mehrotra predictor-corrector
 interior point for diagonal Hessians: it runs a ``QPStack`` of programs that
 share one row pattern (row senses and which bounds are finite) in one loop,
@@ -614,23 +616,27 @@ def solve_family(family: LPFamily, members, rhs, fallback):
     ``_outside`` its bounds, no reduced cost of the ``_wrong_sign``, nonbasic
     columns at finite bounds and free ones at zero.  The rest, every
     infeasible and excluded member among them, go in index order to
-    ``fallback(k, warm)`` (``warm``: the newest pooled basis or None), which
-    returns (result, optimal basis or None); each basis it returns joins the
-    pool and is tried on the members still open.  Only the fallback's solves
-    are LP solves.
+    ``fallback(k, warm)``, which records its own result and returns the
+    member's optimal basis or None.  ``warm`` is the newest pooled basis,
+    and for an excluded member the basis the fallback last returned for an
+    excluded member, once there is one.  Each basis the fallback returns for
+    a member that is not excluded joins the pool and is tried on the members
+    still open.  Only the fallback's solves are LP solves.
 
-    Returns (pooled, fallback), by position in ``members``: ``pooled`` has a
-    tuple (positions, x, duals, objective) per pooled basis that solved
-    members, with their structural values, row duals B^-T c_B and values
-    c x, a row each; ``fallback`` maps every other position to what the
-    fallback returned.
+    Returns (pooled, x, duals, objective), by position in ``members``:
+    ``pooled`` marks the members a pooled basis solved, and x, the row duals
+    B^-T c_B and the value c x hold their structural solutions, a row each
+    (NaN in the fallback's rows).
     """
     members = np.asarray(members, dtype=int)
     lo, hi, cost = family.lo[members], family.hi[members], family.cost[members]
     c_varies = bool((cost != cost[:1]).any())
     excluded = family.excluded[members]
     open_ = ~excluded
-    pooled, done = [], {}
+    pooled = np.zeros(members.size, dtype=bool)
+    xs = np.full((members.size, family.n), np.nan)
+    duals = np.full((members.size, family.A.shape[0]), np.nan)
+    objective = np.full(members.size, np.nan)
 
     def bunch(entry):
         A, basic, Binv = family.A, entry.basic, entry.Binv
@@ -657,8 +663,10 @@ def solve_family(family: LPFamily, members, rhs, fallback):
         pos, xv = pos[ok], xv[ok]
         xv[:, basic] = x_B[ok]
         open_[pos] = False
-        x = xv[:, :family.n]
-        pooled.append((pos, x, y[ok], np.einsum("ij,ij->i", cost[pos, :family.n], x)))
+        pooled[pos] = True
+        xs[pos] = xv[:, :family.n]
+        duals[pos] = y[ok]
+        objective[pos] = np.einsum("ij,ij->i", cost[pos, :family.n], xs[pos])
         return True
 
     for entry in family.entries:
@@ -666,17 +674,23 @@ def solve_family(family: LPFamily, members, rhs, fallback):
             break
         if bunch(entry):
             family.touch(entry)
+    warm_excluded = None
     for k in range(members.size):
         if not (open_[k] or excluded[k]):
             continue            # pooled
         entries = family.entries
-        done[k], basis = fallback(k, entries[0].basis if entries else None)
+        warm = entries[0].basis if entries else None
+        if excluded[k] and warm_excluded is not None:
+            warm = warm_excluded
+        basis = fallback(k, warm)
         open_[k] = False
-        if basis is not None and not excluded[k]:
+        if basis is not None and excluded[k]:
+            warm_excluded = basis
+        elif basis is not None:
             entry = family.add(basis, members[k])
             if entry is not None and open_.any():
                 bunch(entry)
-    return pooled, done
+    return pooled, xs, duals, objective
 
 
 def primal_violation(lp: LPInstance, x: np.ndarray) -> float:

@@ -14,26 +14,27 @@ global under-estimator.
 
 Recourse is fixed (W is shared), so the recourse LPs of a ``ScenarioBatch``
 are one kernel LP family (``BasisPool``).  ``solve_recourse`` bunches them
-with ``kernel.solve_family`` and keeps only the rhs h - T x and the cut data
-lambda^T T_s; the scenarios no pooled basis solves go to
-``solve_subproblem``, the one LP solve and status mapping.  The L-shaped
-bundles and ``recourse_values``, which scores a decision, share it.  Trace
-records count each iteration's ``bunched`` and ``lp_solved`` outcomes and
-its ``master_fallbacks`` (regularized or trust-region masters that fell back
-to the plain master's step).
+with ``kernel.solve_family`` and returns one ``Recourse`` record of stacked
+arrays, a row per scenario: value, cut gradient lambda^T T_s and rhs, y;
+the scenarios no pooled basis solves go to ``solve_subproblem``, the one LP
+solve and status mapping.  The L-shaped bundles and ``recourse_values``,
+which scores a decision, share it.  Trace records count each iteration's
+``bunched`` and ``lp_solved`` rows and its ``master_fallbacks``
+(regularized or trust-region masters that fell back to the plain master's
+step).
 
 Work items follow ``execution.work_items`` over the aggregation bundles: a
 serial or sync wave is one item of every bundle, solved by one
 ``solve_recourse`` call, and async hands out one bundle per item.  Either
-way cuts are built bundle by bundle, and cut violation is checked against
-the (x, theta) pair of the version that generated the cut.
+way a bundle's optimality cut is one probability-weighted sum over its rows
+(``aggregate_cuts``), and cut violation is checked against the (x, theta)
+pair of the version that generated the cut.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from . import kernel, model as _model
 from .errors import (
     ConfigError,
     MasterInfeasible,
-    MixedOutcome,
     NotInfeasible,
     NumericalBreakdown,
     SecondStageInfeasible,
@@ -82,6 +82,8 @@ class LShapedConfig:
             raise ConfigError(f"unknown regularization {self.regularization!r}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
+        if self.gap_tol < 0:
+            raise ConfigError("gap_tol must be >= 0")
 
 
 @dataclass
@@ -99,47 +101,43 @@ class Cut:
 
 
 @dataclass
-class SubproblemOutcome:
-    """Q_s(x) at one candidate x and the cut it yields.
+class Recourse:
+    """Q_s(x) at one candidate x for the scenarios ``scenarios``, a row each, and their cuts.
 
-    The cut is theta >= rhs - gradient . x' for every x', with
-    gradient = lambda^T T_s and rhs = value + gradient . x, so it is tight at
-    x.  When the subproblem is infeasible, the phase-1 certificate sigma and
-    the infeasibility measure w_s > 0 take the places of lambda and Q_s(x).
+    Row i's cut is theta >= rhs[i] - gradient[i] . x' for every x', with
+    gradient = lambda^T T_s and rhs = value + gradient . x, so it is tight
+    at x.  Where a scenario is infeasible, the phase-1 certificate sigma and
+    the infeasibility measure w_s > 0 take the places of lambda and Q_s(x),
+    and its row of ``y`` is NaN.
     """
 
-    scenario: int
-    feasible: bool
-    value: float               # Q_s(x) when feasible, w_s > 0 otherwise
-    gradient: np.ndarray       # lambda^T T_s, or sigma^T T_s when infeasible
-    rhs: float                 # value + gradient . x
-    y: np.ndarray = None
-    bunched: bool = False      # resolved from a pooled basis, not by an LP solve
+    scenarios: np.ndarray      # (k,) scenario indices
+    feasible: np.ndarray       # (k,)
+    value: np.ndarray          # (k,) Q_s(x) when feasible, w_s > 0 otherwise
+    gradient: np.ndarray       # (k, n) lambda^T T_s, or sigma^T T_s when infeasible
+    rhs: np.ndarray            # (k,) value + gradient . x
+    y: np.ndarray              # (k, m)
+    bunched: np.ndarray        # (k,) resolved from a pooled basis, not by an LP solve
 
 
-def scenario_lp(shape, scenario, x) -> LPInstance:
-    """Second-stage LP of one scenario at a fixed first-stage point."""
-    lo, hi = scenario.bounds(shape)
-    return LPInstance(c=scenario.q, A=shape.W, rhs=scenario.h - scenario.T @ x,
-                      row_senses=scenario.senses(shape), lb=lo, ub=hi)
+def _concat(records):
+    """The rows of several ``Recourse`` records as one."""
+    if len(records) == 1:
+        return records[0]
+    return Recourse(*(np.concatenate([getattr(r, f.name) for r in records])
+                      for f in fields(Recourse)))
 
 
-def solve_subproblem(shape, scenario, x, warm=None, scenario_index=0):
-    """The one LP solve of Q_s(x): (outcome, optimal basis or None when infeasible).
+def solve_subproblem(batch, s, x, warm=None):
+    """The one LP solve of Q_s(x) for scenario s of ``batch``: its ``LPSolution``.
 
-    Every status other than optimal and infeasible raises, naming the scenario.
+    The solution is optimal or infeasible; every other status raises, naming
+    the scenario.
     """
-    s = scenario_index
-    sol = kernel.solve_lp(scenario_lp(shape, scenario, x), warm_start=warm)
-    feasible = sol.status != kernel.INFEASIBLE
-    if feasible:
-        value, mult = kernel.require_optimal(sol, "recourse LP", s).objective, sol.duals
-    else:
-        value, mult = sol.extras.get("infeasibility", float(np.nan)), sol.farkas
-    gradient = mult @ scenario.T
-    out = SubproblemOutcome(scenario=s, feasible=feasible, value=value, gradient=gradient,
-                            rhs=value + float(gradient @ x), y=sol.x if feasible else None)
-    return out, sol.basis if feasible else None
+    lp = LPInstance(c=batch.q[s], A=batch.shape.W, rhs=batch.h[s] - batch.T[s] @ x,
+                    row_senses=batch.senses[s], lb=batch.lb[s], ub=batch.ub[s])
+    sol = kernel.solve_lp(lp, warm_start=warm)
+    return sol if sol.status == kernel.INFEASIBLE else kernel.require_optimal(sol, "recourse LP", s)
 
 
 # Evaluation calls the function by this name: perfbench/tracing.py wraps the
@@ -161,56 +159,38 @@ class BasisPool(kernel.LPFamily):
         self.batch = batch
 
 
-def solve_recourse(pool: BasisPool, x, idx, solve=None):
-    """Outcomes at x of the scenarios ``idx`` of ``pool.batch``, in the order of ``idx``.
+def solve_recourse(pool: BasisPool, x, idx, solve=None) -> Recourse:
+    """The ``Recourse`` at x of the scenarios ``idx`` of ``pool.batch``, in the order of ``idx``.
 
-    One ``kernel.solve_family`` call.  A scenario a pooled basis solves has
-    ``bunched`` set, duals ``B^-T q_B`` and their product with T_s as cut
-    gradient.  The rest, every infeasible scenario and every one with its
-    own row senses among them, go in index order to ``solve``
-    (``solve_subproblem`` unless given), warm from the newest pooled basis.
+    One ``kernel.solve_family`` call.  A scenario a pooled basis solves is
+    ``bunched``, with duals ``B^-T q_B``.  The rest, every infeasible
+    scenario and every one with its own row senses among them, go in index
+    order to ``solve`` (``solve_subproblem`` unless given).
     """
     solve = solve or solve_subproblem
     batch = pool.batch
     x = np.asarray(x, dtype=float)
     idx = np.asarray(idx, dtype=int)
     T = batch.T[idx]
+    feasible = np.ones(idx.size, dtype=bool)
+    value = np.empty(idx.size)
+    mult = np.empty((idx.size, batch.shape.r))
+    y = np.full((idx.size, batch.shape.m), np.nan)
 
     def fallback(k, warm):
-        s = int(idx[k])
-        return solve(batch.shape, batch.scenarios[s], x, warm=warm, scenario_index=s)
+        sol = solve(batch, int(idx[k]), x, warm=warm)
+        feasible[k] = sol.status != kernel.INFEASIBLE
+        if feasible[k]:
+            value[k], mult[k], y[k] = sol.objective, sol.duals, sol.x
+            return sol.basis
+        value[k], mult[k] = sol.extras.get("infeasibility", np.nan), sol.farkas
+        return None
 
-    pooled, outs = kernel.solve_family(pool, idx, batch.h[idx] - T @ x, fallback)
-    for pos, y, duals, values in pooled:
-        gradients = np.einsum("ir,irn->in", duals, T[pos])
-        rhs = values + gradients @ x
-        outs.update({int(k): SubproblemOutcome(
-                        scenario=int(idx[k]), feasible=True, value=float(values[i]),
-                        gradient=gradients[i], rhs=float(rhs[i]), y=y[i], bunched=True)
-                     for i, k in enumerate(pos)})
-    return [outs[k] for k in range(idx.size)]
-
-
-@dataclass
-class RecourseCounts:
-    """How many second-stage outcomes bunching resolved and how many an LP did."""
-
-    bunched: int = 0
-    lp_solved: int = 0
-
-    def add(self, outcomes):
-        n = sum(o.bunched for o in outcomes)
-        self.bunched += n
-        self.lp_solved += len(outcomes) - n
-
-    @property
-    def bunched_share(self):
-        total = self.bunched + self.lp_solved
-        return self.bunched / total if total else 0.0
-
-    def as_dict(self):
-        return {"bunched": self.bunched, "lp_solved": self.lp_solved,
-                "bunched_share": self.bunched_share}
+    bunched, ys, duals, values = kernel.solve_family(pool, idx, batch.h[idx] - T @ x, fallback)
+    value[bunched], mult[bunched], y[bunched] = values[bunched], duals[bunched], ys[bunched]
+    gradient = np.einsum("ir,irn->in", mult, T)
+    return Recourse(scenarios=idx, feasible=feasible, value=value, gradient=gradient,
+                    rhs=value + gradient @ x, y=y, bunched=bunched)
 
 
 def recourse_values(batch, x):
@@ -219,74 +199,51 @@ def recourse_values(batch, x):
     Raises ``SecondStageInfeasible`` naming the first scenario with no
     feasible recourse at x.
     """
-    def solve(*args, **kwargs):
-        out, basis = _solve_scenario(*args, **kwargs)
-        if not out.feasible:
-            raise SecondStageInfeasible(out.scenario)
-        return out, basis
+    def solve(batch, s, x, warm=None):
+        sol = _solve_scenario(batch, s, x, warm=warm)
+        if sol.status == kernel.INFEASIBLE:
+            raise SecondStageInfeasible(s)
+        return sol
 
     owner = duplicate_owners(batch.scenarios)
     idx = np.flatnonzero(owner == np.arange(batch.size))
-    outs = solve_recourse(BasisPool(batch), x, idx, solve=solve)
     vals = np.empty(batch.size)
-    vals[idx] = [o.value for o in outs]
+    vals[idx] = solve_recourse(BasisPool(batch), x, idx, solve=solve).value
     return vals[owner]
 
 
-def make_optimality_cut(outcomes, probabilities, aggregate=0, iteration=0) -> Cut:
-    """Probability-weighted aggregate cut over the given feasible outcomes."""
-    grad = None
-    rhs = 0.0
-    source = set()
-    for out, pi in zip(outcomes, probabilities):
-        if not out.feasible:
-            raise MixedOutcome(f"scenario {out.scenario} outcome is a feasibility outcome")
-        g = pi * out.gradient
-        grad = g if grad is None else grad + g
-        rhs += pi * out.rhs
-        source.add(out.scenario)
-    return Cut(kind="optimality", gradient=grad, rhs=rhs, source=frozenset(source),
-               iteration=iteration, aggregate=aggregate)
-
-
-def make_feasibility_cut(outcome, iteration=0) -> Cut:
-    """Half-space sigma^T T x >= sigma^T T x_k + w_s excluding the infeasible candidate x_k."""
-    if outcome.feasible:
-        raise NotInfeasible(f"scenario {outcome.scenario} is feasible; no cut to build")
-    return Cut(kind="feasibility", gradient=outcome.gradient, rhs=outcome.rhs,
-               source=frozenset({outcome.scenario}), iteration=iteration)
-
-
-def _bundle_width(nscen, policy, bundle_size):
-    if policy == "single":
-        return nscen
-    if policy == "multi":
-        return 1
-    return min(bundle_size, nscen)
+def make_feasibility_cut(rec: Recourse, row, iteration=0) -> Cut:
+    """Half-space sigma^T T x >= sigma^T T x_k + w_s excluding the infeasible
+    candidate x_k, from row ``row`` of ``rec``."""
+    if rec.feasible[row]:
+        raise NotInfeasible(f"scenario {rec.scenarios[row]} is feasible; no cut to build")
+    return Cut(kind="feasibility", gradient=rec.gradient[row], rhs=float(rec.rhs[row]),
+               source=frozenset({int(rec.scenarios[row])}), iteration=iteration)
 
 
 def make_bundles(nscen, policy, bundle_size):
     """Fixed contiguous aggregation groups, stable across iterations."""
-    b = _bundle_width(nscen, policy, bundle_size)
+    b = {"single": nscen, "multi": 1}.get(policy, min(bundle_size, nscen))
     return [list(range(i, min(i + b, nscen))) for i in range(0, nscen, b)]
 
 
-def aggregate_cuts(outcomes, probabilities, policy, bundle_size=1, nscen=None,
-                   iteration=0):
-    """One cut per aggregation group from per-scenario feasible outcomes.
+def aggregate_cuts(rec: Recourse, probabilities, bundle_of, iteration=0):
+    """One optimality cut per aggregation bundle among the rows of ``rec``, in
+    row order: the probability-weighted sum of its rows' cuts.
 
-    Only groups with at least one outcome get a cut, so the cost grows with
-    the outcomes given, not with the number of groups.
+    ``bundle_of[s]`` is scenario s's bundle, and the rows of a bundle are
+    contiguous in ``rec``.  A bundle with an infeasible row gets no cut.
     """
-    nscen = nscen if nscen is not None else len(outcomes)
-    b = _bundle_width(nscen, policy, bundle_size)
-    by_scen = {o.scenario: o for o in outcomes}
-    groups = {}
-    for s in sorted(by_scen):
-        groups.setdefault(s // b, []).append(by_scen[s])
-    return [make_optimality_cut(outs, [probabilities[o.scenario] for o in outs],
-                                aggregate=agg, iteration=iteration)
-            for agg, outs in groups.items()]
+    bundle = bundle_of[rec.scenarios]
+    start = np.flatnonzero(np.r_[True, bundle[1:] != bundle[:-1]])
+    w = probabilities[rec.scenarios]
+    gradient = np.add.reduceat(w[:, None] * rec.gradient, start)
+    rhs = np.add.reduceat(w * rec.rhs, start)
+    sources = np.split(rec.scenarios, start[1:])
+    return [Cut(kind="optimality", gradient=gradient[j], rhs=float(rhs[j]),
+                source=frozenset(sources[j].tolist()), iteration=iteration,
+                aggregate=int(bundle[start[j]]))
+            for j in np.flatnonzero(np.logical_and.reduceat(rec.feasible, start))]
 
 
 class MasterState:
@@ -474,12 +431,12 @@ class _Coordinator:
         self.iteration = 0
         self.finished = False
         self.status = "iteration_limit"
-        self.partial = {}          # version -> outcomes received so far
+        self.partial = {}          # version -> Recourse records received so far
         self.added = {}            # version -> cuts its results added
         self.payloads = {}         # version (= iteration that produced it) -> (x, theta)
         self.pending_eval = None   # last fully evaluated (x, U, added), consumed by advance
         self.unrecorded = 0        # cuts added since the last trace record
-        self.solved = RecourseCounts()     # outcomes received since the last record
+        self.bunched = self.lp_solved = 0  # recourse rows received since the last record
         self.t_mark = None
         # regularization state
         self.center = None
@@ -502,41 +459,41 @@ class _Coordinator:
     def incorporate(self, env):
         if self.finished:
             return      # results drained after the stop leave the run as reported
-        self.solved.add(env.payload)
-        self.partial.setdefault(env.version, []).extend(env.payload)
-        cuts = []      # an item holds whole bundles, in bundle order
-        for _, outcomes in itertools.groupby(env.payload, lambda o: self.bundle_of[o.scenario]):
-            cuts += self._bundle_cuts(list(outcomes), env.version)
+        rec = env.payload
+        bunched = int(rec.bunched.sum())
+        self.bunched += bunched
+        self.lp_solved += rec.bunched.size - bunched
+        self.partial.setdefault(env.version, []).append(rec)
+        cuts = self._cuts(rec, env.version)
         for cut in cuts:
             self.state.add_cut(cut)
         self.added[env.version] = self.added.get(env.version, 0) + len(cuts)
         self.unrecorded += len(cuts)
 
-    def _bundle_cuts(self, outcomes, version):
-        """The violated cuts of one bundle's outcomes at ``version``'s (x, theta):
-        its feasibility cuts if a scenario is infeasible, else its optimality cut."""
+    def _cuts(self, rec, version):
+        """The violated cuts of ``rec`` at ``version``'s (x, theta), bundle by
+        bundle: a bundle's feasibility cuts in scenario order if a scenario of
+        it is infeasible, else its optimality cut.  An item holds whole
+        bundles, in bundle order."""
         x, theta = self.payloads[version]
-        infeasible = [o for o in outcomes if not o.feasible]
-        if infeasible:
-            cuts = [make_feasibility_cut(o, iteration=version) for o in infeasible]
-            return [c for c in cuts if c.rhs - c.gradient @ x > kernel.FEAS_TOL]
-        cuts = aggregate_cuts(outcomes, self.probs, self.cfg.cuts, self.cfg.bundle_size,
-                              self.p.nscen, version)
-        return [c for c in cuts if c.value_at(x) > theta[c.aggregate]
-                + 1e-9 * (1.0 + abs(c.value_at(x)))]
+        cuts = [c for c in (make_feasibility_cut(rec, i, iteration=version)
+                            for i in np.flatnonzero(~rec.feasible))
+                if c.rhs - c.gradient @ x > kernel.FEAS_TOL]
+        cuts += [c for c in aggregate_cuts(rec, self.probs, self.bundle_of, version)
+                 if c.value_at(x) > theta[c.aggregate] + 1e-9 * (1.0 + abs(c.value_at(x)))]
+        return sorted(cuts, key=lambda c: self.bundle_of[min(c.source)])
 
     def complete(self, version, decision):
         if self.finished:
             return
-        outcomes = self.partial.pop(version)
+        rec = _concat(self.partial.pop(version))
         x, _ = decision.payload
         U = None
-        if all(o.feasible for o in outcomes):
-            U = float(self.p.first.c @ x
-                      + sum(self.probs[o.scenario] * o.value for o in outcomes))
+        if rec.feasible.all():
+            U = float(self.p.first.c @ x + self.probs[rec.scenarios] @ rec.value)
             if U < self.U_best - 1e-12:
                 self.U_best, self.x_best = U, x.copy()
-                self.ys_best = [o.y for o in sorted(outcomes, key=lambda o: o.scenario)]
+                self.ys_best = rec.y[np.argsort(rec.scenarios)]
         # regularization centers move only on fully evaluated candidates
         self.pending_eval = (x, U, self.added.pop(version))
 
@@ -551,12 +508,11 @@ class _Coordinator:
             self.L = L_plain
         self.trace.append({"iteration": self.iteration, "lower": self.L,
                            "upper": self.U_best, "gap": self.gap(),
-                           "cuts_added": self.unrecorded, "bunched": self.solved.bunched,
-                           "lp_solved": self.solved.lp_solved,
+                           "cuts_added": self.unrecorded, "bunched": self.bunched,
+                           "lp_solved": self.lp_solved,
                            "master_fallbacks": st.fallbacks,
                            "wall": time.perf_counter() - self.t_mark})
-        st.fallbacks = self.unrecorded = 0
-        self.solved = RecourseCounts()
+        st.fallbacks = self.unrecorded = self.bunched = self.lp_solved = 0
         # no cut added at a fully evaluated candidate: the model is exact there
         exact = added == 0 and U is not None and cfg.regularization == "none"
         if evaluated is not None and st.all_aggregates_cut \
@@ -629,8 +585,10 @@ class _Coordinator:
     def report(self, wall, seed=None):
         cfg, counts = self.cfg, self.state.counts()
         counts["added_total"] = sum(rec["cuts_added"] for rec in self.trace)
-        solved = RecourseCounts(sum(rec["bunched"] for rec in self.trace),
-                                sum(rec["lp_solved"] for rec in self.trace))
+        bunched = sum(rec["bunched"] for rec in self.trace)
+        total = bunched + sum(rec["lp_solved"] for rec in self.trace)
+        recourse = {"bunched": bunched, "lp_solved": total - bunched,
+                    "bunched_share": bunched / total if total else 0.0}
         obj = self.p.report_value(self.U_best) if np.isfinite(self.U_best) else np.nan
         rep = SolveReport(
             method="lshaped", status=self.status, objective=obj,
@@ -638,7 +596,7 @@ class _Coordinator:
             gaps={"lower": self.L, "upper": self.U_best, "gap": self.gap()},
             iterations=self.iteration, cut_counts=counts, trace=self.trace,
             seed=seed, wall_time=wall,
-            extras={"internal_objective": self.U_best, "recourse": solved.as_dict(),
+            extras={"internal_objective": self.U_best, "recourse": recourse,
                     "_cuts": list(self.state.cuts)},
         )
         rep.config = {"cuts": cfg.cuts, "bundle_size": cfg.bundle_size,

@@ -52,6 +52,8 @@ class PhConfig:
             raise ConfigError("penalty parameter r must be > 0")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
+        if self.primal_tol < 0 or self.dual_tol < 0:
+            raise ConfigError("primal_tol and dual_tol must be >= 0")
         if self.linearize not in (None, "one", "inf"):
             raise ConfigError(f"linearize must be None, 'one' or 'inf', got {self.linearize!r}")
         if self.linearize and self.penalty == "adaptive":
@@ -306,7 +308,7 @@ def _report(problem, cfg, state, trace, status, wall, seed):
         method="ph", status=status,
         objective=problem.report_value(obj),
         decision=state.xi,
-        recourse=[state.ys[s] for s in range(problem.nscen)],
+        recourse=state.ys,
         gaps={"primal_gap": state.primal_gap, "dual_gap": state.dual_gap},
         iterations=state.iteration, trace=trace, seed=seed, wall_time=wall,
         extras={"internal_objective": obj,

@@ -37,7 +37,7 @@ class SolveReport:
     status: str
     objective: float
     decision: np.ndarray
-    recourse: list = None          # per-scenario y at the reported decision
+    recourse: np.ndarray = None    # (S, m): each scenario's y at the reported decision
     gaps: dict = field(default_factory=dict)
     iterations: int = 0
     cut_counts: dict = None

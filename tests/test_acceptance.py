@@ -22,10 +22,11 @@ from stochlp.fixtures import (
     simple_sampler,
 )
 from stochlp.lshaped import (
+    BasisPool,
     LShapedConfig,
     _Coordinator,
     solve_lshaped,
-    solve_subproblem,
+    solve_recourse,
 )
 from stochlp.model import build_deterministic_equivalent
 from stochlp.phedging import PhConfig, solve_ph
@@ -61,11 +62,8 @@ def _engine(mode):
 
 def _scenario_values(problem, x):
     """Per-scenario recourse values at x; +inf marks infeasibility."""
-    vals = np.empty(problem.nscen)
-    for s, sc in enumerate(problem.scenarios):
-        out, _ = solve_subproblem(problem.shape, sc, x, scenario_index=s)
-        vals[s] = out.value if out.feasible else np.inf
-    return vals
+    rec = solve_recourse(BasisPool(problem.batch), x, range(problem.nscen))
+    return np.where(rec.feasible, rec.value, np.inf)
 
 
 def _check_cuts(problem, cuts, points, point_values):
@@ -213,15 +211,14 @@ def test_criterion_05_farmer():
     v, x = vrp(p)
     e = evpi(p)
     s = vss(p)
-    out, _ = solve_subproblem(p.shape, p.scenarios[0], np.array(x),
-                              scenario_index=0)
+    y0 = solve_recourse(BasisPool(p.batch), np.array(x), [0]).y[0]
     wall = time.time() - t0
     checks = [
         abs(v - (-108390.0)) <= 1e-3,
         np.allclose(x, [170.0, 80.0, 250.0], atol=1e-4),
         abs(e.value - 7015.6) <= 0.1,
         abs(s.value - 1150.0) <= 0.1,
-        np.allclose(out.y, [0, 0, 310, 48, 6000, 0], atol=1e-3),
+        np.allclose(y0, [0, 0, 310, 48, 6000, 0], atol=1e-3),
         wall < 2.0,
     ]
     _line(5, all(checks),

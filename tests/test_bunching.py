@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 from stochlp import analysis, kernel, lshaped
 from stochlp.errors import InfeasibleScenario, SecondStageInfeasible
 from stochlp.fixtures import farmer_problem, simple_model, simple_sampler
-from stochlp.lshaped import BasisPool, RecourseCounts, solve_recourse, solve_subproblem
+from stochlp.lshaped import BasisPool, solve_recourse
 from stochlp.model import (
     FirstStage,
     RecourseShape,
@@ -21,6 +21,8 @@ from stochlp.model import (
     stack_scenarios,
 )
 from stochlp.sampling import _batch_instance
+
+from _problems import farmer_instance
 
 SENSES = ("<=", ">=", "=")
 
@@ -66,7 +68,10 @@ def random_fixed_recourse(seed, vary_q, overrides, degenerate):
 
 
 def _lp(problem, s, x):
-    return solve_subproblem(problem.shape, problem.scenarios[s], x, scenario_index=s)[0]
+    """Scenario s's one-row ``Recourse`` at x, solved by an LP (an empty pool)."""
+    rec = solve_recourse(BasisPool(problem.batch), x, [s])
+    assert not rec.bunched[0]
+    return rec
 
 
 def _y_violation(shape, sc, x, y):
@@ -88,60 +93,63 @@ def test_bunched_outcomes_match_the_lp(seed, vary_q, overrides, degenerate):
     idx = np.arange(p.nscen)
     solve_recourse(pool, points[0], idx)      # fills the pool
     x = points[1]
-    outs = solve_recourse(pool, x, idx)
-    for s, out in enumerate(outs):
+    rec = solve_recourse(pool, x, idx)
+    assert rec.scenarios.tolist() == idx.tolist()
+    for s in idx:
         ref = _lp(p, s, x)
-        assert out.scenario == s
-        assert out.feasible == ref.feasible
+        assert rec.feasible[s] == ref.feasible[0]
         sc = p.scenarios[s]
-        if out.feasible:
-            assert abs(out.value - ref.value) <= 1e-9 * max(1.0, abs(ref.value))
-            assert _y_violation(p.shape, sc, x, out.y) <= 1e-7
+        if rec.feasible[s]:
+            assert abs(rec.value[s] - ref.value[0]) <= 1e-9 * max(1.0, abs(ref.value[0]))
+            assert _y_violation(p.shape, sc, x, rec.y[s]) <= 1e-7
+        else:
+            assert np.isnan(rec.y[s]).all() and not rec.bunched[s]
+        assert rec.rhs[s] == pytest.approx(rec.value[s] + rec.gradient[s] @ x, rel=1e-12)
         for xp in points[2:]:
             at = _lp(p, s, xp)
-            if not at.feasible:
+            if not at.feasible[0]:
                 continue
             # optimality cut: Q_s(x') >= rhs - g.x'; feasibility cut: g.x' >= rhs
-            g = float(out.gradient @ xp)
-            slack = at.value - (out.rhs - g) if out.feasible else g - out.rhs
-            assert slack >= -1e-7 * (1.0 + abs(at.value))
+            g = float(rec.gradient[s] @ xp)
+            slack = at.value[0] - (rec.rhs[s] - g) if rec.feasible[s] else g - rec.rhs[s]
+            assert slack >= -1e-7 * (1.0 + abs(at.value[0]))
 
 
 def test_farmer_outcomes_match_the_lp():
     # two of the three yield scenarios share an optimal basis at the optimum
     p = farmer_problem()
     x = np.array([170.0, 80.0, 250.0])
-    outs = solve_recourse(BasisPool(p.batch), x, range(p.nscen))
-    assert [o.bunched for o in outs] == [False, True, False]
-    for s, out in enumerate(outs):
+    rec = solve_recourse(BasisPool(p.batch), x, range(p.nscen))
+    assert rec.bunched.tolist() == [False, True, False]
+    for s in range(p.nscen):
         ref = _lp(p, s, x)
-        assert out.value == pytest.approx(ref.value, rel=1e-12)
-        np.testing.assert_allclose(out.gradient, ref.gradient, rtol=1e-12)
-        assert out.rhs == pytest.approx(ref.rhs, rel=1e-12)
+        assert rec.value[s] == pytest.approx(ref.value[0], rel=1e-12)
+        np.testing.assert_allclose(rec.gradient[s], ref.gradient[0], rtol=1e-12)
+        assert rec.rhs[s] == pytest.approx(ref.rhs[0], rel=1e-12)
 
 
 def _counting(monkeypatch):
     solved = []
     solve = lshaped.solve_subproblem
 
-    def counted(*args, **kwargs):
-        solved.append(kwargs["scenario_index"])
-        return solve(*args, **kwargs)
+    def counted(batch, s, x, warm=None):
+        solved.append(s)
+        return solve(batch, s, x, warm=warm)
     monkeypatch.setattr(lshaped, "solve_subproblem", counted)
     return solved
 
 
-def _counting_outcomes(monkeypatch):
-    """A RecourseCounts that adds up the outcomes of every ``solve_recourse`` call."""
-    counts = RecourseCounts()
+def _counting_rows(monkeypatch):
+    """The bunched flags of the rows of every ``solve_recourse`` call, concatenated."""
+    bunched = []
     solve = lshaped.solve_recourse
 
     def counted(*args, **kwargs):
-        outs = solve(*args, **kwargs)
-        counts.add(outs)
-        return outs
+        rec = solve(*args, **kwargs)
+        bunched.extend(rec.bunched.tolist())
+        return rec
     monkeypatch.setattr(lshaped, "solve_recourse", counted)
-    return counts
+    return bunched
 
 
 def _one_row_problem(scenarios):
@@ -159,28 +167,28 @@ class TestFallbackRoutes:
     def test_a_scenario_with_its_own_senses_goes_to_the_lp(self, monkeypatch):
         p = _one_row_problem([_sc(2.0), _sc(2.0, row_senses=("<=",)), _sc(2.5)])
         solved = _counting(monkeypatch)
-        outs = solve_recourse(BasisPool(p.batch), np.zeros(1), range(3))
+        rec = solve_recourse(BasisPool(p.batch), np.zeros(1), range(3))
         assert solved == [0, 1]
-        assert [o.bunched for o in outs] == [False, False, True]
-        assert outs[1].value == _lp(p, 1, np.zeros(1)).value == 0.0
+        assert rec.bunched.tolist() == [False, False, True]
+        assert rec.value[1] == _lp(p, 1, np.zeros(1)).value[0] == 0.0
 
     def test_an_infeasible_scenario_goes_to_the_lp(self, monkeypatch):
         p = _one_row_problem([_sc(1.0), _sc(9.0), _sc(1.5)])
         solved = _counting(monkeypatch)
-        outs = solve_recourse(BasisPool(p.batch), np.zeros(1), range(3))
+        rec = solve_recourse(BasisPool(p.batch), np.zeros(1), range(3))
         assert solved == [0, 1]
-        assert not outs[1].feasible and outs[1].value == pytest.approx(2.0)
-        assert outs[2].bunched and outs[2].value == pytest.approx(1.5)
+        assert not rec.feasible[1] and rec.value[1] == pytest.approx(2.0)
+        assert rec.bunched[2] and rec.value[2] == pytest.approx(1.5)
 
     def test_a_scenario_no_basis_accepts_goes_to_the_lp_and_its_basis_joins(self, monkeypatch):
         # h = 1: y1 basic below its bound; h = 5: y1 at its bound 3, y2 basic
         p = _one_row_problem([_sc(1.0), _sc(5.0), _sc(6.0), _sc(2.0)])
         pool = BasisPool(p.batch)
         solved = _counting(monkeypatch)
-        outs = solve_recourse(pool, np.zeros(1), range(4))
+        rec = solve_recourse(pool, np.zeros(1), range(4))
         assert solved == [0, 1]
-        assert [o.bunched for o in outs] == [False, False, True, True]
-        assert [o.value for o in outs] == pytest.approx([1.0, 7.0, 9.0, 2.0])
+        assert rec.bunched.tolist() == [False, False, True, True]
+        assert rec.value.tolist() == pytest.approx([1.0, 7.0, 9.0, 2.0])
         assert len(pool.entries) == 2
         assert pool.entries[0].basis.vstat.tolist() == [1, 2, 1]    # y1 at upper, y2 basic
 
@@ -190,20 +198,20 @@ class TestFallbackRoutes:
             lshaped.recourse_values(p.batch, [0.0])
         assert exc.value.scenario == 1
         assert analysis.evaluate_decision(p, [0.0]) == np.inf
-        counts = _counting_outcomes(monkeypatch)
+        bunched = _counting_rows(monkeypatch)
         q = _one_row_problem([_sc(1.0), _sc(5.0), _sc(1.0), _sc(2.0)])
         assert analysis.evaluate_decision(q, [0.0]) == pytest.approx(11.0 / 4)
-        assert (counts.bunched, counts.lp_solved) == (1, 2)
+        assert bunched == [False, False, True]
 
 
 def test_one_basis_serves_most_simple_normal_samples(monkeypatch):
     from stochlp.fixtures import simple_model, simple_sampler
     from stochlp.sampling import evaluate_on_samples
-    counts = _counting_outcomes(monkeypatch)
+    bunched = _counting_rows(monkeypatch)
     x = np.array([46.67, 36.25])
     vals = evaluate_on_samples(simple_model(), simple_sampler(), x, 200, 3)
-    assert counts.bunched + counts.lp_solved == 200
-    assert counts.lp_solved <= 5
+    assert len(bunched) == 200
+    assert bunched.count(False) <= 5
     ref = [analysis.evaluate_decision(build_problem(simple_model().first, simple_model().shape,
                                                     [simple_sampler().sample(3, i)]), x)
            for i in (0, 57, 199)]
@@ -213,8 +221,10 @@ def test_one_basis_serves_most_simple_normal_samples(monkeypatch):
 def test_solve_recourse_keeps_the_order_of_idx():
     p = farmer_problem()
     x = np.array([100.0, 100.0, 300.0])
-    outs = solve_recourse(BasisPool(p.batch), x, [2, 0])
-    assert [o.scenario for o in outs] == [2, 0]
+    rec = solve_recourse(BasisPool(p.batch), x, [2, 0])
+    assert rec.scenarios.tolist() == [2, 0]
+    for k, s in enumerate([2, 0]):
+        assert rec.value[k] == pytest.approx(_lp(p, s, x).value[0], rel=1e-12)
 
 
 def test_the_batch_is_built_once_per_problem():
@@ -239,11 +249,12 @@ def test_threads_sharing_a_pool_get_the_lp_values():
     def work(xs):
         try:
             for x in xs:
-                for s, out in enumerate(solve_recourse(pool, x, range(p.nscen))):
+                rec = solve_recourse(pool, x, range(p.nscen))
+                for s in range(p.nscen):
                     ref = _lp(p, s, x)
-                    if out.feasible != ref.feasible or (
-                            out.feasible and abs(out.value - ref.value)
-                            > 1e-9 * max(1.0, abs(ref.value))):
+                    if rec.feasible[s] != ref.feasible[0] or (
+                            rec.feasible[s] and abs(rec.value[s] - ref.value[0])
+                            > 1e-9 * max(1.0, abs(ref.value[0]))):
                         errors.append((s, x))
         except Exception as exc:      # reported below; a thread cannot raise into the test
             errors.append(exc)
@@ -324,18 +335,40 @@ def test_ews_of_simple_normal_batches_matches_highs(seed):
     assert analysis.ews(p) == pytest.approx(ref, rel=1e-9)
 
 
-def test_farmer_wait_and_see_lps_are_solved_one_by_one(monkeypatch):
-    # the yields vary T, so the LPs share no constraint matrix: each is solved cold
-    warm_starts = []
+def _recording_lp_solves(monkeypatch):
+    """(warm start, solution) of every ``kernel.solve_lp`` call while the test runs."""
+    solves = []
     solve = kernel.solve_lp
 
-    def counted(lp, warm_start=None):
-        warm_starts.append(warm_start)
-        return solve(lp, warm_start)
-    monkeypatch.setattr(kernel, "solve_lp", counted)
+    def recorded(lp, warm_start=None):
+        solves.append((warm_start, solve(lp, warm_start)))
+        return solves[-1][1]
+    monkeypatch.setattr(kernel, "solve_lp", recorded)
+    return solves
+
+
+def test_farmer_wait_and_see_lps_are_solved_one_by_one(monkeypatch):
+    # the yields vary T, so the LPs share no constraint matrix: each is solved
+    # alone, warm from the optimal basis of the one before
+    solves = _recording_lp_solves(monkeypatch)
     p = farmer_problem()
     assert analysis.ews(p) == pytest.approx(-115405.5556, abs=1e-3)
-    assert warm_starts == [None] * p.nscen
+    assert len(solves) == p.nscen
+    assert solves[0][0] is None
+    for (warm, _), (_, before) in zip(solves[1:], solves):
+        assert warm is before.basis
+
+
+def test_warm_wait_and_see_lps_take_few_pivots_and_keep_their_values(monkeypatch):
+    p = farmer_instance(200, 1)
+    solves = _recording_lp_solves(monkeypatch)
+    xs, values = analysis.wait_and_see_solutions(p)
+    assert sum(sol.iterations for _, sol in solves) < 200
+    monkeypatch.undo()
+    for s in range(p.nscen):
+        cold = kernel.solve_lp(build_wait_and_see(p, s))
+        assert values[s] == pytest.approx(cold.objective, rel=1e-12, abs=1e-9)
+        assert kernel.primal_violation(build_wait_and_see(p, s), xs[s]) <= 1e-7
 
 
 @pytest.mark.parametrize("bunched", [True, False])

@@ -291,6 +291,21 @@ class TestSaaCommand:
         assert cli.main(["saa", "--model", "simple", *flags]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_exit_1_on_a_model_without_a_sampler(self, capsys):
+        from stochlp import cli
+        assert cli.main(["saa", "--model", "farmer"]) == cli.EXIT_CONFIG
+        assert "invalid choice: 'farmer' (choose from 'simple')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, message", [
+        ("lshaped", "gap_tol must be >= 0"),
+        ("ph", "primal_tol and dual_tol must be >= 0"),
+    ])
+    def test_exit_1_on_a_negative_gap(self, capsys, method, message):
+        from stochlp import cli
+        assert cli.main(["solve", "--fixture", "farmer", "--method", method,
+                         "--gap", "-1"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("method", ["lshaped", "ph"])
     @pytest.mark.parametrize("limit", ["0", "-5"])
     def test_exit_1_on_bad_max_iterations(self, capsys, method, limit):

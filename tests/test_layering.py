@@ -8,9 +8,9 @@ its public names only: no ``kernel._name`` attribute reads and no
 ``solve --method dep``.  Only ``execution.py`` compares an execution mode
 (``ExecConfig.mode``) to a mode name, so the work-item rule has one home.
 Only ``model.py`` imports ``scipy.sparse``: it converts sparse input to the
-one dense form.  Outside ``model.py`` only ``lshaped.scenario_lp`` resolves a
-scenario's default bounds and row senses; every other reader takes them from
-the problem's ``ScenarioBatch``.  Every field of the solver and sampling configs and of
+one dense form.  Only ``model.py`` resolves a scenario's default bounds and
+row senses; every other reader takes them from the problem's
+``ScenarioBatch``.  Every field of the solver and sampling configs and of
 ``LPInstance`` is set somewhere outside the tests (the package or the
 benchmark); a setting only tests change is a module constant instead, and an
 instance field only tests set is a second form that goes.
@@ -212,10 +212,10 @@ def default_resolutions(source):
     return sorted(found)
 
 
-def test_only_the_model_and_scenario_lp_resolve_scenario_defaults():
+def test_only_the_model_resolves_scenario_defaults():
     users = {(path.name, where) for path in PACKAGE.glob("*.py") if path.name != "model.py"
              for _, where in default_resolutions(path.read_text())}
-    assert users == {("lshaped.py", "scenario_lp")}
+    assert users == set()
 
 
 def test_the_default_scan_sees_every_form_of_use():

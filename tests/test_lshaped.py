@@ -9,19 +9,19 @@ from stochlp import kernel, lshaped
 from stochlp.errors import (
     ConfigError,
     MasterInfeasible,
-    MixedOutcome,
     NotInfeasible,
     UnboundedSubproblem,
 )
 from stochlp.execution import ExecConfig
 from stochlp.fixtures import farmer_problem, norrc1_problem, simple_problem
 from stochlp.lshaped import (
+    BasisPool,
     LShapedConfig,
     aggregate_cuts,
     make_bundles,
     make_feasibility_cut,
-    make_optimality_cut,
     solve_lshaped,
+    solve_recourse,
     solve_subproblem,
 )
 from stochlp.model import (
@@ -29,6 +29,7 @@ from stochlp.model import (
     RecourseShape,
     Scenario,
     build_problem,
+    stack_scenarios,
 )
 
 from _problems import (
@@ -43,21 +44,31 @@ from _problems import (
 REGULARIZATIONS = ["none", "tr", "rd", "level"]
 
 
-def _outcomes_at(problem, x):
-    outs = []
-    for s, sc in enumerate(problem.scenarios):
-        out, _ = solve_subproblem(problem.shape, sc, np.asarray(x, float),
-                                  scenario_index=s)
-        outs.append(out)
-    return outs
+def _recourse(batch, x):
+    """The ``Recourse`` of every scenario of ``batch`` at x, from an empty pool."""
+    return solve_recourse(BasisPool(batch), np.asarray(x, float), range(batch.size))
+
+
+def _recourse_at(problem, x):
+    return _recourse(problem.batch, x)
+
+
+def _one(shape, sc, x):
+    """The ``Recourse`` of the single scenario ``sc`` at x."""
+    return _recourse(stack_scenarios(shape, [sc]), x)
+
+
+def _single(nscen):
+    """Every scenario in bundle 0: the single-cut ``bundle_of``."""
+    return np.zeros(nscen, dtype=int)
 
 
 class TestSubproblem:
     def test_textbook_value_matches_singleton_dep(self):
         p = simple_problem()
         x = np.array([40.0, 20.0])
-        out, _ = solve_subproblem(p.shape, p.scenarios[0], x, scenario_index=0)
-        assert out.feasible
+        sol = solve_subproblem(p.batch, 0, x)
+        assert sol.status == kernel.OPTIMAL
         sc = p.scenarios[0]
         singleton = build_problem(
             FirstStage(c=p.first.c, A=p.first.A, b=p.first.b,
@@ -66,52 +77,54 @@ class TestSubproblem:
             p.shape, [Scenario(probability=1.0, q=sc.q, T=sc.T, h=sc.h)])
         from stochlp.model import build_deterministic_equivalent
         dep = kernel.solve_lp(build_deterministic_equivalent(singleton))
-        assert out.value == pytest.approx(dep.objective - p.first.c @ x, abs=1e-7)
+        assert sol.objective == pytest.approx(dep.objective - p.first.c @ x, abs=1e-7)
+        rec = _recourse_at(p, x)
+        assert rec.feasible[0] and rec.value[0] == sol.objective
 
     def test_one_dimensional_infeasibility_measure(self):
         # y = h - x with y >= 0: at x > h the measure is x - h
         shape = RecourseShape(W=[[1.0]], sense="min", row_senses=("=",))
         sc = Scenario(probability=1.0, q=[1.0], T=[[1.0]], h=[2.0])
-        out, _ = solve_subproblem(shape, sc, np.array([5.0]), scenario_index=0)
-        assert not out.feasible
-        assert out.value == pytest.approx(3.0, abs=1e-8)
+        rec = _one(shape, sc, [5.0])
+        assert not rec.feasible[0]
+        assert rec.value[0] == pytest.approx(3.0, abs=1e-8)
+        assert np.isnan(rec.y[0]).all()
 
     def test_farmer_recourse_at_optimum(self):
         p = farmer_problem()
-        out, _ = solve_subproblem(p.shape, p.scenarios[0],
-                                  np.array([170.0, 80.0, 250.0]), scenario_index=0)
-        np.testing.assert_allclose(out.y, [0, 0, 310, 48, 6000, 0], atol=1e-3)
+        rec = _recourse_at(p, [170.0, 80.0, 250.0])
+        np.testing.assert_allclose(rec.y[0], [0, 0, 310, 48, 6000, 0], atol=1e-3)
 
     def test_unbounded_subproblem_raises(self):
         shape = RecourseShape(W=[[1.0]], sense="min", row_senses=(">=",))
         sc = Scenario(probability=1.0, q=[-1.0], T=[[0.0]], h=[0.0])
-        with pytest.raises(UnboundedSubproblem):
-            solve_subproblem(shape, sc, np.array([0.0]), scenario_index=3)
+        batch = stack_scenarios(shape, [sc] * 4)
+        with pytest.raises(UnboundedSubproblem) as exc:
+            solve_subproblem(batch, 3, np.array([0.0]))
+        assert exc.value.scenario == 3
 
     def test_iteration_limit_raises_naming_the_scenario(self, monkeypatch):
         p = farmer_problem()
         monkeypatch.setattr(kernel, "MAX_PIVOTS", 1)
         with pytest.raises(kernel.NumericalBreakdown,
                            match="recourse LP of scenario 2 ended iteration_limit"):
-            solve_subproblem(p.shape, p.scenarios[2], np.array([170.0, 80.0, 250.0]),
-                             scenario_index=2)
+            solve_subproblem(p.batch, 2, np.array([170.0, 80.0, 250.0]))
 
 
 class TestCuts:
     def test_optimality_cut_tight_at_generator(self):
         p = simple_problem()
         x = np.array([45.0, 30.0])
-        outs = _outcomes_at(p, x)
-        cut = make_optimality_cut(outs, p.probabilities)
-        expected = sum(p.probabilities[s] * outs[s].value for s in range(2))
+        rec = _recourse_at(p, x)
+        (cut,) = aggregate_cuts(rec, p.probabilities, _single(2))
+        expected = sum(p.probabilities[s] * rec.value[s] for s in range(2))
         assert cut.value_at(x) == pytest.approx(expected, abs=1e-7)
         assert cut.source == frozenset({0, 1})
 
     def test_constant_cut_when_t_zero(self):
         shape = RecourseShape(W=[[1.0]], sense="min", row_senses=(">=",))
         sc = Scenario(probability=1.0, q=[1.0], T=[[0.0]], h=[2.0])
-        out, _ = solve_subproblem(shape, sc, np.array([7.0]), scenario_index=0)
-        cut = make_optimality_cut([out], [1.0])
+        (cut,) = aggregate_cuts(_one(shape, sc, [7.0]), np.ones(1), _single(1))
         np.testing.assert_allclose(cut.gradient, [0.0])
         assert cut.rhs == pytest.approx(2.0, abs=1e-9)   # theta >= q * h = 2
 
@@ -121,26 +134,28 @@ class TestCuts:
             p = random_rcr_problem(seed)
             pts = first_stage_feasible_points(p, 10, seed)
             gen = pts[0]
-            outs = _outcomes_at(p, gen)
-            cut = make_optimality_cut(outs, p.probabilities)
+            (cut,) = aggregate_cuts(_recourse_at(p, gen), p.probabilities, _single(p.nscen))
             for x in pts:
-                true = sum(p.probabilities[s] * o.value
-                           for s, o in enumerate(_outcomes_at(p, x)))
+                true = p.probabilities @ _recourse_at(p, x).value
                 assert cut.value_at(x) <= true + 1e-6
 
     def test_mixed_outcome_rejected(self):
+        # h = 2 is infeasible at x = 5 and h = 9 is not: only the bundle without it gets a cut
         shape = RecourseShape(W=[[1.0]], sense="min", row_senses=("=",))
-        sc = Scenario(probability=1.0, q=[1.0], T=[[1.0]], h=[2.0])
-        bad, _ = solve_subproblem(shape, sc, np.array([5.0]), scenario_index=0)
-        with pytest.raises(MixedOutcome):
-            make_optimality_cut([bad], [1.0])
+        rec = _recourse(stack_scenarios(shape, [Scenario(probability=1.0, q=[1.0], T=[[1.0]],
+                                                         h=[h]) for h in (2.0, 9.0, 9.0)]),
+                        [5.0])
+        assert rec.feasible.tolist() == [False, True, True]
+        assert aggregate_cuts(rec, np.full(3, 1 / 3), _single(3)) == []
+        (cut,) = aggregate_cuts(rec, np.full(3, 1 / 3), np.array([0, 1, 1]))
+        assert cut.aggregate == 1 and cut.source == frozenset({1, 2})
+        assert cut.value_at(np.array([5.0])) == pytest.approx(2 / 3 * 4.0)
 
     def test_feasibility_cut_violated_by_generator(self):
         shape = RecourseShape(W=[[1.0]], sense="min", row_senses=("=",))
         sc = Scenario(probability=1.0, q=[1.0], T=[[1.0]], h=[2.0])
         x = np.array([5.0])
-        out, _ = solve_subproblem(shape, sc, x, scenario_index=0)
-        cut = make_feasibility_cut(out)
+        cut = make_feasibility_cut(_one(shape, sc, x), 0)
         assert cut.rhs - cut.gradient @ x > 1e-8        # violated at generator
         # the cut reduces to x <= 2 after normalization
         ok = np.array([1.5])
@@ -148,9 +163,14 @@ class TestCuts:
 
     def test_not_infeasible_rejected(self):
         p = simple_problem()
-        out = _outcomes_at(p, [40.0, 20.0])[0]
+        rec = _recourse_at(p, [40.0, 20.0])
         with pytest.raises(NotInfeasible):
-            make_feasibility_cut(out)
+            make_feasibility_cut(rec, 0)
+
+
+def _bundle_of(nscen, policy, bundle_size):
+    bundles = make_bundles(nscen, policy, bundle_size)
+    return np.repeat(np.arange(len(bundles)), [len(b) for b in bundles])
 
 
 class TestAggregation:
@@ -169,21 +189,25 @@ class TestAggregation:
 
     def test_partial_one_equals_multi_cuts(self):
         p = simple_problem()
-        outs = _outcomes_at(p, [50.0, 40.0])
-        multi = aggregate_cuts(outs, p.probabilities, "multi")
-        partial = aggregate_cuts(outs, p.probabilities, "partial", bundle_size=1)
+        rec = _recourse_at(p, [50.0, 40.0])
+        multi = aggregate_cuts(rec, p.probabilities, _bundle_of(2, "multi", 1))
+        partial = aggregate_cuts(rec, p.probabilities, _bundle_of(2, "partial", 1))
         assert len(multi) == len(partial) == 2
-        for a, b in zip(multi, partial):
+        for s, (a, b) in enumerate(zip(multi, partial)):
             np.testing.assert_allclose(a.gradient, b.gradient)
             assert a.rhs == pytest.approx(b.rhs)
+            assert a.aggregate == s and a.source == frozenset({s})
+            np.testing.assert_allclose(a.gradient, p.probabilities[s] * rec.gradient[s])
+            assert a.rhs == pytest.approx(p.probabilities[s] * rec.rhs[s])
 
     def test_partial_full_equals_single_cut(self):
         p = simple_problem()
-        outs = _outcomes_at(p, [50.0, 40.0])
-        single = aggregate_cuts(outs, p.probabilities, "single")
-        partial = aggregate_cuts(outs, p.probabilities, "partial", bundle_size=2)
+        rec = _recourse_at(p, [50.0, 40.0])
+        single = aggregate_cuts(rec, p.probabilities, _bundle_of(2, "single", 1))
+        partial = aggregate_cuts(rec, p.probabilities, _bundle_of(2, "partial", 2))
         assert len(single) == len(partial) == 1
         np.testing.assert_allclose(single[0].gradient, partial[0].gradient)
+        np.testing.assert_allclose(single[0].gradient, p.probabilities @ rec.gradient)
 
 
 class TestSolve:
@@ -262,6 +286,11 @@ class TestSolve:
         with pytest.raises(ConfigError):
             LShapedConfig(max_iterations=0)
 
+    def test_a_negative_gap_tolerance_is_rejected(self):
+        with pytest.raises(ConfigError, match="gap_tol must be >= 0"):
+            LShapedConfig(gap_tol=-1e-9)
+        assert LShapedConfig(gap_tol=0.0).gap_tol == 0.0
+
     @pytest.mark.parametrize("reg", REGULARIZATIONS)
     def test_master_infeasible(self, reg):
         first = FirstStage(c=[1.0], A=[[1.0], [1.0]], b=[1.0, 3.0],
@@ -314,10 +343,8 @@ class TestFeasibilityCuts:
             p = random_norrc_problem(seed)
             rep = solve_lshaped(p, LShapedConfig(cuts="multi", regularization=reg))
             assert rep.status == "optimal"
-            for s, sc in enumerate(p.scenarios):
-                out, _ = solve_subproblem(p.shape, sc, rep.decision,
-                                          scenario_index=s)
-                assert out.feasible
+            for s in range(p.nscen):
+                assert solve_subproblem(p.batch, s, rep.decision).status == kernel.OPTIMAL
 
 
 @pytest.fixture
@@ -336,7 +363,7 @@ class TestMaster:
         p = farmer_problem()
         st = MasterState(p, p.nscen)
         x, theta, _ = st.solve_plain()
-        for cut in aggregate_cuts(_outcomes_at(p, x), p.probabilities, "multi"):
+        for cut in aggregate_cuts(_recourse_at(p, x), p.probabilities, np.arange(p.nscen)):
             assert cut.value_at(x) > theta[cut.aggregate]
             st.add_cut(cut)
         lp_solves.clear()
@@ -353,7 +380,7 @@ class TestMaster:
         st = MasterState(p, p.nscen)
         center = np.array([150.0, 100.0, 250.0])
         x, theta, _ = st.solve_plain(tr_center=center, tr_delta=50.0)
-        for cut in aggregate_cuts(_outcomes_at(p, x), p.probabilities, "multi"):
+        for cut in aggregate_cuts(_recourse_at(p, x), p.probabilities, np.arange(p.nscen)):
             assert cut.value_at(x) > theta[cut.aggregate]
             st.add_cut(cut)
         lp_solves.clear()
@@ -370,8 +397,8 @@ class TestMaster:
         from stochlp.lshaped import MasterState
         p = farmer_problem()
         st = MasterState(p, 1)
-        st.add_cut(make_optimality_cut(_outcomes_at(p, [170.0, 80.0, 250.0]),
-                                       p.probabilities))
+        st.add_cut(*aggregate_cuts(_recourse_at(p, [170.0, 80.0, 250.0]), p.probabilities,
+                                   _single(p.nscen)))
         monkeypatch.setattr(kernel, "MAX_PIVOTS", 1)
         with pytest.raises(kernel.NumericalBreakdown, match="master LP ended iteration_limit"):
             st.solve_plain()

@@ -161,12 +161,10 @@ class TestSubproblem:
                        max_iterations=50)
         rep = solve_ph(p, cfg)
         assert np.isfinite(rep.objective)
-        from stochlp.lshaped import scenario_lp
-        from stochlp import kernel
         xs = rep.extras["scenario_decisions"]
         for s in range(p.nscen):
-            lp = scenario_lp(p.shape, p.scenarios[s], xs[s])
-            assert kernel.primal_violation(lp, rep.recourse[s]) <= 1e-6
+            lp = build_wait_and_see(p, s)
+            assert kernel.primal_violation(lp, np.concatenate([xs[s], rep.recourse[s]])) <= 1e-6
 
     def test_linearized_subproblem_pins_to_center_for_large_r(self):
         p = simple_problem()
@@ -282,6 +280,13 @@ class TestConfig:
             PhConfig(linearize=norm)
         with pytest.raises(ConfigError, match='penalty="fixed"'):
             PhConfig(penalty="adaptive", linearize=norm)
+
+
+    @pytest.mark.parametrize("field", ["primal_tol", "dual_tol"])
+    def test_a_negative_tolerance_is_rejected(self, field):
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            PhConfig(**{field: -1e-9})
+        assert getattr(PhConfig(**{field: 0.0}), field) == 0.0
 
 
 class TestWaitAndSeeForm:

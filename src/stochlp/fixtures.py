@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import (
     FirstStage,
     RecourseShape,
@@ -185,14 +186,12 @@ def fixture_names():
 
 
 def get_fixture(name) -> TwoStageProblem:
-    try:
-        return _FIXTURES[name]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; available: {fixture_names()}") from None
+    if name not in _FIXTURES:
+        raise ConfigError(f"unknown fixture {name!r}; available: {fixture_names()}")
+    return _FIXTURES[name]()
 
 
 def get_sampler(name):
-    try:
-        return _SAMPLERS[name]()
-    except KeyError:
-        raise KeyError(f"unknown sampler {name!r}; available: {sorted(_SAMPLERS)}") from None
+    if name not in _SAMPLERS:
+        raise ConfigError(f"unknown sampler {name!r}; available: {sorted(_SAMPLERS)}")
+    return _SAMPLERS[name]()

@@ -32,8 +32,14 @@ interior point for diagonal Hessians: it runs a ``QPStack`` of programs that
 share one row pattern (row senses and which bounds are finite) in one loop,
 with per-member step lengths, convergence, best iterate, regularization and
 status, and solves the members' KKT systems as one stacked
-``np.linalg.solve``.  Progressive hedging passes the stacks it builds once
-per run, one per wave; the regularized L-shaped masters are stacks of one.
+``np.linalg.solve``.  A warm start first tries each member at its warm
+iterate's active set, where the solution is affine in the costs and the
+center (the QP form of bunching): one stacked equality-constrained KKT
+solve, accepted by the interior point's own stopping test, and only the
+members it does not settle enter the interior point.  Progressive hedging
+passes the stacks it builds once per run, one per wave, warm from the last
+wave's iterates; the regularized L-shaped masters are stacks of one,
+solved cold.
 
 Both methods return a status; a caller that needs an optimum passes the
 solution through ``require_optimal``, so an infeasible, unbounded or
@@ -789,17 +795,24 @@ class QPIterate:
     y: np.ndarray
     valid: np.ndarray = None
 
+    def take(self, pos):
+        """The iterates of the members ``pos``."""
+        return QPIterate(x=self.x[pos], lam=self.lam[pos], y=self.y[pos],
+                         valid=None if self.valid is None else self.valid[pos])
+
 
 @dataclass
 class QPStackResult:
     """Per-member outcome of a stacked solve: status, interior-point
-    iterations, objective, and the iterate, which is the best one seen when
-    the member stopped short of optimal."""
+    iterations, objective, the iterate, which is the best one seen when the
+    member stopped short of optimal, and ``accepted``, the members settled
+    at their warm start's active set (optimal after 0 iterations)."""
 
     status: np.ndarray
     member_iterations: np.ndarray
     objective: np.ndarray
     iterate: QPIterate
+    accepted: np.ndarray
 
     @property
     def iterations(self):
@@ -859,9 +872,119 @@ def _solve_each(K, rhs):
     return d, np.isfinite(d).all(axis=1)
 
 
+def _qp_tolerance(qp: QPStack):
+    """Per member, the error at which the interior point stops."""
+    return OPT_TOL * (1.0 + np.maximum(qp.rhs_scale, np.abs(qp.c).max(axis=1, initial=0.0)))
+
+
+def _residuals(c, D, z, AE, bE, G, g, x, s, lam, y):
+    """The KKT residuals (rd, rE, rI) and complementarity ``mu`` of iterates
+    (x, s, lam, y) of the programs (c, D, z, AE, bE, G, g), and their
+    stopping error, the largest of |rd|, |rE|, |rI| and mu."""
+    rd = D * (x - z) + c + _mv(AE.transpose(0, 2, 1), y) + _mv(G.transpose(0, 2, 1), lam)
+    rE = _mv(AE, x) - bE
+    rI = _mv(G, x) + s - g
+    mI = g.shape[1]
+    mu = np.einsum("si,si->s", s, lam) / mI if mI else np.zeros(x.shape[0])
+    err = np.maximum(np.abs(np.concatenate([rd, rE, rI], axis=1)).max(axis=1, initial=0.0), mu)
+    return rd, rE, rI, mu, err
+
+
+def _active_set_step(qp: QPStack, warm: QPIterate):
+    """The members of ``qp`` settled at their warm iterate's active set, as
+    (positions, iterate).
+
+    A valid member is tried when its warm point, with slacks
+    max(g - G x, 0), passes every part of the interior point's stopping
+    test that its costs and center do not enter: the row residuals and
+    the complementarity mu.  Such a point solves a program that differs
+    only in c, D and z, while a far-off or central start names no active
+    set.  A row of ``G x <= g`` is active where the warm
+    multiplier exceeds the warm slack.  Each tried member's
+    equality-constrained KKT system holds its active rows at equality and
+    pins its other multipliers to zero; the systems are solved as one
+    stack.  A member is settled when its point, with slacks
+    max(g - G x, 0) and multipliers max(lam, 0), passes the interior
+    point's stopping test.  A singular or non-finite system settles
+    nothing and is not regularized: the y block has no curvature, so a
+    singular system is an active set that leaves y undetermined.
+    """
+    n, mE, mI = qp.c.shape[1], qp.bE.shape[1], qp.g.shape[1]
+    tol = _qp_tolerance(qp)
+    slack = qp.g - _mv(qp.G, warm.x)
+    with np.errstate(all="ignore"):
+        _, rE, rI, mu, _ = _residuals(qp.c, qp.D, qp.z, qp.AE, qp.bE, qp.G, qp.g, warm.x,
+                                      np.maximum(slack, 0.0), np.maximum(warm.lam, 0.0), warm.y)
+        near = np.maximum(np.abs(np.concatenate([rE, rI], axis=1)).max(axis=1, initial=0.0),
+                          mu) <= tol
+    if warm.valid is not None:
+        near &= warm.valid
+    pos = np.flatnonzero(near)
+    sub = qp if pos.size == qp.size else qp.take(pos)
+    k = pos.size
+    active = warm.lam[pos] > slack[pos]
+    # unknowns (x, y, lam): stationarity, the equality rows, then per
+    # inequality row either G_i x = g_i (active) or lam_i = 0
+    N, e = n + mE + mI, n + mE
+    K = np.zeros((k, N, N))
+    K[:, np.arange(n), np.arange(n)] = sub.D
+    K[:, :n, n:e] = sub.AE.transpose(0, 2, 1)
+    K[:, :n, e:] = sub.G.transpose(0, 2, 1)
+    K[:, n:e, :n] = sub.AE
+    K[:, e:, :n] = sub.G * active[:, :, None]
+    K[:, np.arange(e, N), np.arange(e, N)] = ~active
+    rhs = np.concatenate([sub.D * sub.z - sub.c, sub.bE, np.where(active, sub.g, 0.0)], axis=1)
+    with np.errstate(all="ignore"):
+        d, ok = _solve_each(K, rhs)
+        x, y, lam = d[:, :n], d[:, n:e], np.maximum(d[:, e:], 0.0)
+        s = np.maximum(sub.g - _mv(sub.G, x), 0.0)
+        err = _residuals(sub.c, sub.D, sub.z, sub.AE, sub.bE, sub.G, sub.g, x, s, lam, y)[-1]
+        ok &= err <= tol[pos]
+    return pos[ok], QPIterate(x=x[ok], lam=lam[ok], y=y[ok])
+
+
 def solve_qp_diagonal(qp: QPStack, warm_start: QPIterate = None) -> QPStackResult:
-    """Mehrotra predictor-corrector on every member of ``qp`` in one loop,
-    warm from the members of ``warm_start`` that it marks valid.
+    """Every member of ``qp``, warm from the members of ``warm_start`` that
+    it marks valid.
+
+    A warm-started member is first tried at its warm iterate's active set
+    (``_active_set_step``): a PH wave moves only the linear term, the
+    center and the penalty, and for a fixed active set the solution is
+    affine in them, so one stacked KKT solve settles most members.  Those
+    are optimal after 0 iterations and marked ``accepted``.  The rest run
+    the interior point as one stack, warm from their iterates.  A program
+    without inequality rows has no active set to keep; the interior
+    point's first Newton step is the same solve.
+    """
+    S = qp.size
+    accepted = np.zeros(S, dtype=bool)
+    if warm_start is not None and qp.g.shape[1]:
+        at, settled = _active_set_step(qp, warm_start)
+        accepted[at] = True
+    if not accepted.any():
+        status, iterations, iterate = _interior_point(qp, warm_start)
+    else:
+        status = np.full(S, OPTIMAL, dtype=object)
+        iterations = np.zeros(S, dtype=int)
+        iterate = QPIterate(*(np.empty(a.shape) for a in (qp.c, qp.g, qp.bE)))
+        parts = [(at, settled)]
+        rest = np.flatnonzero(~accepted)
+        if rest.size:
+            status[rest], iterations[rest], again = _interior_point(qp.take(rest),
+                                                                    warm_start.take(rest))
+            parts.append((rest, again))
+        for pos, part in parts:
+            iterate.x[pos], iterate.lam[pos], iterate.y[pos] = part.x, part.lam, part.y
+    x = iterate.x
+    with np.errstate(all="ignore"):     # an unbounded member's objective may overflow
+        objective = np.einsum("si,si->s", qp.c, x) + 0.5 * np.sum(qp.D * (x - qp.z) ** 2, axis=1)
+    return QPStackResult(status=status, member_iterations=iterations, objective=objective,
+                         iterate=iterate, accepted=accepted)
+
+
+def _interior_point(qp: QPStack, warm_start: QPIterate = None):
+    """Mehrotra predictor-corrector on every member of ``qp`` in one loop:
+    each member's (status, iterations) and its best iterate.
 
     Each member keeps its own step lengths, convergence test, best iterate,
     regularization and status.  A member leaves the loop when it converges
@@ -878,7 +1001,7 @@ def solve_qp_diagonal(qp: QPStack, warm_start: QPIterate = None) -> QPStackResul
     best_err = np.full(S, np.inf)
     status = np.full(S, ITERATION_LIMIT, dtype=object)
     iterations = np.full(S, limit)
-    tol = OPT_TOL * (1.0 + np.maximum(qp.rhs_scale, np.abs(qp.c).max(axis=1, initial=0.0)))
+    tol = _qp_tolerance(qp)
     # the KKT matrices without their G^T W G block, and the diagonal that
     # the regularization r adds to: D + r on x, -r on y
     K0 = np.zeros((S, n + mE, n + mE))
@@ -892,13 +1015,8 @@ def solve_qp_diagonal(qp: QPStack, warm_start: QPIterate = None) -> QPStackResul
 
     with np.errstate(all="ignore"):     # a diverging member must not warn for the rest
         for it in range(limit):
-            c, D, z, AE, bE, G, g, tol_run, K0, Dpad = data
-            rd = D * (x - z) + c + _mv(AE.transpose(0, 2, 1), y) + _mv(G.transpose(0, 2, 1), lam)
-            rE = _mv(AE, x) - bE
-            rI = _mv(G, x) + s - g
-            mu = np.einsum("si,si->s", s, lam) / mI if mI else np.zeros(run.size)
-            err = np.maximum(np.abs(np.concatenate([rd, rE, rI], axis=1)).max(axis=1, initial=0.0),
-                             mu)
+            rd, rE, rI, mu, err = _residuals(*data[:7], x, s, lam, y)
+            G, tol_run, K0, Dpad = data[5], data[7], data[8], data[9]
             better = err < best_err[run]
             at = run[better]
             best_err[at] = err[better]
@@ -924,7 +1042,7 @@ def solve_qp_diagonal(qp: QPStack, warm_start: QPIterate = None) -> QPStackResul
                 if not run.size:
                     break
                 data = tuple(a[go] for a in data)
-                c, D, z, AE, bE, G, g, tol_run, K0, Dpad = data
+                G, K0, Dpad = data[5], data[8], data[9]
             GT = G.transpose(0, 2, 1)
             M = (GT * np.clip(lam / np.maximum(s, 1e-300), 0.0, 1e14)[:, None, :]) @ G
             reg = np.full(run.size, _REG_START)
@@ -982,11 +1100,7 @@ def solve_qp_diagonal(qp: QPStack, warm_start: QPIterate = None) -> QPStackResul
                 data = tuple(a[ok] for a in data)
                 if not run.size:
                     break
-
-        xb = best.x
-        objective = np.einsum("si,si->s", qp.c, xb) + 0.5 * np.sum(qp.D * (xb - qp.z) ** 2, axis=1)
-    return QPStackResult(status=status, member_iterations=iterations, objective=objective,
-                         iterate=best)
+    return status, iterations, best
 
 
 def linearize_penalty(lp: LPInstance, r: float, center, norm: str = "one") -> LPInstance:

@@ -152,16 +152,18 @@ class ProximalStacks:
 class BundleSolution:
     """Proximal solutions of a scenario bundle, in the bundle's order.
 
-    ``warm`` holds each scenario's interior-point iterate (x, lam, y), or
-    None after a linearized solve; ``ipm_iterations`` sums the scenarios'
-    interior-point iterations, cold retries included, ``qp_retries`` counts
-    the cold retries and ``qp_s`` is the time spent in the kernel.
+    ``warm`` holds each scenario's QP iterate (x, lam, y), or None after a
+    linearized solve; ``qp_accepted`` counts the scenarios settled at their
+    last active set, ``ipm_iterations`` sums the others' interior-point
+    iterations, cold retries included, ``qp_retries`` counts the cold
+    retries and ``qp_s`` is the time spent in the kernel.
     """
 
     scenarios: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     warm: list
+    qp_accepted: int = 0
     ipm_iterations: int = 0
     qp_retries: int = 0
     qp_s: float = 0.0
@@ -173,10 +175,12 @@ def solve_ph_subproblem(data: ProximalStacks, bundle, xi, rho, r,
     objective + rho_s^T x + r/2 |x - xi|^2, with ``rho`` the (S, n)
     multipliers and ``warm[s]`` scenario s's last iterate (or None).
 
-    The scenarios of one row pattern are solved as one ``kernel.QPStack``.
-    A warm start can leave a QP that solves cold stalled far off the
-    central path, so the warm-started members that end non-optimal are
-    solved again, cold, once, as one stack of their own.
+    The scenarios of one row pattern are solved as one ``kernel.QPStack``,
+    warm from their last iterates: the kernel settles most of them at
+    their last active set and runs its interior point on the rest.  A warm
+    start can leave a QP that solves cold stalled far off the central
+    path, so the warm-started members that end non-optimal are solved
+    again, cold, once, as one stack of their own.
     With ``linearize`` ('one' or 'inf') each scenario is one LP instead.
     A scenario that does not end optimal raises the error
     ``kernel.require_optimal`` names for it, the lowest such scenario first.
@@ -185,7 +189,7 @@ def solve_ph_subproblem(data: ProximalStacks, bundle, xi, rho, r,
     n = data.n
     xs = np.empty((bundle.size, n + data.m))
     iterates = [None] * bundle.size
-    ipm_iterations = retries = 0
+    accepted = ipm_iterations = retries = 0
     failed = {}
     t0 = time.perf_counter()
     if linearize:
@@ -202,6 +206,7 @@ def solve_ph_subproblem(data: ProximalStacks, bundle, xi, rho, r,
             qp = data.wave_stack(g, data.position[members], xi, rho, r)
             start = _stacked_warm(warm, members, qp)
             res = kernel.solve_qp_diagonal(qp, start)
+            accepted += int(res.accepted.sum())
             ipm_iterations += res.iterations
             if start is not None:
                 warmed = True if start.valid is None else start.valid
@@ -221,7 +226,8 @@ def solve_ph_subproblem(data: ProximalStacks, bundle, xi, rho, r,
         s = min(failed)
         kernel.require_optimal(failed[s], "proximal subproblem", s)
     return BundleSolution(scenarios=bundle, xs=xs[:, :n], ys=xs[:, n:], warm=iterates,
-                          ipm_iterations=ipm_iterations, qp_retries=retries, qp_s=qp_s)
+                          qp_accepted=accepted, ipm_iterations=ipm_iterations,
+                          qp_retries=retries, qp_s=qp_s)
 
 
 def _merge(res, pos, again):
@@ -354,7 +360,8 @@ class _PhCoordinator:
         self.resolved = False      # some version completed since the last aggregation
         self.trace = []
         self.warm = [None] * S
-        self.ipm_iterations = 0    # interior-point iterations since the last trace record
+        self.qp_accepted = 0       # QPs settled at their active set since the last trace record
+        self.ipm_iterations = 0    # interior-point iterations since that record
         self.qp_s = 0.0            # and the seconds they took
         self.qp_retries = 0        # cold re-solves of warm-started QPs since that record
 
@@ -375,6 +382,7 @@ class _PhCoordinator:
         if self.finished:
             return      # results drained after the stop leave the run as reported
         sol = env.payload
+        self.qp_accepted += sol.qp_accepted
         self.ipm_iterations += sol.ipm_iterations
         self.qp_retries += sol.qp_retries
         self.qp_s += sol.qp_s
@@ -403,9 +411,10 @@ class _PhCoordinator:
                            "dual_gap": st.dual_gap, "penalty": st.r,
                            "objective": _objective(self.p, st),
                            "multiplier_drift": st.multiplier_drift(self.probs),
+                           "qp_accepted": self.qp_accepted,
                            "ipm_iterations": self.ipm_iterations,
                            "qp_retries": self.qp_retries, "qp_s": self.qp_s})
-        self.ipm_iterations, self.qp_retries, self.qp_s = 0, 0, 0.0
+        self.qp_accepted, self.ipm_iterations, self.qp_retries, self.qp_s = 0, 0, 0, 0.0
         resolved, self.resolved = self.resolved, False
         if resolved and st.primal_gap <= cfg.primal_tol and st.dual_gap <= cfg.dual_tol:
             self.status = "optimal"

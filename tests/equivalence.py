@@ -14,11 +14,14 @@ EWS; EEV} on simple, farmer, norrc-1 and farmer-40; farmer-1000 with 8
 partial-aggregation bundles of 125 on the sync engine; farmer-150 multi-cut;
 random relatively complete (rcr) and not relatively complete (norrc)
 instances, seeds 0-19 x single/multi x none/tr/rd/level; and the sampled
-VRP/EVPI/VSS intervals on the simple model with n = 64, seeds 0-2.  pytest
-does not collect this file.
+VRP/EVPI/VSS intervals on the simple model with n = 64, seeds 0-2; and
+progressive hedging, fixed and adaptive, to convergence (at most 5000
+iterations) on the sampled simple-model instances
+``sampling._batch_instance(simple_model(), simple_sampler(), n, seed)``
+with n = 16 and 64, seeds 0-2.  pytest does not collect this file.
 """
 
-from stochlp import analysis, fixtures, kernel, lshaped
+from stochlp import analysis, fixtures, kernel, lshaped, sampling
 from stochlp.errors import StochLPError
 from stochlp.execution import ExecConfig
 from stochlp.lshaped import LShapedConfig, solve_lshaped
@@ -52,9 +55,9 @@ def dep_fields(problem):
     return sol.status, sol.iterations, "-", repr(float(sol.objective))
 
 
-def ph_fields(problem, penalty, linearize):
+def ph_fields(problem, penalty, linearize, max_iterations=200):
     rep = solve_ph(problem, PhConfig(penalty=penalty, linearize=linearize,
-                                     max_iterations=200))
+                                     max_iterations=max_iterations))
     return rep.status, rep.iterations, "-", repr(rep.objective)
 
 
@@ -107,6 +110,16 @@ def sampled_grid():
         line(f"simple sampled n=64 seed {seed}", run)
 
 
+def ph_probe_grid():
+    for n in (16, 64):
+        for seed in range(3):
+            p = sampling._batch_instance(fixtures.simple_model(), fixtures.simple_sampler(),
+                                         n, seed)
+            for penalty in ("fixed", "adaptive"):
+                line(f"simple probe n={n} seed {seed} ph {penalty}",
+                     lambda: ph_fields(p, penalty, None, max_iterations=5000))
+
+
 if __name__ == "__main__":
-    for grid in (small_grid, large_grid, random_grid, sampled_grid):
+    for grid in (small_grid, large_grid, random_grid, sampled_grid, ph_probe_grid):
         grid()

@@ -291,6 +291,16 @@ class TestSaaCommand:
         assert cli.main(["saa", "--model", "simple", *flags]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_exit_1_on_an_unknown_sampler(self, capsys):
+        from stochlp import cli
+        assert cli.main(["saa", "--sampler", "bogus"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == ("error: unknown sampler 'bogus'; "
+                                           "available: ['simple-discrete', 'simple-normal']\n")
+        from stochlp import fixtures
+        from stochlp.errors import ConfigError
+        with pytest.raises(ConfigError, match=r"^unknown fixture 'bogus'; available: \["):
+            fixtures.get_fixture("bogus")
+
     def test_exit_1_on_a_model_without_a_sampler(self, capsys):
         from stochlp import cli
         assert cli.main(["saa", "--model", "farmer"]) == cli.EXIT_CONFIG

@@ -321,8 +321,12 @@ class TestTrace:
         rep = solve_ph(farmer_problem(), PhConfig(penalty="fixed", r=1.0))
         total = sum(t["ipm_iterations"] for t in rep.trace)
         assert total > 0
-        # every wave solves each of the three scenarios at least once
-        assert all(t["ipm_iterations"] >= 3 for t in rep.trace)
+        # every wave settles each of the three scenarios: at its last
+        # active set, or by at least one interior-point iteration
+        assert all(0 <= t["qp_accepted"] <= 3 for t in rep.trace)
+        assert all(t["ipm_iterations"] >= 3 - t["qp_accepted"] for t in rep.trace)
+        assert rep.trace[0]["qp_accepted"] == 0
+        assert all(t["qp_accepted"] > 0 for t in rep.trace[len(rep.trace) // 2:])
         assert all(t["qp_s"] > 0.0 for t in rep.trace)
 
 

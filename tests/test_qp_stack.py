@@ -92,6 +92,82 @@ def test_a_stalled_member_leaves_the_others_unchanged(seed, stalled):
     np.testing.assert_allclose(res.iterate.x[others], alone.iterate.x, rtol=0, atol=1e-12)
 
 
+def moved(data, seed, by=1e-3):
+    """``data`` with its costs and centers moved by ``by`` N(0, 1) draws."""
+    c, A, rhs, senses, lb, ub, D, z = data
+    rng = np.random.default_rng([seed, 1])
+    return (c + by * rng.normal(0.0, 1.0, c.shape), A, rhs, senses, lb, ub, D,
+            z + by * rng.normal(0.0, 1.0, z.shape))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_an_accepted_member_matches_the_cold_solve_of_the_moved_stack(seed):
+    data = random_stack(seed)
+    start = solve_qp_diagonal(qp_stack(*data)).iterate
+    data = moved(data, seed)
+    qp = qp_stack(*data)
+    res = solve_qp_diagonal(qp, start)
+    # the interior point stops on its residuals, and at a degenerate vertex
+    # its x can be much further than OPT_TOL from the optimum; solved to
+    # 1e-12, its x is the reference the default tolerance is measured against
+    with patch.object(kernel, "OPT_TOL", 1e-12):
+        cold = solve_qp_diagonal(qp)
+    for i in np.flatnonzero(res.accepted):
+        assert res.status[i] == cold.status[i] == kernel.OPTIMAL
+        assert res.member_iterations[i] == 0
+        tol = kernel_tol(member_lp(data, i))
+        np.testing.assert_allclose(res.iterate.x[i], cold.iterate.x[i], rtol=0, atol=tol)
+        assert res.objective[i] == pytest.approx(cold.objective[i], rel=0, abs=tol)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_far_off_warm_start_settles_no_member(seed):
+    qp = qp_stack(*random_stack(seed))
+    far = QPIterate(x=np.full(qp.c.shape, 1e8), lam=np.full(qp.g.shape, 1e8),
+                    y=np.zeros(qp.bE.shape))
+    res = solve_qp_diagonal(qp, far)
+    assert not res.accepted.any()
+    status, iterations, iterate = kernel._interior_point(qp, far)
+    np.testing.assert_array_equal(res.status, status)
+    np.testing.assert_array_equal(res.member_iterations, iterations)
+    for name in ("x", "lam", "y"):
+        np.testing.assert_array_equal(getattr(res.iterate, name), getattr(iterate, name))
+
+
+def test_an_active_set_that_leaves_y_undetermined_falls_back():
+    # min (x - 1/2)^2 / 2 + q^T y  s.t.  y1 + y2 >= 1, y >= 0: member 0 has
+    # q = (1, 2) and the vertex y = (1, 0); member 1 has q = (1, 1), a face
+    # of optima whose center the interior point stops at, where only the row
+    # is active and the KKT system cannot fix y1 against y2
+    inf = np.inf
+    qp = qp_stack([[0.0, 1.0, 2.0], [0.0, 1.0, 1.0]], np.tile([[[0.0, 1.0, 1.0]]], (2, 1, 1)),
+                  np.ones((2, 1)), (">=",), np.tile([-inf, 0.0, 0.0], (2, 1)), np.full((2, 3), inf),
+                  np.tile([1.0, 0.0, 0.0], (2, 1)), np.tile([0.5, 0.0, 0.0], (2, 1)))
+    start = solve_qp_diagonal(qp).iterate
+    np.testing.assert_allclose(start.x[1, 1:], [0.5, 0.5], atol=1e-6)
+    systems = []
+    solve_each = kernel._solve_each
+
+    def record(K, rhs):
+        d, ok = solve_each(K, rhs)
+        systems.append((K, ok))
+        return d, ok
+
+    with patch.object(kernel, "_solve_each", record):
+        res = solve_qp_diagonal(qp, start)
+    K, ok = systems[0]
+    assert list(ok) == [True, False]
+    assert np.linalg.matrix_rank(K[1]) < K.shape[1]
+    assert list(res.accepted) == [True, False]
+    assert list(res.status) == [kernel.OPTIMAL] * 2
+    np.testing.assert_allclose(res.iterate.x[0], [0.5, 1.0, 0.0], atol=1e-12)
+    # member 1 is the interior point's warm solve alone, as without the step
+    status, iterations, iterate = kernel._interior_point(qp.take([1]), start.take([1]))
+    assert res.status[1] == status[0] and res.member_iterations[1] == iterations[0] > 0
+    np.testing.assert_allclose(res.iterate.x[1], iterate.x[0], rtol=0, atol=1e-12)
+
+
 def test_infeasible_and_unbounded_members_end_alone():
     inf = np.inf
     # x in [0, 1] with x >= rhs: the middle member is infeasible

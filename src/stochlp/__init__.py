@@ -34,6 +34,7 @@ from .model import (
     LPInstance,
     RecourseShape,
     Scenario,
+    ScenarioBatch,
     StochasticModel,
     TwoStageProblem,
     build_deterministic_equivalent,
@@ -61,7 +62,7 @@ __all__ = [
     "Basis", "ConfidenceReport", "Cut", "DiscreteSampler", "ExecConfig",
     "FirstStage", "LPInstance", "LPSolution", "LShapedConfig",
     "MeasureResult", "NormalSampler", "PhConfig", "RecourseShape", "SaaConfig",
-    "Scenario", "SolveReport", "StochasticModel", "TwoStageProblem",
+    "Scenario", "ScenarioBatch", "SolveReport", "StochasticModel", "TwoStageProblem",
     "all_measures", "build_deterministic_equivalent",
     "build_expected_value_problem", "build_problem", "build_wait_and_see",
     "confidence_interval", "eev", "evaluate_decision", "evpi", "ews",

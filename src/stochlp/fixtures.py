@@ -60,11 +60,7 @@ def _simple_scenario(prob, q1, q2, d1, d2):
 def simple_problem() -> TwoStageProblem:
     """Discrete two-scenario instance; DEP optimum -855.833333333333."""
     model = simple_model()
-    scenarios = [
-        _simple_scenario(0.4, 24.0, 28.0, 500.0, 100.0),
-        _simple_scenario(0.6, 28.0, 32.0, 300.0, 300.0),
-    ]
-    return build_problem(model.first, model.shape, scenarios)
+    return build_problem(model.first, model.shape, simple_problem_declared_scenarios())
 
 
 SIMPLE_MU = np.array([24.0, 32.0, 400.0, 200.0])

@@ -205,11 +205,8 @@ def recourse_values(batch, x):
             raise SecondStageInfeasible(s)
         return sol
 
-    owner = duplicate_owners(batch.scenarios)
-    idx = np.flatnonzero(owner == np.arange(batch.size))
-    vals = np.empty(batch.size)
-    vals[idx] = solve_recourse(BasisPool(batch), x, idx, solve=solve).value
-    return vals[owner]
+    idx, copy_of = np.unique(duplicate_owners(batch), return_inverse=True)
+    return solve_recourse(BasisPool(batch), x, idx, solve=solve).value[copy_of]
 
 
 def make_feasibility_cut(rec: Recourse, row, iteration=0) -> Cut:

@@ -3,7 +3,8 @@
 A problem is a first-stage LP plus a finite list of weighted scenarios that
 share one recourse shape (fixed W).  This module alone decides how that data
 is held: every matrix is stored dense (sparse input is converted once, at
-construction), and all data is normalized to minimization by
+construction), the scenarios are kept once, as one read-only
+:class:`ScenarioBatch`, and all data is normalized to minimization by
 :func:`minimization_form`; reported objective values are un-negated for
 problems that were declared as maximization.
 
@@ -13,7 +14,7 @@ Row senses are the strings "<=", ">=", "=".
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -63,13 +64,19 @@ def _check_senses(senses, m, name):
     return out
 
 
+def _store(obj, **fields):
+    """Set the normalized ``fields`` of the frozen dataclass ``obj``."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
 def _default_bounds(n, lb, ub):
     lo = np.zeros(n) if lb is None else _as_vector(lb, "lb", n)
     hi = np.full(n, np.inf) if ub is None else _as_vector(ub, "ub", n)
-    if np.any(lo > hi):
+    if (lo > hi).any():
         bad = int(np.argmax(lo > hi))
         raise ValueError(f"variable {bad}: lower bound {lo[bad]} exceeds upper bound {hi[bad]}")
-    if np.any(lo == np.inf) or np.any(hi == -np.inf) or np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+    if (lo == np.inf).any() or (hi == -np.inf).any() or np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("bounds must satisfy lb < +inf and ub > -inf")
     return lo, hi
 
@@ -99,12 +106,7 @@ class FirstStage:
         lo, hi = _default_bounds(n, self.lb, self.ub)
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "row_senses", senses)
-        object.__setattr__(self, "lb", lo)
-        object.__setattr__(self, "ub", hi)
+        _store(self, c=c, A=A, b=b, row_senses=senses, lb=lo, ub=hi)
 
     @property
     def n(self):
@@ -134,10 +136,7 @@ class RecourseShape:
         lo, hi = _default_bounds(m, self.lb, self.ub)
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "row_senses", senses)
-        object.__setattr__(self, "lb", lo)
-        object.__setattr__(self, "ub", hi)
+        _store(self, W=W, row_senses=senses, lb=lo, ub=hi)
 
     @property
     def m(self):
@@ -150,7 +149,8 @@ class RecourseShape:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One realization: probability plus the scenario-dependent (q, T, h).
+    """One realization as an input or output record: probability plus the
+    scenario-dependent (q, T, h); :func:`stack_scenarios` stacks records.
 
     Bounds and row senses default to the recourse shape's; pass them only
     when a scenario overrides the defaults.
@@ -167,27 +167,8 @@ class Scenario:
     def __post_init__(self):
         if not np.isfinite(self.probability) or self.probability <= 0:
             raise NonPositiveProbability(f"scenario probability must be > 0, got {self.probability}")
-        q = _as_vector(self.q, "scenario q")
-        T = _as_matrix(self.T, "scenario T")
-        h = _as_vector(self.h, "scenario h", T.shape[0])
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "h", h)
-        if self.lb is not None:
-            object.__setattr__(self, "lb", _as_vector(self.lb, "scenario lb", q.size))
-        if self.ub is not None:
-            object.__setattr__(self, "ub", _as_vector(self.ub, "scenario ub", q.size))
-        if self.row_senses is not None:
-            object.__setattr__(self, "row_senses",
-                               _check_senses(self.row_senses, h.size, "scenario row_senses"))
-
-    def bounds(self, shape: RecourseShape):
-        lo = self.lb if self.lb is not None else shape.lb
-        hi = self.ub if self.ub is not None else shape.ub
-        return lo, hi
-
-    def senses(self, shape: RecourseShape):
-        return self.row_senses if self.row_senses is not None else shape.row_senses
+        _store(self, q=_as_vector(self.q, "scenario q"), T=_as_matrix(self.T, "scenario T"),
+               h=_as_vector(self.h, "scenario h"))
 
 
 def write_targets(q, T, h, assignments):
@@ -209,56 +190,98 @@ def write_targets(q, T, h, assignments):
     return q, T, h
 
 
-def duplicate_owners(scenarios):
-    """For each scenario, the index of the first one with the same (q, T, h) and
-    overrides: their recourse LPs are identical, and a merge keeps that one."""
-    first, owners = {}, []
-    for k, s in enumerate(scenarios):
-        key = tuple(None if a is None else a.tobytes() for a in (s.q, s.T, s.h, s.lb, s.ub))
-        owners.append(first.setdefault(key + (s.row_senses,), k))
-    return np.array(owners, dtype=int)
-
-
 @dataclass(frozen=True)
 class ScenarioBatch:
-    """Second-stage data of a scenario list, stacked along a leading scenario axis.
+    """A problem's scenario data, stacked along a leading scenario axis.
 
-    ``q`` is (S, m), ``T`` (S, r, n), ``h`` (S, r), and ``lb``/``ub`` (S, m)
-    and ``senses`` (S,) are the effective bounds and row senses (a
-    scenario's override, else the shape's).  ``own_senses`` (S,) marks the
-    scenarios whose row senses differ from the shape's.  ``shape`` and
-    ``scenarios`` are the data it was built from.
+    ``probability`` is (S,), ``q`` (S, m), ``T`` (S, r, n), ``h`` (S, r),
+    and ``lb``/``ub`` (S, m) and ``senses`` (S,) are the effective bounds
+    and row senses (a scenario's override, else the shape's).
+    ``own_senses`` (S,), derived from them, marks the scenarios whose row
+    senses differ from the shape's.  Every array is read-only.
     """
 
     shape: RecourseShape
-    scenarios: tuple
+    probability: np.ndarray
     q: np.ndarray
     T: np.ndarray
     h: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     senses: tuple
-    own_senses: np.ndarray
+    own_senses: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _store(self, own_senses=np.array([x != self.shape.row_senses for x in self.senses]))
+        for a in (self.probability, self.q, self.T, self.h, self.lb, self.ub, self.own_senses):
+            a.flags.writeable = False
 
     @property
     def size(self):
-        return len(self.scenarios)
+        return self.probability.size
+
+    def rows(self, idx, probability):
+        """The scenarios ``idx`` of this batch, in that order, with new probabilities."""
+        return ScenarioBatch(shape=self.shape, probability=np.asarray(probability, dtype=float),
+                             q=self.q[idx], T=self.T[idx], h=self.h[idx], lb=self.lb[idx],
+                             ub=self.ub[idx], senses=tuple(self.senses[k] for k in idx))
+
+
+def _stacked(rows, name, size):
+    """``rows`` stacked along a new leading axis; the first not of shape ``size`` is named."""
+    try:
+        a = np.array(rows, dtype=float)
+        if a.shape[1:] == size:
+            return a
+    except ValueError:       # ragged rows, or rows that are not numbers
+        pass
+    for k, row in enumerate(rows):
+        if np.shape(row) != size:
+            raise DimensionMismatch(f"scenario {k} {name}", size, np.shape(row))
+    return np.array(rows, dtype=float)
+
+
+def stack_arrays(shape: RecourseShape, probability, q, T, h, lb, ub, senses) -> ScenarioBatch:
+    """The checked :class:`ScenarioBatch` of per-scenario data, with ``shape``'s defaults resolved.
+
+    Each argument holds one entry per scenario: a positive probability, its
+    (m,) q, (r, n) T and (r,) h (n is the first scenario's), and its bounds
+    and row senses, None where it takes the shape's.
+    """
+    probability = np.array(probability, dtype=float)
+    if probability.size == 0:
+        raise EmptyScenarioSet("a problem needs at least one scenario")
+    bad = np.flatnonzero(~(np.isfinite(probability) & (probability > 0)))
+    if bad.size:
+        raise NonPositiveProbability(
+            f"scenario {bad[0]} probability must be > 0, got {probability[bad[0]]}")
+    senses = tuple(shape.row_senses if x is None
+                   else _check_senses(x, shape.r, f"scenario {k} row_senses")
+                   for k, x in enumerate(senses))
+    return ScenarioBatch(
+        shape=shape, probability=probability,
+        q=_stacked(q, "q", (shape.m,)),
+        T=_stacked(T, "T", (shape.r, np.shape(T[0])[-1])),
+        h=_stacked(h, "h", (shape.r,)),
+        lb=_stacked([shape.lb if x is None else x for x in lb], "lb", (shape.m,)),
+        ub=_stacked([shape.ub if x is None else x for x in ub], "ub", (shape.m,)),
+        senses=senses)
 
 
 def stack_scenarios(shape: RecourseShape, scenarios) -> ScenarioBatch:
-    """The :class:`ScenarioBatch` of ``scenarios``, with ``shape``'s defaults resolved."""
+    """The :class:`ScenarioBatch` of the :class:`Scenario` records ``scenarios``."""
     scenarios = tuple(scenarios)
-    bounds = [s.bounds(shape) for s in scenarios]
-    senses = tuple(s.senses(shape) for s in scenarios)
-    return ScenarioBatch(
-        shape=shape, scenarios=scenarios,
-        q=np.array([s.q for s in scenarios]),
-        T=np.array([s.T for s in scenarios]),
-        h=np.array([s.h for s in scenarios]),
-        lb=np.array([lo for lo, _ in bounds]),
-        ub=np.array([hi for _, hi in bounds]),
-        senses=senses,
-        own_senses=np.array([x != shape.row_senses for x in senses], dtype=bool))
+    return stack_arrays(shape, *([getattr(s, name) for s in scenarios] for name in
+                                 ("probability", "q", "T", "h", "lb", "ub", "row_senses")))
+
+
+def duplicate_owners(batch: ScenarioBatch):
+    """For each scenario of ``batch``, the first one with the same data (q, T, h, bounds
+    and row senses): their recourse LPs are identical, and a merge keeps that one."""
+    rows = np.hstack([batch.q, batch.T.reshape(batch.size, -1), batch.h, batch.lb, batch.ub])
+    first = {}
+    return np.array([first.setdefault((row.tobytes(), senses), k)
+                     for k, (row, senses) in enumerate(zip(rows, batch.senses))])
 
 
 @dataclass(frozen=True)
@@ -277,15 +300,18 @@ class StochasticModel:
 class TwoStageProblem:
     """A finite two-stage stochastic LP, normalized to minimization.
 
-    Construct via :func:`build_problem`; the constructor arguments here are
-    assumed already normalized.
+    Construct via :func:`problem_from_batch` or :func:`build_problem`; the
+    constructor arguments here are assumed already normalized.
     """
 
     first: FirstStage
-    shape: RecourseShape
-    scenarios: tuple
+    batch: ScenarioBatch
     declared_first_sense: str = "min"
     declared_second_sense: str = "min"
+
+    @property
+    def shape(self) -> RecourseShape:
+        return self.batch.shape
 
     @property
     def n(self):
@@ -301,16 +327,11 @@ class TwoStageProblem:
 
     @property
     def nscen(self):
-        return len(self.scenarios)
+        return self.batch.size
 
     @property
     def probabilities(self):
-        return np.array([s.probability for s in self.scenarios])
-
-    @cached_property
-    def batch(self) -> ScenarioBatch:
-        """The scenarios stacked, built on first use and then kept."""
-        return stack_scenarios(self.shape, self.scenarios)
+        return self.batch.probability
 
     @cached_property
     def wait_and_see(self) -> WaitAndSeeForm:
@@ -347,12 +368,7 @@ class LPInstance:
         rhs = _as_vector(self.rhs, "rhs", A.shape[0])
         senses = _check_senses(self.row_senses, A.shape[0], "row_senses")
         lo, hi = _default_bounds(n, self.lb, self.ub)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "row_senses", senses)
-        object.__setattr__(self, "lb", lo)
-        object.__setattr__(self, "ub", hi)
+        _store(self, c=c, A=A, rhs=rhs, row_senses=senses, lb=lo, ub=hi)
 
     @property
     def nvars(self):
@@ -363,58 +379,49 @@ class LPInstance:
         return self.rhs.size
 
 
-def build_problem(first: FirstStage, shape: RecourseShape, scenarios) -> TwoStageProblem:
-    """Assemble and normalize a two-stage problem.
+def problem_from_batch(first: FirstStage, batch: ScenarioBatch) -> TwoStageProblem:
+    """Assemble and normalize a two-stage problem from its scenario data.
 
-    Probabilities are normalized to sum to one (drift beyond 0.1 is an
-    error); maximization senses are converted to internal minimization with
-    negated costs.
+    ``batch``'s T must have ``first.n`` columns.  Probabilities are
+    normalized to sum to one (drift beyond 0.1 is an error); maximization
+    senses are converted to internal minimization with negated costs.
     """
-    scenarios = list(scenarios)
-    if not scenarios:
-        raise EmptyScenarioSet("a problem needs at least one scenario")
-    m, r, n = shape.m, shape.r, first.n
-    for i, s in enumerate(scenarios):
-        if s.q.size != m:
-            raise DimensionMismatch(f"scenario {i} q", (m,), s.q.shape)
-        if s.T.shape != (r, n):
-            raise DimensionMismatch(f"scenario {i} T", (r, n), s.T.shape)
-        if s.h.size != r:
-            raise DimensionMismatch(f"scenario {i} h", (r,), s.h.shape)
-
-    total = sum(s.probability for s in scenarios)
+    _, r, n = batch.T.shape
+    if n != first.n:
+        raise DimensionMismatch("scenario 0 T", (r, first.n), (r, n))
+    total = sum(batch.probability.tolist())     # left to right, as records were summed
     if not np.isfinite(total) or total <= 0:
         raise ProbabilityMassError(f"scenario probabilities sum to {total}")
     # sums near 1 that are off by more than float noise smell like a typo and
     # warn; sums far from 1 are taken as intentional weights
     if PROB_NORMALIZE_TOL < abs(total - 1.0) <= PROB_ERROR_TOL:
-        warnings.warn(f"scenario probabilities sum to {total:.9g}; normalizing",
-                      stacklevel=2)
-    scenarios = [replace(s, probability=s.probability / total) for s in scenarios]
-    first_norm, shape_norm, scenarios = minimization_form(first, shape, scenarios)
-    return TwoStageProblem(
-        first=first_norm,
-        shape=shape_norm,
-        scenarios=tuple(scenarios),
-        declared_first_sense=first.sense,
-        declared_second_sense=shape.sense,
-    )
+        warnings.warn(f"scenario probabilities sum to {total:.9g}; normalizing", stacklevel=3)
+    first_norm, batch_norm = minimization_form(
+        first, replace(batch, probability=batch.probability / total))
+    return TwoStageProblem(first=first_norm, batch=batch_norm,
+                           declared_first_sense=first.sense,
+                           declared_second_sense=batch.shape.sense)
 
 
-def minimization_form(first: FirstStage, shape: RecourseShape, scenarios):
-    """Internal minimization data of a declared model: (first, shape, scenarios).
+def build_problem(first: FirstStage, shape: RecourseShape, scenarios) -> TwoStageProblem:
+    """The problem of :class:`Scenario` records: :func:`problem_from_batch` of their stack."""
+    return problem_from_batch(first, stack_scenarios(shape, scenarios))
+
+
+def minimization_form(first: FirstStage, batch: ScenarioBatch):
+    """Internal minimization data of a declared model: (first, batch).
 
     This is the one place where declared senses become minimization, for
     built problems and for sampled evaluation alike.  A max first stage
-    negates c.  A max second stage negates every q: it enters the fold as
+    negates c.  A max second stage negates q: it enters the fold as
     negated revenue, so its optimal value contributes with opposite sign to
     the declared first-stage objective.
     """
     if first.sense == "max":
         first = replace(first, c=-first.c, sense="min")
-    if shape.sense == "max":
-        scenarios = [replace(s, q=-s.q) for s in scenarios]
-    return first, replace(shape, sense="min"), list(scenarios)
+    if batch.shape.sense == "max":
+        batch = replace(batch, shape=replace(batch.shape, sense="min"), q=-batch.q)
+    return first, batch
 
 
 def build_deterministic_equivalent(p: TwoStageProblem) -> LPInstance:
@@ -499,35 +506,29 @@ def build_wait_and_see(p: TwoStageProblem, s: int) -> LPInstance:
                       lb=form.lb[s], ub=form.ub[s], col_names=form.col_names)
 
 
-def expected_scenario(scenarios, shape: RecourseShape) -> Scenario:
-    """Probability-weighted componentwise mean of (q, T, h) and bounds.
+def expected_scenario(batch: ScenarioBatch) -> ScenarioBatch:
+    """The probability-weighted componentwise mean of ``batch``'s scenarios,
+    as a batch of one scenario with probability 1.
 
-    A bound is averaged when some scenario overrides it; a scenario without
-    the override counts with ``shape``'s bound.
+    q, T and h are averaged.  A bound that every scenario shares is kept as
+    it is; one that varies is averaged.
     """
-    scenarios = list(scenarios)
-    if not scenarios:
-        raise EmptyScenarioSet("cannot average an empty scenario set")
-    batch = stack_scenarios(shape, scenarios)
-    total = sum(s.probability for s in scenarios)
-    w = [s.probability / total for s in scenarios]
-
-    def mean(stack):
-        return sum(wi * a for wi, a in zip(w, stack))
-
-    kwargs = {name: mean(getattr(batch, name)) for name in ("lb", "ub")
-              if any(getattr(s, name) is not None for s in scenarios)}
     if any(senses != batch.senses[0] for senses in batch.senses):
         raise ValueError("scenarios disagree on row senses; the mean scenario is undefined")
-    if batch.own_senses[0]:
-        kwargs["row_senses"] = batch.senses[0]
-    return Scenario(probability=1.0, q=mean(batch.q), T=mean(batch.T), h=mean(batch.h),
-                    **kwargs)
+    w = batch.probability / sum(batch.probability.tolist())
+
+    def mean(stack, shared=False):
+        return stack[:1] if shared and (stack == stack[0]).all() \
+            else sum(wi * a for wi, a in zip(w, stack))[None]
+
+    return ScenarioBatch(shape=batch.shape, probability=np.ones(1), q=mean(batch.q),
+                         T=mean(batch.T), h=mean(batch.h), lb=mean(batch.lb, shared=True),
+                         ub=mean(batch.ub, shared=True), senses=batch.senses[:1])
 
 
 def build_expected_value_problem(p: TwoStageProblem) -> LPInstance:
     """Wait-and-see LP on the expected scenario."""
-    return build_wait_and_see(replace(p, scenarios=(expected_scenario(p.scenarios, p.shape),)), 0)
+    return build_wait_and_see(replace(p, batch=expected_scenario(p.batch)), 0)
 
 
 def validate(p: TwoStageProblem) -> list:

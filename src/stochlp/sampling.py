@@ -22,11 +22,12 @@ from .errors import ConfigError, TooFewBatches
 from .lshaped import recourse_values, vrp
 from .model import (
     Scenario,
+    ScenarioBatch,
     StochasticModel,
     TwoStageProblem,
-    build_problem,
     duplicate_owners,
     minimization_form,
+    problem_from_batch,
     stack_scenarios,
     write_targets,
 )
@@ -104,25 +105,24 @@ class NormalSampler:
         return replace(t, q=q, T=T, h=h, probability=1.0)
 
 
-def _draws(sampler, n, seed):
-    """The n scenarios ``sampler`` draws for ``seed``, each with probability 1/n."""
-    return [replace(sampler.sample(seed, i), probability=1.0 / n) for i in range(n)]
+def _draws(sampler, shape, n, seed) -> ScenarioBatch:
+    """The n scenarios ``sampler`` draws for ``seed``, stacked, each with probability 1/n."""
+    drawn = stack_scenarios(shape, [sampler.sample(seed, i) for i in range(n)])
+    return replace(drawn, probability=np.full(n, 1.0 / n))
 
 
 def sample_instance(model: StochasticModel, sampler, n, seed) -> TwoStageProblem:
     """Finite instance of n sampled scenarios, each with probability 1/n."""
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    return build_problem(model.first, model.shape, _draws(sampler, n, seed))
+    return problem_from_batch(model.first, _draws(sampler, model.shape, n, seed))
 
 
-def _collapse_duplicates(scenarios):
+def _collapse_duplicates(batch: ScenarioBatch) -> ScenarioBatch:
     """Merge identical sampled scenarios into weighted ones (exact for the
     recourse problem); first occurrences keep their place."""
-    owner = duplicate_owners(scenarios)
-    weight = np.bincount(owner, weights=[s.probability for s in scenarios])
-    return [s if weight[k] == s.probability else replace(s, probability=float(weight[k]))
-            for k, s in enumerate(scenarios) if owner[k] == k]
+    keep, copy_of = np.unique(duplicate_owners(batch), return_inverse=True)
+    return batch.rows(keep, np.bincount(copy_of, weights=batch.probability))
 
 
 @dataclass
@@ -195,7 +195,8 @@ class SaaResult:
 
 def _batch_instance(model, sampler, n, seed):
     """Sampled instance of n scenarios, identical draws merged into one."""
-    return build_problem(model.first, model.shape, _collapse_duplicates(_draws(sampler, n, seed)))
+    return problem_from_batch(model.first,
+                              _collapse_duplicates(_draws(sampler, model.shape, n, seed)))
 
 
 def evaluate_on_samples(model, sampler, x, n_eval, seed):
@@ -207,9 +208,8 @@ def evaluate_on_samples(model, sampler, x, n_eval, seed):
     sample statistics), which makes discrete samplers cheap to evaluate,
     and the recourse values are bunched (``lshaped.solve_recourse``).
     """
-    first, shape, scenarios = minimization_form(
-        model.first, model.shape, [sampler.sample(seed, i) for i in range(n_eval)])
-    return float(first.c @ x) + recourse_values(stack_scenarios(shape, scenarios), x)
+    first, batch = minimization_form(model.first, _draws(sampler, model.shape, n_eval, seed))
+    return float(first.c @ x) + recourse_values(batch, x)
 
 
 def saa_solve(model: StochasticModel, sampler, cfg: SaaConfig = None, seed=0) -> SaaResult:

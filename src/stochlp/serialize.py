@@ -8,11 +8,12 @@ are encoded as null.  The stored data is the internally normalized
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ParseError
-from .model import FirstStage, RecourseShape, Scenario, TwoStageProblem
+from .model import FirstStage, RecourseShape, TwoStageProblem, problem_from_batch, stack_arrays
 
 FORMAT = "stochlp-problem"
 VERSION = 1
@@ -41,6 +42,7 @@ def _unmat(d):
 
 
 def problem_to_dict(p: TwoStageProblem) -> dict:
+    batch = p.batch
     return {
         "format": FORMAT,
         "version": VERSION,
@@ -62,15 +64,15 @@ def problem_to_dict(p: TwoStageProblem) -> dict:
         },
         "scenarios": [
             {
-                "probability": s.probability,
-                "q": s.q.tolist(),
-                "T": _mat(s.T),
-                "h": s.h.tolist(),
-                **({"lb": _vec(s.lb)} if s.lb is not None else {}),
-                **({"ub": _vec(s.ub)} if s.ub is not None else {}),
-                **({"row_senses": list(s.row_senses)} if s.row_senses is not None else {}),
+                "probability": float(batch.probability[k]),
+                "q": batch.q[k].tolist(),
+                "T": _mat(batch.T[k]),
+                "h": batch.h[k].tolist(),
+                **({"lb": _vec(batch.lb[k])} if (batch.lb[k] != p.shape.lb).any() else {}),
+                **({"ub": _vec(batch.ub[k])} if (batch.ub[k] != p.shape.ub).any() else {}),
+                **({"row_senses": list(batch.senses[k])} if batch.own_senses[k] else {}),
             }
-            for s in p.scenarios
+            for k in range(batch.size)
         ],
     }
 
@@ -90,20 +92,23 @@ def problem_from_dict(d: dict) -> TwoStageProblem:
     shape = RecourseShape(W=_unmat(s["W"]), sense="min",
                           row_senses=tuple(s["row_senses"]),
                           lb=_unvec(s["lb"], neg_inf=True), ub=_unvec(s["ub"]))
-    scenarios = []
-    for sc in d["scenarios"]:
-        kw = {}
-        if "lb" in sc:
-            kw["lb"] = _unvec(sc["lb"], neg_inf=True)
-        if "ub" in sc:
-            kw["ub"] = _unvec(sc["ub"])
-        if "row_senses" in sc:
-            kw["row_senses"] = tuple(sc["row_senses"])
-        scenarios.append(Scenario(probability=sc["probability"], q=sc["q"],
-                                  T=_unmat(sc["T"]), h=sc["h"], **kw))
-    return TwoStageProblem(first=first, shape=shape, scenarios=tuple(scenarios),
-                           declared_first_sense=d["declared_first_sense"],
-                           declared_second_sense=d["declared_second_sense"])
+    scs = d["scenarios"]
+
+    def per_scenario(key, read):
+        return [read(sc[key]) if key in sc else None for sc in scs]
+
+    batch = stack_arrays(
+        shape, [sc["probability"] for sc in scs], [sc["q"] for sc in scs],
+        [_unmat(sc["T"]) for sc in scs], [sc["h"] for sc in scs],
+        per_scenario("lb", lambda v: _unvec(v, neg_inf=True)), per_scenario("ub", _unvec),
+        per_scenario("row_senses", tuple))
+    problem = problem_from_batch(first, batch)
+    # a saved problem was normalized when it was built: probabilities that sum
+    # to one up to rounding are kept as stored, so that the round trip is exact
+    exact = abs(sum(batch.probability.tolist()) - 1.0) <= batch.size * np.finfo(float).eps
+    return replace(problem, batch=batch if exact else problem.batch,
+                   declared_first_sense=d["declared_first_sense"],
+                   declared_second_sense=d["declared_second_sense"])
 
 
 def save_problem(p: TwoStageProblem, path):

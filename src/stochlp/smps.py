@@ -407,8 +407,7 @@ def read_smps(triplet: SmpsTriplet, cap=DEFAULT_SCENARIO_CAP) -> TwoStageProblem
         positions.append(RandomPosition(target=("block", bname), outcomes=outcomes))
 
     scenarios = cross_product_scenarios(positions, q0, T0, h0, cap)
-    problem = build_problem(first, shape, scenarios)
-    return problem
+    return build_problem(first, shape, scenarios)
 
 
 def read_smps_files(core_path, time_path=None, stoch_path=None,

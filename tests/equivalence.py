@@ -14,14 +14,18 @@ EWS; EEV} on simple, farmer, norrc-1 and farmer-40; farmer-1000 with 8
 partial-aggregation bundles of 125 on the sync engine; farmer-150 multi-cut;
 random relatively complete (rcr) and not relatively complete (norrc)
 instances, seeds 0-19 x single/multi x none/tr/rd/level; and the sampled
-VRP/EVPI/VSS intervals on the simple model with n = 64, seeds 0-2; and
-progressive hedging, fixed and adaptive, to convergence (at most 5000
-iterations) on the sampled simple-model instances
+VRP/EVPI/VSS intervals on the simple model with n = 64, seeds 0-2, under the
+normal and the discrete sampler (the discrete one draws repeats, which
+``sampling._collapse_duplicates`` merges); and progressive hedging, fixed
+and adaptive, to convergence (at most 5000 iterations) on the sampled
+simple-model instances
 ``sampling._batch_instance(simple_model(), simple_sampler(), n, seed)``
-with n = 16 and 64, seeds 0-2.  pytest does not collect this file.
+with n = 16 and 64, seeds 0-2; and the DEP and single-cut L-shaped solves
+of each small-grid instance after an in-memory ``serialize`` round trip.
+pytest does not collect this file.
 """
 
-from stochlp import analysis, fixtures, kernel, lshaped, sampling
+from stochlp import analysis, fixtures, kernel, lshaped, sampling, serialize
 from stochlp.errors import StochLPError
 from stochlp.execution import ExecConfig
 from stochlp.lshaped import LShapedConfig, solve_lshaped
@@ -61,10 +65,13 @@ def ph_fields(problem, penalty, linearize, max_iterations=200):
     return rep.status, rep.iterations, "-", repr(rep.objective)
 
 
+def small_instances():
+    return {"simple": fixtures.simple_problem(), "farmer": fixtures.farmer_problem(),
+            "norrc-1": fixtures.norrc1_problem(), "farmer-40": farmer_instance(40, 1)}
+
+
 def small_grid():
-    instances = {"simple": fixtures.simple_problem(), "farmer": fixtures.farmer_problem(),
-                 "norrc-1": fixtures.norrc1_problem(), "farmer-40": farmer_instance(40, 1)}
-    for name, p in instances.items():
+    for name, p in small_instances().items():
         line(f"{name} dep", lambda: dep_fields(p))
         for cuts in ("single", "multi"):
             for reg in REGULARIZATIONS:
@@ -100,14 +107,16 @@ def random_grid():
 
 def sampled_grid():
     cfg = SaaConfig(rel_tol=0.05, n0=64, max_n=64, eval_samples=1000)
-    for seed in range(3):
-        def run():
-            res = analysis.sampled_measures(fixtures.simple_model(), fixtures.simple_sampler(),
-                                            cfg, seed=seed)
-            return ("-", "-", "-", " ".join(
-                f"{k} [{float(m.interval.lo)!r}, {float(m.interval.hi)!r}]"
-                for k, m in sorted(res.items())))
-        line(f"simple sampled n=64 seed {seed}", run)
+    for label, sampler in (("simple", fixtures.simple_sampler()),
+                           ("simple-discrete", fixtures.simple_discrete_sampler())):
+        for seed in range(3):
+            def run():
+                res = analysis.sampled_measures(fixtures.simple_model(), sampler, cfg,
+                                                seed=seed)
+                return ("-", "-", "-", " ".join(
+                    f"{k} [{float(m.interval.lo)!r}, {float(m.interval.hi)!r}]"
+                    for k, m in sorted(res.items())))
+            line(f"{label} sampled n=64 seed {seed}", run)
 
 
 def ph_probe_grid():
@@ -120,6 +129,15 @@ def ph_probe_grid():
                      lambda: ph_fields(p, penalty, None, max_iterations=5000))
 
 
+def round_trip_grid():
+    for name, p in small_instances().items():
+        q = serialize.problem_from_dict(serialize.problem_to_dict(p))
+        line(f"{name} round-trip dep", lambda: dep_fields(q))
+        line(f"{name} round-trip lshaped single none",
+             lambda: lshaped_fields(q, LShapedConfig(cuts="single")))
+
+
 if __name__ == "__main__":
-    for grid in (small_grid, large_grid, random_grid, sampled_grid, ph_probe_grid):
+    for grid in (small_grid, large_grid, random_grid, sampled_grid, ph_probe_grid,
+                 round_trip_grid):
         grid()

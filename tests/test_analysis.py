@@ -65,8 +65,8 @@ class TestEvaluateDecision:
             FirstStage(c=p.first.c, A=p.first.A, b=p.first.b,
                        row_senses=p.first.row_senses, lb=x, ub=x),
             p.shape,
-            [Scenario(probability=s.probability, q=s.q, T=s.T, h=s.h)
-             for s in p.scenarios])
+            [Scenario(probability=w, q=q, T=T, h=h)
+             for w, q, T, h in zip(p.probabilities, p.batch.q, p.batch.T, p.batch.h)])
         dep = kernel.solve_lp(build_deterministic_equivalent(pinned))
         assert val == pytest.approx(dep.objective, abs=1e-7)
 
@@ -105,11 +105,11 @@ class TestMeasures:
 
     def test_identical_scenarios_vss_zero(self):
         p0 = simple_problem()
-        sc = p0.scenarios[0]
+        q, T, h = p0.batch.q[0], p0.batch.T[0], p0.batch.h[0]
         twin = build_problem(
             p0.first, p0.shape,
-            [Scenario(probability=0.5, q=sc.q, T=sc.T, h=sc.h),
-             Scenario(probability=0.5, q=sc.q, T=sc.T, h=sc.h)])
+            [Scenario(probability=0.5, q=q, T=T, h=h),
+             Scenario(probability=0.5, q=q, T=T, h=h)])
         assert analysis.vss(twin).value == pytest.approx(0.0, abs=1e-6)
 
     def test_textbook_ews_identity(self):

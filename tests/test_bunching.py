@@ -10,7 +10,13 @@ from scipy.optimize import linprog
 
 from stochlp import analysis, kernel, lshaped
 from stochlp.errors import InfeasibleScenario, SecondStageInfeasible
-from stochlp.fixtures import farmer_problem, simple_model, simple_sampler
+from stochlp.fixtures import (
+    FARMER_YIELDS,
+    farmer_problem,
+    farmer_scenario,
+    simple_model,
+    simple_sampler,
+)
 from stochlp.lshaped import BasisPool, solve_recourse
 from stochlp.model import (
     FirstStage,
@@ -18,6 +24,7 @@ from stochlp.model import (
     Scenario,
     build_problem,
     build_wait_and_see,
+    problem_from_batch,
     stack_scenarios,
 )
 from stochlp.sampling import _batch_instance
@@ -74,11 +81,11 @@ def _lp(problem, s, x):
     return rec
 
 
-def _y_violation(shape, sc, x, y):
-    lo, hi = sc.bounds(shape)
-    ax = shape.W @ y - (sc.h - sc.T @ x)
+def _y_violation(batch, k, x, y):
+    lo, hi = batch.lb[k], batch.ub[k]
+    ax = batch.shape.W @ y - (batch.h[k] - batch.T[k] @ x)
     rows = [max(a, 0.0) if s == "<=" else max(-a, 0.0) if s == ">=" else abs(a)
-            for a, s in zip(ax, sc.senses(shape))]
+            for a, s in zip(ax, batch.senses[k])]
     return max(np.max(lo - y, initial=0.0), np.max(y - hi, initial=0.0), max(rows, default=0.0))
 
 
@@ -98,10 +105,9 @@ def test_bunched_outcomes_match_the_lp(seed, vary_q, overrides, degenerate):
     for s in idx:
         ref = _lp(p, s, x)
         assert rec.feasible[s] == ref.feasible[0]
-        sc = p.scenarios[s]
         if rec.feasible[s]:
             assert abs(rec.value[s] - ref.value[0]) <= 1e-9 * max(1.0, abs(ref.value[0]))
-            assert _y_violation(p.shape, sc, x, rec.y[s]) <= 1e-7
+            assert _y_violation(p.batch, s, x, rec.y[s]) <= 1e-7
         else:
             assert np.isnan(rec.y[s]).all() and not rec.bunched[s]
         assert rec.rhs[s] == pytest.approx(rec.value[s] + rec.gradient[s] @ x, rel=1e-12)
@@ -230,7 +236,7 @@ def test_solve_recourse_keeps_the_order_of_idx():
 def test_the_batch_is_built_once_per_problem():
     p = farmer_problem()
     assert p.batch is p.batch
-    b = stack_scenarios(p.shape, p.scenarios)
+    b = stack_scenarios(p.shape, [farmer_scenario(1.0 / 3.0, y) for y in FARMER_YIELDS])
     np.testing.assert_array_equal(b.T, p.batch.T)
     assert b.q.shape == (3, 6) and b.T.shape == (3, 4, 3) and b.lb.shape == (3, 6)
 
@@ -287,8 +293,8 @@ def _fixed_t(p, seed):
     first = FirstStage(c=np.round(rng.normal(0.0, 1.0, n), 2), A=np.ones((1, n)),
                        b=[float(rng.integers(-1, 3))], row_senses=(str(rng.choice(SENSES)),),
                        lb=np.full(n, -2.0), ub=np.full(n, 2.0))
-    T = p.scenarios[0].T
-    return build_problem(first, p.shape, [replace(sc, T=T) for sc in p.scenarios])
+    b = p.batch
+    return problem_from_batch(first, replace(b, T=np.broadcast_to(b.T[0], b.T.shape).copy()))
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -311,14 +317,14 @@ def test_bunched_wait_and_see_solutions_match_the_lp(seed, vary_q, overrides, de
 
 def _highs_wait_and_see(p, s):
     """Optimal value of scenario s's wait-and-see LP, built here from the arrays."""
-    first, sc = p.first, p.scenarios[s]
-    A = np.block([[first.A, np.zeros((first.p, p.m))], [sc.T, p.shape.W]])
-    rhs = np.concatenate([first.b, sc.h])
-    senses = np.array(first.row_senses + sc.senses(p.shape))
+    first, b = p.first, p.batch
+    A = np.block([[first.A, np.zeros((first.p, p.m))], [b.T[s], p.shape.W]])
+    rhs = np.concatenate([first.b, b.h[s]])
+    senses = np.array(first.row_senses + b.senses[s])
     sign = np.where(senses == ">=", -1.0, 1.0)
     ineq = senses != "="
-    lo, hi = sc.bounds(p.shape)
-    res = linprog(np.concatenate([first.c, sc.q]),
+    lo, hi = b.lb[s], b.ub[s]
+    res = linprog(np.concatenate([first.c, b.q[s]]),
                   A_ub=(A * sign[:, None])[ineq], b_ub=(rhs * sign)[ineq],
                   A_eq=A[~ineq] if (~ineq).any() else None,
                   b_eq=rhs[~ineq] if (~ineq).any() else None,
@@ -331,7 +337,7 @@ def _highs_wait_and_see(p, s):
 @pytest.mark.parametrize("seed", range(5))
 def test_ews_of_simple_normal_batches_matches_highs(seed):
     p = _batch_instance(simple_model(), simple_sampler(), 64, seed)
-    ref = sum(sc.probability * _highs_wait_and_see(p, s) for s, sc in enumerate(p.scenarios))
+    ref = sum(w * _highs_wait_and_see(p, s) for s, w in enumerate(p.probabilities))
     assert analysis.ews(p) == pytest.approx(ref, rel=1e-9)
 
 

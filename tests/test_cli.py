@@ -115,6 +115,16 @@ class TestSolve:
         serialize.save_problem(infeasible_problem(copies), path)
         assert cli.main([*args, "--input", str(path)]) == 3
 
+    def test_a_document_with_a_long_q_row_exits_1_naming_the_scenario(self, tmp_path, capsys):
+        from stochlp import cli, serialize
+        from stochlp.fixtures import simple_problem
+        doc = serialize.problem_to_dict(simple_problem())
+        doc["scenarios"][1]["q"].append(1.0)
+        path = tmp_path / "long-q.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == "error: scenario 1 q: expected shape (2,), got (3,)\n"
+
     def test_dep_over_the_size_limit_exits_1(self, monkeypatch, capsys):
         from stochlp import cli, model
         monkeypatch.setattr(model, "DEP_MAX_BYTES", 1024)

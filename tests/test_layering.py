@@ -10,7 +10,10 @@ its public names only: no ``kernel._name`` attribute reads and no
 Only ``model.py`` imports ``scipy.sparse``: it converts sparse input to the
 one dense form.  Only ``model.py`` resolves a scenario's default bounds and
 row senses; every other reader takes them from the problem's
-``ScenarioBatch``.  Every field of the solver and sampling configs and of
+``ScenarioBatch``.  ``Scenario`` records are an input form: only the modules
+that read or make them (``model``, ``smps``, ``fixtures``, ``sampling``)
+construct one or turn records into a problem, so the solve modules see
+batches only.  Every field of the solver and sampling configs and of
 ``LPInstance`` is set somewhere outside the tests (the package or the
 benchmark); a setting only tests change is a module constant instead, and an
 instance field only tests set is a second form that goes.
@@ -232,6 +235,55 @@ def test_the_default_scan_sees_every_form_of_use():
     )
     assert default_resolutions(source) == [(2, "f"), (4, "g"), (5, "<lambda>"),
                                            (6, "<module>")]
+
+
+RECORD_PATH = {"Scenario", "stack_scenarios", "build_problem"}
+RECORD_MODULES = {"model.py", "smps.py", "fixtures.py", "sampling.py"}
+
+
+def record_uses(source):
+    """(line, name) of every call that constructs a ``Scenario`` record or turns
+    records into a batch or a problem, under its own name or an import alias."""
+    tree = ast.parse(source)
+    alias = {name: name for name in RECORD_PATH}
+    alias.update((a.asname or a.name, a.name) for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for a in node.names if a.name in RECORD_PATH)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = alias.get(func.id) if isinstance(func, ast.Name) \
+                else func.attr if isinstance(func, ast.Attribute) and func.attr in RECORD_PATH \
+                else None
+            if name is not None:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name not in RECORD_MODULES),
+                         ids=lambda p: p.name)
+def test_only_the_record_modules_use_scenario_records(path):
+    assert record_uses(path.read_text()) == []
+
+
+def test_the_record_scan_sees_every_form_of_use():
+    source = (
+        "from .model import Scenario, stack_scenarios as stack\n"
+        "from stochlp import model\n"
+        "Scenario(probability=1.0, q=[1.0], T=[[1.0]], h=[1.0])\n"
+        "stack(shape, records)\n"
+        "model.build_problem(first, shape, records)\n"
+        "def f(shape, records):\n"
+        "    return model.stack_scenarios(shape, records)\n"
+        "stack_scenarios(shape, records)\n"
+        "Scenario\n"
+        "InfeasibleScenario(3)\n"
+        "p.batch.q\n"
+    )
+    assert record_uses(source) == [(3, "Scenario"), (4, "stack_scenarios"),
+                                   (5, "build_problem"), (7, "stack_scenarios"),
+                                   (8, "stack_scenarios")]
 
 
 BENCH = PACKAGE.parents[1] / "perfbench"

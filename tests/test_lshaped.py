@@ -69,12 +69,12 @@ class TestSubproblem:
         x = np.array([40.0, 20.0])
         sol = solve_subproblem(p.batch, 0, x)
         assert sol.status == kernel.OPTIMAL
-        sc = p.scenarios[0]
+        b = p.batch
         singleton = build_problem(
             FirstStage(c=p.first.c, A=p.first.A, b=p.first.b,
                        row_senses=p.first.row_senses,
                        lb=x, ub=x),          # pin x by bounds
-            p.shape, [Scenario(probability=1.0, q=sc.q, T=sc.T, h=sc.h)])
+            p.shape, [Scenario(probability=1.0, q=b.q[0], T=b.T[0], h=b.h[0])])
         from stochlp.model import build_deterministic_equivalent
         dep = kernel.solve_lp(build_deterministic_equivalent(singleton))
         assert sol.objective == pytest.approx(dep.objective - p.first.c @ x, abs=1e-7)

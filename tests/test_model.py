@@ -14,7 +14,15 @@ from stochlp.errors import (
     ProbabilityMassError,
     ProblemTooLarge,
 )
-from stochlp.fixtures import farmer_problem, simple_problem
+from stochlp.fixtures import (
+    FARMER_YIELDS,
+    farmer_problem,
+    farmer_scenario,
+    simple_discrete_sampler,
+    simple_model,
+    simple_problem,
+    simple_problem_declared_scenarios,
+)
 from stochlp.model import (
     FirstStage,
     LPInstance,
@@ -25,12 +33,14 @@ from stochlp.model import (
     build_problem,
     build_wait_and_see,
     expected_scenario,
+    minimization_form,
+    stack_scenarios,
     validate,
     write_targets,
 )
 from stochlp import serialize
 
-from _problems import random_rcr_problem
+from _problems import farmer_instance, random_rcr_problem
 
 
 def _tiny(prob_weights=(0.5, 0.5), nscen=2):
@@ -52,7 +62,7 @@ class TestBuildProblem:
         first, shape, scen = _tiny((1.0,), nscen=1)
         p = build_problem(first, shape, scen)
         assert p.nscen == 1
-        assert p.scenarios[0].probability == 1.0
+        assert p.batch.probability[0] == 1.0
 
     def test_weight_normalization(self):
         first, shape, scen = _tiny()
@@ -165,8 +175,8 @@ class TestWaitAndSee:
         ws = kernel.solve_lp(build_wait_and_see(p, 1))
         singleton = build_problem(
             p.first, p.shape,
-            [Scenario(probability=1.0, q=p.scenarios[1].q,
-                      T=p.scenarios[1].T, h=p.scenarios[1].h)])
+            [Scenario(probability=1.0, q=p.batch.q[1],
+                      T=p.batch.T[1], h=p.batch.h[1])])
         dep = kernel.solve_lp(build_deterministic_equivalent(singleton))
         assert abs(ws.objective - dep.objective) <= 1e-8 * (1 + abs(dep.objective))
 
@@ -174,25 +184,26 @@ class TestWaitAndSee:
 class TestExpectedScenario:
     def test_farmer_mean_yields(self):
         p = farmer_problem()
-        mean = expected_scenario(p.scenarios, p.shape)
-        np.testing.assert_allclose(np.diag(np.asarray(mean.T)[:3, :3]),
+        mean = expected_scenario(p.batch)
+        np.testing.assert_allclose(np.diag(np.asarray(mean.T[0])[:3, :3]),
                                    [2.5, 3.0, 20.0])
-        assert mean.probability == 1.0
+        assert mean.probability.tolist() == [1.0]
 
     def test_single_scenario(self):
         p = simple_problem()
-        mean = expected_scenario([p.scenarios[0]], p.shape)
-        np.testing.assert_allclose(mean.q, p.scenarios[0].q)
+        mean = expected_scenario(p.batch.rows([0], [1.0]))
+        np.testing.assert_allclose(mean.q[0], p.batch.q[0])
 
     def test_weighted_mean_of_costs(self):
         p = simple_problem()
-        mean = expected_scenario(p.scenarios, p.shape)
+        mean = expected_scenario(p.batch)
         # internal q is negated (max second stage): 0.4*24 + 0.6*28 = 26.4
-        assert abs(mean.q[0] - (-26.4)) <= 1e-12
+        assert abs(mean.q[0, 0] - (-26.4)) <= 1e-12
 
     def test_empty(self):
+        # an empty scenario set is refused where it is stacked, before any mean
         with pytest.raises(EmptyScenarioSet):
-            expected_scenario([], simple_problem().shape)
+            expected_scenario(stack_scenarios(simple_problem().shape, []))
 
     def test_missing_bound_override_counts_the_shape_bound(self):
         # shape ub 10, one of two equally likely scenarios overrides it with 2
@@ -203,9 +214,9 @@ class TestExpectedScenario:
         scen = [Scenario(probability=0.5, q=[-1.0], T=[[0.0]], h=[0.0], ub=[2.0]),
                 Scenario(probability=0.5, q=[-1.0], T=[[0.0]], h=[0.0])]
         p = build_problem(first, shape, scen)
-        mean = expected_scenario(p.scenarios, p.shape)
-        np.testing.assert_array_equal(mean.ub, [6.0])
-        np.testing.assert_array_equal(mean.bounds(p.shape)[0], [0.0])
+        mean = expected_scenario(p.batch)
+        np.testing.assert_array_equal(mean.ub, [[6.0]])
+        np.testing.assert_array_equal(mean.lb, [[0.0]])
         ev = build_expected_value_problem(p)
         np.testing.assert_array_equal(ev.ub[1:], [6.0])
         assert kernel.solve_lp(ev).objective == pytest.approx(-6.0, abs=1e-9)
@@ -213,14 +224,15 @@ class TestExpectedScenario:
     def test_row_senses_are_compared_with_their_defaults_resolved(self):
         # a scenario that spells out the shape's row senses has the same program
         p = simple_problem()
-        spelled = replace(p.scenarios[1], row_senses=p.shape.row_senses)
-        mean = expected_scenario([p.scenarios[0], spelled], p.shape)
-        assert mean.senses(p.shape) == p.shape.row_senses
-        other = replace(p.scenarios[1], row_senses=("=",) * p.r)
+        first, second = simple_problem_declared_scenarios()
+        spelled = replace(second, row_senses=p.shape.row_senses)
+        mean = expected_scenario(stack_scenarios(p.shape, [first, spelled]))
+        assert mean.senses == (p.shape.row_senses,) and not mean.own_senses[0]
+        other = replace(second, row_senses=("=",) * p.r)
         with pytest.raises(ValueError, match="disagree on row senses"):
-            expected_scenario([p.scenarios[0], other], p.shape)
-        mean = expected_scenario([other, other], p.shape)
-        assert mean.row_senses == ("=",) * p.r
+            expected_scenario(stack_scenarios(p.shape, [first, other]))
+        mean = expected_scenario(stack_scenarios(p.shape, [other, other]))
+        assert mean.senses == (("=",) * p.r,) and mean.own_senses[0]
 
     def test_ev_problem_is_ws_on_mean(self):
         p = farmer_problem()
@@ -231,9 +243,8 @@ class TestExpectedScenario:
         from stochlp.model import TwoStageProblem
         p = simple_problem()
         ev = kernel.solve_lp(build_expected_value_problem(p))
-        mean = expected_scenario(p.scenarios, p.shape)
-        singleton = TwoStageProblem(first=p.first, shape=p.shape,
-                                    scenarios=(mean,),
+        mean = expected_scenario(p.batch)
+        singleton = TwoStageProblem(first=p.first, batch=mean,
                                     declared_first_sense=p.declared_first_sense,
                                     declared_second_sense=p.declared_second_sense)
         dep = kernel.solve_lp(build_deterministic_equivalent(singleton))
@@ -284,13 +295,7 @@ class TestValidate:
 
     def test_probability_drift_reported(self):
         p = simple_problem()
-        drifted = p.__class__(
-            first=p.first, shape=p.shape,
-            scenarios=(p.scenarios[0],
-                       Scenario(probability=0.57, q=p.scenarios[1].q,
-                                T=p.scenarios[1].T, h=p.scenarios[1].h)),
-            declared_first_sense=p.declared_first_sense,
-            declared_second_sense=p.declared_second_sense)
+        drifted = replace(p, batch=replace(p.batch, probability=np.array([0.4, 0.57])))
         assert any("probabilities sum" in d for d in validate(drifted))
 
 
@@ -298,18 +303,21 @@ class TestWaitAndSeeForm:
     """The stacked form holds each scenario's wait-and-see LP exactly."""
 
     @staticmethod
-    def _problem():
-        first = FirstStage(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[4.0], row_senses=("<=",),
-                           ub=[3.0, 5.0])
-        shape = RecourseShape(W=[[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]], sense="min",
-                              row_senses=(">=", "="), ub=[8.0, np.inf, 9.0])
-        scen = [Scenario(probability=0.3, q=[1.5, 0.5, 1.0], T=[[-1.0, 0.0], [0.0, 1.0]],
+    def _scenarios():
+        return [Scenario(probability=0.3, q=[1.5, 0.5, 1.0], T=[[-1.0, 0.0], [0.0, 1.0]],
                          h=[0.5, 2.0]),
                 Scenario(probability=0.3, q=[1.0, 1.0, 2.0], T=[[0.0, 1.0], [1.0, 1.0]],
                          h=[3.0, 1.0], lb=[1.0, 0.0, -2.0], ub=[6.0, 7.0, np.inf]),
                 Scenario(probability=0.4, q=[2.0, 0.1, 0.3], T=[[-1.0, -1.0], [0.5, 0.0]],
                          h=[1.0, 4.0], row_senses=("<=", "="))]
-        return build_problem(first, shape, scen)
+
+    @classmethod
+    def _problem(cls):
+        first = FirstStage(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[4.0], row_senses=("<=",),
+                           ub=[3.0, 5.0])
+        shape = RecourseShape(W=[[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]], sense="min",
+                              row_senses=(">=", "="), ub=[8.0, np.inf, 9.0])
+        return build_problem(first, shape, cls._scenarios())
 
     @staticmethod
     def _reference(p, sc):
@@ -328,7 +336,7 @@ class TestWaitAndSeeForm:
         p = self._problem()
         stacks = ProximalStacks(p)
         assert not p.wait_and_see.shared
-        for s, sc in enumerate(p.scenarios):
+        for s, sc in enumerate(self._scenarios()):
             want = self._reference(p, sc)
             for lp in (build_wait_and_see(p, s), stacks.lp(s, np.zeros((p.nscen, p.n)))):
                 for name, value in want.items():
@@ -339,7 +347,7 @@ class TestWaitAndSeeForm:
         form = p.wait_and_see
         assert form.shared and form.A.strides[0] == 0
         assert form is p.wait_and_see
-        for s, sc in enumerate(p.scenarios):
+        for s, sc in enumerate(simple_problem_declared_scenarios()):
             np.testing.assert_array_equal(form.A[s], self._reference(p, sc)["A"])
 
     def test_the_form_is_read_only(self):
@@ -375,15 +383,76 @@ class TestScenarioOverrides:
         path = tmp_path / "ovr.json"
         serialize.save_problem(p, path)
         q = serialize.load_problem(path)
-        np.testing.assert_array_equal(q.scenarios[0].lb, [0.5])
-        np.testing.assert_array_equal(q.scenarios[0].ub, [2.0])
-        assert q.scenarios[0].row_senses == ("<=",)
+        np.testing.assert_array_equal(q.batch.lb[0], [0.5])
+        np.testing.assert_array_equal(q.batch.ub[0], [2.0])
+        assert q.batch.senses[0] == ("<=",)
+
+
+class TestReadOnlyScenarioData:
+    """A problem's scenario data has one copy, and nothing writes to it."""
+
+    @staticmethod
+    def _batches():
+        from stochlp.sampling import sample_instance
+        p = simple_problem()
+        yield "built", p.batch
+        yield "loaded", serialize.problem_from_dict(serialize.problem_to_dict(p)).batch
+        yield "sampled", sample_instance(simple_model(), simple_discrete_sampler(), 8, 0).batch
+        yield "mean", expected_scenario(p.batch)
+        yield "minimized", minimization_form(p.first, p.batch)[1]
+
+    def test_every_batch_array_refuses_writes(self):
+        for label, batch in self._batches():
+            for name in ("probability", "q", "T", "h", "lb", "ub", "own_senses"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(batch, name)[0] = 0
+                assert not getattr(batch, name).flags.writeable, (label, name)
+
+    def test_the_probabilities_are_the_batch_s(self):
+        p = simple_problem()
+        assert p.probabilities is p.batch.probability
+        with pytest.raises(ValueError, match="read-only"):
+            p.probabilities[0] = 0.5
 
 
 class TestSerialization:
+    def test_a_loaded_document_is_normalized_like_a_built_problem(self):
+        weights = (0.4, 5.0)
+        m = simple_model()
+        built = build_problem(m.first, m.shape,
+                              [replace(s, probability=w)
+                               for s, w in zip(simple_problem_declared_scenarios(), weights)])
+        doc = serialize.problem_to_dict(simple_problem())
+        for sc, w in zip(doc["scenarios"], weights):
+            sc["probability"] = w
+        loaded = serialize.problem_from_dict(doc)
+        for name in ("probability", "q", "T", "h", "lb", "ub"):
+            np.testing.assert_array_equal(getattr(loaded.batch, name),
+                                          getattr(built.batch, name), err_msg=name)
+        assert loaded.batch.senses == built.batch.senses
+        assert (loaded.declared_first_sense, loaded.declared_second_sense) == ("min", "max")
+        dep = [kernel.solve_lp(build_deterministic_equivalent(q)).objective
+               for q in (loaded, built)]
+        assert dep[0] == dep[1]
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("q", [24.0, 28.0, 1.0], DimensionMismatch, "scenario 1 q: expected shape"),
+        ("h", [0.0, 0.0, 300.0], DimensionMismatch, "scenario 1 h: expected shape"),
+        ("T", {"shape": [4, 3], "rows": [], "cols": [], "vals": []}, DimensionMismatch,
+         "scenario 1 T: expected shape"),
+        ("probability", 0.0, NonPositiveProbability, "scenario 1 probability must be > 0"),
+    ])
+    def test_a_loaded_document_is_checked_like_a_built_problem(self, field, value, error,
+                                                               message):
+        doc = serialize.problem_to_dict(simple_problem())
+        doc["scenarios"][1][field] = value
+        with pytest.raises(error, match=message):
+            serialize.problem_from_dict(doc)
+
     def test_round_trip_exact(self, tmp_path):
+        # farmer-150's stored probabilities sum to 1 only up to rounding
         for name, p in (("simple", simple_problem()), ("farmer", farmer_problem()),
-                        ("rand", random_rcr_problem(3))):
+                        ("rand", random_rcr_problem(3)), ("farmer-150", farmer_instance(150, 1))):
             path = tmp_path / f"{name}.json"
             serialize.save_problem(p, path)
             q = serialize.load_problem(path)
@@ -391,10 +460,9 @@ class TestSerialization:
             np.testing.assert_array_equal(q.first.c, p.first.c)
             np.testing.assert_array_equal(q.first.lb, p.first.lb)
             np.testing.assert_array_equal(q.first.ub, p.first.ub)
-            for a, b in zip(q.scenarios, p.scenarios):
-                assert a.probability == b.probability
-                np.testing.assert_array_equal(a.q, b.q)
-                np.testing.assert_array_equal(np.asarray(a.h), np.asarray(b.h))
+            np.testing.assert_array_equal(q.batch.probability, p.batch.probability)
+            np.testing.assert_array_equal(q.batch.q, p.batch.q)
+            np.testing.assert_array_equal(q.batch.h, p.batch.h)
             dep_a = kernel.solve_lp(build_deterministic_equivalent(p))
             dep_b = kernel.solve_lp(build_deterministic_equivalent(q))
             assert dep_a.objective == pytest.approx(dep_b.objective, abs=1e-12)
@@ -410,18 +478,18 @@ class TestSparseInput:
         dense = farmer_problem()
         first = replace(dense.first, A=sp.csr_matrix(dense.first.A))
         shape = replace(dense.shape, W=sp.coo_matrix(dense.shape.W))
-        scenarios = [replace(s, T=sp.csc_matrix(s.T)) for s in dense.scenarios]
+        scenarios = [farmer_scenario(1.0 / 3.0, y) for y in FARMER_YIELDS]
+        scenarios = [replace(s, T=sp.csc_matrix(s.T)) for s in scenarios]
         return dense, build_problem(first, shape, scenarios)
 
     def test_stores_ndarrays(self):
         dense, p = self._sparse_farmer()
         assert type(p.first.A) is np.ndarray
         assert type(p.shape.W) is np.ndarray
-        assert all(type(s.T) is np.ndarray for s in p.scenarios)
+        assert type(p.batch.T) is np.ndarray
         np.testing.assert_array_equal(p.first.A, dense.first.A)
         np.testing.assert_array_equal(p.shape.W, dense.shape.W)
-        for a, b in zip(p.scenarios, dense.scenarios):
-            np.testing.assert_array_equal(a.T, b.T)
+        np.testing.assert_array_equal(p.batch.T, dense.batch.T)
 
     def test_lp_instance_stores_an_ndarray(self):
         import scipy.sparse as sp
@@ -454,5 +522,4 @@ class TestSparseInput:
         serialize.save_problem(dense, tmp_path / "dense.json")
         assert (tmp_path / "sparse.json").read_text() == (tmp_path / "dense.json").read_text()
         q = serialize.load_problem(tmp_path / "sparse.json")
-        for a, b in zip(q.scenarios, dense.scenarios):
-            np.testing.assert_array_equal(a.T, b.T)
+        np.testing.assert_array_equal(q.batch.T, dense.batch.T)

@@ -233,7 +233,7 @@ class TestSolve:
         xs = rep.extras["scenario_decisions"]
         ys = rep.recourse
         probs = p.probabilities
-        val = sum(probs[s] * (p.first.c @ xs[s] + p.scenarios[s].q @ ys[s])
+        val = sum(probs[s] * (p.first.c @ xs[s] + p.batch.q[s] @ ys[s])
                   for s in range(p.nscen))
         assert val == pytest.approx(rep.extras["internal_objective"],
                                     rel=1e-9, abs=1e-12)

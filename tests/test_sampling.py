@@ -88,9 +88,8 @@ class TestSamplers:
     def test_sample_instance_reproducible(self):
         a = sample_instance(simple_model(), simple_sampler(), 10, seed=5)
         b = sample_instance(simple_model(), simple_sampler(), 10, seed=5)
-        for sa, sb in zip(a.scenarios, b.scenarios):
-            np.testing.assert_array_equal(sa.q, sb.q)
-            np.testing.assert_array_equal(sa.h, sb.h)
+        np.testing.assert_array_equal(a.batch.q, b.batch.q)
+        np.testing.assert_array_equal(a.batch.h, b.batch.h)
 
     def test_single_sample_is_wait_and_see(self):
         inst = sample_instance(simple_model(), simple_sampler(), 1, seed=9)
@@ -135,7 +134,7 @@ class TestEvaluateOnSamples:
         assert {id(s) for s in drawn} == {id(s) for s in scenarios}
         np.testing.assert_array_equal(vals, [-2.0 if s is scenarios[0] else -10.0
                                              for s in drawn])
-        assert len(_batch_instance(model, sampler, 16, 0).scenarios) == 2
+        assert _batch_instance(model, sampler, 16, 0).nscen == 2
 
 
 class TestConfidenceInterval:
@@ -184,9 +183,9 @@ class TestSaa:
         # the deterministic optimum
         from stochlp.sampling import DiscreteSampler
         p = simple_problem()
-        sc = p.scenarios[1]
-        from dataclasses import replace
-        declared = replace(sc, q=-sc.q)      # declared orientation (max q)
+        b = p.batch
+        declared = Scenario(probability=1.0, q=-b.q[1], T=b.T[1],
+                            h=b.h[1])      # declared orientation (max q)
         sampler = DiscreteSampler(scenarios=(declared,), weights=(1.0,))
         cfg = SaaConfig(rel_tol=0.5, n0=4, batches=3, eval_samples=50)
         res = saa_solve(simple_model(), sampler, cfg, seed=1)
@@ -233,11 +232,11 @@ class TestSampledMeasures:
             assert "not_statistically_significant" in vss.flags
 
     def test_fixed_sampler_zero_width_matches_exact(self):
-        from dataclasses import replace
         from stochlp.analysis import sampled_measures
         from stochlp.sampling import DiscreteSampler
         p = simple_problem()
-        declared = replace(p.scenarios[0], q=-p.scenarios[0].q)
+        b = p.batch
+        declared = Scenario(probability=1.0, q=-b.q[0], T=b.T[0], h=b.h[0])
         sampler = DiscreteSampler(scenarios=(declared,), weights=(1.0,))
         cfg = SaaConfig(rel_tol=0.9, n0=4, batches=3, eval_samples=40)
         out = sampled_measures(simple_model(), sampler, cfg, seed=5)

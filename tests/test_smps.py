@@ -71,7 +71,7 @@ class TestReadSmps:
     def test_two_outcome_rhs(self):
         p = read_smps(SmpsTriplet(core=CORE, time=TIME, stoch=STOCH_2))
         assert p.nscen == 2
-        np.testing.assert_allclose(sorted(s.probability for s in p.scenarios),
+        np.testing.assert_allclose(sorted(p.batch.probability),
                                    [0.3, 0.7])
         # hand-solved: min x + 2 E[max(d - x, 0)]; E-d branch: x*=8 when the
         # expensive recourse dominates; check against enumerated optimum
@@ -84,15 +84,15 @@ class TestReadSmps:
     def test_single_outcome_equals_core_lp(self):
         p = read_smps(SmpsTriplet(core=CORE, time=TIME, stoch=STOCH_1))
         assert p.nscen == 1
-        assert p.scenarios[0].probability == 1.0
-        assert p.scenarios[0].h[0] == 5.0
+        assert p.batch.probability[0] == 1.0
+        assert p.batch.h[0][0] == 5.0
 
     def test_dimensions_and_split(self):
         p = read_smps(SmpsTriplet(core=CORE, time=TIME, stoch=STOCH_1))
         assert p.n == 1 and p.m == 1 and p.r == 1
         assert p.first.row_senses == ("<=",)
         assert p.shape.row_senses == (">=",)
-        np.testing.assert_allclose(np.asarray(p.scenarios[0].T), [[1.0]])
+        np.testing.assert_allclose(np.asarray(p.batch.T[0]), [[1.0]])
 
     def test_validate_clean(self):
         from stochlp.model import validate
@@ -126,7 +126,7 @@ class TestReadSmps:
                "ENDATA\n")
         p = read_smps(SmpsTriplet(core=CORE, time=TIME, stoch=sto))
         assert p.nscen == 4
-        assert abs(sum(s.probability for s in p.scenarios) - 1.0) <= 1e-9
+        assert abs(sum(p.batch.probability) - 1.0) <= 1e-9
 
     def test_name_mismatch(self):
         with pytest.raises(ParseError, match="does not match"):
@@ -194,9 +194,9 @@ class TestBlocks:
                "ENDATA\n")
         p = read_smps(SmpsTriplet(core=CORE, time=TIME, stoch=sto))
         assert p.nscen == 2
-        hs = sorted(s.h[0] for s in p.scenarios)
+        hs = sorted(h[0] for h in p.batch.h)
         assert hs == [4.0, 9.0]
-        qs = sorted(s.q[0] for s in p.scenarios)
+        qs = sorted(q[0] for q in p.batch.q)
         assert qs == [2.0, 5.0]
 
 

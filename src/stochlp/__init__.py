@@ -28,7 +28,7 @@ from .kernel import (
     solve_qp_diagonal,
     write_mps,
 )
-from .lshaped import Cut, LShapedConfig, solve_lshaped, solve_subproblem
+from .lshaped import Cuts, LShapedConfig, solve_lshaped, solve_subproblem
 from .model import (
     FirstStage,
     LPInstance,
@@ -59,7 +59,7 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis", "ConfidenceReport", "Cut", "DiscreteSampler", "ExecConfig",
+    "Basis", "ConfidenceReport", "Cuts", "DiscreteSampler", "ExecConfig",
     "FirstStage", "LPInstance", "LPSolution", "LShapedConfig",
     "MeasureResult", "NormalSampler", "PhConfig", "RecourseShape", "SaaConfig",
     "Scenario", "ScenarioBatch", "SolveReport", "StochasticModel", "TwoStageProblem",

@@ -81,10 +81,6 @@ class ScenarioExplosion(StochLPError):
         )
 
 
-class NotInfeasible(StochLPError):
-    """A feasibility cut was requested from a feasible recourse row."""
-
-
 class MasterInfeasible(InfeasibleProblem):
     """First stage plus feasibility cuts has no feasible point."""
 

@@ -96,7 +96,6 @@ class WorkItem:
 class VersionedDecision:
     version: int
     payload: object     # immutable decision data (e.g. the candidate x)
-    iteration: int = 0
 
 
 @dataclass

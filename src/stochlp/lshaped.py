@@ -28,7 +28,9 @@ serial or sync wave is one item of every bundle, solved by one
 ``solve_recourse`` call, and async hands out one bundle per item.  Either
 way a bundle's optimality cut is one probability-weighted sum over its rows
 (``aggregate_cuts``), and cut violation is checked against the (x, theta)
-pair of the version that generated the cut.
+pair of the version that generated the cut.  Cuts stay arrays too: each
+step builds, tests and orders one ``Cuts`` block, and the master holds its
+cut set as one such block.
 """
 
 from __future__ import annotations
@@ -39,13 +41,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import kernel, model as _model
-from .errors import (
-    ConfigError,
-    MasterInfeasible,
-    NotInfeasible,
-    NumericalBreakdown,
-    SecondStageInfeasible,
-)
+from .errors import ConfigError, MasterInfeasible, NumericalBreakdown, SecondStageInfeasible
 from .execution import ExecConfig, VersionedDecision, drive, work_items
 from .execution import run_wave  # noqa: F401 - perfbench/tracing.py wraps it here by name
 from .model import LPInstance, TwoStageProblem, duplicate_owners
@@ -87,17 +83,32 @@ class LShapedConfig:
 
 
 @dataclass
-class Cut:
-    kind: str                  # optimality | feasibility
-    gradient: np.ndarray       # over x
-    rhs: float
-    source: frozenset
-    iteration: int = 0
-    aggregate: int = -1        # theta slot (optimality cuts only)
+class Cuts:
+    """A block of master cuts, a row each.
+
+    Row i is the optimality cut theta[slot[i]] >= rhs[i] - gradient[i] . x,
+    or, where ``slot[i]`` is -1, the feasibility cut gradient[i] . x >= rhs[i]
+    of the infeasible scenario ``scenario[i]``.
+    """
+
+    gradient: np.ndarray       # (k, n) over x
+    rhs: np.ndarray            # (k,)
+    slot: np.ndarray           # (k,) theta slot, -1 for a feasibility cut
+    scenario: np.ndarray       # (k,) infeasible scenario, -1 for an optimality cut
+
+    def __len__(self):
+        return self.rhs.size
+
+    @property
+    def optimality(self):
+        return self.slot >= 0
 
     def value_at(self, x):
-        """Support value rhs - gradient . x (the lower bound this cut puts on theta)."""
-        return self.rhs - float(self.gradient @ x)
+        """rhs - gradient . x per row: the lower bound an optimality cut puts on theta."""
+        return self.rhs - self.gradient @ x
+
+    def take(self, rows):
+        return Cuts(*(getattr(self, f.name)[rows] for f in fields(Cuts)))
 
 
 @dataclass
@@ -121,11 +132,11 @@ class Recourse:
 
 
 def _concat(records):
-    """The rows of several ``Recourse`` records as one."""
+    """The rows of several records of one kind, ``Recourse`` or ``Cuts``, as one."""
     if len(records) == 1:
         return records[0]
-    return Recourse(*(np.concatenate([getattr(r, f.name) for r in records])
-                      for f in fields(Recourse)))
+    kind = type(records[0])
+    return kind(*(np.concatenate([getattr(r, f.name) for r in records]) for f in fields(kind)))
 
 
 def solve_subproblem(batch, s, x, warm=None):
@@ -209,13 +220,13 @@ def recourse_values(batch, x):
     return solve_recourse(BasisPool(batch), x, idx, solve=solve).value[copy_of]
 
 
-def make_feasibility_cut(rec: Recourse, row, iteration=0) -> Cut:
-    """Half-space sigma^T T x >= sigma^T T x_k + w_s excluding the infeasible
-    candidate x_k, from row ``row`` of ``rec``."""
-    if rec.feasible[row]:
-        raise NotInfeasible(f"scenario {rec.scenarios[row]} is feasible; no cut to build")
-    return Cut(kind="feasibility", gradient=rec.gradient[row], rhs=float(rec.rhs[row]),
-               source=frozenset({int(rec.scenarios[row])}), iteration=iteration)
+def make_feasibility_cut(rec: Recourse) -> Cuts:
+    """The feasibility cuts of the infeasible rows of ``rec``, in row order: the
+    half-spaces sigma^T T x >= sigma^T T x_k + w_s, each excluding the infeasible
+    candidate x_k."""
+    rows = ~rec.feasible
+    return Cuts(gradient=rec.gradient[rows], rhs=rec.rhs[rows],
+                slot=np.full(rows.sum(), -1), scenario=rec.scenarios[rows])
 
 
 def make_bundles(nscen, policy, bundle_size):
@@ -224,9 +235,10 @@ def make_bundles(nscen, policy, bundle_size):
     return [list(range(i, min(i + b, nscen))) for i in range(0, nscen, b)]
 
 
-def aggregate_cuts(rec: Recourse, probabilities, bundle_of, iteration=0):
+def aggregate_cuts(rec: Recourse, probabilities, bundle_of) -> Cuts:
     """One optimality cut per aggregation bundle among the rows of ``rec``, in
-    row order: the probability-weighted sum of its rows' cuts.
+    row order: the probability-weighted sum of its rows' cuts, in the bundle's
+    theta slot.
 
     ``bundle_of[s]`` is scenario s's bundle, and the rows of a bundle are
     contiguous in ``rec``.  A bundle with an infeasible row gets no cut.
@@ -234,13 +246,10 @@ def aggregate_cuts(rec: Recourse, probabilities, bundle_of, iteration=0):
     bundle = bundle_of[rec.scenarios]
     start = np.flatnonzero(np.r_[True, bundle[1:] != bundle[:-1]])
     w = probabilities[rec.scenarios]
-    gradient = np.add.reduceat(w[:, None] * rec.gradient, start)
-    rhs = np.add.reduceat(w * rec.rhs, start)
-    sources = np.split(rec.scenarios, start[1:])
-    return [Cut(kind="optimality", gradient=gradient[j], rhs=float(rhs[j]),
-                source=frozenset(sources[j].tolist()), iteration=iteration,
-                aggregate=int(bundle[start[j]]))
-            for j in np.flatnonzero(np.logical_and.reduceat(rec.feasible, start))]
+    keep = np.logical_and.reduceat(rec.feasible, start)
+    return Cuts(gradient=np.add.reduceat(w[:, None] * rec.gradient, start)[keep],
+                rhs=np.add.reduceat(w * rec.rhs, start)[keep],
+                slot=bundle[start][keep], scenario=np.full(keep.sum(), -1))
 
 
 class MasterState:
@@ -250,28 +259,25 @@ class MasterState:
         self.first = problem.first
         self.n = problem.n
         self.K = n_aggregates
-        self.cuts = []             # optimality and feasibility, in insertion order
-        self.inactive = {}         # id(cut) -> consecutive slack master solves
+        self.cuts = Cuts(np.empty((0, self.n)), np.empty(0), np.empty(0, int), np.empty(0, int))
+        self.age = np.empty(0, int)  # per cut: consecutive master solves it stayed slack
         self.has_cut = np.zeros(n_aggregates, dtype=bool)
-        self.x = None
-        self.theta = None
-        self.value = None
         self._warm = None          # last optimal basis of the plain master
         self._warm_tr = None       # and of the trust-region master
         self.fallbacks = 0         # regularized solves that ended non-optimal
 
-    def add_cut(self, cut: Cut):
-        self.cuts.append(cut)
-        self.inactive[id(cut)] = 0
-        if cut.kind == "optimality":
-            self.has_cut[cut.aggregate] = True
+    def add_cuts(self, cuts: Cuts):
+        """Append the rows of ``cuts``, each at age 0."""
+        self.cuts = _concat([self.cuts, cuts])
+        self.age = np.concatenate([self.age, np.zeros(len(cuts), int)])
+        self.has_cut[cuts.slot[cuts.optimality]] = True
 
     @property
     def all_aggregates_cut(self):
         return bool(self.has_cut.all())
 
     def counts(self):
-        opt = sum(1 for c in self.cuts if c.kind == "optimality")
+        opt = int(self.cuts.optimality.sum())
         return {"optimality": opt, "feasibility": len(self.cuts) - opt}
 
     def _instance(self, tr_center=None, tr_delta=None, level=None):
@@ -280,11 +286,10 @@ class MasterState:
         c = np.concatenate([self.first.c, np.ones(K)])
         A = np.zeros((p + len(cuts), n + K))
         A[:p, :n] = self.first.A
-        A[p:, :n] = np.reshape([cut.gradient for cut in cuts], (-1, n))
-        for i, cut in enumerate(cuts):
-            if cut.kind == "optimality":
-                A[p + i, n + cut.aggregate] = 1.0
-        rhs = np.concatenate([self.first.b, [cut.rhs for cut in cuts]])
+        A[p:, :n] = cuts.gradient
+        opt = np.flatnonzero(cuts.optimality)
+        A[p + opt, n + cuts.slot[opt]] = 1.0
+        rhs = np.concatenate([self.first.b, cuts.rhs])
         senses = self.first.row_senses + (">=",) * len(cuts)
         if level is not None:
             A, rhs, senses = np.vstack([A, c]), np.append(rhs, level), senses + ("<=",)
@@ -356,31 +361,19 @@ class MasterState:
         return x, theta, float(self.first.c @ x + theta.sum())
 
     def _record_activity(self, lp, sol):
-        if sol.x is None:
-            return
-        p = self.first.p
-        res = lp.A @ sol.x - lp.rhs
-        for i, cut in enumerate(self.cuts):
-            slack = res[p + i]          # >= rows: slack >= 0, 0 means binding
-            if slack > 1e-7 * (1.0 + abs(lp.rhs[p + i])):
-                self.inactive[id(cut)] += 1
-            else:
-                self.inactive[id(cut)] = 0
+        rows = slice(self.first.p, self.first.p + len(self.cuts))
+        slack = (lp.A @ sol.x - lp.rhs)[rows]   # >= rows: slack >= 0, 0 means binding
+        self.age = np.where(slack > 1e-7 * (1.0 + np.abs(lp.rhs[rows])), self.age + 1, 0)
 
     def consolidate(self, threshold):
         """Drop optimality cuts that stayed slack for >= threshold master solves."""
-        keep, dropped = [], []
-        for i, cut in enumerate(self.cuts):
-            if cut.kind == "optimality" and self.inactive.get(id(cut), 0) >= threshold:
-                dropped.append(i)
-                self.inactive.pop(id(cut), None)
-            else:
-                keep.append(cut)
-        if dropped:
-            self.cuts = keep
+        drop = self.cuts.optimality & (self.age >= threshold)
+        if drop.any():
+            self.cuts, self.age = self.cuts.take(~drop), self.age[~drop]
+            dropped = np.flatnonzero(drop)
             self._warm = self._drop_rows(self._warm, dropped)
             self._warm_tr = self._drop_rows(self._warm_tr, dropped)
-        return len(dropped)
+        return int(drop.sum())
 
     def _drop_rows(self, warm, dropped):
         """The warm basis without the given cut rows, or None if it cannot shrink.
@@ -447,7 +440,7 @@ class _Coordinator:
         x, theta, _ = self.state.solve_plain()   # cold start: theta at _THETA_MIN
         self.payloads[0] = (x, theta)
         self.t_mark = time.perf_counter()
-        return VersionedDecision(version=0, payload=(x, theta), iteration=0)
+        return VersionedDecision(version=0, payload=(x, theta))
 
     def worker_payload(self, decision, index):
         x, _ = decision.payload
@@ -462,8 +455,7 @@ class _Coordinator:
         self.lp_solved += rec.bunched.size - bunched
         self.partial.setdefault(env.version, []).append(rec)
         cuts = self._cuts(rec, env.version)
-        for cut in cuts:
-            self.state.add_cut(cut)
+        self.state.add_cuts(cuts)
         self.added[env.version] = self.added.get(env.version, 0) + len(cuts)
         self.unrecorded += len(cuts)
 
@@ -473,12 +465,16 @@ class _Coordinator:
         it is infeasible, else its optimality cut.  An item holds whole
         bundles, in bundle order."""
         x, theta = self.payloads[version]
-        cuts = [c for c in (make_feasibility_cut(rec, i, iteration=version)
-                            for i in np.flatnonzero(~rec.feasible))
-                if c.rhs - c.gradient @ x > kernel.FEAS_TOL]
-        cuts += [c for c in aggregate_cuts(rec, self.probs, self.bundle_of, version)
-                 if c.value_at(x) > theta[c.aggregate] + 1e-9 * (1.0 + abs(c.value_at(x)))]
-        return sorted(cuts, key=lambda c: self.bundle_of[min(c.source)])
+        cuts = aggregate_cuts(rec, self.probs, self.bundle_of)
+        if not rec.feasible.all():
+            cuts = _concat([cuts, make_feasibility_cut(rec)])
+        # violated: an optimality cut's value lies above its theta, a feasibility cut's above 0
+        v = cuts.value_at(x)
+        bound = np.where(cuts.optimality, theta[cuts.slot] + 1e-9 * (1.0 + np.abs(v)),
+                         kernel.FEAS_TOL)
+        cuts = cuts.take(v > bound)
+        bundle = np.where(cuts.optimality, cuts.slot, self.bundle_of[cuts.scenario])
+        return cuts.take(np.argsort(bundle, kind="stable"))
 
     def complete(self, version, decision):
         if self.finished:
@@ -524,8 +520,7 @@ class _Coordinator:
             return None
         self.payloads[self.iteration] = (x, theta)
         self.t_mark = time.perf_counter()
-        return VersionedDecision(version=self.iteration, payload=(x, theta),
-                                 iteration=self.iteration)
+        return VersionedDecision(version=self.iteration, payload=(x, theta))
 
     def _next_candidate(self, x_k, U_k):
         """Apply the regularization policy and solve for the next candidate.
@@ -594,7 +589,7 @@ class _Coordinator:
             iterations=self.iteration, cut_counts=counts, trace=self.trace,
             seed=seed, wall_time=wall,
             extras={"internal_objective": self.U_best, "recourse": recourse,
-                    "_cuts": list(self.state.cuts)},
+                    "_cuts": self.state.cuts},
         )
         rep.config = {"cuts": cfg.cuts, "bundle_size": cfg.bundle_size,
                       "regularization": cfg.regularization, "gap_tol": cfg.gap_tol,

@@ -370,8 +370,7 @@ class _PhCoordinator:
 
     def _decision(self):
         snap = (self.state.xi.copy(), self.state.rho.copy(), self.state.r)
-        return VersionedDecision(version=self.state.iteration, payload=snap,
-                                 iteration=self.state.iteration)
+        return VersionedDecision(version=self.state.iteration, payload=snap)
 
     def worker_payload(self, decision, index):
         xi, rho, r = decision.payload

@@ -21,9 +21,14 @@ and adaptive, to convergence (at most 5000 iterations) on the sampled
 simple-model instances
 ``sampling._batch_instance(simple_model(), simple_sampler(), n, seed)``
 with n = 16 and 64, seeds 0-2; and the DEP and single-cut L-shaped solves
-of each small-grid instance after an in-memory ``serialize`` round trip.
-pytest does not collect this file.
+of each small-grid instance after an in-memory ``serialize`` round trip;
+and, on the small and the random instances, L-shaped single/multi x
+none/tr/rd/level once with cut consolidation and once on the async engine
+with kappa 0.5 and one worker (one worker keeps the order of results, so
+the async lines repeat from run to run).  pytest does not collect this file.
 """
+
+from dataclasses import replace
 
 from stochlp import analysis, fixtures, kernel, lshaped, sampling, serialize
 from stochlp.errors import StochLPError
@@ -95,14 +100,18 @@ def large_grid():
                                                     LShapedConfig(cuts="multi")))
 
 
-def random_grid():
+def random_instances():
     for kind, make in (("rcr", random_rcr_problem), ("norrc", random_norrc_problem)):
         for seed in range(20):
-            p = make(seed)
-            for cuts in ("single", "multi"):
-                for reg in REGULARIZATIONS:
-                    line(f"{kind}{seed} {cuts} {reg}",
-                         lambda: lshaped_fields(p, LShapedConfig(cuts=cuts, regularization=reg)))
+            yield f"{kind}{seed}", make(seed)
+
+
+def random_grid():
+    for name, p in random_instances():
+        for cuts in ("single", "multi"):
+            for reg in REGULARIZATIONS:
+                line(f"{name} {cuts} {reg}",
+                     lambda: lshaped_fields(p, LShapedConfig(cuts=cuts, regularization=reg)))
 
 
 def sampled_grid():
@@ -137,7 +146,19 @@ def round_trip_grid():
              lambda: lshaped_fields(q, LShapedConfig(cuts="single")))
 
 
+def master_grid():
+    async1 = ExecConfig(mode="async", workers=1, kappa=0.5)
+    for name, p in [*small_instances().items(), *random_instances()]:
+        for cuts in ("single", "multi"):
+            for reg in REGULARIZATIONS:
+                cfg = LShapedConfig(cuts=cuts, regularization=reg)
+                line(f"{name} lshaped {cuts} {reg} consolidation",
+                     lambda: lshaped_fields(p, replace(cfg, consolidation=True)))
+                line(f"{name} lshaped {cuts} {reg} {async1.label} workers 1",
+                     lambda: lshaped_fields(p, replace(cfg, execution=async1)))
+
+
 if __name__ == "__main__":
     for grid in (small_grid, large_grid, random_grid, sampled_grid, ph_probe_grid,
-                 round_trip_grid):
+                 round_trip_grid, master_grid):
         grid()

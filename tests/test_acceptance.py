@@ -25,6 +25,7 @@ from stochlp.lshaped import (
     BasisPool,
     LShapedConfig,
     _Coordinator,
+    make_bundles,
     solve_lshaped,
     solve_recourse,
 )
@@ -66,19 +67,22 @@ def _scenario_values(problem, x):
     return np.where(rec.feasible, rec.value, np.inf)
 
 
-def _check_cuts(problem, cuts, points, point_values):
-    """Worst over-estimation slack of optimality cuts at sampled points."""
+def _check_cuts(problem, cfg, cuts, points, point_values):
+    """Worst over-estimation slack of optimality cuts at sampled points.
+
+    An optimality cut in theta slot k under-estimates the probability-weighted
+    recourse of bundle k, the scenarios ``make_bundles`` puts there under ``cfg``.
+    """
     worst = -np.inf
-    probs = problem.probabilities
-    for cut in cuts:
-        if cut.kind != "optimality":
-            continue
-        src = sorted(cut.source)
-        for x, vals in zip(points, point_values):
-            true = sum(probs[s] * vals[s] for s in src)
-            if not np.isfinite(true):
-                continue
-            worst = max(worst, cut.value_at(x) - true)
+    bundles = make_bundles(problem.nscen, cfg.cuts, cfg.bundle_size)
+    bundle_of = np.repeat(np.arange(len(bundles)), [len(b) for b in bundles])
+    cuts = cuts.take(cuts.optimality)
+    member = bundle_of[None, :] == cuts.slot[:, None]      # (cuts, scenarios)
+    for x, vals in zip(points, point_values):
+        true = np.where(member, problem.probabilities * vals, 0.0).sum(axis=1)
+        finite = np.isfinite(true)
+        if finite.any():
+            worst = max(worst, float((cuts.value_at(x) - true)[finite].max()))
     return worst
 
 
@@ -108,7 +112,7 @@ def sweep6():
             if rel > 1e-5 or rep.status != "optimal":
                 failures.append((seed, cuts, reg, mode, rel, rep.status))
             cut_worst = max(cut_worst,
-                            _check_cuts(p, rep.extras["_cuts"], pts, pvals))
+                            _check_cuts(p, cfg, rep.extras["_cuts"], pts, pvals))
         ph = solve_ph(p, PhConfig(penalty="adaptive", primal_tol=1e-7,
                                   dual_tol=1e-7))
         ph_rel = abs(ph.extras["internal_objective"] - dep_v) / max(1.0, abs(dep_v))
@@ -146,7 +150,8 @@ def sweep7():
     for seed in range(N_NORRC):
         p = random_norrc_problem(seed)
         dep_v, _ = dep_optimum(p)
-        rep = solve_lshaped(p, LShapedConfig(cuts="multi"))
+        cfg = LShapedConfig(cuts="multi")
+        rep = solve_lshaped(p, cfg)
         rel = abs(rep.extras["internal_objective"] - dep_v) / max(1.0, abs(dep_v))
         worst = max(worst, rel)
         feasible = all(np.isfinite(_scenario_values(p, rep.decision)))
@@ -154,7 +159,7 @@ def sweep7():
             failures.append((seed, rel, rep.status, feasible))
         pts = [rep.decision] + first_stage_feasible_points(p, 9, seed + 9000)
         pvals = [_scenario_values(p, x) for x in pts]
-        cut_worst = max(cut_worst, _check_cuts(p, rep.extras["_cuts"], pts, pvals))
+        cut_worst = max(cut_worst, _check_cuts(p, cfg, rep.extras["_cuts"], pts, pvals))
     return {"worst": worst, "failures": failures, "cut_worst": cut_worst,
             "wall": time.time() - t0}
 

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from stochlp import kernel, lshaped
-from stochlp.errors import (
-    ConfigError,
-    MasterInfeasible,
-    NotInfeasible,
-    UnboundedSubproblem,
-)
+from stochlp.errors import ConfigError, MasterInfeasible, UnboundedSubproblem
 from stochlp.execution import ExecConfig
 from stochlp.fixtures import farmer_problem, norrc1_problem, simple_problem
 from stochlp.lshaped import (
     BasisPool,
+    Cuts,
     LShapedConfig,
+    MasterState,
     aggregate_cuts,
     make_bundles,
     make_feasibility_cut,
@@ -61,6 +58,13 @@ def _one(shape, sc, x):
 def _single(nscen):
     """Every scenario in bundle 0: the single-cut ``bundle_of``."""
     return np.zeros(nscen, dtype=int)
+
+
+def _cut(gradient, rhs, slot=0, scenario=-1):
+    """A block of one cut: an optimality cut in θ slot ``slot``, or with
+    ``slot=-1`` the feasibility cut of ``scenario``."""
+    return Cuts(np.array([gradient], float), np.array([rhs], float), np.array([slot]),
+                np.array([scenario]))
 
 
 class TestSubproblem:
@@ -116,17 +120,18 @@ class TestCuts:
         p = simple_problem()
         x = np.array([45.0, 30.0])
         rec = _recourse_at(p, x)
-        (cut,) = aggregate_cuts(rec, p.probabilities, _single(2))
+        cut = aggregate_cuts(rec, p.probabilities, _single(2))
+        assert len(cut) == 1
         expected = sum(p.probabilities[s] * rec.value[s] for s in range(2))
-        assert cut.value_at(x) == pytest.approx(expected, abs=1e-7)
-        assert cut.source == frozenset({0, 1})
+        assert cut.value_at(x)[0] == pytest.approx(expected, abs=1e-7)
+        assert cut.slot.tolist() == [0] and cut.scenario.tolist() == [-1]
 
     def test_constant_cut_when_t_zero(self):
         shape = RecourseShape(W=[[1.0]], sense="min", row_senses=(">=",))
         sc = Scenario(probability=1.0, q=[1.0], T=[[0.0]], h=[2.0])
-        (cut,) = aggregate_cuts(_one(shape, sc, [7.0]), np.ones(1), _single(1))
-        np.testing.assert_allclose(cut.gradient, [0.0])
-        assert cut.rhs == pytest.approx(2.0, abs=1e-9)   # theta >= q * h = 2
+        cut = aggregate_cuts(_one(shape, sc, [7.0]), np.ones(1), _single(1))
+        np.testing.assert_allclose(cut.gradient, [[0.0]])
+        np.testing.assert_allclose(cut.rhs, [2.0], rtol=0, atol=1e-9)   # theta >= q * h = 2
 
     def test_cut_never_overestimates(self):
         rng = np.random.default_rng(20)
@@ -134,10 +139,11 @@ class TestCuts:
             p = random_rcr_problem(seed)
             pts = first_stage_feasible_points(p, 10, seed)
             gen = pts[0]
-            (cut,) = aggregate_cuts(_recourse_at(p, gen), p.probabilities, _single(p.nscen))
+            cut = aggregate_cuts(_recourse_at(p, gen), p.probabilities, _single(p.nscen))
+            assert len(cut) == 1
             for x in pts:
                 true = p.probabilities @ _recourse_at(p, x).value
-                assert cut.value_at(x) <= true + 1e-6
+                assert cut.value_at(x)[0] <= true + 1e-6
 
     def test_mixed_outcome_rejected(self):
         # h = 2 is infeasible at x = 5 and h = 9 is not: only the bundle without it gets a cut
@@ -146,26 +152,93 @@ class TestCuts:
                                                          h=[h]) for h in (2.0, 9.0, 9.0)]),
                         [5.0])
         assert rec.feasible.tolist() == [False, True, True]
-        assert aggregate_cuts(rec, np.full(3, 1 / 3), _single(3)) == []
-        (cut,) = aggregate_cuts(rec, np.full(3, 1 / 3), np.array([0, 1, 1]))
-        assert cut.aggregate == 1 and cut.source == frozenset({1, 2})
-        assert cut.value_at(np.array([5.0])) == pytest.approx(2 / 3 * 4.0)
+        assert len(aggregate_cuts(rec, np.full(3, 1 / 3), _single(3))) == 0
+        cut = aggregate_cuts(rec, np.full(3, 1 / 3), np.array([0, 1, 1]))
+        assert cut.slot.tolist() == [1] and cut.scenario.tolist() == [-1]
+        assert cut.value_at(np.array([5.0])) == pytest.approx([2 / 3 * 4.0])
 
     def test_feasibility_cut_violated_by_generator(self):
         shape = RecourseShape(W=[[1.0]], sense="min", row_senses=("=",))
         sc = Scenario(probability=1.0, q=[1.0], T=[[1.0]], h=[2.0])
         x = np.array([5.0])
-        cut = make_feasibility_cut(_one(shape, sc, x), 0)
-        assert cut.rhs - cut.gradient @ x > 1e-8        # violated at generator
+        cut = make_feasibility_cut(_one(shape, sc, x))
+        assert cut.slot.tolist() == [-1] and cut.scenario.tolist() == [0]
+        assert cut.value_at(x)[0] > 1e-8        # violated at generator
         # the cut reduces to x <= 2 after normalization
         ok = np.array([1.5])
-        assert cut.gradient @ ok >= cut.rhs - 1e-9
+        assert cut.value_at(ok)[0] <= 1e-9
 
-    def test_not_infeasible_rejected(self):
+    def test_a_fully_feasible_record_gives_an_empty_block(self):
         p = simple_problem()
         rec = _recourse_at(p, [40.0, 20.0])
-        with pytest.raises(NotInfeasible):
-            make_feasibility_cut(rec, 0)
+        assert rec.feasible.all()
+        cuts = make_feasibility_cut(rec)
+        assert len(cuts) == 0 and cuts.gradient.shape == (0, p.n)
+
+
+class TestCutStep:
+    """``_Coordinator._cuts``: the violated cuts of one record, in bundle order."""
+
+    @staticmethod
+    def _step(theta_gap):
+        # y = h_s - x, y >= 0: at x = 5 the middle bundle's h = 2 and h = 3 are infeasible
+        first = FirstStage(c=[0.0], A=np.zeros((0, 1)), b=[], row_senses=(), lb=[0.0],
+                           ub=[10.0])
+        shape = RecourseShape(W=[[1.0]], sense="min", row_senses=("=",))
+        p = build_problem(first, shape, [Scenario(probability=1 / 6, q=[1.0], T=[[1.0]],
+                                                  h=[h]) for h in (9, 8, 2, 3, 7, 6)])
+        coord = lshaped._Coordinator(p, LShapedConfig(cuts="partial", bundle_size=2))
+        x = np.array([5.0])
+        rec = solve_recourse(coord.pool, x, range(p.nscen))
+        v = aggregate_cuts(rec, p.probabilities, coord.bundle_of).value_at(x)
+        # theta sits theta_gap * (1 + |v|) below each bundle's cut value
+        theta = np.full(3, -1e10)
+        theta[[0, 2]] = v - theta_gap * (1.0 + np.abs(v))
+        coord.payloads[0] = (x, theta)
+        return rec, coord._cuts(rec, 0)
+
+    def test_violated_cuts_come_in_bundle_order(self):
+        rec, cuts = self._step(1e-3)
+        assert rec.feasible.tolist() == [True, True, False, False, True, True]
+        assert cuts.slot.tolist() == [0, -1, -1, 2]
+        assert cuts.scenario.tolist() == [-1, 2, 3, -1]
+        np.testing.assert_allclose(cuts.value_at(np.array([5.0]))[1:3], [3.0, 2.0])
+
+    def test_a_cut_within_tolerance_of_its_theta_is_not_added(self):
+        _, cuts = self._step(0.5e-9)
+        assert cuts.slot.tolist() == [-1, -1]
+        _, cuts = self._step(2e-9)
+        assert cuts.slot.tolist() == [0, -1, -1, 2]
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_matches_the_cut_by_cut_step(self, seed):
+        # the reference tests and sorts one cut at a time; between the optimum
+        # and other first-stage points some bundles are infeasible, some not
+        p = random_norrc_problem(seed)
+        best = solve_lshaped(p).decision
+        coord = lshaped._Coordinator(p, LShapedConfig(cuts="partial", bundle_size=2))
+        rng = np.random.default_rng(seed)
+        points = [best + t * (y - best) for y in first_stage_feasible_points(p, 3, seed)
+                  for t in (0.05, 0.2, 0.5)]
+        for k, x in enumerate(points):
+            rec = solve_recourse(coord.pool, x, range(p.nscen))
+            agg = aggregate_cuts(rec, p.probabilities, coord.bundle_of)
+            feas = make_feasibility_cut(rec)
+            theta = np.full(coord.state.K, -1e10)
+            theta[agg.slot] = agg.value_at(x) + rng.normal(0.0, 1.0, len(agg))
+            coord.payloads[k] = (x, theta)
+            rows = [("f", i) for i in range(len(feas)) if feas.value_at(x)[i] > kernel.FEAS_TOL]
+            rows += [("o", i) for i in range(len(agg)) if agg.value_at(x)[i] > theta[agg.slot[i]]
+                     + 1e-9 * (1.0 + abs(agg.value_at(x)[i]))]
+            rows.sort(key=lambda r: agg.slot[r[1]] if r[0] == "o"
+                      else coord.bundle_of[feas.scenario[r[1]]])
+            cuts = coord._cuts(rec, k)
+            assert len(cuts) == len(rows)
+            for j, (kind, i) in enumerate(rows):
+                block = agg if kind == "o" else feas
+                np.testing.assert_array_equal(cuts.gradient[j], block.gradient[i])
+                assert (cuts.rhs[j], cuts.slot[j], cuts.scenario[j]) == \
+                    (block.rhs[i], block.slot[i], block.scenario[i])
 
 
 def _bundle_of(nscen, policy, bundle_size):
@@ -193,12 +266,11 @@ class TestAggregation:
         multi = aggregate_cuts(rec, p.probabilities, _bundle_of(2, "multi", 1))
         partial = aggregate_cuts(rec, p.probabilities, _bundle_of(2, "partial", 1))
         assert len(multi) == len(partial) == 2
-        for s, (a, b) in enumerate(zip(multi, partial)):
-            np.testing.assert_allclose(a.gradient, b.gradient)
-            assert a.rhs == pytest.approx(b.rhs)
-            assert a.aggregate == s and a.source == frozenset({s})
-            np.testing.assert_allclose(a.gradient, p.probabilities[s] * rec.gradient[s])
-            assert a.rhs == pytest.approx(p.probabilities[s] * rec.rhs[s])
+        np.testing.assert_allclose(multi.gradient, partial.gradient)
+        np.testing.assert_allclose(multi.rhs, partial.rhs)
+        assert multi.slot.tolist() == partial.slot.tolist() == [0, 1]
+        np.testing.assert_allclose(multi.gradient, p.probabilities[:, None] * rec.gradient)
+        np.testing.assert_allclose(multi.rhs, p.probabilities * rec.rhs)
 
     def test_partial_full_equals_single_cut(self):
         p = simple_problem()
@@ -206,8 +278,8 @@ class TestAggregation:
         single = aggregate_cuts(rec, p.probabilities, _bundle_of(2, "single", 1))
         partial = aggregate_cuts(rec, p.probabilities, _bundle_of(2, "partial", 2))
         assert len(single) == len(partial) == 1
-        np.testing.assert_allclose(single[0].gradient, partial[0].gradient)
-        np.testing.assert_allclose(single[0].gradient, p.probabilities @ rec.gradient)
+        np.testing.assert_allclose(single.gradient, partial.gradient)
+        np.testing.assert_allclose(single.gradient[0], p.probabilities @ rec.gradient)
 
 
 class TestSolve:
@@ -359,13 +431,12 @@ def lp_solves(monkeypatch):
 
 class TestMaster:
     def test_master_resolve_after_violated_cuts_takes_dual_pivots(self, lp_solves):
-        from stochlp.lshaped import MasterState
         p = farmer_problem()
         st = MasterState(p, p.nscen)
         x, theta, _ = st.solve_plain()
-        for cut in aggregate_cuts(_recourse_at(p, x), p.probabilities, np.arange(p.nscen)):
-            assert cut.value_at(x) > theta[cut.aggregate]
-            st.add_cut(cut)
+        cuts = aggregate_cuts(_recourse_at(p, x), p.probabilities, np.arange(p.nscen))
+        assert (cuts.value_at(x) > theta[cuts.slot]).all()
+        st.add_cuts(cuts)
         lp_solves.clear()
         _, _, value = st.solve_plain()
         (sol,) = lp_solves
@@ -375,14 +446,13 @@ class TestMaster:
 
 
     def test_trust_region_resolve_after_violated_cuts_takes_dual_pivots(self, lp_solves):
-        from stochlp.lshaped import MasterState
         p = farmer_problem()
         st = MasterState(p, p.nscen)
         center = np.array([150.0, 100.0, 250.0])
         x, theta, _ = st.solve_plain(tr_center=center, tr_delta=50.0)
-        for cut in aggregate_cuts(_recourse_at(p, x), p.probabilities, np.arange(p.nscen)):
-            assert cut.value_at(x) > theta[cut.aggregate]
-            st.add_cut(cut)
+        cuts = aggregate_cuts(_recourse_at(p, x), p.probabilities, np.arange(p.nscen))
+        assert (cuts.value_at(x) > theta[cuts.slot]).all()
+        st.add_cuts(cuts)
         lp_solves.clear()
         # the box moves to the new center and shrinks, as after a null step
         _, _, value = st.solve_plain(tr_center=x, tr_delta=25.0)
@@ -394,10 +464,9 @@ class TestMaster:
 
     def test_iteration_limit_raises_naming_the_master(self, monkeypatch):
         # an iterate stopped by the limit may break the first stage; it is no candidate
-        from stochlp.lshaped import MasterState
         p = farmer_problem()
         st = MasterState(p, 1)
-        st.add_cut(*aggregate_cuts(_recourse_at(p, [170.0, 80.0, 250.0]), p.probabilities,
+        st.add_cuts(aggregate_cuts(_recourse_at(p, [170.0, 80.0, 250.0]), p.probabilities,
                                    _single(p.nscen)))
         monkeypatch.setattr(kernel, "MAX_PIVOTS", 1)
         with pytest.raises(kernel.NumericalBreakdown, match="master LP ended iteration_limit"):
@@ -417,33 +486,25 @@ class TestMaster:
 
 class TestConsolidation:
     def test_all_active_none_removed(self):
-        from stochlp.lshaped import MasterState
         p = simple_problem()
         st = MasterState(p, 2)
         rep = solve_lshaped(p, LShapedConfig())     # smoke: cuts exist somewhere
         assert st.consolidate(1) == 0               # no cuts, nothing to remove
 
     def test_stale_cut_removed(self):
-        from stochlp.lshaped import Cut, MasterState
         p = simple_problem()
         st = MasterState(p, 1)
-        cut = Cut(kind="optimality", gradient=np.array([0.0, 0.0]), rhs=-1e9,
-                  source=frozenset({0, 1}), aggregate=0)
-        st.add_cut(cut)
-        binding = Cut(kind="optimality", gradient=np.array([1.0, 1.0]), rhs=100.0,
-                      source=frozenset({0, 1}), aggregate=0)
-        st.add_cut(binding)
+        st.add_cuts(_cut([0.0, 0.0], -1e9))
+        st.add_cuts(_cut([1.0, 1.0], 100.0))        # binding
         st.solve_plain()
         assert st.consolidate(1) == 1               # the slack cut goes
-        assert len(st.cuts) == 1
+        assert len(st.cuts) == 1 and st.cuts.rhs.tolist() == [100.0]
 
     def test_consolidation_keeps_the_warm_basis(self, lp_solves):
-        from stochlp.lshaped import MasterState
         p = farmer_problem()
         rep = solve_lshaped(p, LShapedConfig(cuts="multi"))
         st = MasterState(p, p.nscen)
-        for cut in rep.extras["_cuts"]:
-            st.add_cut(cut)
+        st.add_cuts(rep.extras["_cuts"])
         st.solve_plain()
         st.solve_plain()
         assert st.consolidate(1) > 0
@@ -455,31 +516,23 @@ class TestConsolidation:
         assert warm.iterations < cold.iterations
 
     def test_consolidation_drops_a_warm_basis_with_nonbasic_dropped_slack(self):
-        from stochlp.lshaped import Cut, MasterState
         p = simple_problem()
         st = MasterState(p, 1)
-        cut = Cut(kind="optimality", gradient=np.array([1.0, 1.0]), rhs=100.0,
-                  source=frozenset({0, 1}), aggregate=0)
-        st.add_cut(cut)
+        st.add_cuts(_cut([1.0, 1.0], 100.0))
         st.solve_plain()                             # binding: its slack is nonbasic
-        st.inactive[id(cut)] = 1
+        st.age[0] = 1
         assert st.consolidate(1) == 1
         assert st._warm is None
 
     def test_feasibility_cuts_never_removed(self):
-        from stochlp.lshaped import Cut, MasterState
         p = simple_problem()
         st = MasterState(p, 1)
-        fcut = Cut(kind="feasibility", gradient=np.array([1.0, 0.0]), rhs=41.0,
-                   source=frozenset({0}))
-        st.add_cut(fcut)
-        ocut = Cut(kind="optimality", gradient=np.array([1.0, 1.0]), rhs=50.0,
-                   source=frozenset({0, 1}), aggregate=0)
-        st.add_cut(ocut)
+        st.add_cuts(_cut([1.0, 0.0], 41.0, slot=-1, scenario=0))
+        st.add_cuts(_cut([1.0, 1.0], 50.0))
         for _ in range(4):
             st.solve_plain()
         st.consolidate(1)
-        assert any(c.kind == "feasibility" for c in st.cuts)
+        assert (~st.cuts.optimality).any()
 
     def test_consolidated_run_same_objective(self, monkeypatch):
         monkeypatch.setattr(lshaped, "_CONSOLIDATE_AFTER", 2)

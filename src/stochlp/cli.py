@@ -87,9 +87,9 @@ def _parse_cuts(text):
 
 def _parse_penalty(text):
     if text == "adaptive":
-        return "adaptive", 1.0
+        return "adaptive", PhConfig.r
     if text.startswith("fixed"):
-        r = 1.0
+        r = PhConfig.r
         if ":" in text:
             r = _number(float, text.split(":", 1)[1], "penalty")
         return "fixed", r
@@ -119,16 +119,14 @@ def cmd_solve(args):
         rep.config = {"method": "dep", "seed": args.seed}
     elif args.method == "lshaped":
         cuts, bundle = _parse_cuts(args.cuts)
-        cfg = LShapedConfig(cuts=cuts, bundle_size=bundle,
-                            regularization=args.regularization,
-                            consolidation=args.consolidate,
-                            gap_tol=1e-6 if args.gap is None else args.gap,
-                            execution=engine)
+        cfg = LShapedConfig(cuts=cuts, bundle_size=bundle, regularization=args.regularization,
+                            consolidation=args.consolidate, execution=engine,
+                            gap_tol=LShapedConfig.gap_tol if args.gap is None else args.gap)
         rep = solve_lshaped(problem, _iteration_limit(cfg, args), seed=args.seed)
     else:
         pen, r = _parse_penalty(args.penalty)
-        tol = 1e-5 if args.gap is None else args.gap
-        cfg = PhConfig(penalty=pen, r=r, primal_tol=tol, dual_tol=tol, execution=engine)
+        tol = (PhConfig.primal_tol, PhConfig.dual_tol) if args.gap is None else (args.gap,) * 2
+        cfg = PhConfig(penalty=pen, r=r, primal_tol=tol[0], dual_tol=tol[1], execution=engine)
         rep = solve_ph(problem, _iteration_limit(cfg, args), seed=args.seed)
     rep.config.update({"seed": args.seed, "method": args.method})
     rep.log_trace()
@@ -170,18 +168,17 @@ def cmd_analyze(args):
 def cmd_saa(args):
     model = fixtures.simple_model()     # the one model --model admits
     sampler = fixtures.get_sampler(args.sampler)
-    cfg = SaaConfig(confidence=args.confidence, rel_tol=args.rel_tol,
-                    n0=args.n0, batches=args.batches,
-                    eval_samples=args.eval_samples)
+    cfg = SaaConfig(confidence=args.confidence, rel_tol=args.rel_tol, n0=args.n0,
+                    batches=args.batches, eval_samples=args.eval_samples)
     res = saa_solve(model, sampler, cfg, seed=args.seed)
     out = {"format": "stochlp-saa/1", "seed": args.seed,
            "confidence": res.report.to_dict(),
            "decision": res.decision.tolist(),
            "sample_size": res.n, "rounds": res.rounds,
            "budget_exceeded": res.budget_exceeded,
-           "config": {"rel_tol": args.rel_tol, "confidence": args.confidence,
-                      "n0": args.n0, "batches": args.batches,
-                      "eval_samples": args.eval_samples, "sampler": args.sampler}}
+           "config": {"rel_tol": cfg.rel_tol, "confidence": cfg.confidence, "n0": cfg.n0,
+                      "batches": cfg.batches, "eval_samples": cfg.eval_samples,
+                      "sampler": args.sampler}}
     r = res.report
     _emit(args, json.dumps(_jsonable(out), indent=2),
           f"confidence interval (p = {int(r.level * 100)}%): [{r.lo:.6g}, {r.hi:.6g}]\n"
@@ -208,16 +205,16 @@ def build_parser():
     p = sub.add_parser("solve", help="solve a problem instance")
     _add_common(p)
     p.add_argument("--method", choices=("dep", "lshaped", "ph"), default="dep")
-    p.add_argument("--cuts", default="multi", help="single | multi | partial:N")
+    p.add_argument("--cuts", default=LShapedConfig.cuts, help="single | multi | partial:N")
     p.add_argument("--regularization", choices=("none", "tr", "rd", "level"),
-                   default="none")
+                   default=LShapedConfig.regularization)
     p.add_argument("--consolidate", action="store_true")
     p.add_argument("--exec", dest="exec_mode", default="serial",
                    help="serial | sync | async:KAPPA")
-    p.add_argument("--penalty", default="adaptive", help="adaptive | fixed:R")
+    p.add_argument("--penalty", default=PhConfig.penalty, help="adaptive | fixed:R")
     p.add_argument("--gap", type=float, default=None,
-                   help="relative gap tolerance, default 1e-6 (PH: squared-gap "
-                        "tolerances, default 1e-5)")
+                   help=f"relative gap tolerance, default {LShapedConfig.gap_tol:g} (PH: "
+                        f"squared-gap tolerances, default {PhConfig.primal_tol:g})")
     p.add_argument("--max-iterations", type=int, default=None)
     p.set_defaults(fn=cmd_solve)
 
@@ -233,11 +230,11 @@ def build_parser():
     p.add_argument("--model", choices=("simple",), default="simple",
                    help="the model the built-in samplers draw scenarios for")
     p.add_argument("--sampler", default="simple-normal")
-    p.add_argument("--rel-tol", type=float, default=5e-2)
-    p.add_argument("--confidence", type=float, default=0.95)
-    p.add_argument("--n0", type=int, default=16)
-    p.add_argument("--batches", type=int, default=10)
-    p.add_argument("--eval-samples", type=int, default=1000)
+    p.add_argument("--rel-tol", type=float, default=SaaConfig.rel_tol)
+    p.add_argument("--confidence", type=float, default=SaaConfig.confidence)
+    p.add_argument("--n0", type=int, default=SaaConfig.n0)
+    p.add_argument("--batches", type=int, default=SaaConfig.batches)
+    p.add_argument("--eval-samples", type=int, default=SaaConfig.eval_samples)
     p.set_defaults(fn=cmd_saa)
 
     p = sub.add_parser("convert", help="SMPS triplet to the native format")

@@ -171,23 +171,29 @@ class Scenario:
                h=_as_vector(self.h, "scenario h"))
 
 
-def write_targets(q, T, h, assignments):
-    """Copies of (q, T, h) with each ``(target, value)`` written in, in order.
+def check_targets(targets, q, T, h):
+    """Raise ``ValueError`` unless each target, ("q", j), ("h", i) or ("T", i, j),
+    names an entry of (q, T, h) by non-negative indices."""
+    shapes = {"q": np.shape(q), "T": np.shape(T), "h": np.shape(h)}
+    for target in targets:
+        size = shapes.get(target[0], (0,))
+        if len(target) != len(size) + 1 or not all(0 <= i < k for i, k in zip(target[1:], size)):
+            raise ValueError(f"unknown scenario data target {target!r}: q, T and h have "
+                             f"shapes {shapes['q']}, {shapes['T']} and {shapes['h']}")
 
-    A target is ("q", j), ("h", i) or ("T", i, j).
+
+def write_targets(q, T, h, targets, values):
+    """The template (q, T, h) stacked once per row of the (S, k) ``values``,
+    with column j written at ``targets[j]``, in order (a repeated target
+    takes its last column); :func:`check_targets` checks the targets first.
     """
-    q, T, h = q.copy(), T.copy(), h.copy()
-    for target, value in assignments:
-        kind = target[0]
-        if kind == "q":
-            q[target[1]] = value
-        elif kind == "h":
-            h[target[1]] = value
-        elif kind == "T":
-            T[target[1], target[2]] = value
-        else:
-            raise ValueError(f"unknown scenario data target {target!r}")
-    return q, T, h
+    check_targets(targets, q, T, h)
+    values = np.asarray(values, dtype=float)
+    out = {name: np.repeat(np.asarray(a, dtype=float)[None], values.shape[0], axis=0)
+           for name, a in (("q", q), ("T", T), ("h", h))}
+    for target, column in zip(targets, values.T):
+        out[target[0]][(slice(None), *target[1:])] = column
+    return out["q"], out["T"], out["h"]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Samplers, sampled-instance construction, and the SAA driver.
 
-Samplers are deterministic maps (seed, index) -> Scenario backed by the
-counter-based Philox generator, so identical inputs reproduce identical
-scenarios on any platform and samples can be drawn concurrently.
+A sampler's ``sample(seed, index)`` is one draw (a normal vector or a record's
+index) on a counter-based Philox generator keyed by the pair, so draws repeat on
+any platform; ``batch(shape, n, seed)`` stacks draws 0..n-1 into one batch.
 
 The SAA driver follows the multiple-replication layout (Mak, Morton and
 Wood 1999): M lower-bound batches of n scenarios each, solved by
@@ -13,21 +13,24 @@ drives the sample-size growth loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.stats
 
-from .errors import ConfigError, TooFewBatches
+from .errors import ConfigError, EmptyScenarioSet, TooFewBatches
 from .lshaped import recourse_values, vrp
 from .model import (
     Scenario,
     ScenarioBatch,
     StochasticModel,
     TwoStageProblem,
+    _store,
+    check_targets,
     duplicate_owners,
     minimization_form,
     problem_from_batch,
+    stack_arrays,
     stack_scenarios,
     write_targets,
 )
@@ -55,14 +58,20 @@ class DiscreteSampler:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.size != len(self.scenarios):
-            raise ValueError("one weight per scenario required")
-        object.__setattr__(self, "weights", tuple(w / w.sum()))
+        ok = np.isfinite(w).all() and (w >= 0).all() and w.sum() > 0   # False if empty
+        if w.size != len(self.scenarios) or not ok:
+            raise ValueError(f"need one finite, non-negative weight per scenario, of positive "
+                             f"sum: {len(self.scenarios)} scenarios, weights {self.weights!r}")
+        _store(self, weights=tuple(w / w.sum()))
 
-    def sample(self, seed, index) -> Scenario:
+    def sample(self, seed, index) -> int:
         rng = scenario_rng(seed, index)
-        k = int(rng.choice(len(self.scenarios), p=np.asarray(self.weights)))
-        return self.scenarios[k]
+        return int(rng.choice(len(self.scenarios), p=np.asarray(self.weights)))
+
+    def batch(self, shape, n, seed) -> ScenarioBatch:
+        """The records of n draws, each with probability 1/n."""
+        drawn = [self.sample(seed, i) for i in range(n)]
+        return stack_scenarios(shape, self.scenarios).rows(drawn, np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -89,26 +98,33 @@ class NormalSampler:
             raise ValueError("covariance shape must match the mean vector")
         if len(self.targets) != mean.size:
             raise ValueError("one target per sampled component required")
+        t = self.template     # a target outside it fails here, not at the first draw
+        check_targets(self.targets, t.q, t.T, t.h)
         try:
             factor = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ValueError("covariance must be positive definite") from None
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "factor", factor)
+        _store(self, mean=mean, cov=cov, factor=factor)
 
-    def sample(self, seed, index) -> Scenario:
+    def sample(self, seed, index) -> np.ndarray:
+        """The sampled components of draw ``index``, one per target."""
         rng = scenario_rng(seed, index)
-        draw = self.mean + rng.standard_normal(self.mean.size) @ self.factor.T
+        return self.mean + rng.standard_normal(self.mean.size) @ self.factor.T
+
+    def batch(self, shape, n, seed) -> ScenarioBatch:
+        """The template with n draws written in, each with probability 1/n."""
         t = self.template
-        q, T, h = write_targets(t.q, t.T, t.h, zip(self.targets, draw))
-        return replace(t, q=q, T=T, h=h, probability=1.0)
+        q, T, h = write_targets(t.q, t.T, t.h, self.targets,
+                                [self.sample(seed, i) for i in range(n)])
+        return stack_arrays(shape, np.full(n, 1.0 / n), q, T, h,
+                            [t.lb] * n, [t.ub] * n, [t.row_senses] * n)
 
 
 def _draws(sampler, shape, n, seed) -> ScenarioBatch:
     """The n scenarios ``sampler`` draws for ``seed``, stacked, each with probability 1/n."""
-    drawn = stack_scenarios(shape, [sampler.sample(seed, i) for i in range(n)])
-    return replace(drawn, probability=np.full(n, 1.0 / n))
+    if n < 1:
+        raise EmptyScenarioSet("a problem needs at least one scenario")
+    return sampler.batch(shape, n, seed)
 
 
 def sample_instance(model: StochasticModel, sampler, n, seed) -> TwoStageProblem:
@@ -138,10 +154,7 @@ class ConfidenceReport:
     flags: list = field(default_factory=list)
 
     def to_dict(self):
-        return {"point": self.point, "lo": self.lo, "hi": self.hi,
-                "level": self.level, "n": self.n, "batches": self.batches,
-                "relative_error": self.relative_error, "seed": self.seed,
-                "flags": list(self.flags)}
+        return asdict(self)
 
 
 def confidence_interval(values, level=0.95) -> ConfidenceReport:

@@ -10,7 +10,7 @@ randomness.
 
 from __future__ import annotations
 
-import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +24,9 @@ from .errors import (
 from .model import (
     FirstStage,
     RecourseShape,
-    Scenario,
     TwoStageProblem,
-    build_problem,
+    problem_from_batch,
+    stack_arrays,
     write_targets,
 )
 
@@ -86,13 +86,7 @@ def parse_mps(text, filename="<core>") -> MpsData:
             section = tok[0].upper()
             if section == "NAME":
                 data.name = tok[1] if len(tok) > 1 else ""
-            elif section == "OBJSENSE":
-                pass
-            elif section in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-                pass
-            elif section == "RANGES":
-                raise UnsupportedSection("RANGES", filename)
-            else:
+            elif section not in ("OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
                 raise UnsupportedSection(section, filename)
             if section == "ENDATA":
                 break
@@ -210,12 +204,13 @@ def parse_time(text, filename="<time>"):
 
 
 def parse_stoch(text, filename="<stoch>"):
-    """INDEP DISCRETE and BLOCKS DISCRETE records."""
+    """INDEP DISCRETE and BLOCKS DISCRETE records: the name, then the INDEP
+    entries and the blocks as dicts of position name -> list of outcomes."""
     name = ""
-    indep = {}       # (col, row) -> [(value, prob)]
-    blocks = {}      # block name -> [ {(col,row): value}, prob list pairing ]
+    indep = {}       # "entry (col, row)" -> [{"values": {(col, row): value}, "prob": p}]
+    blocks = {}      # "block 'name'" -> [{"values": {(col, row): value, ...}, "prob": p}]
     section = None
-    cur_block = None
+    cur_block = None     # the outcome of the last BL record
     for no, raw in _lines(text, filename):
         if _is_section(raw):
             tok = raw.split()
@@ -245,24 +240,21 @@ def parse_stoch(text, filename="<stoch>"):
                 col, row, val, _, prob = tok
             else:
                 raise ParseError(filename, no, f"malformed INDEP record: {raw.strip()!r}")
-            indep.setdefault((col, row), []).append(
-                (_num(val, filename, no), _num(prob, filename, no)))
+            indep.setdefault(f"entry ({col}, {row})", []).append(
+                {"values": {(col, row): _num(val, filename, no)}, "prob": _num(prob, filename, no)})
         elif section == "BLOCKS":
             if tok[0] == "BL":
                 if len(tok) not in (3, 4):
                     raise ParseError(filename, no, f"malformed BL record: {raw.strip()!r}")
-                bname = tok[1]
-                prob = _num(tok[-1], filename, no)
-                cur_block = (bname, len(blocks.setdefault(bname, [])))
-                blocks[bname].append({"prob": prob, "values": {}})
+                cur_block = {"values": {}, "prob": _num(tok[-1], filename, no)}
+                blocks.setdefault(f"block {tok[1]!r}", []).append(cur_block)
             else:
                 if cur_block is None:
                     raise ParseError(filename, no, "block data before any BL record")
                 if len(tok) not in (3, 5):
                     raise ParseError(filename, no, f"malformed block record: {raw.strip()!r}")
-                bname, k = cur_block
                 for row, val in zip(tok[1::2], tok[2::2]):
-                    blocks[bname][k]["values"][(tok[0], row)] = _num(val, filename, no)
+                    cur_block["values"][(tok[0], row)] = _num(val, filename, no)
         else:
             raise ParseError(filename, no, "data record before any section header")
     return name, indep, blocks
@@ -270,41 +262,44 @@ def parse_stoch(text, filename="<stoch>"):
 
 @dataclass
 class RandomPosition:
-    """One independent discrete random entry with its outcome distribution."""
+    """An INDEP entry or a BLOCKS block: independent outcomes, each setting targets
+    ("q", j), ("h", i) or ("T", i, j) (an INDEP outcome sets one)."""
 
-    target: tuple                   # ('q', j) | ('h', i) | ('T', i, j)
-    outcomes: list                  # [(value, probability)]
+    name: str                       # for messages: "entry (col, row)" | "block 'B'"
+    outcomes: list                  # [({target: value}, probability)]
 
 
 def cross_product_scenarios(positions, base_q, base_T, base_h, cap=DEFAULT_SCENARIO_CAP):
-    """Expand independent discrete positions into the full scenario set.
-
-    Scenario count is the product of the outcome counts; each scenario's
-    probability is the product of its outcome probabilities.
+    """The full scenario set of independent discrete positions, as stacked
+    ``(probability, q, T, h)`` in ``itertools.product`` order of the outcomes
+    (the first position varies slowest).  Each probability is a product of
+    outcome probabilities in position order; a target takes the value of the
+    last position whose outcome sets it, else the base value.
     """
     positions = list(positions)
-    q0, T0, h0 = (np.asarray(a, dtype=float) for a in (base_q, base_T, base_h))
     total = 1
     for pos in positions:
         total *= len(pos.outcomes)
         if total > cap:
             raise ScenarioExplosion(total, cap)
-        if pos.target[0] != "block":
-            psum = sum(pr for _, pr in pos.outcomes)
-            if abs(psum - 1.0) > 1e-6:
-                raise ParseError("stoch", 0,
-                                 f"outcome probabilities of {pos.target} sum to {psum:.8g}")
-    scenarios = []
-    for combo in itertools.product(*(pos.outcomes for pos in positions)):
-        prob = 1.0
-        assignments = []
-        for pos, (value, pr) in zip(positions, combo):
-            prob *= pr
-            block = pos.target[0] == "block"
-            assignments.extend(value.items() if block else [(pos.target, value)])
-        q, T, h = write_targets(q0, T0, h0, assignments)
-        scenarios.append(Scenario(probability=prob, q=q, T=T, h=h))
-    return scenarios
+        psum = sum(pr for _, pr in pos.outcomes)
+        if abs(psum - 1.0) > 1e-6:
+            raise ParseError("stoch", 0,
+                             f"outcome probabilities of {pos.name} sum to {psum:.8g}")
+    # grid[i] is position i's outcome in every scenario; C order: first slowest
+    grid = np.indices([len(pos.outcomes) for pos in positions]).reshape(len(positions), total)
+    base = {"q": base_q, "T": base_T, "h": base_h}
+    probability = np.ones(total)
+    column = {}          # target -> its value in every scenario, in order of first write
+    for pos, outcome in zip(positions, grid):
+        probability = probability * np.array([pr for _, pr in pos.outcomes])[outcome]
+        for target in dict.fromkeys(t for assign, _ in pos.outcomes for t in assign):
+            sets = np.array([target in assign for assign, _ in pos.outcomes])
+            value = np.array([assign.get(target, 0.0) for assign, _ in pos.outcomes])
+            before = column.get(target, np.asarray(base[target[0]], dtype=float)[target[1:]])
+            column[target] = np.where(sets[outcome], value[outcome], before)
+    values = np.array(list(column.values())).reshape(len(column), total).T
+    return (probability, *write_targets(base_q, base_T, base_h, list(column), values))
 
 
 def read_smps(triplet: SmpsTriplet, cap=DEFAULT_SCENARIO_CAP) -> TwoStageProblem:
@@ -392,36 +387,22 @@ def read_smps(triplet: SmpsTriplet, cap=DEFAULT_SCENARIO_CAP) -> TwoStageProblem
         raise ParseError(where, 0,
                          f"random entry ({row!r}, {col!r}) is not second-stage data")
 
-    positions = [RandomPosition(target=classify(col, row, "stoch"), outcomes=outs)
-                 for (col, row), outs in indep.items()]
-    for bname, instances in blocks.items():
-        psum = sum(inst["prob"] for inst in instances)
-        if abs(psum - 1.0) > 1e-6:
-            raise ParseError("stoch", 0,
-                             f"block {bname!r} probabilities sum to {psum:.8g}")
-        outcomes = []
-        for inst in instances:
-            assign = {classify(col, row, "stoch"): v
-                      for (col, row), v in inst["values"].items()}
-            outcomes.append((assign, inst["prob"]))
-        positions.append(RandomPosition(target=("block", bname), outcomes=outcomes))
-
-    scenarios = cross_product_scenarios(positions, q0, T0, h0, cap)
-    return build_problem(first, shape, scenarios)
+    positions = [RandomPosition(name, [({classify(col, row, "stoch"): v
+                                         for (col, row), v in out["values"].items()}, out["prob"])
+                                       for out in outcomes])
+                 for name, outcomes in [*indep.items(), *blocks.items()]]
+    probability, q, T, h = cross_product_scenarios(positions, q0, T0, h0, cap)
+    defaults = [None] * probability.size
+    return problem_from_batch(first, stack_arrays(shape, probability, q, T, h,
+                                                  defaults, defaults, defaults))
 
 
 def read_smps_files(core_path, time_path=None, stoch_path=None,
                     cap=DEFAULT_SCENARIO_CAP) -> TwoStageProblem:
     """Read a triplet from paths; with one argument the .cor/.tim/.sto siblings are used."""
-    import os
-    if time_path is None or stoch_path is None:
-        base, _ = os.path.splitext(core_path)
-        time_path = time_path or base + ".tim"
-        stoch_path = stoch_path or base + ".sto"
-    with open(core_path) as f:
-        core = f.read()
-    with open(time_path) as f:
-        tim = f.read()
-    with open(stoch_path) as f:
-        sto = f.read()
-    return read_smps(SmpsTriplet(core=core, time=tim, stoch=sto), cap=cap)
+    base = os.path.splitext(core_path)[0]
+    texts = []
+    for path in (core_path, time_path or base + ".tim", stoch_path or base + ".sto"):
+        with open(path) as f:
+            texts.append(f.read())
+    return read_smps(SmpsTriplet(*texts), cap=cap)

@@ -25,12 +25,24 @@ of each small-grid instance after an in-memory ``serialize`` round trip;
 and, on the small and the random instances, L-shaped single/multi x
 none/tr/rd/level once with cut consolidation and once on the async engine
 with kappa 0.5 and one worker (one worker keeps the order of results, so
-the async lines repeat from run to run).  pytest does not collect this file.
+the async lines repeat from run to run).  Last come the generated scenario
+sets, one ``label | sha256`` line each over the batch arrays' dtype, shape
+and bytes and its row senses: SMPS reads of the toy triplets, of an INDEP
+plus BLOCKS triplet whose second block outcome leaves a target to the
+INDEP entry, and of the benchmark's farmer-1000 BLOCKS triplet (written by
+``perfbench/workloads.write_farmer_smps``); and ``sampling._draws`` and
+``sampling._batch_instance`` of the simple model's normal and discrete
+samplers at seeds {0, 1, 12345} x n in {1, 16, 64}, plus n = 1000 draws.
+pytest does not collect this file.
 """
 
+import hashlib
+import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
-from stochlp import analysis, fixtures, kernel, lshaped, sampling, serialize
+from stochlp import analysis, fixtures, kernel, lshaped, sampling, serialize, smps
 from stochlp.errors import StochLPError
 from stochlp.execution import ExecConfig
 from stochlp.lshaped import LShapedConfig, solve_lshaped
@@ -39,6 +51,10 @@ from stochlp.phedging import PhConfig, solve_ph
 from stochlp.sampling import SaaConfig
 
 from _problems import farmer_instance, random_norrc_problem, random_rcr_problem
+from test_smps import CORE, STOCH_1, STOCH_2, TIME
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (perfbench imports its modules by bare name)
 
 REGULARIZATIONS = ("none", "tr", "rd", "level")
 
@@ -158,7 +174,59 @@ def master_grid():
                      lambda: lshaped_fields(p, replace(cfg, execution=async1)))
 
 
+def batch_digest(batch):
+    """sha256 of a scenario batch: each array's dtype, shape and bytes, then its row senses."""
+    h = hashlib.sha256()
+    for a in (batch.probability, batch.q, batch.T, batch.h, batch.lb, batch.ub):
+        h.update(f"{a.dtype} {a.shape}".encode())
+        h.update(a.tobytes())
+    h.update(repr(batch.senses).encode())
+    return h.hexdigest()
+
+
+# ROW2's rhs and Y1's cost are INDEP entries; block B1's second outcome sets
+# Y1's cost only, so ROW2 keeps the INDEP value there
+STOCH_MIXED = """\
+STOCH TOY
+INDEP DISCRETE
+ RHS ROW2 4.0 0.3
+ RHS ROW2 10.0 0.7
+ X1 ROW2 1.0 0.25
+ X1 ROW2 0.5 0.75
+BLOCKS DISCRETE
+ BL B1 PER2 0.6
+ RHS ROW2 7.0
+ Y1 OBJ 3.0
+ BL B1 PER2 0.4
+ Y1 OBJ 5.0
+ENDATA
+"""
+
+
+def batch_grid():
+    for name, stoch in (("toy-1", STOCH_1), ("toy-2", STOCH_2), ("toy-mixed", STOCH_MIXED)):
+        line(f"smps {name} batch", lambda: (batch_digest(smps.read_smps(
+            smps.SmpsTriplet(core=CORE, time=TIME, stoch=stoch)).batch),))
+    with tempfile.TemporaryDirectory() as tmp:
+        arrays = workloads.farmer_arrays(workloads.farmer_factors(1000, 1, 0))
+        paths = workloads.write_farmer_smps(arrays, str(Path(tmp) / "farmer-1000"))
+        line("smps farmer-1000 batch",
+             lambda: (batch_digest(smps.read_smps_files(*paths).batch),))
+    model = fixtures.simple_model()
+    for label, sampler in (("normal", fixtures.simple_sampler()),
+                           ("discrete", fixtures.simple_discrete_sampler())):
+        for seed in (0, 1, 12345):
+            for n in (1, 16, 64):
+                line(f"{label} draws n={n} seed {seed}",
+                     lambda: (batch_digest(sampling._draws(sampler, model.shape, n, seed)),))
+                line(f"{label} instance n={n} seed {seed}",
+                     lambda: (batch_digest(sampling._batch_instance(model, sampler, n,
+                                                                    seed).batch),))
+        line(f"{label} draws n=1000 seed 0",
+             lambda: (batch_digest(sampling._draws(sampler, model.shape, 1000, 0)),))
+
+
 if __name__ == "__main__":
     for grid in (small_grid, large_grid, random_grid, sampled_grid, ph_probe_grid,
-                 round_trip_grid, master_grid):
+                 round_trip_grid, master_grid, batch_grid):
         grid()

@@ -218,8 +218,9 @@ def test_one_basis_serves_most_simple_normal_samples(monkeypatch):
     vals = evaluate_on_samples(simple_model(), simple_sampler(), x, 200, 3)
     assert len(bunched) == 200
     assert bunched.count(False) <= 5
-    ref = [analysis.evaluate_decision(build_problem(simple_model().first, simple_model().shape,
-                                                    [simple_sampler().sample(3, i)]), x)
+    drawn = simple_sampler().batch(simple_model().shape, 200, 3)
+    ref = [analysis.evaluate_decision(problem_from_batch(simple_model().first,
+                                                         drawn.rows([i], [1.0])), x)
            for i in (0, 57, 199)]
     np.testing.assert_allclose(vals[[0, 57, 199]], ref, rtol=1e-9)
 

@@ -200,6 +200,7 @@ class TestSolve:
         ("ph", (), "primal_tol", 1e-5),
         ("ph", ("--gap", "1e-6"), "primal_tol", 1e-6),
         ("ph", ("--gap", "1e-6"), "dual_tol", 1e-6),
+        ("ph", (), "dual_tol", 1e-5),
     ])
     def test_gap_reaches_the_config(self, capsys, method, flags, key, value):
         from stochlp import cli
@@ -278,6 +279,21 @@ class TestAnalyze:
         from stochlp import analysis
         from stochlp.fixtures import farmer_problem
         assert set(analysis.all_measures(farmer_problem())) == set(analysis.MEASURES)
+
+
+def test_parser_defaults_are_the_configs_defaults():
+    from stochlp import cli
+    from stochlp.lshaped import LShapedConfig
+    from stochlp.phedging import PhConfig
+    from stochlp.sampling import SaaConfig
+    solve = cli.build_parser().parse_args(["solve"])
+    assert cli._parse_cuts(solve.cuts)[0] == LShapedConfig.cuts
+    assert solve.regularization == LShapedConfig.regularization
+    assert cli._parse_penalty(solve.penalty) == (PhConfig.penalty, PhConfig.r)
+    assert cli._parse_penalty("fixed") == ("fixed", PhConfig.r)
+    saa = vars(cli.build_parser().parse_args(["saa"]))
+    for field in ("rel_tol", "confidence", "n0", "batches", "eval_samples"):
+        assert saa[field] == getattr(SaaConfig, field)
 
 
 class TestSaaCommand:

@@ -11,12 +11,13 @@ Only ``model.py`` imports ``scipy.sparse``: it converts sparse input to the
 one dense form.  Only ``model.py`` resolves a scenario's default bounds and
 row senses; every other reader takes them from the problem's
 ``ScenarioBatch``.  ``Scenario`` records are an input form: only the modules
-that read or make them (``model``, ``smps``, ``fixtures``, ``sampling``)
-construct one or turn records into a problem, so the solve modules see
-batches only.  Every field of the solver and sampling configs and of
-``LPInstance`` is set somewhere outside the tests (the package or the
-benchmark); a setting only tests change is a module constant instead, and an
-instance field only tests set is a second form that goes.
+that take them as input (``model``, ``fixtures``, ``sampling``) construct
+one or turn records into a problem, so the solve modules, and the SMPS
+reader, which writes its scenarios as arrays, see batches only.  Every field
+of the solver and sampling configs and of ``LPInstance`` is set somewhere
+outside the tests (the package or the benchmark); a setting only tests change
+is a module constant instead, and an instance field only tests set is a
+second form that goes.
 """
 
 import ast
@@ -238,7 +239,7 @@ def test_the_default_scan_sees_every_form_of_use():
 
 
 RECORD_PATH = {"Scenario", "stack_scenarios", "build_problem"}
-RECORD_MODULES = {"model.py", "smps.py", "fixtures.py", "sampling.py"}
+RECORD_MODULES = {"model.py", "fixtures.py", "sampling.py"}
 
 
 def record_uses(source):

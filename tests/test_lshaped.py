@@ -488,8 +488,13 @@ class TestConsolidation:
     def test_all_active_none_removed(self):
         p = simple_problem()
         st = MasterState(p, 2)
-        rep = solve_lshaped(p, LShapedConfig())     # smoke: cuts exist somewhere
-        assert st.consolidate(1) == 0               # no cuts, nothing to remove
+        st.add_cuts(_cut([1.0, 1.0], 100.0, slot=0))    # one cut per θ slot:
+        st.add_cuts(_cut([-1.0, 2.0], 50.0, slot=1))    # each binds at the optimum
+        for _ in range(3):
+            st.solve_plain()
+        assert st.age.tolist() == [0, 0]
+        assert st.consolidate(1) == 0
+        assert len(st.cuts) == 2
 
     def test_stale_cut_removed(self):
         p = simple_problem()

@@ -254,16 +254,21 @@ class TestExpectedScenario:
 class TestWriteTargets:
     def test_writes_copies_in_order(self):
         q, T, h = np.zeros(2), np.zeros((1, 2)), np.zeros(1)
-        q2, T2, h2 = write_targets(q, T, h, [(("q", 1), 3.0), (("T", 0, 0), 4.0),
-                                             (("h", 0), 5.0), (("q", 1), 6.0)])
-        np.testing.assert_array_equal(q2, [0.0, 6.0])
-        np.testing.assert_array_equal(T2, [[4.0, 0.0]])
-        np.testing.assert_array_equal(h2, [5.0])
+        q2, T2, h2 = write_targets(q, T, h, [("q", 1), ("T", 0, 0), ("h", 0)],
+                                   [[3.0, 4.0, 5.0], [6.0, 7.0, 8.0]])
+        np.testing.assert_array_equal(q2, [[0.0, 3.0], [0.0, 6.0]])
+        np.testing.assert_array_equal(T2, [[[4.0, 0.0]], [[7.0, 0.0]]])
+        np.testing.assert_array_equal(h2, [[5.0], [8.0]])
         assert not q.any() and not T.any() and not h.any()
+
+    def test_a_repeated_target_takes_its_last_column(self):
+        q2, _, _ = write_targets(np.zeros(2), np.zeros((1, 2)), np.zeros(1),
+                                 [("q", 1), ("q", 0), ("q", 1)], [[3.0, 4.0, 6.0]])
+        np.testing.assert_array_equal(q2, [[4.0, 6.0]])
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown scenario data target"):
-            write_targets(np.zeros(1), np.zeros((1, 1)), np.zeros(1), [(("W", 0, 0), 1.0)])
+            write_targets(np.zeros(1), np.zeros((1, 1)), np.zeros(1), [("W", 0, 0)], [[1.0]])
 
 
 class TestSenses:

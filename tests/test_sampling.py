@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochlp import analysis, kernel
-from stochlp.errors import TooFewBatches
+from stochlp.errors import EmptyScenarioSet, TooFewBatches
 from stochlp.fixtures import (
     simple_discrete_sampler,
     simple_model,
@@ -35,32 +35,33 @@ class TestSamplers:
         sampler = simple_sampler()
         a = sampler.sample(42, 7)
         b = sampler.sample(42, 7)
-        np.testing.assert_array_equal(a.q, b.q)
-        np.testing.assert_array_equal(a.h, b.h)
+        np.testing.assert_array_equal(a, b)
 
     def test_different_index_different_draw(self):
         sampler = simple_sampler()
         a = sampler.sample(42, 0)
         b = sampler.sample(42, 1)
-        assert not np.array_equal(a.h, b.h)
+        assert not np.array_equal(a[2:], b[2:])      # the components that land in h
 
     def test_normal_sampler_targets(self):
-        sampler = simple_sampler()
-        sc = sampler.sample(1, 0)
+        sc = simple_sampler().batch(simple_model().shape, 1, 1)
         # sampled components land in (q1, q2, h3, h4); rows 0-1 of h untouched
-        assert sc.h[0] == 0.0 and sc.h[1] == 0.0
-        assert 300 < sc.h[2] < 500          # d1 ~ N(400, 50)
-        assert 15 < sc.q[0] < 35            # q1 ~ N(24, 2)
+        assert sc.h[0, 0] == 0.0 and sc.h[0, 1] == 0.0
+        assert 300 < sc.h[0, 2] < 500       # d1 ~ N(400, 50)
+        assert 15 < sc.q[0, 0] < 35         # q1 ~ N(24, 2)
 
     def test_normal_draws_equal_multivariate_normal_bit_for_bit(self):
         from stochlp.sampling import scenario_rng
         sampler = simple_sampler()
+        shape = simple_model().shape
         for seed in (0, 1, 7, 2**40 + 3):
+            drawn = sampler.batch(shape, 250, seed)
             for index in range(250):
                 ref = scenario_rng(seed, index).multivariate_normal(
                     sampler.mean, sampler.cov, method="cholesky")
-                sc = sampler.sample(seed, index)
-                np.testing.assert_array_equal([sc.q[0], sc.q[1], sc.h[2], sc.h[3]], ref)
+                np.testing.assert_array_equal(sampler.sample(seed, index), ref)
+                np.testing.assert_array_equal([drawn.q[index, 0], drawn.q[index, 1],
+                                               drawn.h[index, 2], drawn.h[index, 3]], ref)
 
     def test_covariance_not_positive_definite_fails_at_construction(self):
         from stochlp.sampling import NormalSampler
@@ -69,9 +70,29 @@ class TestSamplers:
             NormalSampler(mean=[0.0, 0.0], cov=[[1.0, 2.0], [2.0, 1.0]], template=template,
                           targets=(("q", 0), ("q", 1)))
 
+    @pytest.mark.parametrize("target", [("W", 0, 0), ("q", -1), ("q", 2), ("T", 4, 0),
+                                        ("h", 0, 0)])
+    def test_target_outside_the_template_fails_at_construction(self, target):
+        from stochlp.sampling import NormalSampler
+        template = simple_sampler().template          # q (2,), T (4, 2), h (4,)
+        with pytest.raises(ValueError, match="unknown scenario data target"):
+            NormalSampler(mean=[0.0, 0.0], cov=np.eye(2), template=template,
+                          targets=(("q", 0), target))
+
+    def test_discrete_sampler_without_scenarios_fails_at_construction(self):
+        with pytest.raises(ValueError, match="one finite, non-negative weight per scenario"):
+            DiscreteSampler(scenarios=(), weights=())
+
+    @pytest.mark.parametrize("weights", [(0.0, 0.0), (-1.0, 2.0), (np.inf, 1.0),
+                                         (np.nan, 1.0)])
+    def test_bad_weights_fail_at_construction(self, weights):
+        scenarios = simple_discrete_sampler().scenarios
+        with pytest.raises(ValueError, match="one finite, non-negative weight per scenario"):
+            DiscreteSampler(scenarios=scenarios, weights=weights)
+
     def test_discrete_sampler_hits_both_atoms(self):
         sampler = simple_discrete_sampler()
-        hs = {float(sampler.sample(0, i).h[2]) for i in range(64)}
+        hs = {float(sampler.scenarios[sampler.sample(0, i)].h[2]) for i in range(64)}
         assert hs == {500.0, 300.0}
 
     def test_sample_instance_probabilities(self):
@@ -114,11 +135,17 @@ class TestEvaluateOnSamples:
         sampler = DiscreteSampler(scenarios=scenarios, weights=(0.5, 0.5))
         x = [1.0]
         vals = evaluate_on_samples(StochasticModel(first, shape), sampler, x, 8, seed=3)
-        drawn = [sampler.sample(3, i) for i in range(8)]
+        drawn = [scenarios[sampler.sample(3, i)] for i in range(8)]
         assert {id(s) for s in drawn} == {id(s) for s in scenarios}
         for v, sc in zip(vals, drawn):
             expected = analysis.evaluate_decision(build_problem(first, shape, [sc]), x)
             assert v == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("sampler", [simple_sampler(), simple_discrete_sampler()],
+                             ids=["normal", "discrete"])
+    def test_an_empty_sample_is_an_empty_scenario_set(self, sampler):
+        with pytest.raises(EmptyScenarioSet):
+            evaluate_on_samples(simple_model(), sampler, [46.67, 36.25], 0, seed=1)
 
     def test_scenarios_differing_only_in_bounds_are_kept_apart(self):
         # same (q, T, h), different upper bound on y: two recourse LPs, two values
@@ -130,7 +157,7 @@ class TestEvaluateOnSamples:
         model = StochasticModel(first, shape)
         sampler = DiscreteSampler(scenarios=scenarios, weights=(0.5, 0.5))
         vals = evaluate_on_samples(model, sampler, [0.0], 16, seed=0)
-        drawn = [sampler.sample(0, i) for i in range(16)]
+        drawn = [scenarios[sampler.sample(0, i)] for i in range(16)]
         assert {id(s) for s in drawn} == {id(s) for s in scenarios}
         np.testing.assert_array_equal(vals, [-2.0 if s is scenarios[0] else -10.0
                                              for s in drawn])

@@ -1,5 +1,7 @@
 """SMPS parsing: CORE/TIME/STOCH triplets, cross products, error paths."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -164,26 +166,71 @@ class TestReadSmps:
         assert exc.value.line_no > 0
 
 
+def _indep(target, outcomes):
+    """The position of one INDEP entry with ``outcomes`` [(value, probability)]."""
+    return RandomPosition(f"entry {target}", [({target: v}, pr) for v, pr in outcomes])
+
+
 class TestCrossProduct:
     def test_two_by_three(self):
-        pos = [RandomPosition(("h", 0), [(1.0, 0.5), (2.0, 0.5)]),
-               RandomPosition(("q", 0), [(1.0, 0.2), (2.0, 0.3), (3.0, 0.5)])]
-        scen = cross_product_scenarios(pos, np.zeros(1), np.zeros((1, 1)), np.zeros(1))
-        assert len(scen) == 6
-        assert abs(sum(s.probability for s in scen) - 1.0) <= 1e-12
-        assert scen[0].probability == pytest.approx(0.1)
+        pos = [_indep(("h", 0), [(1.0, 0.5), (2.0, 0.5)]),
+               _indep(("q", 0), [(1.0, 0.2), (2.0, 0.3), (3.0, 0.5)])]
+        prob, q, T, h = cross_product_scenarios(pos, np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+        assert prob.shape == (6,) and q.shape == (6, 1) and T.shape == (6, 1, 1)
+        assert abs(sum(prob) - 1.0) <= 1e-12
+        assert prob[0] == pytest.approx(0.1)
+        # the first position varies slowest
+        np.testing.assert_array_equal(h[:, 0], [1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(q[:, 0], [1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
 
     def test_single_position(self):
-        pos = [RandomPosition(("h", 0), [(1.0, 0.4), (2.0, 0.6)])]
-        scen = cross_product_scenarios(pos, np.zeros(1), np.zeros((1, 1)), np.zeros(1))
-        assert [s.probability for s in scen] == [0.4, 0.6]
+        pos = [_indep(("h", 0), [(1.0, 0.4), (2.0, 0.6)])]
+        prob, _, _, _ = cross_product_scenarios(pos, np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+        assert prob.tolist() == [0.4, 0.6]
 
     def test_uniform_cube(self):
-        pos = [RandomPosition(("h", i), [(0.0, 0.5), (1.0, 0.5)]) for i in range(3)]
-        scen = cross_product_scenarios(pos, np.zeros(1), np.zeros((3, 1)), np.zeros(3))
-        assert len(scen) == 8
-        assert all(s.probability == pytest.approx(0.125) for s in scen)
-        assert sum(s.probability for s in scen) == pytest.approx(1.0, abs=1e-9)
+        pos = [_indep(("h", i), [(0.0, 0.5), (1.0, 0.5)]) for i in range(3)]
+        prob, _, _, _ = cross_product_scenarios(pos, np.zeros(1), np.zeros((3, 1)),
+                                                np.zeros(3))
+        assert prob.size == 8
+        assert all(pr == pytest.approx(0.125) for pr in prob)
+        assert sum(prob) == pytest.approx(1.0, abs=1e-9)
+
+    def test_explosion_raised_before_the_grid_is_built(self):
+        # 2^40 scenarios: a grid allocated before the check could not be built
+        pos = [_indep(("h", 0), [(0.0, 0.5), (1.0, 0.5)]) for _ in range(40)]
+        with pytest.raises(ScenarioExplosion):
+            cross_product_scenarios(pos, np.zeros(1), np.zeros((1, 1)), np.zeros(1), cap=7)
+
+    def test_equals_the_per_combination_loop_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        pos = [_indep(("h", 1), [(1.5, 0.3), (2.5, 0.7)]),
+               RandomPosition("block", [({("T", 0, 1): 4.0, ("h", 1): 9.0}, 0.1),
+                                        ({("q", 0): 7.0}, 0.9)]),
+               _indep(("T", 0, 1), [(v, 1 / 3) for v in rng.normal(size=3)])]
+        q0, T0, h0 = rng.normal(size=2), rng.normal(size=(2, 2)), rng.normal(size=2)
+        prob, q, T, h = cross_product_scenarios(pos, q0, T0, h0)
+        for s, combo in enumerate(itertools.product(*(position.outcomes for position in pos))):
+            ref, pr = [q0.copy(), T0.copy(), h0.copy()], 1.0
+            for assign, outcome_probability in combo:
+                pr *= outcome_probability
+                for (kind, *index), v in assign.items():
+                    ref["qTh".index(kind)][tuple(index)] = v
+            assert prob[s] == pr
+            for a, b in zip((q[s], T[s], h[s]), ref):
+                np.testing.assert_array_equal(a, b)
+
+    def test_block_outcome_that_omits_a_target_keeps_the_indep_value(self):
+        sto = ("STOCH TOY\nINDEP DISCRETE\n RHS ROW2 4.0 0.3\n RHS ROW2 10.0 0.7\n"
+               "BLOCKS DISCRETE\n"
+               " BL B1 PER2 0.6\n RHS ROW2 7.0\n Y1 OBJ 3.0\n"
+               " BL B1 PER2 0.4\n Y1 OBJ 5.0\n"
+               "ENDATA\n")
+        p = read_smps(SmpsTriplet(core=CORE, time=TIME, stoch=sto))
+        np.testing.assert_array_equal(p.batch.h[:, 0], [7.0, 4.0, 7.0, 10.0])
+        np.testing.assert_array_equal(p.batch.q[:, 0], [3.0, 5.0, 3.0, 5.0])
+        np.testing.assert_array_equal(p.batch.probability, [0.3 * 0.6, 0.3 * 0.4,
+                                                            0.7 * 0.6, 0.7 * 0.4])
 
 
 class TestBlocks:

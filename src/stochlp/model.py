@@ -218,6 +218,8 @@ class ScenarioBatch:
     own_senses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.probability.size == 0:
+            raise EmptyScenarioSet("a problem needs at least one scenario")
         _store(self, own_senses=np.array([x != self.shape.row_senses for x in self.senses]))
         for a in (self.probability, self.q, self.T, self.h, self.lb, self.ub, self.own_senses):
             a.flags.writeable = False

@@ -3,6 +3,10 @@
 A sampler's ``sample(seed, index)`` is one draw (a normal vector or a record's
 index) on a counter-based Philox generator keyed by the pair, so draws repeat on
 any platform; ``batch(shape, n, seed)`` stacks draws 0..n-1 into one batch.
+Each thread keeps one ``Generator(Philox)``, made on its first draw; a draw
+resets it to key (seed, index) at counter 0, the state ``Philox(key=...)``
+starts in, instead of building a generator.  A discrete draw is one uniform
+searched in the cumulative weights, which are kept at construction.
 
 The SAA driver follows the multiple-replication layout (Mak, Morton and
 Wood 1999): M lower-bound batches of n scenarios each, solved by
@@ -13,6 +17,7 @@ drives the sample-size growth loop.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -36,11 +41,26 @@ from .model import (
 )
 
 
-def scenario_rng(seed, index) -> np.random.Generator:
-    """Independent stream for one (seed, index) pair via Philox keying."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(index & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_MASK = 0xFFFFFFFFFFFFFFFF
+_thread = threading.local()      # .rng: this thread's generator, made on its first draw
+
+
+def _keyed_rng(seed, index) -> np.random.Generator:
+    """This thread's generator, reset to Philox key (seed, index) and counter 0.
+
+    It draws the bits of ``Generator(Philox(key=[seed, index]))``, both
+    masked to 64 bits, until the next call on this thread resets it: take
+    the draw before calling again.
+    """
+    rng = getattr(_thread, "rng", None)
+    if rng is None:
+        rng = _thread.rng = np.random.Generator(np.random.Philox())
+    # plain ints: the setter reads each entry as a uint64, and builds no arrays
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (int(seed) & _MASK, int(index) & _MASK)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def derive_seed(*parts) -> int:
@@ -55,6 +75,7 @@ class DiscreteSampler:
 
     scenarios: tuple
     weights: tuple
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -62,11 +83,14 @@ class DiscreteSampler:
         if w.size != len(self.scenarios) or not ok:
             raise ValueError(f"need one finite, non-negative weight per scenario, of positive "
                              f"sum: {len(self.scenarios)} scenarios, weights {self.weights!r}")
-        _store(self, weights=tuple(w / w.sum()))
+        w = w / w.sum()
+        cdf = w.cumsum()
+        _store(self, weights=tuple(w), cdf=cdf / cdf[-1])
 
     def sample(self, seed, index) -> int:
-        rng = scenario_rng(seed, index)
-        return int(rng.choice(len(self.scenarios), p=np.asarray(self.weights)))
+        """The index of the drawn record: what ``Generator.choice(p=weights)`` draws."""
+        u = _keyed_rng(seed, index).random()
+        return int(self.cdf.searchsorted(u, side="right"))
 
     def batch(self, shape, n, seed) -> ScenarioBatch:
         """The records of n draws, each with probability 1/n."""
@@ -108,8 +132,7 @@ class NormalSampler:
 
     def sample(self, seed, index) -> np.ndarray:
         """The sampled components of draw ``index``, one per target."""
-        rng = scenario_rng(seed, index)
-        return self.mean + rng.standard_normal(self.mean.size) @ self.factor.T
+        return self.mean + _keyed_rng(seed, index).standard_normal(self.mean.size) @ self.factor.T
 
     def batch(self, shape, n, seed) -> ScenarioBatch:
         """The template with n draws written in, each with probability 1/n."""
@@ -193,6 +216,10 @@ class SaaConfig:
             raise ConfigError("n0 must be >= 1")
         if self.batches < 2:
             raise TooFewBatches("need at least 2 batches")
+        if self.eval_samples < 1:
+            raise ConfigError("eval_samples must be >= 1")
+        if self.max_n < self.n0:
+            raise ConfigError("max_n must be >= n0")
 
 
 @dataclass

@@ -311,7 +311,9 @@ class TestSaaCommand:
         (("--confidence", "1"), "confidence must be in (0, 1)"),
         (("--confidence", "0"), "confidence must be in (0, 1)"),
         (("--n0", "0"), "n0 must be >= 1"),
-    ], ids=["rel-tol", "confidence-1", "confidence-0", "n0"])
+        # refused before any batch is solved, not when the evaluation finds no sample
+        (("--eval-samples", "0", "--batches", "2", "--n0", "2"), "eval_samples must be >= 1"),
+    ], ids=["rel-tol", "confidence-1", "confidence-0", "n0", "eval-samples"])
     def test_exit_1_on_bad_saa_config(self, capsys, flags, message):
         from stochlp import cli
         assert cli.main(["saa", "--model", "simple", *flags]) == cli.EXIT_CONFIG

@@ -89,6 +89,11 @@ class TestBuildProblem:
         with pytest.raises(EmptyScenarioSet):
             build_problem(first, shape, [])
 
+    def test_a_batch_of_no_rows_is_refused(self):
+        # rows() builds the batch itself, without stack_arrays' check
+        with pytest.raises(EmptyScenarioSet):
+            simple_problem().batch.rows([], [])
+
     def test_nonpositive_probability(self):
         with pytest.raises(NonPositiveProbability):
             Scenario(probability=0.0, q=[1.0], T=[[1.0]], h=[1.0])

@@ -1,10 +1,14 @@
 """Samplers, sampled instances, confidence intervals, and the SAA driver."""
 
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from stochlp import analysis, kernel
-from stochlp.errors import EmptyScenarioSet, TooFewBatches
+from stochlp.errors import ConfigError, EmptyScenarioSet, TooFewBatches
 from stochlp.fixtures import (
     simple_discrete_sampler,
     simple_model,
@@ -51,17 +55,81 @@ class TestSamplers:
         assert 15 < sc.q[0, 0] < 35         # q1 ~ N(24, 2)
 
     def test_normal_draws_equal_multivariate_normal_bit_for_bit(self):
-        from stochlp.sampling import scenario_rng
         sampler = simple_sampler()
         shape = simple_model().shape
         for seed in (0, 1, 7, 2**40 + 3):
             drawn = sampler.batch(shape, 250, seed)
             for index in range(250):
-                ref = scenario_rng(seed, index).multivariate_normal(
-                    sampler.mean, sampler.cov, method="cholesky")
+                rng = np.random.Generator(np.random.Philox(key=[seed, index]))
+                ref = rng.multivariate_normal(sampler.mean, sampler.cov, method="cholesky")
                 np.testing.assert_array_equal(sampler.sample(seed, index), ref)
                 np.testing.assert_array_equal([drawn.q[index, 0], drawn.q[index, 1],
                                                drawn.h[index, 2], drawn.h[index, 3]], ref)
+
+    @pytest.mark.parametrize("weights", [(0.3, 0.7), (2.0, 0.0, 1.0, 0.5, 3.0)],
+                             ids=["two", "five-with-a-zero"])
+    def test_discrete_draws_equal_choice_bit_for_bit(self, weights):
+        template = simple_discrete_sampler().scenarios[0]
+        sampler = DiscreteSampler(scenarios=(template,) * len(weights), weights=weights)
+        p = np.asarray(weights) / sum(weights)
+        for seed in (0, 1, 7, 2**40 + 3):
+            for index in range(500):
+                rng = np.random.Generator(np.random.Philox(key=[seed, index]))
+                assert sampler.sample(seed, index) == rng.choice(len(weights), p=p)
+
+    @pytest.mark.parametrize("seed, index", [
+        (2**64 - 1, 0), (2**64, 3), (2**64 + 5, 2**64 + 7), (-1, 1), (-3, -2),
+        (12345, 2**64 - 1), (0, 2**64), (1, -(2**63)), (-(2**70), 2**70 + 9),
+    ])
+    def test_seed_and_index_are_masked_to_64_bits(self, seed, index):
+        key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+        normal, discrete = simple_sampler(), simple_discrete_sampler()
+        rng = np.random.Generator(np.random.Philox(key=key))
+        ref = rng.multivariate_normal(normal.mean, normal.cov, method="cholesky")
+        np.testing.assert_array_equal(normal.sample(seed, index), ref)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        assert discrete.sample(seed, index) == rng.choice(2, p=np.asarray(discrete.weights))
+        np.testing.assert_array_equal(normal.sample(seed + 2**64, index - 2**64), ref)
+
+    def test_threads_drawing_interleaved_batches_match_serial_draws(self):
+        # each thread walks the same batches in its own order, switching
+        # threads as often as the interpreter allows: a generator shared
+        # between threads would be reset under another thread's draw
+        shape = simple_model().shape
+        jobs = [(sampler, seed) for seed in (0, 1, 2**64 + 5, -3)
+                for sampler in (simple_sampler(), simple_discrete_sampler())]
+
+        def digest(sampler, seed):
+            b = sampler.batch(shape, 64, seed)
+            return hashlib.sha256(b"".join(a.tobytes() for a in (b.q, b.T, b.h))).hexdigest()
+
+        serial = [digest(*job) for job in jobs]
+        threads = 4
+        start = threading.Barrier(threads)
+        seen = [None] * threads
+
+        def work(k):
+            start.wait(timeout=30)
+            order = range(len(jobs)) if k % 2 == 0 else range(len(jobs) - 1, -1, -1)
+            got = {}
+            for _ in range(3):
+                for j in order:
+                    got.setdefault(j, set()).add(digest(*jobs[j]))
+            seen[k] = got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        for got in seen:
+            assert got == {j: {d} for j, d in enumerate(serial)}
 
     def test_covariance_not_positive_definite_fails_at_construction(self):
         from stochlp.sampling import NormalSampler
@@ -220,6 +288,15 @@ class TestSaa:
         ws = kernel.solve_lp(build_wait_and_see(p, 1))
         assert res.report.lo == pytest.approx(ws.objective, abs=1e-6)
         assert res.report.hi == pytest.approx(ws.objective, abs=1e-6)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eval_samples": 0}, "eval_samples must be >= 1"),
+        ({"eval_samples": -5}, "eval_samples must be >= 1"),
+        ({"n0": 16, "max_n": 4}, "max_n must be >= n0"),
+    ])
+    def test_config_refuses_an_empty_evaluation_or_a_budget_below_n0(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            SaaConfig(**kwargs)
 
     def test_budget_exceeded_flagged(self):
         cfg = SaaConfig(rel_tol=1e-9, n0=4, batches=3, eval_samples=50, max_n=8)

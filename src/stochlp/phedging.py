@@ -6,6 +6,17 @@ multipliers rho_s move by r (x_s - xi) each round.  Termination is on the
 squared primal gap |xi_k - xi_{k-1}|^2 and squared dual gap
 sum_s pi_s |x_s - xi_k|^2, compared directly against the tolerances.
 
+A round is a fixed-point map u = (xi, rho) -> G(u), affine while the
+scenarios' active sets hold.  Each advance takes the plain step, whose gaps
+alone drive the stop, and then, unless stopping, a safeguarded type-II
+Anderson acceleration (``_Anderson``: memory 5, in the norm with sqrt(r) xi
+and sqrt(pi_s / r) rho_s) may replace G(u) by a point extrapolated from the
+last waves.  The point is taken only when finite and within 10 plain
+residuals; a rise in the residual drops the memory for the plain step, a
+penalty change clears it, and the extrapolated rho is re-centred so that
+sum_s pi_s rho_s stays 0.  There is no option: every execution mode and
+the linearized penalty run the same rule.
+
 The reported objective is sum_s pi_s (c^T x_s + q_s^T y_s), evaluated at the
 per-scenario solutions (xi itself may be second-stage infeasible before
 consensus); when xi is feasible its expected value is reported alongside.
@@ -33,6 +44,8 @@ _ADAPT_PERIOD = 10      # rounds between penalty updates (averaged gaps)
 _ZETA = 10.0            # residual-balancing ratio threshold
 _THETA_INC = 2.0        # penalty growth factor
 _THETA_DEC = 0.5        # penalty shrink factor
+_AA_MEMORY = 5          # Anderson acceleration: residual differences kept
+_AA_MAX_MOVE = 10.0     # an extrapolated step moves at most this many plain residuals
 
 
 @dataclass
@@ -94,6 +107,51 @@ def _maybe_adapt(state: PhState, cfg: PhConfig):
     window = np.asarray(state.gap_window)
     state.gap_window.clear()
     state.r = update_penalty(float(window[:, 0].mean()), float(window[:, 1].mean()), state.r)
+
+
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of PH's map u = (xi, rho) -> G(u).
+
+    A point is the flat vector (xi, rho_1, ..., rho_S).  The fit and the
+    step cap use the norm PH contracts in, |sqrt(r) xi|^2 + sum_s pi_s/r
+    |rho_s|^2, where the plain residual |G(u) - u|^2 is r (primal_gap +
+    dual_gap).  From the last ``_AA_MEMORY`` + 1 waves at one penalty,
+    gamma minimizes |f_k - dF gamma| over the residual differences and the
+    extrapolated point is g_k - dG gamma (Walker & Ni 2011).  It is taken
+    only when finite and at most ``_AA_MAX_MOVE`` plain residuals from u_k.
+    A wave whose residual exceeds the previous wave's drops the older
+    memory and takes the plain step: plain PH at a fixed penalty never
+    raises the residual, so the run keeps plain PH's convergence.
+    """
+
+    def __init__(self, probs, n):
+        self.sqrt_p = np.repeat(np.sqrt(probs), n)
+        self.clear()
+
+    def clear(self):
+        self.g, self.f = [], []      # G(u) and G(u) - u of the waves kept
+        self.residual = np.inf       # the last wave's squared plain residual
+
+    def step(self, u, g, r, residual):
+        """The next point after the wave at u gave g = G(u), or None for the plain step."""
+        rising = residual > self.residual
+        if rising:
+            self.clear()
+        self.residual = residual
+        self.g.append(g)
+        self.f.append(g - u)
+        del self.g[:-_AA_MEMORY - 1], self.f[:-_AA_MEMORY - 1]
+        if rising or len(self.f) < 2:
+            return None
+        w = np.concatenate([np.full(u.size - self.sqrt_p.size, np.sqrt(r)),
+                            self.sqrt_p / np.sqrt(r)])
+        dF, dG = np.diff(self.f, axis=0).T, np.diff(self.g, axis=0).T
+        gamma = np.linalg.lstsq(w[:, None] * dF, w * self.f[-1], rcond=None)[0]
+        nxt = g - dG @ gamma
+        if not np.all(np.isfinite(nxt)) \
+                or np.linalg.norm(w * (nxt - u)) > _AA_MAX_MOVE * np.sqrt(residual):
+            return None
+        return nxt
 
 
 class ProximalStacks:
@@ -323,7 +381,10 @@ def _report(problem, cfg, state, trace, status, wall, seed):
                 if np.isfinite(xi_value) else np.inf,
                 "scenario_decisions": state.xs.copy(),
                 "multipliers": state.rho.copy(),
-                "multiplier_drift": state.multiplier_drift(problem.probabilities)},
+                "multiplier_drift": state.multiplier_drift(problem.probabilities),
+                "proximal": {k: sum(rec[k] for rec in trace) for k in
+                             ("qp_solved", "qp_accepted", "ipm_iterations", "qp_retries",
+                              "accelerated")} | {"steps": len(trace)}},
     )
     rep.config = {"penalty": cfg.penalty, "r": cfg.r,
                   "primal_tol": cfg.primal_tol, "dual_tol": cfg.dual_tol,
@@ -360,7 +421,9 @@ class _PhCoordinator:
         self.resolved = False      # some version completed since the last aggregation
         self.trace = []
         self.warm = [None] * S
-        self.qp_accepted = 0       # QPs settled at their active set since the last trace record
+        self.anderson = _Anderson(self.probs, problem.n)
+        self.qp_solved = 0         # proximal QPs solved since the last trace record
+        self.qp_accepted = 0       # and those settled at their active set
         self.ipm_iterations = 0    # interior-point iterations since that record
         self.qp_s = 0.0            # and the seconds they took
         self.qp_retries = 0        # cold re-solves of warm-started QPs since that record
@@ -381,6 +444,7 @@ class _PhCoordinator:
         if self.finished:
             return      # results drained after the stop leave the run as reported
         sol = env.payload
+        self.qp_solved += 0 if self.cfg.linearize else sol.scenarios.size
         self.qp_accepted += sol.qp_accepted
         self.ipm_iterations += sol.ipm_iterations
         self.qp_retries += sol.qp_retries
@@ -396,8 +460,12 @@ class _PhCoordinator:
         self.resolved = True
 
     def advance(self):
+        """Aggregate, update the multipliers and test for the stop, all on the
+        plain PH step; then, unless stopping, let ``_Anderson`` extrapolate
+        the next (xi, rho) from the plain step and the last waves."""
         st, cfg = self.state, self.cfg
         st.iteration += 1
+        u, r = np.concatenate([st.xi, st.rho.ravel()]), st.r
         xi_new = aggregate_implementable(st.xs, self.probs)
         st.primal_gap = float(np.sum((xi_new - st.xi) ** 2))
         st.xi = xi_new
@@ -406,20 +474,29 @@ class _PhCoordinator:
         st.rho = update_multipliers(st.rho, st.xs, xi_new, st.r)
         if cfg.penalty == "adaptive":
             _maybe_adapt(st, cfg)
-        self.trace.append({"iteration": st.iteration, "primal_gap": st.primal_gap,
-                           "dual_gap": st.dual_gap, "penalty": st.r,
-                           "objective": _objective(self.p, st),
-                           "multiplier_drift": st.multiplier_drift(self.probs),
-                           "qp_accepted": self.qp_accepted,
-                           "ipm_iterations": self.ipm_iterations,
-                           "qp_retries": self.qp_retries, "qp_s": self.qp_s})
-        self.qp_accepted, self.ipm_iterations, self.qp_retries, self.qp_s = 0, 0, 0, 0.0
         resolved, self.resolved = self.resolved, False
         if resolved and st.primal_gap <= cfg.primal_tol and st.dual_gap <= cfg.dual_tol:
             self.status = "optimal"
             self.finished = True
-            return None
-        if st.iteration >= cfg.max_iterations:
+        elif st.iteration >= cfg.max_iterations:
             self.finished = True
-            return None
-        return self._decision()
+        nxt = None
+        if st.r != r:
+            self.anderson.clear()
+        elif not self.finished:
+            nxt = self.anderson.step(u, np.concatenate([st.xi, st.rho.ravel()]), r,
+                                     r * (st.primal_gap + st.dual_gap))
+        if nxt is not None:
+            st.xi, rho = nxt[:self.p.n], nxt[self.p.n:].reshape(st.rho.shape)
+            st.rho = rho - self.probs @ rho      # sum_s pi_s rho_s = 0 to rounding
+        self.trace.append({"iteration": st.iteration, "primal_gap": st.primal_gap,
+                           "dual_gap": st.dual_gap, "penalty": st.r,
+                           "objective": _objective(self.p, st),
+                           "multiplier_drift": st.multiplier_drift(self.probs),
+                           "accelerated": nxt is not None,
+                           "qp_solved": self.qp_solved, "qp_accepted": self.qp_accepted,
+                           "ipm_iterations": self.ipm_iterations,
+                           "qp_retries": self.qp_retries, "qp_s": self.qp_s})
+        self.qp_solved = self.qp_accepted = self.ipm_iterations = self.qp_retries = 0
+        self.qp_s = 0.0
+        return None if self.finished else self._decision()

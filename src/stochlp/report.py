@@ -91,6 +91,12 @@ class SolveReport:
             total = rec["bunched"] + rec["lp_solved"]
             lines.append(f"recourse:    {rec['bunched']} of {total} subproblems bunched "
                          f"({100.0 * rec['bunched_share']:.1f}%), {rec['lp_solved']} by LP")
+        ph = self.extras.get("proximal")
+        if ph:
+            lines.append(f"proximal:    {ph['qp_accepted']} of {ph['qp_solved']} QPs settled at "
+                         f"their active set, {ph['ipm_iterations']} interior-point iterations, "
+                         f"{ph['qp_retries']} cold retries, {ph['accelerated']} of "
+                         f"{ph['steps']} steps accelerated")
         if self.seed is not None:
             lines.append(f"seed:        {self.seed}")
         lines.append(f"wall time:   {self.wall_time:.3f} s")

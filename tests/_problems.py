@@ -6,10 +6,13 @@ any first-stage point has a feasible (and bounded) recourse.
 ``random_norrc_problem`` drops those slacks on capacity rows, so feasibility
 cuts are required.  ``dep_optimum`` is the reference the solvers are checked
 against: the DEP solved whole, whatever path ``analysis.vrp`` takes.
+``highs_dep_optimum`` is the same optimum from HiGHS, built without the package.
 ``stack_of_one`` turns an LP plus a proximal term into the kernel's QP input.
 """
 
 import numpy as np
+from scipy.linalg import block_diag
+from scipy.optimize import linprog
 
 from stochlp import kernel
 from stochlp.fixtures import farmer_model, farmer_scenario
@@ -27,6 +30,30 @@ def dep_optimum(problem):
     sol = kernel.solve_lp(build_deterministic_equivalent(problem))
     kernel.require_optimal(sol, "DEP solve")
     return sol.objective, sol.x[:problem.n]
+
+
+def highs_dep_optimum(problem):
+    """Optimal value of the DEP, assembled here from the problem's arrays and solved by HiGHS.
+
+    Neither the package's DEP builder nor its kernel takes part, as in
+    ``perfbench/oracle.py``, so a fault they share cannot agree with itself.
+    """
+    first, batch, W = problem.first, problem.batch, problem.shape.W
+    S, r, n = batch.T.shape
+    A = np.block([[first.A, np.zeros((first.A.shape[0], S * W.shape[1]))],
+                  [batch.T.reshape(S * r, n), block_diag(*[W] * S)]])
+    rhs = np.concatenate([first.b, batch.h.ravel()])
+    senses = np.array(first.row_senses + sum(batch.senses, ()), dtype=object)
+    sign = np.where(senses == ">=", -1.0, 1.0)
+    ineq, eq = senses != "=", senses == "="
+    res = linprog(np.concatenate([first.c, (batch.probability[:, None] * batch.q).ravel()]),
+                  A_ub=sign[ineq, None] * A[ineq], b_ub=sign[ineq] * rhs[ineq],
+                  A_eq=A[eq] if eq.any() else None, b_eq=rhs[eq] if eq.any() else None,
+                  bounds=np.column_stack([np.concatenate([first.lb, batch.lb.ravel()]),
+                                          np.concatenate([first.ub, batch.ub.ravel()])]),
+                  method="highs")
+    assert res.status == 0, f"HiGHS ended with status {res.status}: {res.message}"
+    return float(res.fun)
 
 
 def stack_of_one(lp, D, z):

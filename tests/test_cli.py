@@ -238,6 +238,17 @@ class TestVerbose:
         for rec, r in zip(trace, records):
             assert r.getMessage().startswith(f"lshaped iteration={rec['iteration']} ")
 
+    def test_v_shows_whether_a_ph_step_was_accelerated(self, capsys, caplog):
+        from stochlp import cli
+        assert cli.main(["solve", "--fixture", "farmer", "--method", "ph", "-v"]) == 0
+        text = capsys.readouterr().out
+        lines = [r.getMessage() for r in caplog.records if r.name == "stochlp"]
+        assert lines and all(" accelerated=" in m for m in lines)
+        steps = sum("accelerated=True" in m for m in lines)
+        assert 0 < steps < len(lines)
+        assert f"{steps} of {len(lines)} steps accelerated" in text
+        assert "QPs settled at their active set" in text
+
     def test_vv_adds_debug(self, capsys, caplog):
         trace, records = self._solve(capsys, caplog, "-vv")
         assert [r.levelno for r in records] == [logging.INFO] * len(trace) + [logging.DEBUG]

@@ -8,12 +8,14 @@ import pytest
 
 from stochlp import kernel
 from stochlp.errors import ConfigError, InfeasibleScenario, NumericalBreakdown
-from stochlp.execution import ExecConfig
+from stochlp.execution import ExecConfig, ResultEnvelope
 from stochlp.fixtures import farmer_problem, simple_model, simple_problem, simple_sampler
 from stochlp.model import FirstStage, RecourseShape, Scenario, build_problem, build_wait_and_see
 from stochlp.phedging import (
     PhConfig,
     ProximalStacks,
+    _initial_state,
+    _PhCoordinator,
     aggregate_implementable,
     solve_ph,
     solve_ph_subproblem,
@@ -176,14 +178,32 @@ class TestSubproblem:
 
 class TestSolve:
     def test_a_stalled_warm_start_is_retried_cold(self):
-        # a warm-started proximal QP of this batch stalls at the iteration
-        # limit, though it solves cold; without the cold retry the run raises
+        # wave 37 of plain adaptive PH on this batch: scenario 32's proximal
+        # QP, started from its last iterate, stalls at the iteration limit
+        # though it solves cold; without the cold retry the call raises
         p = _batch_instance(simple_model(), simple_sampler(), 64, 2)
-        rep = solve_ph(p, PhConfig(penalty="adaptive"))
-        assert rep.status == "optimal"
-        assert sum(rec["qp_retries"] for rec in rep.trace) > 0
-        v, _ = dep_optimum(p)
-        assert rep.extras["internal_objective"] == pytest.approx(v, rel=1e-3)
+        data = ProximalStacks(p)
+        xi, r = np.array([40.9972174784137, 20.294776780259173]), 4.0
+        rho = np.zeros((p.nscen, 2))
+        rho[32] = [52.85762233360582, -6.106050676738107]
+        warm = [None] * p.nscen
+        warm[32] = (np.array([41.638567829408736, 19.999999999999996,
+                              70.16859302354757, 207.73025116232384]),
+                    np.array([0.0, 2.5479625305576517, 1.2785508519299629, 0.0,
+                              0.013899142716099266, 0.0, 41.65803023762347, 0.0, 0.0]),
+                    np.zeros(0))
+        sol = solve_ph_subproblem(data, [32], xi, rho, r, warm=warm)
+        assert sol.qp_retries > 0
+        cold = solve_ph_subproblem(data, [32], xi, rho, r)
+        assert cold.qp_retries == 0
+        lp = build_wait_and_see(p, 32)
+        assert kernel.primal_violation(lp, np.concatenate([sol.xs[0], sol.ys[0]])) <= 1e-6
+
+        def proximal_value(s):
+            x = s.xs[0]
+            return lp.c @ np.concatenate([x, s.ys[0]]) + rho[32] @ x \
+                + r / 2 * np.sum((x - xi) ** 2)
+        assert proximal_value(sol) == pytest.approx(proximal_value(cold), rel=1e-7)
 
     def test_single_scenario_exact_in_two_iterations(self):
         first = FirstStage(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[4.0],
@@ -323,11 +343,86 @@ class TestTrace:
         assert total > 0
         # every wave settles each of the three scenarios: at its last
         # active set, or by at least one interior-point iteration
-        assert all(0 <= t["qp_accepted"] <= 3 for t in rep.trace)
+        assert all(0 <= t["qp_accepted"] <= t["qp_solved"] == 3 for t in rep.trace)
         assert all(t["ipm_iterations"] >= 3 - t["qp_accepted"] for t in rep.trace)
         assert rep.trace[0]["qp_accepted"] == 0
         assert all(t["qp_accepted"] > 0 for t in rep.trace[len(rep.trace) // 2:])
         assert all(t["qp_s"] > 0.0 for t in rep.trace)
+
+
+def _wave(coord, decision):
+    """One wave of ``coord`` at ``decision``, then its advance."""
+    sol = coord.worker_payload(decision, 0)
+    coord.incorporate(ResultEnvelope(worker=0, version=decision.version, index=0, payload=sol))
+    coord.complete(decision.version, decision)
+    return coord.advance()
+
+
+class TestAcceleration:
+    def test_farmer_converges_in_few_waves(self):
+        rep = solve_ph(farmer_problem(), PhConfig(penalty="adaptive"))
+        assert rep.status == "optimal"
+        assert rep.iterations <= 30
+        assert rep.objective == pytest.approx(-108390.0, rel=1e-6)
+
+    def test_multipliers_stay_conserved_on_accelerated_waves(self):
+        p = farmer_instance(10, 1)
+        rep = solve_ph(p, PhConfig(penalty="adaptive"))
+        assert rep.status == "optimal"
+        assert sum(rec["accelerated"] for rec in rep.trace) >= 10
+        assert max(rec["multiplier_drift"] for rec in rep.trace) <= 1e-10
+        assert rep.extras["proximal"]["accelerated"] == sum(rec["accelerated"]
+                                                            for rec in rep.trace)
+
+    def test_a_penalty_change_clears_the_memory(self):
+        rep = solve_ph(farmer_instance(10, 1), PhConfig(penalty="adaptive"))
+        changes = [k for k in range(1, len(rep.trace))
+                   if rep.trace[k]["penalty"] != rep.trace[k - 1]["penalty"]]
+        assert changes
+        for k in changes:
+            # the memory restarts empty: neither this advance nor the next,
+            # with one wave at the new penalty, can extrapolate
+            assert not rep.trace[k]["accelerated"]
+            assert k + 1 == len(rep.trace) or not rep.trace[k + 1]["accelerated"]
+
+    @pytest.mark.parametrize("far, last_residual, taken", [
+        (0.0, np.inf, True),        # lands on u itself, within the cap
+        (1e9, np.inf, False),       # past the cap
+        (np.nan, np.inf, False),    # not finite
+        (0.0, 0.0, False),          # the residual rose since the last wave
+    ])
+    def test_an_extrapolation_past_the_cap_takes_the_plain_step(self, far, last_residual,
+                                                                taken):
+        p = farmer_problem()
+        cfg = PhConfig(penalty="fixed")
+        coord = _PhCoordinator(p, cfg, _initial_state(p, cfg))
+        decision = _wave(coord, _wave(coord, coord.initial_decision()))
+        st = coord.state
+        u = np.concatenate([st.xi, st.rho.ravel()])
+        # a remembered wave with residual 0 makes gamma = 1, so the
+        # extrapolation lands on that wave's G(u): here u moved by ``far``
+        coord.anderson.g, coord.anderson.f = [u + far], [np.zeros_like(u)]
+        coord.anderson.residual = last_residual
+        rho_in = st.rho.copy()
+        _wave(coord, decision)
+        assert coord.trace[-1]["accelerated"] is taken
+        # a rise drops the older memory and keeps this wave only
+        assert len(coord.anderson.f) == (1 if last_residual == 0.0 else 2)
+        if taken:
+            np.testing.assert_allclose(st.xi, u[:p.n])
+            np.testing.assert_allclose(st.rho, rho_in, atol=1e-9)
+        else:
+            xi = p.probabilities @ st.xs
+            np.testing.assert_array_equal(st.xi, xi)
+            np.testing.assert_array_equal(st.rho, update_multipliers(rho_in, st.xs, xi, 1.0))
+
+    def test_the_report_counts_the_proximal_work(self):
+        rep = solve_ph(farmer_problem(), PhConfig(penalty="adaptive"))
+        ph = rep.extras["proximal"]
+        assert ph["steps"] == rep.iterations == len(rep.trace)
+        assert ph["qp_solved"] == rep.iterations * 3
+        assert 0 < ph["qp_accepted"] <= ph["qp_solved"]
+        assert f"{ph['accelerated']} of {ph['steps']} steps accelerated" in rep.to_text()
 
 
 class TestExecutionModes:
